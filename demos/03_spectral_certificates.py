@@ -1,9 +1,10 @@
 """Spectral certificates over Z_p: eigenvalues, idempotents, calculus.
 
 A matrix whose reduction mod p has n distinct eigenvalues in F_p splits
-exactly: the residue roots Hensel-lift to true eigenvalues and the
-Lagrange idempotents give an orthogonal partition of the identity.  All
-identities below are exact congruences mod p^32, not approximations.
+exactly: the residue eigenvectors Newton-lift to an eigenbasis A S = S D,
+and the idempotents E_i = S e_i e_i^T S^-1 give an orthogonal partition
+of the identity.  All identities below are exact congruences mod p^32,
+not approximations.
 
 Run:  python3 demos/03_spectral_certificates.py
 """

@@ -9,7 +9,10 @@ exhaustion.
 
 A group file is either a bundle {"certificate": ..., "budget": ...} as
 produced by the stone command, or a bare matrix in the matrix schema,
-which is certified on the fly under the configured budget.
+which is certified on the fly under the configured budget.  The prime
+always comes from the input file; ``--p`` must still name an odd prime.
+Refusals and precision errors report the config of the input: its prime
+and the budget the command runs under.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import sys
 from random import Random
 
 from . import __version__
+from .core import validate_prime
 from .errors import PadicError, PrecisionFailure, Refusal
 from .functions import SeriesBudget, digit_truncation_error
 from .groups import OneParamGroup, stone_recover
@@ -110,13 +114,21 @@ def _budget(args, p: int) -> SeriesBudget:
     return SeriesBudget(args.prec, args.guard)
 
 
-def _load_group(path: str, args) -> OneParamGroup:
+def _read_matrix(data: dict, args, inputs: dict) -> PadicMatrix:
+    """Parse a matrix and record its prime and budget in ``inputs``."""
+    matrix = PadicMatrix.from_dict(data)
+    inputs["p"], inputs["budget"] = matrix.p, _budget(args, matrix.p)
+    return matrix
+
+
+def _load_group(path: str, args, inputs: dict) -> OneParamGroup:
     data = _load_json(path)
     if "certificate" in data:
-        return OneParamGroup.from_dict(data)
-    matrix = PadicMatrix.from_dict(data)
-    cert = certify_strongly_normal(matrix)
-    return OneParamGroup(cert, _budget(args, matrix.p))
+        group = OneParamGroup.from_dict(data)
+        inputs["p"], inputs["budget"] = group.p, group.budget
+        return group
+    matrix = _read_matrix(data, args, inputs)
+    return OneParamGroup(certify_strongly_normal(matrix), inputs["budget"])
 
 
 def _config(args, p: int, budget: SeriesBudget) -> dict:
@@ -133,21 +145,20 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_certify(args) -> int:
-    matrix = PadicMatrix.from_dict(_load_json(args.matrix_file))
-    budget = _budget(args, matrix.p)
+def _cmd_certify(args, inputs: dict) -> int:
+    matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
     cert = certify_strongly_normal(matrix)
-    _emit({"config": _config(args, matrix.p, budget), "certificate": cert.to_dict()})
+    _emit({"config": _config(args, **inputs), "certificate": cert.to_dict()})
     return EXIT_OK
 
 
-def _cmd_group_eval(args) -> int:
-    group = _load_group(args.group_file, args)
+def _cmd_group_eval(args, inputs: dict) -> int:
+    group = _load_group(args.group_file, args, inputs)
     s = int(args.s)
     u = group.evaluate(s)
     _emit(
         {
-            "config": _config(args, group.p, group.budget),
+            "config": _config(args, **inputs),
             "s": str(s),
             "matrix": u.matrix.to_dict(),
             "unit_spectrum": [x.to_dict() for x in u.unit_spectrum()],
@@ -156,8 +167,8 @@ def _cmd_group_eval(args) -> int:
     return EXIT_OK
 
 
-def _sampled_check(args, check: str) -> int:
-    group = _load_group(args.group_file, args)
+def _sampled_check(args, inputs: dict, check: str) -> int:
+    group = _load_group(args.group_file, args, inputs)
     rng = Random(args.seed)
     prec = group.budget.target
     results = []
@@ -172,7 +183,7 @@ def _sampled_check(args, check: str) -> int:
     margins = [r.margin for _, r in results]
     _emit(
         {
-            "config": _config(args, group.p, group.budget),
+            "config": _config(args, **inputs),
             "check": check,
             "samples": args.samples,
             "seed": args.seed,
@@ -183,20 +194,19 @@ def _sampled_check(args, check: str) -> int:
     return EXIT_OK if all(r.ok for _, r in results) else EXIT_REFUSAL
 
 
-def _cmd_stone(args) -> int:
-    matrix = PadicMatrix.from_dict(_load_json(args.matrix_file))
-    budget = _budget(args, matrix.p)
-    group = stone_recover(matrix, budget)
-    _emit({"config": _config(args, matrix.p, budget), **group.to_dict()})
+def _cmd_stone(args, inputs: dict) -> int:
+    matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
+    group = stone_recover(matrix, inputs["budget"])
+    _emit({"config": _config(args, **inputs), **group.to_dict()})
     return EXIT_OK
 
 
-def _cmd_additive(args) -> int:
-    group = _load_group(args.group_file, args)
+def _cmd_additive(args, inputs: dict) -> int:
+    group = _load_group(args.group_file, args, inputs)
     w = group.additive_evaluate(int(args.z))
     _emit(
         {
-            "config": _config(args, group.p, group.budget),
+            "config": _config(args, **inputs),
             "z": args.z,
             "matrix": w.matrix.to_dict(),
         }
@@ -204,8 +214,8 @@ def _cmd_additive(args) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    group = _load_group(args.group_file, args)
+def _cmd_converge(args, inputs: dict) -> int:
+    group = _load_group(args.group_file, args, inputs)
     s = int(args.s)
     reference = group.evaluate(s).matrix
     rows = []
@@ -222,7 +232,7 @@ def _cmd_converge(args) -> int:
         )
     _emit(
         {
-            "config": _config(args, group.p, group.budget),
+            "config": _config(args, **inputs),
             "s": str(s),
             "table": rows,
         }
@@ -235,18 +245,20 @@ def main(argv=None) -> int:
     handlers = {
         "certify": _cmd_certify,
         "group-eval": _cmd_group_eval,
-        "check-law": lambda a: _sampled_check(a, "group-law"),
-        "lipschitz": lambda a: _sampled_check(a, "lipschitz"),
+        "check-law": lambda a, i: _sampled_check(a, i, "group-law"),
+        "lipschitz": lambda a, i: _sampled_check(a, i, "lipschitz"),
         "stone": _cmd_stone,
         "additive": _cmd_additive,
         "converge": _cmd_converge,
     }
+    inputs = {}  # the input's prime and budget, recorded once it is parsed
     try:
-        return handlers[args.command](args)
+        validate_prime(args.p)
+        return handlers[args.command](args, inputs)
     except Refusal as e:
         _emit(
             {
-                "config": _config(args, args.p, _budget(args, args.p)),
+                "config": _config(args, **inputs),
                 "refusal": {"type": type(e).__name__, "message": str(e)},
             }
         )
@@ -254,7 +266,7 @@ def main(argv=None) -> int:
     except PrecisionFailure as e:
         _emit(
             {
-                "config": _config(args, args.p, _budget(args, args.p)),
+                "config": _config(args, **inputs),
                 "error": {"type": type(e).__name__, "message": str(e)},
             }
         )

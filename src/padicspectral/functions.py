@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import PadicInt, validate_prime
 from .errors import InsufficientPrecision, NotPrincipal, OutOfConvergenceDomain
@@ -225,6 +226,16 @@ def _plog_terms(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     return acc
 
 
+@lru_cache(maxsize=256)
+def _log_one_plus_p(p: int, working: int) -> PadicInt:
+    """log(1+p) by _plog_terms under a budget of ``working`` digits.
+
+    The series depends only on p and the working precision, and zeta_of
+    divides by it once per eigenvalue, so it is computed once per pair.
+    """
+    return _plog_terms(PadicInt(p, p, working), SeriesBudget(working, 0))
+
+
 def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     """p-adic logarithm of a principal unit.
 
@@ -285,7 +296,7 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
         return PadicInt.zero(p, min(budget.target, max(s.prec - 1, 1)))
     wide = SeriesBudget(budget.target + 2, budget.guard)
     num = _plog_terms(s - 1, wide)
-    den = _plog_terms(PadicInt(p, p, num.prec), wide)
+    den = _log_one_plus_p(p, wide.working)
     zeta = num.divide_exact(den)
     out_prec = min(budget.target, max(s.prec - 1, 1), zeta.prec)
     return zeta.truncate_to(out_prec)

@@ -4,7 +4,7 @@ A unitary operator is U = I + V with |V| < 1 and V spectrally
 certified.  A certified generator A with spectrum in Z_p and |A| <= 1
 produces the group
 
-    U(s) = (1+z)^A = sum_i (1+z)^(lambda_i) E_i,   s = 1 + z,
+    U(s) = (1+z)^A = S diag((1+z)^(lambda_i)) S^-1,   s = 1 + z,
 
 which satisfies U(s1 s2) = U(s1) U(s2) and the Lipschitz bound
 |U(s1) - U(s2)| <= |s1 - s2|.  The converse direction recovers the
@@ -12,17 +12,17 @@ generator from the single value U(1+p):
 
     A = log(I + V) / log(1+p),   V = U(1+p) - I,
 
-implemented on V's certificate (applying lambda -> log(1+lambda)/log(1+p)
-to the eigenvalues, which provably loses exactly one digit to the final
-division) with the operator log series kept as an independent
-cross-check path.
+implemented on V's certificate as S diag(zeta(1+lambda_i)) S^-1 with
+zeta(s) = log s / log(1+p), which provably loses exactly one digit to
+the final division, and with the operator log series kept as an
+independent cross-check path.
 
 Certification of V with |V| < 1: V's reduction is the zero matrix, so
 the distinct-residue criterion cannot apply directly.  V is factored as
 p^w V' with w the minimal entry valuation; V' has a unit entry, is
 certified the usual way, and the eigenvalues are scaled back while the
-projectors are shared.  V = 0 gets the trivial certificate (eigenvalue
-0, projector I).  Anything else is refused.
+eigenbasis S is shared.  V = 0 gets the trivial certificate (eigenvalue
+0 owning the whole basis S = I, projector I).  Anything else is refused.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .functions import (
     SeriesBudget,
     _vp_factorial,
     _ceil_log,
+    _log_one_plus_p,
     is_principal_unit,
     pexp,
     principal_power,
     truncation_length,
     zeta_of,
-    _plog_terms,
 )
 from .linalg import PadicMatrix
 from .spectral import StrongNormalCertificate, certify_strongly_normal
@@ -100,10 +100,9 @@ class UnitaryOperator:
 def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCertificate:
     """Certify a matrix with |V| < 1 through the p^w V' factorization."""
     if v.is_zero():
+        ident = PadicMatrix.identity(v.n, v.p, v.prec)
         return StrongNormalCertificate(
-            v,
-            [PadicInt.zero(v.p, v.prec)],
-            [PadicMatrix.identity(v.n, v.p, v.prec)],
+            v, [PadicInt.zero(v.p, v.prec)], ident, ident, [v.n]
         )
     w = v.op_norm().value
     if w < 1:
@@ -121,7 +120,7 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         ) from e
     scale = PadicInt(v.p**w, v.p, v1.prec)
     eigenvalues = [scale * lam for lam in cert1.eigenvalues]
-    cert = StrongNormalCertificate(v, eigenvalues, cert1.projectors)
+    cert = cert1.reuse_basis(v, eigenvalues)
     cert.verify()
     return cert
 
@@ -211,24 +210,19 @@ class OneParamGroup:
     # -- the group -------------------------------------------------------
 
     def evaluate(self, s) -> UnitaryOperator:
-        """U(s) = s^A by functional calculus on the generator.
+        """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
         Each eigenvalue contributes (1+z)^(lambda_i) through its Mahler
-        series; the projectors are untouched.  U(1) = I exactly.
+        series; the basis is untouched.  U(1) = I exactly.
         """
         s = self._coerce_unit(s)
         z = s - 1
         powers = [
             principal_power(z, lam, self.budget) for lam in self.cert.eigenvalues
         ]
-        u = None
-        for val, e in zip(powers, self.cert.projectors):
-            term = val * e
-            u = term if u is None else u + term
+        u = self.cert.spectral_operator(powers)
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
-        cert = StrongNormalCertificate(
-            v, [w - 1 for w in powers], self.cert.projectors
-        )
+        cert = self.cert.reuse_basis(v, [w - 1 for w in powers])
         return UnitaryOperator(u, v, cert)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
@@ -338,7 +332,7 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     Requires U(1+p) = I + V with the spectrum of V in pZ_p (checked on
     the lifted eigenvalues, not assumed).  The generator is
 
-        A = log(I + V) / log(1+p) = sum_i log(1+lambda_i)/log(1+p) E_i,
+        A = log(I + V) / log(1+p) = S diag(log(1+lambda_i)/log(1+p)) S^-1,
 
     computed on V's certificate; the division by log(1+p), a valuation-1
     scalar, costs exactly one digit.  Then evaluate(A, 1+p) reproduces
@@ -364,11 +358,7 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
             a_eigen.append(PadicInt.zero(u1p.p, lam.prec))
         else:
             a_eigen.append(zeta_of(lam + 1, budget))
-    a = None
-    for ae, e in zip(a_eigen, cert_v.projectors):
-        term = ae * e
-        a = term if a is None else a + term
-    cert_a = StrongNormalCertificate(a, a_eigen, cert_v.projectors)
+    cert_a = cert_v.reuse_basis(cert_v.spectral_operator(a_eigen), a_eigen)
     cert_a.verify()
     return OneParamGroup(cert_a, budget)
 
@@ -399,6 +389,6 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
         vpow = vpow @ v_w
         term = vpow.divide_exact_scalar(j)
         acc = acc + term if j % 2 == 1 else acc - term
-    log_unit = _plog_terms(PadicInt(p, p, w0), budget)
+    log_unit = _log_one_plus_p(p, budget.working)
     a = acc.divide_exact_scalar(log_unit)
     return a.truncate_to(min(budget.target, max(u1p.prec - 1, 1), a.prec))

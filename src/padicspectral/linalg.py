@@ -3,8 +3,9 @@
 The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
 the ring operations, reduction to the residue field F_p, exact
-characteristic polynomials, residue eigenanalysis by direct root scan,
-and Hensel lifting of simple residue roots to N digits.
+characteristic polynomials, residue eigenanalysis (eigenvalues by
+direct root scan, eigenvectors by elimination over F_p), and Hensel
+lifting of simple residue roots to N digits.
 
 Characteristic polynomials are computed over the plain integers by
 Faddeev-LeVerrier (all of whose divisions are exact in Z) on the
@@ -39,12 +40,13 @@ def _max_dim() -> int:
     return int(os.environ.get("PADIC_MAX_DIM", "64"))
 
 
-def _as_residue(x, p: int, prec: int) -> int:
+def _as_residue(x, p: int, mod: int) -> int:
+    """x as a residue mod ``mod``, a power of p."""
     if isinstance(x, PadicInt):
         if x.p != p:
             raise PrimeMismatch(f"entry prime {x.p} != matrix prime {p}")
-        return x.residue % p**prec
-    return int(x) % p**prec
+        return x.residue % mod
+    return int(x) % mod
 
 
 class PadicMatrix:
@@ -71,9 +73,8 @@ class PadicMatrix:
             raise DimensionMismatch(f"dimension {n} exceeds cap {_max_dim()}")
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square")
-        grid = tuple(
-            tuple(_as_residue(x, p, prec) for x in row) for row in rows
-        )
+        mod = p**prec
+        grid = tuple(tuple(_as_residue(x, p, mod) for x in row) for row in rows)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "n", n)
@@ -235,12 +236,30 @@ class PadicMatrix:
             k >>= 1
         return acc
 
-    def matvec(self, vec) -> list[PadicInt]:
+    def _vector(self, vec) -> tuple[list[int], int]:
+        """Residues of n scalars (PadicInt or int) and their joint precision
+        with this matrix."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
-        xs = [_as_residue(x, self.p, self.prec) for x in vec]
+        xs = [_as_residue(x, self.p, self.modulus) for x in vec]
         precs = [x.prec for x in vec if isinstance(x, PadicInt)]
-        prec = min([self.prec] + precs)
+        return xs, min([self.prec] + precs)
+
+    def scale_columns(self, values) -> "PadicMatrix":
+        """A diag(values): column j multiplied by values[j] (PadicInt or int).
+
+        The result carries the minimum precision of A and the values.
+        """
+        xs, prec = self._vector(values)
+        mod = self.p**prec
+        return PadicMatrix(
+            [[(a * x) % mod for a, x in zip(row, xs)] for row in self._e],
+            self.p,
+            prec,
+        )
+
+    def matvec(self, vec) -> list[PadicInt]:
+        xs, prec = self._vector(vec)
         mod = self.p**prec
         return [
             PadicInt(sum(a * x for a, x in zip(row, xs)) % mod, self.p, prec)
@@ -385,6 +404,42 @@ class ResidueMatrix:
         """
         return self.char_poly().roots_with_multiplicity()
 
+    def eigenvector(self, r: int) -> list[int]:
+        """A nonzero v over F_p with A v = r v, by row reduction of A - r I.
+
+        v is 1 at the first free column of the echelon form and 0 at the
+        others; for a simple eigenvalue the kernel is a line, so this
+        fixes v.  Raises ValueError if r is not an eigenvalue.
+        """
+        p, n = self.p, self.n
+        m = [
+            [(x - r) % p if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(self._e)
+        ]
+        pivots = []  # pivot column of each echelon row, in row order
+        for col in range(n):
+            k = len(pivots)
+            piv = next((i for i in range(k, n) if m[i][col]), None)
+            if piv is None:
+                continue
+            m[k], m[piv] = m[piv], m[k]
+            inv = pow(m[k][col], -1, p)
+            m[k] = [(x * inv) % p for x in m[k]]
+            for i in range(k + 1, n):
+                f = m[i][col]
+                if f:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
+            pivots.append(col)
+        free = next((c for c in range(n) if c not in pivots), None)
+        if free is None:
+            raise ValueError(f"{r} is not an eigenvalue mod {p}")
+        v = [0] * n
+        v[free] = 1
+        for k in reversed(range(len(pivots))):
+            col = pivots[k]
+            v[col] = -sum(m[k][j] * v[j] for j in range(col + 1, n)) % p
+        return v
+
     def __eq__(self, other):
         if not isinstance(other, ResidueMatrix):
             return NotImplemented
@@ -406,7 +461,7 @@ def _char_poly_int(grid) -> list[int]:
     """Exact integer char poly coefficients, ascending, via Faddeev-LeVerrier.
 
     For an integer matrix every division by k in the recurrence is exact
-    in Z, which is asserted rather than assumed.
+    in Z, which is checked rather than assumed.
     """
     n = len(grid)
     a = [list(r) for r in grid]
@@ -427,7 +482,8 @@ def _char_poly_int(grid) -> list[int]:
             sum(a[i][t_] * m[t_][i] for t_ in range(n)) for i in range(n)
         )
         q, r = divmod(-t, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact over Z"
+        if r != 0:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact over Z")
         coeffs[n - k] = q
     return coeffs
 
@@ -550,7 +606,8 @@ def hensel_lift_root(f: CharPoly, r0: int, prec: int | None = None) -> PadicInt:
         dfr = f.derivative_at(r, e)
         r = (r - fr * pow(dfr, -1, mod)) % mod
     out = PadicInt(r, p, target)
-    assert f.evaluate(out.residue, target) == 0
+    if f.evaluate(out.residue, target) != 0:
+        raise ArithmeticError(f"Newton lift of {r0} is not a root mod {p}^{target}")
     return out
 
 

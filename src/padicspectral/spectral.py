@@ -1,17 +1,18 @@
-"""Spectral certificates: eigenvalues, idempotents, functional calculus.
+"""Spectral certificates: eigenvalues, eigenbasis, functional calculus.
 
 A matrix A over Z_p whose reduction mod p has n distinct eigenvalues in
-F_p decomposes as A = sum_i lambda_i E_i where the lambda_i are the
-Hensel lifts of the residue eigenvalues and the E_i are the Lagrange
-idempotents
+F_p diagonalizes over Z_p: A S = S D with D = diag(lambda_i) and S
+invertible.  The certificate stores S, S^-1 and the eigenvalues.  They
+are found by taking eigenvectors of the reduction over F_p and lifting
+them by Newton's method, which doubles the number of correct digits per
+step (X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794).
+Every divisor in the lift is a difference of two distinct residue
+eigenvalues, hence a unit, so the construction costs no precision.
 
-    E_i = prod_{j != i} (A - lambda_j I) / (lambda_i - lambda_j).
-
-Every divisor lambda_i - lambda_j is a unit (the residues are distinct),
-so the construction costs no precision.  The certificate carries the
-eigenvalues and projectors and backs the projection-valued measure
-E(S) = sum_{i in S} E_i and the functional calculus
-phi(A) = sum_i phi(lambda_i) E_i with |phi(A)| <= max |phi(lambda_i)|.
+The spectral idempotents are E_i = S e_i e_i^T S^-1, built on demand.
+They back the projection-valued measure E(S) = sum_{i in S} E_i and the
+functional calculus phi(A) = S diag(phi(lambda_i)) S^-1, with
+|phi(A)| <= max |phi(lambda_i)|.
 
 Reductions that are scalar, fail to split over F_p, or have repeated
 residue eigenvalues are refused with a specific exception: the repeated
@@ -21,15 +22,16 @@ deliberately does not guess at.
 
 from __future__ import annotations
 
-from .core import PadicInt, Valuation
+from .core import PadicInt
 from .errors import (
     CertificationFailed,
     DegenerateReduction,
     DimensionMismatch,
+    PrimeMismatch,
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from .linalg import PadicMatrix, hensel_lift_root, vector_norm
+from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
 __all__ = [
     "StrongNormalCertificate",
@@ -39,29 +41,52 @@ __all__ = [
     "verify_orthogonality",
 ]
 
+_FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
+
 
 class StrongNormalCertificate:
-    """A verified spectral decomposition A = sum lambda_i E_i.
+    """A verified eigenbasis A S = S D, so that A = sum lambda_i E_i.
 
-    ``eigenvalues`` and ``projectors`` run in parallel; the projectors
-    are orthogonal idempotents of norm 1 summing to the identity.  The
-    certificate precision is the minimum precision over the matrix and
-    all certificate data, and every stored identity holds as an exact
-    congruence at that precision (see :meth:`verify`).
+    ``basis`` is S and ``basis_inverse`` is S^-1.  Eigenvalue i owns
+    ``multiplicities[i]`` consecutive columns of S; the count is 1 except
+    in the trivial certificate of the zero matrix (eigenvalue 0 owning
+    every column, E = I).  D repeats each eigenvalue that many times.
+    The certificate precision is the minimum precision over the matrix
+    and all certificate data, and the stored identities hold as exact
+    congruences at that precision (see :meth:`verify`).
     """
 
-    __slots__ = ("matrix", "eigenvalues", "projectors")
+    __slots__ = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
 
-    def __init__(self, matrix: PadicMatrix, eigenvalues, projectors):
+    def __init__(
+        self,
+        matrix: PadicMatrix,
+        eigenvalues,
+        basis: PadicMatrix,
+        basis_inverse: PadicMatrix,
+        multiplicities=None,
+    ):
         eigenvalues = tuple(eigenvalues)
-        projectors = tuple(projectors)
-        if len(eigenvalues) != len(projectors):
-            raise DimensionMismatch("one projector per eigenvalue required")
         if not eigenvalues:
             raise ValueError("certificate needs at least one spectral point")
+        if multiplicities is None:
+            multiplicities = (1,) * len(eigenvalues)
+        multiplicities = tuple(int(m) for m in multiplicities)
+        if len(multiplicities) != len(eigenvalues):
+            raise DimensionMismatch("one multiplicity per eigenvalue required")
+        if min(multiplicities) < 1:
+            raise ValueError("every eigenvalue needs at least one basis column")
+        if sum(multiplicities) != matrix.n or {basis.n, basis_inverse.n} != {matrix.n}:
+            raise DimensionMismatch(
+                f"basis columns do not match the dimension {matrix.n}"
+            )
+        if any(x.p != matrix.p for x in (basis, basis_inverse, *eigenvalues)):
+            raise PrimeMismatch("certificate data must share the matrix prime")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis_inverse", basis_inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("certificate is immutable")
@@ -77,45 +102,71 @@ class StrongNormalCertificate:
     @property
     def precision(self) -> int:
         return min(
-            [self.matrix.prec]
+            [self.matrix.prec, self.basis.prec, self.basis_inverse.prec]
             + [e.prec for e in self.eigenvalues]
-            + [e.prec for e in self.projectors]
+        )
+
+    @property
+    def projectors(self) -> tuple[PadicMatrix, ...]:
+        """The idempotents E_i = S_i (S^-1)_i, one per eigenvalue."""
+        k = len(self.eigenvalues)
+        return tuple(
+            self.spectral_operator([int(i == j) for j in range(k)]) for i in range(k)
+        )
+
+    def reuse_basis(self, matrix: PadicMatrix, eigenvalues) -> "StrongNormalCertificate":
+        """A certificate for another matrix diagonal in the same basis."""
+        return StrongNormalCertificate(
+            matrix, eigenvalues, self.basis, self.basis_inverse, self.multiplicities
         )
 
     def verify(self) -> None:
-        """Re-check every certificate identity; raise CertificationFailed.
+        """Re-check the certificate; raise CertificationFailed.
 
-        Checks, all as exact congruences at certificate precision:
-        E_i E_j = 0 for i != j, E_i^2 = E_i, sum E_i = I,
-        sum lambda_i E_i = A, and |E_i| = 1.
+        Two exact congruences at certificate precision d: A S = S D and
+        S S^-1 = I.  The decomposition's identities follow.  Over the
+        commutative ring Z/p^d, S S^-1 = I makes det S a unit, so
+        S^-1 S = I too.  With P_i the diagonal 0/1 matrix selecting the
+        columns of eigenvalue i, E_i = S P_i S^-1, and so:
+
+        - E_i E_j = S P_i (S^-1 S) P_j S^-1 = S P_i P_j S^-1, which is
+          E_i for i = j and 0 otherwise;
+        - sum E_i = S S^-1 = I;
+        - sum lambda_i E_i = S D S^-1 = A S S^-1 = A;
+        - |E_i| = 1: S is invertible mod p, so E_i mod p has rank
+          multiplicities[i] >= 1 over F_p and some entry is a unit.
         """
         d = self.precision
-        ident = PadicMatrix.identity(self.n, self.p, d)
-        total = PadicMatrix.zeros(self.n, self.p, d)
-        recon = PadicMatrix.zeros(self.n, self.p, d)
-        for i, (lam, e) in enumerate(zip(self.eigenvalues, self.projectors)):
-            if e.op_norm() != Valuation.exact(0):
-                raise CertificationFailed(f"projector {i} does not have norm 1")
-            if not (e @ e).congruent(e, d):
-                raise CertificationFailed(f"projector {i} is not idempotent")
-            for j in range(i + 1, len(self.projectors)):
-                prod = e @ self.projectors[j]
-                if not prod.congruent(
-                    PadicMatrix.zeros(self.n, self.p, prod.prec), d
-                ):
-                    raise CertificationFailed(
-                        f"projectors {i} and {j} are not orthogonal"
-                    )
-            total = total + e
-            recon = recon + lam * e
-        if not total.congruent(ident, d):
-            raise CertificationFailed("projectors do not sum to the identity")
-        if not recon.congruent(self.matrix, d):
+        s = self.basis
+        diag = s.scale_columns(self._per_column(self.eigenvalues))
+        if not (self.matrix @ s).congruent(diag, d):
             raise CertificationFailed(
-                "sum lambda_i E_i does not reconstruct the matrix"
+                "A S != S D: the basis columns are not eigenvectors for the "
+                "stored eigenvalues"
             )
+        if not (s @ self.basis_inverse).congruent(
+            PadicMatrix.identity(self.n, self.p, d), d
+        ):
+            raise CertificationFailed("S S^-1 != I: the stored inverse is wrong")
 
     # -- spectral operations ------------------------------------------
+
+    def _per_column(self, values) -> list:
+        """One value per eigenvalue, repeated over the columns it owns."""
+        return [v for v, m in zip(values, self.multiplicities) for _ in range(m)]
+
+    def spectral_operator(self, values) -> PadicMatrix:
+        """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue.
+
+        This is the operator with the certified eigenbasis and spectrum
+        ``values``; it carries the minimum precision of S, S^-1 and the
+        values.
+        """
+        if len(values) != len(self.eigenvalues):
+            raise DimensionMismatch(
+                f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"
+            )
+        return self.basis.scale_columns(self._per_column(values)) @ self.basis_inverse
 
     def spectral_measure(self, subset) -> PadicMatrix:
         """E(S) = sum_{i in S} E_i for a subset S of spectral indices.
@@ -124,39 +175,46 @@ class StrongNormalCertificate:
         this is the full projection-valued measure: E({}) = 0, E(all) = I,
         and E is additive on disjoint subsets.
         """
-        idx = sorted(set(subset))
-        if idx and (idx[0] < 0 or idx[-1] >= len(self.eigenvalues)):
-            raise IndexError(f"spectral index out of range: {idx}")
-        acc = PadicMatrix.zeros(self.n, self.p, self.precision)
-        for i in idx:
-            acc = acc + self.projectors[i]
-        return acc
+        idx = set(subset)
+        if idx and (min(idx) < 0 or max(idx) >= len(self.eigenvalues)):
+            raise IndexError(f"spectral index out of range: {sorted(idx)}")
+        mask = [int(i in idx) for i in range(len(self.eigenvalues))]
+        return self.spectral_operator(mask).truncate_to(self.precision)
 
     def functional_calculus(self, phi) -> PadicMatrix:
-        """phi(A) = sum_i phi(lambda_i) E_i for any map on the spectrum.
+        """phi(A) = S diag(phi(lambda_i)) S^-1 for any map on the spectrum.
 
         ``phi`` may return PadicInt or int.  The norm bound
         |phi(A)| <= max_i |phi(lambda_i)| holds by construction.
         """
-        acc = None
-        for lam, e in zip(self.eigenvalues, self.projectors):
+        values = []
+        for lam in self.eigenvalues:
             val = phi(lam)
             if isinstance(val, int):
                 val = PadicInt(val, self.p, lam.prec)
-            term = val * e
-            acc = term if acc is None else acc + term
-        return acc
+            values.append(val)
+        return self.spectral_operator(values)
 
     def verify_orthogonality(self, vec) -> bool:
         """Check |f| = sup_i |E_i f| for one vector f.
 
         Singletons suffice: the sup over arbitrary subsets is attained on
-        a singleton in the ultrametric.
+        a singleton in the ultrametric.  E_i f = S P_i (S^-1 f).
         """
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
         lhs = vector_norm(vec)
-        rhs = min(vector_norm(e.matvec(vec)) for e in self.projectors)
+        coords = self.basis_inverse.matvec(vec)
+        zero = PadicInt.zero(self.p, coords[0].prec)
+        owner = self._per_column(range(len(self.eigenvalues)))
+        rhs = min(
+            vector_norm(
+                self.basis.matvec(
+                    [c if o == i else zero for c, o in zip(coords, owner)]
+                )
+            )
+            for i in range(len(self.eigenvalues))
+        )
         return lhs == rhs
 
     # -- serialization --------------------------------------------------
@@ -165,15 +223,22 @@ class StrongNormalCertificate:
         return {
             "matrix": self.matrix.to_dict(),
             "eigenvalues": [e.to_dict() for e in self.eigenvalues],
-            "projectors": [e.to_dict() for e in self.projectors],
+            "multiplicities": list(self.multiplicities),
+            "basis": self.basis.to_dict(),
+            "basis_inverse": self.basis_inverse.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrongNormalCertificate":
+        missing = [k for k in _FIELDS if k not in d]
+        if missing:
+            raise ValueError(f"certificate is missing field(s) {missing}")
         return cls(
             PadicMatrix.from_dict(d["matrix"]),
             [PadicInt.from_dict(e) for e in d["eigenvalues"]],
-            [PadicMatrix.from_dict(e) for e in d["projectors"]],
+            PadicMatrix.from_dict(d["basis"]),
+            PadicMatrix.from_dict(d["basis_inverse"]),
+            d["multiplicities"],
         )
 
     def __repr__(self):
@@ -184,13 +249,49 @@ class StrongNormalCertificate:
         )
 
 
+def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
+    """Newton-lift the residue eigenbasis of A to A's precision.
+
+    Start from S whose columns are eigenvectors of the reduction, with
+    T = S^-1 mod p and d the residue eigenvalues, so A S = S D mod p^e
+    for e = 1.  One step works mod p^(2e).  With R = A S - S D, which
+    vanishes mod p^e, and C = T R: set d_i += C_ii, X_ij = C_ij / (d_j - d_i)
+    for i != j (a unit divisor, since the residues are distinct),
+    X_ii = 0, and S <- S (I + X).  The first-order terms of
+    A S - S D then cancel and the rest is a product of two matrices
+    divisible by p^e.  C needs T only mod p^e because R = 0 mod p^e,
+    and one Newton step T <- T (2I - S T) makes T the inverse of the new
+    S mod p^(2e).  Returns (S, S^-1, eigenvalues) at A's precision.
+    """
+    p, n, target = a.p, a.n, a.prec
+    columns = [ahat.eigenvector(r) for r in residues]
+    s = PadicMatrix(list(zip(*columns)), p, 1)
+    t = s.inverse()
+    d = list(residues)
+    e = 1
+    while e < target:
+        e = min(2 * e, target)
+        mod = p**e
+        s, t = s.lift_to(e), t.lift_to(e)
+        c = (t @ (a.truncate_to(e) @ s - s.scale_columns(d))).rows()
+        x = [
+            [0 if i == j else c[i][j] * pow(d[j] - d[i], -1, mod) for j in range(n)]
+            for i in range(n)
+        ]
+        d = [(di + c[i][i]) % mod for i, di in enumerate(d)]
+        s = s + s @ PadicMatrix(x, p, e)
+        t = t + t @ (PadicMatrix.identity(n, p, e) - s @ t)
+    return s, t, [PadicInt(di, p, target) for di in d]
+
+
 def certify_strongly_normal(a: PadicMatrix, check: bool = True) -> StrongNormalCertificate:
     """Certify a matrix whose reduction has n distinct residue eigenvalues.
 
     Refuses scalar reductions (DegenerateReduction), characteristic
     polynomials that do not split over F_p (ResidueEigenvalueDeficit),
-    and repeated residue eigenvalues (RepeatedResidueEigenvalue).  On
-    success the certificate is re-verified before being returned.
+    and repeated residue eigenvalues (RepeatedResidueEigenvalue).  The
+    eigenvalues come out sorted by residue.  On success the certificate
+    is re-verified before being returned.
     """
     ahat = a.reduction()
     if ahat.is_scalar():
@@ -211,24 +312,9 @@ def certify_strongly_normal(a: PadicMatrix, check: bool = True) -> StrongNormalC
             f"residue eigenvalues {repeated} are repeated; lifting an "
             "invariant subspace is unsupported"
         )
-    f = a.char_poly()
-    eigenvalues = [
-        hensel_lift_root(f, r, a.prec) for r, _ in sorted(residue_roots)
-    ]
-    ident = PadicMatrix.identity(a.n, a.p, a.prec)
-    projectors = []
-    for i, lam_i in enumerate(eigenvalues):
-        num = None
-        den = PadicInt.one(a.p, a.prec)
-        for j, lam_j in enumerate(eigenvalues):
-            if j == i:
-                continue
-            factor = a - lam_j * ident
-            num = factor if num is None else num @ factor
-            den = den * (lam_i - lam_j)
-        # den is a unit: residues of the eigenvalues are pairwise distinct
-        projectors.append(num * den.inverse())
-    cert = StrongNormalCertificate(a, eigenvalues, projectors)
+    residues = sorted(r for r, _ in residue_roots)
+    basis, inverse, eigenvalues = _lift_eigenbasis(a, ahat, residues)
+    cert = StrongNormalCertificate(a, eigenvalues, basis, inverse)
     if check:
         cert.verify()
     return cert

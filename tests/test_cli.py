@@ -165,3 +165,47 @@ def test_dimension_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PADIC_MAX_DIM", "1")
     path = _write(tmp_path / "m.json", {"p": 5, "prec": 4, "n": 2, "entries": [["0", "1"], ["2", "1"]]})
     assert main(["certify", path]) == 1
+
+
+def test_refusal_config_comes_from_input(tmp_path, capsys):
+    scalar = PadicMatrix([[3, 0], [0, 3]], 7, 32)
+    path = _write(tmp_path / "scalar7.json", scalar.to_dict())
+    code, out = _run(capsys, ["certify", path])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["refusal"]["type"] == "DegenerateReduction"
+    guard = SeriesBudget.auto(32, 7).guard
+    assert doc["config"]["p"] == 7 and doc["config"]["guard"] == guard
+
+
+def test_bundle_refusal_config_uses_bundle_budget(tmp_path, capsys):
+    cert = certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 7, 20))
+    bundle = OneParamGroup(cert, SeriesBudget(20, 3)).to_dict()
+    path = _write(tmp_path / "g7.json", bundle)
+    code, out = _run(capsys, ["--prec", "40", "group-eval", path, "--s", "2"])
+    assert code == 2
+    cfg = json.loads(out)["config"]
+    assert (cfg["p"], cfg["precision"], cfg["guard"]) == (7, 20, 3)
+
+
+def test_invalid_prime_flag_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path / "ident.json", PadicMatrix.identity(2, 5, 32).to_dict())
+    code = main(["--p", "4", "certify", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
+    bundle = json.loads(open(group_file).read())
+    cert = bundle["certificate"]
+    for key in ("basis", "basis_inverse", "multiplicities"):
+        del cert[key]
+    cert["projectors"] = [cert["matrix"], cert["matrix"]]
+    path = _write(tmp_path / "old.json", bundle)
+    code = main(["group-eval", path, "--s", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "missing field" in captured.err and "'basis'" in captured.err

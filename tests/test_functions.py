@@ -16,6 +16,7 @@ from padicspectral import (
     zeta_of,
 )
 from padicspectral.errors import NotPrincipal, OutOfConvergenceDomain
+from padicspectral.functions import _plog_terms
 from padicspectral.oracle import oracle_power
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -229,6 +230,23 @@ def test_zeta_roundtrip(p):
         zeta = zeta_of(s, b)
         back = principal_power(z, zeta, b)
         assert back.congruent(s.truncate_to(back.prec), back.prec)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_zeta_matches_uncached_quotient(p):
+    # zeta_of reuses log(1+p) per (p, working digits); the quotient must be
+    # the one the two series give when both are summed afresh
+    rng = Random(950 + p)
+    for target in (8, 32, 128):
+        b = SeriesBudget.auto(target, p)
+        wide = SeriesBudget(target + 2, b.guard)
+        for prec in (target, target + 3):
+            s = sample_principal_unit(rng, p, prec)
+            num = _plog_terms(s - 1, wide)
+            den = _plog_terms(PadicInt(p, p, num.prec), wide)
+            zeta = num.divide_exact(den)
+            expected = zeta.truncate_to(min(target, prec - 1, zeta.prec))
+            assert zeta_of(s, b) == expected
 
 
 def test_digit_truncation_error_bound():

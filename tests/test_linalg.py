@@ -1,5 +1,6 @@
 """Matrix norm, reduction, characteristic polynomials, Hensel lifting."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -21,7 +22,9 @@ from padicspectral.errors import (
     PrecisionExceeded,
     PrimeMismatch,
 )
+from padicspectral.linalg import _char_poly_int
 from padicspectral.oracle import oracle_char_poly
+from padicspectral.sampling import sample_certifiable_matrix
 
 PRIMES = [3, 5, 7]
 
@@ -223,3 +226,42 @@ def test_matrix_congruence_precision_guard():
     a = PadicMatrix.identity(2, 5, 4)
     with pytest.raises(PrecisionExceeded):
         a.congruent(a, 5)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_residue_eigenvectors(p):
+    rng = Random(2100 + p)
+    for _ in range(10):
+        n = rng.randrange(2, p + 1)
+        ahat = sample_certifiable_matrix(rng, p, 4, n).reduction()
+        for r, _ in ahat.eigenvalues():
+            v = ahat.eigenvector(r)
+            assert any(v)
+            av = [sum(x * y for x, y in zip(row, v)) % p for row in ahat.rows()]
+            assert av == [r * x % p for x in v]
+    with pytest.raises(ValueError):
+        ResidueMatrix([[1, 0], [0, 2]], 5).eigenvector(3)
+
+
+def test_scale_columns():
+    a = PadicMatrix([[1, 2], [3, 4]], 5, 8)
+    assert a.scale_columns([2, 0]) == a @ PadicMatrix.diagonal([2, 0], 5, 8)
+    scaled = a.scale_columns([PadicInt(3, 5, 6), 1])
+    assert scaled == PadicMatrix([[3, 2], [9, 4]], 5, 6)
+    with pytest.raises(DimensionMismatch):
+        a.scale_columns([1])
+
+
+class _WrongRoots(CharPoly):
+    """A polynomial whose evaluation at full precision never vanishes."""
+
+    def evaluate(self, x, digits=None):
+        return 0 if digits == 1 else 1
+
+
+def test_correctness_guards_raise():
+    # these are exceptions, not asserts, so they survive python -O
+    with pytest.raises(ArithmeticError):
+        _char_poly_int([[Fraction(1, 2)]])
+    with pytest.raises(ArithmeticError):
+        hensel_lift_root(_WrongRoots([3, 1], 5, 8), 2)

@@ -4,6 +4,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicspectral import (
     PadicInt,
@@ -12,6 +14,8 @@ from padicspectral import (
     Valuation,
     certify_strongly_normal,
     functional_calculus,
+    hensel_lift_root,
+    make_unitary,
     spectral_measure,
     verify_orthogonality,
 )
@@ -22,7 +26,11 @@ from padicspectral.errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from padicspectral.sampling import sample_certifiable_matrix, sample_padic
+from padicspectral.sampling import (
+    sample_certifiable_matrix,
+    sample_invertible_matrix,
+    sample_padic,
+)
 
 PRIMES = [3, 5, 7]
 
@@ -197,16 +205,19 @@ def test_orthogonality_identity(p):
 def test_verify_catches_corruption():
     a = PadicMatrix([[0, 1], [2, 1]], 5, 32)
     cert = certify_strongly_normal(a)
-    bad = StrongNormalCertificate(
-        a, cert.eigenvalues, [cert.projectors[0], cert.projectors[0]]
-    )
+    s, t = cert.basis, cert.basis_inverse
+    col0 = [row[0] for row in s.rows()]
+    repeated = PadicMatrix([[c, c] for c in col0], 5, s.prec)
+    bad = StrongNormalCertificate(a, cert.eigenvalues, repeated, t)
     with pytest.raises(CertificationFailed):
         bad.verify()
-    swapped = StrongNormalCertificate(
-        a, tuple(reversed(cert.eigenvalues)), cert.projectors
-    )
+    swapped = StrongNormalCertificate(a, tuple(reversed(cert.eigenvalues)), s, t)
     with pytest.raises(CertificationFailed):
         swapped.verify()
+    nudged = t + PadicMatrix([[0, 0], [5**31, 0]], 5, t.prec)
+    perturbed = StrongNormalCertificate(a, cert.eigenvalues, s, nudged)
+    with pytest.raises(CertificationFailed):
+        perturbed.verify()
 
 
 def test_certificate_serialization():
@@ -217,3 +228,135 @@ def test_certificate_serialization():
     assert back.eigenvalues == cert.eigenvalues
     assert back.projectors == cert.projectors
     back.verify()
+
+
+def _lagrange_reference(a):
+    """Eigenvalues by Hensel lifting on the char poly, projectors by
+    Lagrange products prod_{j != i} (A - lam_j I) / (lam_i - lam_j)."""
+    residues = sorted(r for r, _ in a.reduction().eigenvalues())
+    f = a.char_poly()
+    lams = [hensel_lift_root(f, r, a.prec) for r in residues]
+    ident = PadicMatrix.identity(a.n, a.p, a.prec)
+    projectors = []
+    for i, lam_i in enumerate(lams):
+        num, den = ident, PadicInt.one(a.p, a.prec)
+        for j, lam_j in enumerate(lams):
+            if j != i:
+                num = num @ (a - lam_j * ident)
+                den = den * (lam_i - lam_j)
+        projectors.append(num * den.inverse())
+    return lams, projectors
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_eigenbasis_matches_lagrange_reference(p):
+    rng = Random(1800 + p)
+    for _ in range(6):
+        n = rng.randrange(2, min(p, 5) + 1)
+        prec = rng.choice([1, 2, 7, 32])
+        a = sample_certifiable_matrix(rng, p, prec, n)
+        cert = certify_strongly_normal(a)
+        lams, projectors = _lagrange_reference(a)
+        assert cert.precision == prec
+        assert list(cert.eigenvalues) == lams
+        assert list(cert.projectors) == projectors
+
+
+def test_construction_p67_n32():
+    rng = Random(1900)
+    p, prec, n = 67, 32, 32
+    mod = p**prec
+    residues = rng.sample(range(p), n)
+    d = [r + p * rng.randrange(p ** (prec - 1)) for r in residues]
+    s = sample_invertible_matrix(rng, p, prec, n)
+    s_inv = s.inverse()
+    a = s.scale_columns(d) @ s_inv
+    cert = certify_strongly_normal(a)
+    order = sorted(range(n), key=lambda j: d[j] % p)
+    assert cert.precision == prec
+    assert [lam.residue for lam in cert.eigenvalues] == [d[j] for j in order]
+    sr, tr = s.rows(), s_inv.rows()
+    for k, j in enumerate(order):
+        e = cert.spectral_measure([k]).rows()
+        expected = [[sr[r][j] * tr[j][c] % mod for c in range(n)] for r in range(n)]
+        assert [list(row) for row in e] == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    prec=st.integers(1, 24),
+    extra=st.integers(1, 8),
+    data=st.data(),
+)
+def test_digits_beyond_precision_do_not_matter(p, seed, prec, extra, data):
+    rng = Random(seed)
+    n = rng.randrange(2, min(p, 4) + 1)
+    a = sample_certifiable_matrix(rng, p, prec, n)
+    t = data.draw(
+        st.lists(
+            st.lists(st.integers(0, p**extra - 1), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    moved = PadicMatrix(
+        [[x + p**prec * y for x, y in zip(r, ty)] for r, ty in zip(a.rows(), t)],
+        p,
+        prec + extra,
+    )
+    cert = certify_strongly_normal(a)
+    cert2 = certify_strongly_normal(moved)
+    d = cert.precision
+    assert d == prec
+    assert [lam.truncate_to(d) for lam in cert2.eigenvalues] == list(cert.eigenvalues)
+    for k in range(n):
+        e2 = cert2.spectral_measure([k]).truncate_to(d)
+        assert e2 == cert.spectral_measure([k])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_verify_rejects_corruptions_random(p):
+    rng = Random(2000 + p)
+    prec = 16
+    for _ in range(4):
+        a = sample_certifiable_matrix(rng, p, prec, 3)
+        cert = certify_strongly_normal(a)
+        s, t = cert.basis, cert.basis_inverse
+        rows = [list(r) for r in s.rows()]
+        for r in rows:
+            r[1] = r[0]
+        cases = [
+            (cert.eigenvalues, PadicMatrix(rows, p, prec), t),
+            ((cert.eigenvalues[1], cert.eigenvalues[0], cert.eigenvalues[2]), s, t),
+        ]
+        for i in range(3):
+            bump = [[p ** (prec - 1) if (r, c) == (i, 2 - i) else 0 for c in range(3)]
+                    for r in range(3)]
+            cases.append((cert.eigenvalues, s, t + PadicMatrix(bump, p, prec)))
+        for eigenvalues, basis, inverse in cases:
+            with pytest.raises(CertificationFailed):
+                StrongNormalCertificate(a, eigenvalues, basis, inverse).verify()
+
+
+def test_zero_matrix_certificate_keeps_one_spectral_point():
+    u = make_unitary(PadicMatrix.zeros(3, 5, 16))
+    assert [x.residue for x in u.unit_spectrum()] == [1]
+    assert u.cert.multiplicities == (3,)
+    assert u.cert.projectors == (PadicMatrix.identity(3, 5, 16),)
+    u.cert.verify()
+
+
+def test_certificate_shape_checks():
+    a = PadicMatrix([[0, 1], [2, 1]], 5, 32)
+    cert = certify_strongly_normal(a)
+    s, t = cert.basis, cert.basis_inverse
+    with pytest.raises(DimensionMismatch):
+        StrongNormalCertificate(a, cert.eigenvalues, s, t, [1])
+    with pytest.raises(DimensionMismatch):
+        StrongNormalCertificate(a, cert.eigenvalues, s, t, [2, 1])
+    with pytest.raises(ValueError):
+        StrongNormalCertificate(a, cert.eigenvalues[:1] * 2, s, t, [2, 0])
+    with pytest.raises(ValueError):
+        StrongNormalCertificate.from_dict({"matrix": a.to_dict()})
