@@ -1,7 +1,9 @@
 """Scalar special functions: Mahler powers, p-adic log/exp, and zeta.
 
 The star is (1+z)^lam for |z| < 1 and lam any p-adic integer, defined by
-the Mahler series sum_n z^n P_n(lam) with P_n the binomial polynomials.
+the Mahler series sum_n z^n P_n(lam) with P_n the binomial polynomials
+and computed exactly as one modular pow of lam's residue: for odd p,
+(1+z)^(p^k) = 1 mod p^(k + v(z)), so the tracked digits of lam fix it.
 The p-adic logarithm and exponential are mutually inverse isometries
 between the principal units 1 + pZ_p and the disk pZ_p, which is what
 makes the coordinate zeta(s) = log s / log(1+p) work: every principal
@@ -35,10 +37,10 @@ for n in range(5):
 print("(P_3(7) = 7*6*5/3! = 35: integral despite the division)")
 
 print()
-print("=== principal powers through the Mahler series ===")
+print("=== principal powers by modular pow ===")
 z = PadicInt(5, p, 32)
 two = principal_power(z, PadicInt(2, p, 32), budget)
-print(f"(1+5)^2 via the series: {two.residue % 5**6} (mod 5^6), exactly 36")
+print(f"(1+5)^2 by pow: {two.residue % 5**6} (mod 5^6), exactly 36")
 
 # the exponent can be a full 32-digit p-adic integer
 big_lam = PadicInt(123456789 * 5**20 + 98765, p, 32)

@@ -10,9 +10,9 @@ exhaustion.
 A group file is either a bundle {"certificate": ..., "budget": ...} as
 produced by the stone command, or a bare matrix in the matrix schema,
 which is certified on the fly under the configured budget.  The prime
-always comes from the input file; ``--p`` must still name an odd prime.
-Refusals and precision errors report the config of the input: its prime
-and the budget the command runs under.
+always comes from the input file; ``--p``, when given, must name an odd
+prime and agree with it.  Refusals and precision errors report the
+config of the input: its prime and the budget the command runs under.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _add_global_flags(parser, suppress: bool) -> None:
     # the same flags work before or after the subcommand; the subcommand
     # copies use SUPPRESS so an absent flag never clobbers the root value
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--p", type=int, default=d(5), help="prime (odd, default 5)")
+    parser.add_argument("--p", type=int, default=d(None), help="the input's prime")
     parser.add_argument(
         "--prec", type=int, default=d(32), help="target digits (default 32)"
     )
@@ -114,10 +114,17 @@ def _budget(args, p: int) -> SeriesBudget:
     return SeriesBudget(args.prec, args.guard)
 
 
+def _record_input(args, inputs: dict, p: int, budget: SeriesBudget) -> None:
+    """Record the input's prime and budget; an explicit --p must agree."""
+    inputs["p"], inputs["budget"] = p, budget
+    if args.p is not None and validate_prime(args.p) != p:
+        raise ValueError(f"--p {args.p} but the input has p = {p}")
+
+
 def _read_matrix(data: dict, args, inputs: dict) -> PadicMatrix:
     """Parse a matrix and record its prime and budget in ``inputs``."""
     matrix = PadicMatrix.from_dict(data)
-    inputs["p"], inputs["budget"] = matrix.p, _budget(args, matrix.p)
+    _record_input(args, inputs, matrix.p, _budget(args, matrix.p))
     return matrix
 
 
@@ -125,7 +132,7 @@ def _load_group(path: str, args, inputs: dict) -> OneParamGroup:
     data = _load_json(path)
     if "certificate" in data:
         group = OneParamGroup.from_dict(data)
-        inputs["p"], inputs["budget"] = group.p, group.budget
+        _record_input(args, inputs, group.p, group.budget)
         return group
     matrix = _read_matrix(data, args, inputs)
     return OneParamGroup(certify_strongly_normal(matrix), inputs["budget"])
@@ -253,7 +260,6 @@ def main(argv=None) -> int:
     }
     inputs = {}  # the input's prime and budget, recorded once it is parsed
     try:
-        validate_prime(args.p)
         return handlers[args.command](args, inputs)
     except Refusal as e:
         _emit(

@@ -1,17 +1,18 @@
-"""Scalar special functions on Z_p with rigorously truncated series.
+"""Scalar special functions on Z_p with rigorously tracked precision.
 
 Everything here is driven by a :class:`SeriesBudget`: ``target`` digits
 must come out right, ``guard`` extra digits absorb the valuation lost to
-divisions inside the series.  Each series additionally extends its
-working precision by the exact cumulative division loss it is about to
-incur (v_p of the relevant factorials), so the budgeted digits are a
+divisions.  Each truncated series additionally extends its working
+precision by the exact cumulative division loss it is about to incur
+(v_p of the relevant factorials), so the budgeted digits are a
 guarantee, not a hope.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
-powers (1+z)^lam via the Mahler expansion sum z^n P_n(lam), the p-adic
-logarithm and exponential on their convergence domains, and the
-coordinate zeta(s) = log s / log(1+p) that writes any principal unit of
-Q_p as (1+p)^zeta.
+powers (1+z)^lam by one modular pow, the p-adic logarithm by p-power
+argument reduction (about sqrt(W) series terms at W working digits),
+the exponential as (1+p)^(x / log(1+p)), and the coordinate
+zeta(s) = log s / log(1+p) that writes any principal unit of Q_p as
+(1+p)^zeta.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .core import PadicInt, validate_prime
-from .errors import InsufficientPrecision, NotPrincipal, OutOfConvergenceDomain
+from .errors import (
+    InsufficientPrecision,
+    NotPrincipal,
+    OutOfConvergenceDomain,
+    PrimeMismatch,
+)
 
 __all__ = [
     "SeriesBudget",
@@ -115,10 +122,6 @@ def _require_principal(x: PadicInt, what: str) -> None:
         raise NotPrincipal(f"{what} must be congruent to 1 mod p, got {x!r}")
 
 
-def _at_precision(x: PadicInt, prec: int) -> PadicInt:
-    return x.lift_to(prec) if x.prec < prec else x.truncate_to(prec)
-
-
 def truncation_length(v_z: int, budget: SeriesBudget) -> int:
     """Smallest M with M * v_z >= target + guard.
 
@@ -135,14 +138,18 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
 
     Integral despite the division: computed by the recurrence
     P_n = P_{n-1} (lam - n + 1) / n at precision extended by v_p(n!),
-    so each division by n is exact and the result carries lam's full
-    precision.  (Digits within floor(log_p n) of the top depend on the
-    canonical lift of lam's residue.)
+    so each division by n is exact.  P_n is p^floor(log_p n)-Lipschitz
+    on Z_p, so only lam.prec - floor(log_p n) digits are determined by
+    lam's tracked digits; the result carries exactly that precision and
+    InsufficientPrecision is raised when no digit is left.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return PadicInt.one(lam.p, lam.prec)
+    out_prec = lam.prec - (_ceil_log(lam.p, n + 1) - 1)
+    if out_prec < 1:
+        raise InsufficientPrecision(f"{lam.prec} digits fix no digit of P_{n}")
     w0 = lam.prec + _vp_factorial(n, lam.p)
     if w0 > MAX_WORKING_PREC:
         raise InsufficientPrecision(
@@ -153,70 +160,62 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
     for k in range(1, n + 1):
         acc = (acc * (lam_w - (k - 1))).divide_exact(PadicInt(k, lam.p, acc.prec))
     # cumulative loss is exactly v_p(n!), landing back on lam.prec
-    return acc.truncate_to(lam.prec)
-
-
-def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
-    """(1 + z)^lam for |z| < 1, lam in Z_p.
-
-    A nonnegative int exponent is dispatched to binary exponentiation,
-    which is exact.  A PadicInt exponent goes through the Mahler
-    expansion sum_{n=0}^{M} z^n P_n(lam) with M = truncation_length, run
-    at working precision extended by v_p(M!).  The result is a principal
-    unit with valuation(result - 1) >= valuation(z).
-    """
-    p = z.p
-    if isinstance(lam, int):
-        if lam < 0:
-            raise ValueError("integer exponents must be >= 0")
-        _require_valuation_ge1(z)
-        out_prec = min(budget.target, z.prec)
-        base = 1 + (z.residue % p**out_prec)
-        return PadicInt(pow(base, lam, p**out_prec), p, out_prec)
-
-    _require_valuation_ge1(z)
-    out_prec = min(budget.target, z.prec, lam.prec)
-    if z.is_zero():
-        return PadicInt.one(p, out_prec)
-    v_z = z.valuation().value
-    m = truncation_length(v_z, budget)
-    w0 = budget.working + _vp_factorial(m, p)
-    if w0 > MAX_WORKING_PREC:
-        raise InsufficientPrecision(f"Mahler series needs {w0} working digits")
-    z_w = _at_precision(z, w0)
-    lam_w = _at_precision(lam, w0)
-    acc = PadicInt.one(p, w0)
-    coeff = PadicInt.one(p, w0)
-    zpow = PadicInt.one(p, w0)
-    for n in range(1, m + 1):
-        coeff = (coeff * (lam_w - (n - 1))).divide_exact(
-            PadicInt(n, p, coeff.prec)
-        )
-        zpow = zpow * z_w
-        acc = acc + zpow * coeff
     return acc.truncate_to(out_prec)
 
 
-def _require_valuation_ge1(z: PadicInt) -> None:
-    v = z.valuation()
-    if v.is_finite and v.value < 1:
+def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
+    """(1 + z)^lam for |z| < 1 and lam in Z_p (a PadicInt or an int >= 0).
+
+    pow(1 + z, lam, p^N) on the canonical residues, N = min(target,
+    prec z, prec lam) (no prec lam for an int), is exact at N digits:
+    for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the result depends
+    only on lam mod p^(N - v(z)), which lam's tracked digits fix, and
+    moving z by p^(prec z) t moves it by p^(prec z) at most.  The result
+    is a principal unit with valuation(result - 1) >= valuation(z).
+    """
+    if isinstance(lam, int):
+        if lam < 0:
+            raise ValueError("integer exponents must be >= 0")
+        exponent, out_prec = lam, min(budget.target, z.prec)
+    else:
+        if lam.p != z.p:
+            raise PrimeMismatch(f"p={z.p} vs p={lam.p}")
+        exponent, out_prec = lam.residue, min(budget.target, z.prec, lam.prec)
+    if z.is_unit():
         raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
+    return PadicInt(pow(1 + z.residue, exponent, z.p**out_prec), z.p, out_prec)
 
 
 def _plog_terms(x: PadicInt, budget: SeriesBudget) -> PadicInt:
-    """log(1 + x) = sum (-1)^(k-1) x^k / k, untruncated accumulator."""
+    """log(1 + x) good to W = budget.working digits, for v(x) >= 1.
+
+    Argument reduction: with t = (1+x)^(p^k) - 1 mod p^(W+k), which has
+    v(t) = v(x) + k for odd p, log(1+x) = log(1+t) / p^k.  The series on
+    t runs to W + k digits and the exact division by p^k returns to W.
+    Since log is an isometry on pZ_p, cutting t mod p^(W+k) moves
+    log(1+t) by p^(W+k) at most.  k = isqrt(W) cuts the series from
+    about W terms to about sqrt(W).
+    """
+    p = x.p
+    k = isqrt(budget.working)
+    w = budget.working + k
+    t = pow(1 + x.residue, p**k, p**w) - 1
+    return _plog_series(PadicInt(t, p, w), w).divide_exact(PadicInt(p**k, p, w))
+
+
+def _plog_series(x: PadicInt, working: int) -> PadicInt:
+    """log(1 + x) = sum (-1)^(k-1) x^k / k to ``working`` digits, untruncated."""
     p = x.p
     v = x.valuation().value
     # first K where every later term valuation k*v - v_p(k) clears the
     # budget; k*v - floor(log_p k) is nondecreasing for v >= 1
-    k = 1
-    while k * v - _ceil_log(p, k + 1) + 1 < budget.working:
-        k += 1
-    trunc = k
-    w0 = budget.working + _ceil_log(p, trunc + 1)
+    trunc = 1
+    while trunc * v - _ceil_log(p, trunc + 1) + 1 < working:
+        trunc += 1
+    w0 = working + _ceil_log(p, trunc + 1)
     if w0 > MAX_WORKING_PREC:
         raise InsufficientPrecision(f"log series needs {w0} working digits")
-    x_w = _at_precision(x, w0)
+    x_w = PadicInt(x.residue, p, w0)
     acc = PadicInt.zero(p, w0)
     xpow = PadicInt.one(p, w0)
     for j in range(1, trunc + 1):
@@ -255,32 +254,20 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     """p-adic exponential, convergent on pZ_p for odd p.
 
     Inverse isometry of plog; the result is a principal unit good to
-    min(target, prec(x)) digits.
+    min(target, prec(x)) digits.  Computed as (1+p)^(x / log(1+p)) with
+    log(1+p) at W = budget.working digits.  The division by log(1+p), of
+    valuation exactly 1, leaves the exponent good to m - 1 digits with
+    m = min(prec x, W), and an exponent error of p^(m-1) moves the power
+    by p^m at most.
     """
     p = x.p
     out_prec = min(budget.target, x.prec)
     if x.is_zero():
         return PadicInt.one(p, out_prec)
-    v = x.valuation()
-    if v.value < 1:
+    if x.valuation().value < 1:
         raise OutOfConvergenceDomain("pexp needs valuation >= 1")
-    vv = v.value
-    # smallest K with k*vv - (k-1)/(p-1) >= working for all k >= K;
-    # the left side is strictly increasing in k since vv >= 1 > 1/(p-1)
-    k = 1
-    while k * vv * (p - 1) - (k - 1) < budget.working * (p - 1):
-        k += 1
-    trunc = k
-    w0 = budget.working + _vp_factorial(trunc, p)
-    if w0 > MAX_WORKING_PREC:
-        raise InsufficientPrecision(f"exp series needs {w0} working digits")
-    x_w = _at_precision(x, w0)
-    acc = PadicInt.one(p, w0)
-    term = PadicInt.one(p, w0)
-    for j in range(1, trunc + 1):
-        term = (term * x_w).divide_exact(PadicInt(j, p, term.prec))
-        acc = acc + term
-    return acc.truncate_to(out_prec)
+    exponent = x.divide_exact(_log_one_plus_p(p, budget.working))
+    return PadicInt(pow(1 + p, exponent.residue, p**out_prec), p, out_prec)
 
 
 def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:

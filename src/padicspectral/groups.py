@@ -212,8 +212,8 @@ class OneParamGroup:
     def evaluate(self, s) -> UnitaryOperator:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
-        Each eigenvalue contributes (1+z)^(lambda_i) through its Mahler
-        series; the basis is untouched.  U(1) = I exactly.
+        Each eigenvalue contributes (1+z)^(lambda_i) by principal_power,
+        one modular pow; the basis is untouched.  U(1) = I exactly.
         """
         s = self._coerce_unit(s)
         z = s - 1

@@ -230,16 +230,22 @@ class StrongNormalCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrongNormalCertificate":
+        """Read a certificate and verify it; a corrupted one is a ValueError."""
         missing = [k for k in _FIELDS if k not in d]
         if missing:
             raise ValueError(f"certificate is missing field(s) {missing}")
-        return cls(
+        cert = cls(
             PadicMatrix.from_dict(d["matrix"]),
             [PadicInt.from_dict(e) for e in d["eigenvalues"]],
             PadicMatrix.from_dict(d["basis"]),
             PadicMatrix.from_dict(d["basis_inverse"]),
             d["multiplicities"],
         )
+        try:
+            cert.verify()
+        except CertificationFailed as e:
+            raise ValueError(f"certificate does not verify: {e}") from e
+        return cert
 
     def __repr__(self):
         ev = [e.residue for e in self.eigenvalues]

@@ -1,0 +1,83 @@
+"""Write the golden CLI fixtures: inputs, expected stdout and exit codes.
+
+Run from the repository root with the package importable:
+
+    PYTHONPATH=src python3 tests/fixtures/cli/make_golden.py
+
+Each case is a certifiable matrix A from ``sample_certifiable_matrix``
+with a fixed seed, its group bundle under the automatic budget, and
+U(1+p) as the input of ``stone``.  ``manifest.json`` lists every command
+line with the exit code and the stdout file it must reproduce byte for
+byte.  Regenerate only when a change of output is intended, and say so
+in the change log: ``tests/test_cli_golden.py`` exists to catch any
+other change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+from random import Random
+
+from padicspectral import OneParamGroup, SeriesBudget, certify_strongly_normal
+from padicspectral.cli import main
+from padicspectral.sampling import sample_certifiable_matrix
+
+HERE = Path(__file__).resolve().parent
+
+# (p, prec, n, seed)
+CASES = [(5, 32, 3, 11), (13, 64, 6, 12), (7, 24, 2, 13)]
+
+
+def _commands(p: int, prec: int) -> dict:
+    s = str(1 + p * 12345)
+    flags = ["--prec", str(prec)]
+    return {
+        "certify": flags + ["certify", "matrix.json"],
+        "stone": flags + ["stone", "unitary.json"],
+        "group-eval-bundle": flags + ["group-eval", "bundle.json", "--s", s],
+        "group-eval-matrix": flags + ["group-eval", "matrix.json", "--s", s],
+        "check-law": flags + ["check-law", "bundle.json", "--samples", "3"],
+        "lipschitz": flags + ["lipschitz", "bundle.json", "--samples", "3"],
+        "additive": flags + ["additive", "bundle.json", "--z", "3"],
+        "converge": flags + ["converge", "bundle.json", "--s", s, "--max-n", "4"],
+    }
+
+
+def _dump(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def run_cli(argv: list[str], case_dir: Path) -> tuple[int, str]:
+    """Run the CLI in-process on files of ``case_dir``; return (exit, stdout)."""
+    resolved = [str(case_dir / a) if a.endswith(".json") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(resolved)
+    return code, out.getvalue()
+
+
+def main_generate() -> None:
+    manifest = []
+    for p, prec, n, seed in CASES:
+        name = f"p{p}_prec{prec}_n{n}"
+        case_dir = HERE / name
+        case_dir.mkdir(exist_ok=True)
+        a = sample_certifiable_matrix(Random(seed), p, prec, n)
+        group = OneParamGroup(certify_strongly_normal(a), SeriesBudget.auto(prec, p))
+        _dump(case_dir / "matrix.json", a.to_dict())
+        _dump(case_dir / "bundle.json", group.to_dict())
+        _dump(case_dir / "unitary.json", group.evaluate(1 + p).matrix.to_dict())
+        for command, argv in _commands(p, prec).items():
+            code, stdout = run_cli(argv, case_dir)
+            (case_dir / f"{command}.out").write_text(stdout)
+            manifest.append(
+                {"case": name, "argv": argv, "exit": code, "stdout": f"{command}.out"}
+            )
+    _dump(HERE / "manifest.json", {"commands": manifest})
+
+
+if __name__ == "__main__":
+    main_generate()

@@ -209,3 +209,30 @@ def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "missing field" in captured.err and "'basis'" in captured.err
+
+
+def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
+    # a basis_inverse entry moved by 5^20 must not yield a wrong U(s)
+    bundle = json.loads(open(group_file).read())
+    entries = bundle["certificate"]["basis_inverse"]["entries"]
+    entries[0][0] = str((int(entries[0][0]) + 5**20) % 5**32)
+    path = _write(tmp_path / "corrupt.json", bundle)
+    code = main(["group-eval", path, "--s", "36"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: certificate does not verify: ")
+    assert "Traceback" not in captured.err
+
+
+def test_prime_flag_must_match_input(matrix_file, group_file, capsys):
+    for argv in (["certify", matrix_file], ["group-eval", group_file, "--s", "6"]):
+        code = main(["--p", "7", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "input error: --p 7 but the input has p = 5\n"
+        # a matching --p changes nothing
+        _, with_flag = _run(capsys, ["--p", "5", *argv])
+        _, without = _run(capsys, argv)
+        assert with_flag == without and json.loads(without)["config"]["p"] == 5

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicspectral import (
     PadicInt,
@@ -15,8 +17,12 @@ from padicspectral import (
     truncation_length,
     zeta_of,
 )
-from padicspectral.errors import NotPrincipal, OutOfConvergenceDomain
-from padicspectral.functions import _plog_terms
+from padicspectral.errors import (
+    InsufficientPrecision,
+    NotPrincipal,
+    OutOfConvergenceDomain,
+)
+from padicspectral.functions import _plog_series, _plog_terms
 from padicspectral.oracle import oracle_power
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -67,7 +73,32 @@ def test_mahler_matches_exact_binomial(p):
     for lam in range(0, 12):
         for n in range(0, 8):
             got = mahler_coeff(n, PadicInt(lam, p, 24))
-            assert got.congruent(PadicInt(comb(lam, n), p, 24), 24)
+            assert got.congruent(PadicInt(comb(lam, n), p, 24), got.prec)
+
+
+def test_mahler_precision_is_lipschitz_honest():
+    # P_9 is 3^2-Lipschitz on Z_3: 2 digits of lam determine none of P_9(lam)
+    with pytest.raises(InsufficientPrecision):
+        mahler_coeff(9, PadicInt(9, 3, 2))
+    got = mahler_coeff(9, PadicInt(9, 3, 3))
+    assert got.prec == 1 and got.residue == 1  # P_9(9) = 1
+    # every claimed digit survives a change of lam beyond its precision
+    rng = Random(321)
+    for p in PRIMES:
+        for n in (1, p - 1, p, p * p + 1, 40):
+            lam = sample_padic(rng, p, 12)
+            got = mahler_coeff(n, lam)
+            assert got.prec == 12 - (len(_base_p_digits(n, p)) - 1)
+            moved = PadicInt(lam.residue + p**12 * rng.randrange(1, p**6), p, 18)
+            assert mahler_coeff(n, moved).congruent(got, got.prec)
+
+
+def _base_p_digits(n, p):
+    out = []
+    while n:
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
 
 
 def test_principal_power_examples():
@@ -86,7 +117,7 @@ def test_principal_power_examples():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_principal_power_vs_binary_exponentiation(p):
-    # Mahler series route against the integer oracle, exact at 32 digits
+    # the PadicInt route against the integer oracle, exact at 32 digits
     b = BUDGETS[p]
     rng = Random(400 + p)
     for _ in range(60):
@@ -195,6 +226,112 @@ def test_series_against_rational_oracle(p):
         got = principal_power(z, PadicInt(lam, p, 32), b)
         ref = oracle_series("mahler", Fraction(z.residue), 90, p, tol, exponent=lam)
         assert got.congruent(PadicInt(ref, p, tol), tol)
+
+
+def _mahler_partial_sum(z, lam, terms):
+    """sum_{n < terms} z^n P_n(lam) mod p^32, from mahler_coeff in integers.
+
+    P_n(lam) is good to 32 - floor(log_p n) digits and z^n has valuation
+    >= n, so every term is right mod p^32 whatever its top digits are.
+    """
+    total = sum(z.residue**n * mahler_coeff(n, lam).residue for n in range(terms))
+    return total % z.p**32
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_principal_power_against_independent_series(p):
+    # pow against two Mahler partial sums that share no code with it, at
+    # every digit of a full 32-digit p-adic exponent; 32 terms drop only
+    # terms of valuation >= 32
+    from fractions import Fraction
+
+    from padicspectral.oracle import oracle_series
+
+    b = BUDGETS[p]
+    rng = Random(1100 + p)
+    for _ in range(6):
+        z = sample_in_pzp(rng, p, 32)
+        lam = sample_padic(rng, p, 32)
+        got = principal_power(z, lam, b)
+        ref = oracle_series(
+            "mahler", Fraction(z.residue), 32, p, 32, exponent=lam.residue
+        )
+        assert got == PadicInt(ref, p, 32)
+        assert got == PadicInt(_mahler_partial_sum(z, lam, 32), p, 32)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_log_exp_zeta_against_independent_series(p):
+    # the argument-reduced log, the pow-based exp and zeta against exact
+    # rational partial sums (90 terms drop only valuation >= 46 at p = 3)
+    from fractions import Fraction
+
+    from padicspectral.oracle import oracle_series
+
+    b = BUDGETS[p]
+    rng = Random(1150 + p)
+    log_base = PadicInt(oracle_series("log", Fraction(1 + p), 90, p, 33), p, 33)
+    for _ in range(6):
+        u = sample_principal_unit(rng, p, 32)
+        ref = oracle_series("log", Fraction(u.residue), 90, p, 33)
+        assert plog(u, b) == PadicInt(ref, p, 32)
+        if u != 1:
+            zeta = PadicInt(ref, p, 33).divide_exact(log_base)
+            assert zeta_of(u, b) == zeta.truncate_to(31)
+        x = sample_in_pzp(rng, p, 32)
+        ref = oracle_series("exp", Fraction(x.residue), 90, p, 32)
+        assert pexp(x, b) == PadicInt(ref, p, 32)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("target", [32, 128])
+def test_log_reduction_matches_unreduced_series(p, target):
+    # log(1+x) = log((1+x)^(p^k)) / p^k against the plain series on x
+    b = SeriesBudget.auto(target, p)
+    rng = Random(1170 + p + target)
+    for _ in range(6):
+        u = sample_principal_unit(rng, p, target)
+        if u == 1:
+            continue
+        got = plog(u, b)
+        direct = _plog_series(u - 1, b.working)
+        assert got == direct.truncate_to(got.prec)
+        assert _plog_terms(u - 1, b).congruent(direct, b.working)
+
+
+@st.composite
+def _lemma_inputs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    prec = draw(st.integers(8, 64))
+    target = draw(st.integers(8, 64))
+
+    def in_pzp(n):
+        return PadicInt(p * draw(st.integers(0, p ** (n - 1) - 1)), p, n)
+
+    z = in_pzp(prec)
+    lam = PadicInt(draw(st.integers(0, p**prec - 1)), p, draw(st.integers(8, 64)))
+    s = in_pzp(prec) + 1
+    x = in_pzp(prec)
+    t = draw(st.integers(1, p**8))
+    return SeriesBudget.auto(target, p), z, lam, s, x, t
+
+
+def _perturb(x, t):
+    """x + p^prec t, tracked to 8 more digits than x."""
+    return PadicInt(x.residue + x.p**x.prec * t, x.p, x.prec + 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lemma_inputs())
+def test_precision_lemma_scalar_functions(case):
+    # moving any input beyond its tracked digits moves no returned digit
+    b, z, lam, s, x, t = case
+    got = principal_power(z, lam, b)
+    assert principal_power(_perturb(z, t), lam, b).congruent(got, got.prec)
+    assert principal_power(z, _perturb(lam, t), b).congruent(got, got.prec)
+    for f, arg in ((plog, s), (zeta_of, s), (pexp, x)):
+        got = f(arg, b)
+        assert f(_perturb(arg, t), b).congruent(got, got.prec)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -228,6 +228,11 @@ def test_certificate_serialization():
     assert back.eigenvalues == cert.eigenvalues
     assert back.projectors == cert.projectors
     back.verify()
+    # reading verifies: a wrong eigenvalue is refused as malformed input
+    doc = cert.to_dict()
+    doc["eigenvalues"][0]["val"] = str(int(doc["eigenvalues"][0]["val"]) + 5**30)
+    with pytest.raises(ValueError, match="certificate does not verify"):
+        StrongNormalCertificate.from_dict(doc)
 
 
 def _lagrange_reference(a):
