@@ -19,7 +19,7 @@ from padicspectral.errors import (
 p, N = 5, 32
 A = PadicMatrix([[0, 1], [2, 1]], p, N)
 print("A =", [list(r) for r in A.rows()], f"over Z_{p} at {N} digits")
-print("residue char poly:", list(A.reduction().char_poly().coeffs),
+print("residue char poly:", list(A.reduction().char_poly()),
       "(x^2 - x - 2, ascending)")
 
 cert = certify_strongly_normal(A)

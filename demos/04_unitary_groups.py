@@ -81,4 +81,4 @@ for _ in range(3):
     s = sample_principal_unit(rng, p, N)
     u = group.evaluate(s)
     print(f"v(s-1) = {(s-1).valuation().value}, "
-          f"v(U(s)-I) = {u.v.op_norm().value}")
+          f"v(U(s)-I) = {u.cert.matrix.op_norm().value}")

@@ -31,21 +31,8 @@ from .groups import (
     make_unitary,
     stone_recover,
 )
-from .linalg import (
-    CharPoly,
-    PadicMatrix,
-    ResidueMatrix,
-    hensel_lift_root,
-    is_nondegenerate,
-    vector_norm,
-)
-from .spectral import (
-    StrongNormalCertificate,
-    certify_strongly_normal,
-    functional_calculus,
-    spectral_measure,
-    verify_orthogonality,
-)
+from .linalg import PadicMatrix, ResidueMatrix, vector_norm
+from .spectral import StrongNormalCertificate, certify_strongly_normal
 
 __version__ = "0.1.0"
 
@@ -63,17 +50,11 @@ __all__ = [
     "principal_power",
     "truncation_length",
     "zeta_of",
-    "CharPoly",
     "PadicMatrix",
     "ResidueMatrix",
-    "hensel_lift_root",
-    "is_nondegenerate",
     "vector_norm",
     "StrongNormalCertificate",
     "certify_strongly_normal",
-    "functional_calculus",
-    "spectral_measure",
-    "verify_orthogonality",
     "GroupCheck",
     "OneParamGroup",
     "UnitaryOperator",

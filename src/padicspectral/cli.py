@@ -2,10 +2,10 @@
 
 Commands: certify, group-eval, check-law, lipschitz, stone, additive,
 converge.  All input and output is JSON with big integers as decimal
-strings; output is byte-identical across runs for a fixed config and
-seed.  Exit codes: 0 success, 1 malformed input, 2 mathematical refusal
-(a hypothesis of the requested construction is violated), 3 precision
-exhaustion.
+strings (a non-integer number in the input is malformed); output is
+byte-identical across runs for a fixed config and seed.  Exit codes:
+0 success, 1 malformed input, 2 mathematical refusal (a hypothesis of
+the requested construction is violated), 3 precision exhaustion.
 
 A group file is either a bundle {"certificate": ..., "budget": ...} as
 produced by the stone command, or a bare matrix in the matrix schema,
@@ -100,9 +100,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _not_an_integer(token: str):
+    raise ValueError(f"{token} is not an integer")
+
+
 def _load_json(path: str) -> dict:
+    """Read a JSON object whose numbers are all integers."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(
+                fh, parse_float=_not_an_integer, parse_constant=_not_an_integer
+            )
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("top-level JSON value must be an object")
     return data

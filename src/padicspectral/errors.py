@@ -52,10 +52,6 @@ class OutOfConvergenceDomain(Refusal):
     """Series argument lies outside the disk of convergence."""
 
 
-class NotASimpleRoot(Refusal):
-    """Root lifting requires the derivative to be a unit mod p."""
-
-
 class DegenerateReduction(Refusal):
     """The reduction mod p is a scalar multiple of the identity."""
 

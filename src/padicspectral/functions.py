@@ -18,7 +18,6 @@ zeta(s) = log s / log(1+p) that writes any principal unit of Q_p as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -301,9 +300,5 @@ def digit_truncation_error(n: int, p: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = validate_prime(p)
-    best = max(Fraction(-k) + Fraction(k - 1, p - 1) for k in range(1, 9))
-    # exponent decreasing in k, so the small scan window is exhaustive
-    bound = Fraction(-n - 1) + best
-    v = -bound
-    return int(v) if v.denominator == 1 else int(v) + 1
+    validate_prime(p)
+    return n + 2

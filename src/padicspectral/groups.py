@@ -68,15 +68,14 @@ __all__ = [
 class UnitaryOperator:
     """U = I + V together with the spectral certificate of V.
 
-    The spectrum of U is the pushforward of V's under phi(x) = 1 + x and
-    consists of principal units.
+    V is ``cert.matrix``.  The spectrum of U is the pushforward of V's
+    under phi(x) = 1 + x and consists of principal units.
     """
 
-    __slots__ = ("matrix", "v", "cert")
+    __slots__ = ("matrix", "cert")
 
-    def __init__(self, matrix: PadicMatrix, v: PadicMatrix, cert: StrongNormalCertificate):
+    def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "cert", cert)
 
     def __setattr__(self, name, value):
@@ -137,7 +136,7 @@ def make_unitary(v: PadicMatrix) -> UnitaryOperator:
     """Wrap I + V as a unitary operator; requires |V| < 1 and V certifiable."""
     cert = _small_norm_certificate(v, err=NormTooLarge)
     u = PadicMatrix.identity(v.n, v.p, v.prec) + v
-    return UnitaryOperator(u, v, cert)
+    return UnitaryOperator(u, cert)
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ class OneParamGroup:
         u = self.cert.spectral_operator(powers)
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
         cert = self.cert.reuse_basis(v, [w - 1 for w in powers])
-        return UnitaryOperator(u, v, cert)
+        return UnitaryOperator(u, cert)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).

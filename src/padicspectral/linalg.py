@@ -2,15 +2,11 @@
 
 The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
-the ring operations, reduction to the residue field F_p, exact
-characteristic polynomials, residue eigenanalysis (eigenvalues by
-direct root scan, eigenvectors by elimination over F_p), and Hensel
-lifting of simple residue roots to N digits.
-
-Characteristic polynomials are computed over the plain integers by
-Faddeev-LeVerrier (all of whose divisions are exact in Z) on the
-canonical entry lifts, then reduced to the needed modulus, so the
-coefficients cost no precision at all.
+the ring operations, the inverse, and reduction to the residue field
+F_p, where residue eigenanalysis runs: the characteristic polynomial by
+Hessenberg reduction mod p, eigenvalues by a root scan of F_p, and
+eigenvectors by elimination.  Nothing here lifts a root p-adically; the
+spectral module lifts the residue eigenbasis by Newton's method.
 """
 
 from __future__ import annotations
@@ -21,19 +17,11 @@ from .core import PadicInt, Valuation, validate_prime
 from .errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
-    NotASimpleRoot,
     PrecisionExceeded,
     PrimeMismatch,
 )
 
-__all__ = [
-    "PadicMatrix",
-    "ResidueMatrix",
-    "CharPoly",
-    "hensel_lift_root",
-    "is_nondegenerate",
-    "vector_norm",
-]
+__all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
 def _max_dim() -> int:
@@ -305,13 +293,6 @@ class PadicMatrix:
                 b[r] = [(x - f * y) % mod for x, y in zip(b[r], b[col])]
         return PadicMatrix(b, p, self.prec)
 
-    # -- characteristic polynomial ---------------------------------------
-
-    def char_poly(self) -> "CharPoly":
-        """Monic characteristic polynomial with coefficients mod p^prec."""
-        coeffs = _char_poly_int(self._e)
-        return CharPoly(coeffs, self.p, self.prec)
-
     # -- comparisons and io ------------------------------------------------
 
     def congruent(self, other: "PadicMatrix", digits: int) -> bool:
@@ -394,15 +375,67 @@ class ResidueMatrix:
             for j in range(self.n)
         )
 
-    def char_poly(self) -> "CharPoly":
-        return CharPoly(_char_poly_int(self._e), self.p, 1)
+    def char_poly(self) -> tuple[int, ...]:
+        """det(xI - A) over F_p: ascending coefficients in [0, p).
+
+        A is brought to upper Hessenberg form H by similarity transforms
+        (each row operation undone on the columns), and det(xI - H) is
+        expanded along its last column: with P_0 = 1,
+
+            P_{m+1} = (x - h_mm) P_m
+                      - sum_{i=1..m} h_{m-i,m} h_{m,m-1} ... h_{m-i+1,m-i} P_{m-i}
+
+        (H. Cohen, *A Course in Computational Algebraic Number Theory*,
+        Alg. 2.2.9).  O(n^3) operations on integers below p.
+        """
+        p, n = self.p, self.n
+        h = [list(row) for row in self._e]
+        for m in range(1, n - 1):
+            piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+            if piv is None:
+                continue  # column m - 1 is already zero below the subdiagonal
+            if piv != m:
+                h[m], h[piv] = h[piv], h[m]
+                for row in h:
+                    row[m], row[piv] = row[piv], row[m]
+            inv = pow(h[m][m - 1], -1, p)
+            for i in range(m + 1, n):
+                u = h[i][m - 1] * inv % p
+                if u:
+                    h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                    for row in h:
+                        row[m] = (row[m] + u * row[i]) % p
+        polys = [[1]]
+        for m in range(n):
+            nxt = [0] + polys[m]
+            for k, c in enumerate(polys[m]):
+                nxt[k] -= h[m][m] * c
+            t = 1
+            for i in range(1, m + 1):
+                t = t * h[m - i + 1][m - i] % p
+                if not t:
+                    break  # every later term carries this zero subdiagonal entry
+                f = t * h[m - i][m]
+                for k, c in enumerate(polys[m - i]):
+                    nxt[k] -= f * c
+            polys.append([c % p for c in nxt])
+        return tuple(polys[n])
 
     def eigenvalues(self) -> list[tuple[int, int]]:
         """Residue eigenvalues as (root, multiplicity), scanning all of F_p.
 
         Roots missing from F_p show up as a total multiplicity below n.
         """
-        return self.char_poly().roots_with_multiplicity()
+        p, out = self.p, []
+        f = list(self.char_poly())
+        for r in range(p):
+            mult = 0
+            while len(f) > 1 and _eval_mod(f, r, p) == 0:
+                f = _synth_div(f, r, p)
+                mult += 1
+            if mult:
+                out.append((r, mult))
+        return out
 
     def eigenvector(self, r: int) -> list[int]:
         """A nonzero v over F_p with A v = r v, by row reduction of A - r I.
@@ -452,116 +485,6 @@ class ResidueMatrix:
         return f"ResidueMatrix({[list(r) for r in self._e]}, p={self.p})"
 
 
-def is_nondegenerate(ahat: ResidueMatrix) -> bool:
-    """False iff the reduction is a scalar multiple of the identity."""
-    return not ahat.is_scalar()
-
-
-def _char_poly_int(grid) -> list[int]:
-    """Exact integer char poly coefficients, ascending, via Faddeev-LeVerrier.
-
-    For an integer matrix every division by k in the recurrence is exact
-    in Z, which is checked rather than assumed.
-    """
-    n = len(grid)
-    a = [list(r) for r in grid]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[0] * n for _ in range(n)]  # M_0 = 0
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c_prev = coeffs[n - k + 1]
-        for i in range(n):
-            am[i][i] += c_prev
-        m = am
-        t = sum(
-            sum(a[i][t_] * m[t_][i] for t_ in range(n)) for i in range(n)
-        )
-        q, r = divmod(-t, k)
-        if r != 0:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact over Z")
-        coeffs[n - k] = q
-    return coeffs
-
-
-class CharPoly:
-    """A monic polynomial with coefficients mod p^prec (prec 1 = over F_p)."""
-
-    __slots__ = ("p", "prec", "coeffs")
-
-    def __init__(self, coeffs, p: int, prec: int):
-        p = validate_prime(p)
-        mod = p**prec
-        cs = tuple(int(c) % mod for c in coeffs)
-        if not cs or cs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", int(prec))
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def reduce_mod_p(self) -> "CharPoly":
-        return CharPoly(self.coeffs, self.p, 1)
-
-    def evaluate(self, x: int, digits: int | None = None) -> int:
-        """Horner evaluation mod p^digits (digits defaults to prec)."""
-        d = self.prec if digits is None else digits
-        if d > self.prec:
-            raise PrecisionExceeded("polynomial does not carry that many digits")
-        mod = self.p**d
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % mod
-        return acc
-
-    def derivative_at(self, x: int, digits: int | None = None) -> int:
-        d = self.prec if digits is None else digits
-        mod = self.p**d
-        acc = 0
-        for k in range(self.degree, 0, -1):
-            acc = (acc * x + k * self.coeffs[k]) % mod
-        return acc
-
-    def roots_with_multiplicity(self) -> list[tuple[int, int]]:
-        """All roots in F_p with multiplicities (prec-1 view), by scan."""
-        f1 = self.reduce_mod_p()
-        out = []
-        for r in range(self.p):
-            mult = 0
-            cs = list(f1.coeffs)
-            while len(cs) > 1 and _eval_mod(cs, r, self.p) == 0:
-                cs = _synth_div(cs, r, self.p)
-                mult += 1
-            if mult:
-                out.append((r, mult))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.coeffs))
-
-    def __repr__(self):
-        return f"CharPoly({list(self.coeffs)}, p={self.p}, prec={self.prec})"
-
-
 def _eval_mod(coeffs, x: int, mod: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -576,38 +499,6 @@ def _synth_div(coeffs, r: int, mod: int) -> list[int]:
     for k in range(len(coeffs) - 1, 0, -1):
         carry = (coeffs[k] + carry * r) % mod
         out[k - 1] = carry
-    return out
-
-
-def hensel_lift_root(f: CharPoly, r0: int, prec: int | None = None) -> PadicInt:
-    """Newton-lift a simple residue root of f to prec digits.
-
-    Requires f(r0) = 0 mod p and f'(r0) a unit mod p; each step doubles
-    the number of correct digits, so the loop runs O(log prec) times.
-    """
-    p = f.p
-    target = f.prec if prec is None else int(prec)
-    if target > f.prec:
-        raise PrecisionExceeded(
-            f"polynomial carries {f.prec} digits, cannot lift to {target}"
-        )
-    r0 = r0 % p
-    if f.evaluate(r0, 1) != 0:
-        raise ValueError(f"{r0} is not a root of f mod {p}")
-    if f.derivative_at(r0, 1) == 0:
-        raise NotASimpleRoot(
-            f"f'({r0}) = 0 mod {p}: repeated residue root cannot be Newton-lifted"
-        )
-    r, e = r0, 1
-    while e < target:
-        e = min(2 * e, target)
-        mod = p**e
-        fr = f.evaluate(r, e)
-        dfr = f.derivative_at(r, e)
-        r = (r - fr * pow(dfr, -1, mod)) % mod
-    out = PadicInt(r, p, target)
-    if f.evaluate(out.residue, target) != 0:
-        raise ArithmeticError(f"Newton lift of {r0} is not a root mod {p}^{target}")
     return out
 
 

@@ -33,13 +33,7 @@ from .errors import (
 )
 from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
-__all__ = [
-    "StrongNormalCertificate",
-    "certify_strongly_normal",
-    "spectral_measure",
-    "functional_calculus",
-    "verify_orthogonality",
-]
+__all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 
 _FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
 
@@ -325,14 +319,3 @@ def certify_strongly_normal(a: PadicMatrix, check: bool = True) -> StrongNormalC
         cert.verify()
     return cert
 
-
-def spectral_measure(cert: StrongNormalCertificate, subset) -> PadicMatrix:
-    return cert.spectral_measure(subset)
-
-
-def functional_calculus(cert: StrongNormalCertificate, phi) -> PadicMatrix:
-    return cert.functional_calculus(phi)
-
-
-def verify_orthogonality(cert: StrongNormalCertificate, vec) -> bool:
-    return cert.verify_orthogonality(vec)

@@ -6,11 +6,14 @@ Run from the repository root with the package importable:
 
 Each case is a certifiable matrix A from ``sample_certifiable_matrix``
 with a fixed seed, its group bundle under the automatic budget, and
-U(1+p) as the input of ``stone``.  ``manifest.json`` lists every command
-line with the exit code and the stdout file it must reproduce byte for
-byte.  Regenerate only when a change of output is intended, and say so
-in the change log: ``tests/test_cli_golden.py`` exists to catch any
-other change.
+U(1+p) as the input of ``stone``.  The ``refusals`` case holds one
+small matrix for each refusal that residue eigenanalysis decides: a
+scalar reduction, a residue characteristic polynomial that does not
+split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
+lists every command line with the exit code and the stdout file it must
+reproduce byte for byte.  Regenerate only when a change of output is
+intended, and say so in the change log: ``tests/test_cli_golden.py``
+exists to catch any other change.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ import json
 from pathlib import Path
 from random import Random
 
-from padicspectral import OneParamGroup, SeriesBudget, certify_strongly_normal
+from padicspectral import (
+    OneParamGroup,
+    PadicMatrix,
+    SeriesBudget,
+    certify_strongly_normal,
+)
 from padicspectral.cli import main
 from padicspectral.sampling import sample_certifiable_matrix
 
@@ -29,6 +37,14 @@ HERE = Path(__file__).resolve().parent
 
 # (p, prec, n, seed)
 CASES = [(5, 32, 3, 11), (13, 64, 6, 12), (7, 24, 2, 13)]
+
+# (name, entries, p): certify must refuse each one with exit 2
+REFUSALS = [
+    ("scalar", [[3, 0], [0, 3]], 7),  # DegenerateReduction
+    ("nonsplit", [[1, 2], [3, 4]], 5),  # x^2 - 2 mod 5: ResidueEigenvalueDeficit
+    ("repeated", [[0, 1], [1, 1]], 5),  # double root 3: RepeatedResidueEigenvalue
+]
+REFUSAL_PREC = 8
 
 
 def _commands(p: int, prec: int) -> dict:
@@ -76,6 +92,16 @@ def main_generate() -> None:
             manifest.append(
                 {"case": name, "argv": argv, "exit": code, "stdout": f"{command}.out"}
             )
+    case_dir = HERE / "refusals"
+    case_dir.mkdir(exist_ok=True)
+    for name, entries, p in REFUSALS:
+        _dump(case_dir / f"{name}.json", PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
+        argv = ["--prec", str(REFUSAL_PREC), "certify", f"{name}.json"]
+        code, stdout = run_cli(argv, case_dir)
+        (case_dir / f"certify-{name}.out").write_text(stdout)
+        manifest.append(
+            {"case": "refusals", "argv": argv, "exit": code, "stdout": f"certify-{name}.out"}
+        )
     _dump(HERE / "manifest.json", {"commands": manifest})
 
 

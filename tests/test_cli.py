@@ -236,3 +236,61 @@ def test_prime_flag_must_match_input(matrix_file, group_file, capsys):
         _, with_flag = _run(capsys, ["--p", "5", *argv])
         _, without = _run(capsys, argv)
         assert with_flag == without and json.loads(without)["config"]["p"] == 5
+
+
+def _matrix_doc(entries, p=5, prec=8):
+    return {"p": p, "prec": prec, "n": len(entries), "entries": entries}
+
+
+def _bundle_with(group_file, edit):
+    bundle = json.loads(open(group_file).read())
+    edit(bundle)
+    return bundle
+
+
+# (id, argv before the input file, input: raw JSON text, a document, or a
+# function of the bundle file returning a document); each is an input error
+MALFORMED = [
+    ("nested-too-deeply", ["certify"], "[" * 200000),
+    ("float-overflow", ["certify"], '{"p": 5, "prec": 8, "n": 1, "entries": [[1e400]]}'),
+    ("fractional-entry", ["certify"], '{"p": 5, "prec": 8, "n": 1, "entries": [[1.9]]}'),
+    ("nan-entry", ["certify"], '{"p": 5, "prec": 8, "n": 1, "entries": [[NaN]]}'),
+    ("infinite-prime", ["certify"], '{"p": Infinity, "prec": 8, "n": 1, "entries": [[1]]}'),
+    ("prime-2", ["certify"], _matrix_doc([[0, 1], [1, 1]], p=2)),
+    ("composite-prime", ["certify"], _matrix_doc([[0, 1], [2, 1]], p=9)),
+    ("above-max-dim", ["certify"], _matrix_doc([[0] * 65 for _ in range(65)])),
+    ("ragged-rows", ["certify"], _matrix_doc([[0, 1], [2]])),
+    ("prec-zero", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=0)),
+    ("prec-negative", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=-3)),
+    ("prec-flag-zero", ["--prec", "0", "certify"], _matrix_doc([[0, 1], [2, 1]])),
+    ("entries-string", ["certify"], {"p": 5, "prec": 8, "n": 2, "entries": "0 1 2 1"}),
+    (
+        "budget-list",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(g, lambda b: b.update(budget=[32, 5])),
+    ),
+    (
+        "certificate-fields-missing",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(g, lambda b: b["certificate"].pop("basis")),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,payload", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_input_is_input_error(tmp_path, group_file, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    if callable(payload):
+        payload = payload(group_file)
+    if isinstance(payload, str):
+        path.write_text(payload)
+    else:
+        _write(path, payload)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
