@@ -119,10 +119,6 @@ class Valuation:
             return Valuation.at_least(prec)
         return self
 
-    def abs_exponent(self) -> int:
-        """Exponent e with |x| = p^e (a bound -value when unbounded)."""
-        return -self.value
-
     def __repr__(self):
         return f"v={self.value}" if self.bounded else f"v>={self.value}"
 

@@ -1,11 +1,12 @@
-"""Scalar special functions on Z_p with rigorously tracked precision.
+"""Special functions on Z_p and the series engine, with tracked precision.
 
 Everything here is driven by a :class:`SeriesBudget`: ``target`` digits
 must come out right, ``guard`` extra digits absorb the valuation lost to
-divisions.  Each truncated series additionally extends its working
-precision by the exact cumulative division loss it is about to incur
-(v_p of the relevant factorials), so the budgeted digits are a
-guarantee, not a hope.
+divisions.  The package's two truncated series, log_series and
+binomials, live here and run unchanged on a PadicInt (ring product
+operator.mul) or a PadicMatrix (operator.matmul).  Each extends its
+working precision by a bound on the division loss it is about to incur,
+so the budgeted digits are a guarantee, not a hope.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by one modular pow, the p-adic logarithm by p-power
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from .core import PadicInt, validate_prime
 from .errors import (
@@ -31,7 +33,9 @@ from .errors import (
 
 __all__ = [
     "SeriesBudget",
+    "binomials",
     "is_principal_unit",
+    "log_series",
     "mahler_coeff",
     "principal_power",
     "plog",
@@ -62,6 +66,54 @@ def _ceil_log(p: int, n: int) -> int:
         q *= p
         e += 1
     return e
+
+
+def _at_prec(x, prec: int):
+    """x at exactly ``prec`` digits: the zero-digit lift or the truncation."""
+    return x.lift_to(prec) if x.prec < prec else x.truncate_to(prec)
+
+
+def log_series(x, v: int, working: int, product):
+    """log(1 + x) = sum (-1)^(k-1) x^k / k to exactly ``working`` digits.
+
+    x is a PadicInt or PadicMatrix of valuation (sup norm) v >= 1, lifted
+    by zero digits, and ``product`` its ring product.  Terms k = 1..K run,
+    K the last k with k v - floor(log_p k) < working (at least 1; the
+    bound is nondecreasing), at working + ceil_log_p(K+1) digits.
+    """
+    if v < 1:
+        raise OutOfConvergenceDomain("log series needs valuation >= 1")
+    terms = 1
+    while (terms + 1) * v - _ceil_log(x.p, terms + 2) + 1 < working:
+        terms += 1
+    w0 = working + _ceil_log(x.p, terms + 1)
+    if w0 > MAX_WORKING_PREC:
+        raise InsufficientPrecision(f"log series needs {w0} working digits")
+    x_w = _at_prec(x, w0)
+    acc = xpow = x_w
+    for k in range(2, terms + 1):
+        xpow = product(xpow, x_w)
+        term = xpow.divide_exact(k)
+        acc = acc + term if k % 2 == 1 else acc - term
+    return acc.truncate_to(working)
+
+
+def binomials(x, digits: int, terms: int, product):
+    """Yield P_0(x), ..., P_terms(x), P_n(x) = x (x-1) ... (x-n+1) / n!.
+
+    x is a PadicInt or PadicMatrix, lifted by zero digits, and ``product``
+    its ring product.  P_n = P_{n-1} (x - n + 1) / n runs at digits +
+    v_p(terms!) digits, so each division is exact and P_n keeps >= digits.
+    """
+    w0 = digits + _vp_factorial(terms, x.p)
+    if w0 > MAX_WORKING_PREC:
+        raise InsufficientPrecision(f"P_{terms} needs {w0} working digits")
+    x_w = _at_prec(x, w0)
+    acc = unit = x_w**0
+    yield acc
+    for n in range(1, terms + 1):
+        acc = product(acc, x_w - (n - 1) * unit).divide_exact(n)
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -135,12 +187,11 @@ def truncation_length(v_z: int, budget: SeriesBudget) -> int:
 def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
     """Binomial polynomial P_n(lam) = lam (lam-1) ... (lam-n+1) / n!.
 
-    Integral despite the division: computed by the recurrence
-    P_n = P_{n-1} (lam - n + 1) / n at precision extended by v_p(n!),
-    so each division by n is exact.  P_n is p^floor(log_p n)-Lipschitz
-    on Z_p, so only lam.prec - floor(log_p n) digits are determined by
-    lam's tracked digits; the result carries exactly that precision and
-    InsufficientPrecision is raised when no digit is left.
+    Integral despite the division: the last value of :func:`binomials`.
+    P_n is p^floor(log_p n)-Lipschitz on Z_p, so only lam.prec -
+    floor(log_p n) digits are determined by lam's tracked digits; the
+    result carries exactly that precision and InsufficientPrecision is
+    raised when no digit is left.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -149,17 +200,9 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
     out_prec = lam.prec - (_ceil_log(lam.p, n + 1) - 1)
     if out_prec < 1:
         raise InsufficientPrecision(f"{lam.prec} digits fix no digit of P_{n}")
-    w0 = lam.prec + _vp_factorial(n, lam.p)
-    if w0 > MAX_WORKING_PREC:
-        raise InsufficientPrecision(
-            f"P_{n} at {lam.prec} digits needs {w0} working digits"
-        )
-    lam_w = lam.lift_to(w0)
-    acc = PadicInt.one(lam.p, w0)
-    for k in range(1, n + 1):
-        acc = (acc * (lam_w - (k - 1))).divide_exact(PadicInt(k, lam.p, acc.prec))
+    *_, p_n = binomials(lam, lam.prec, n, mul)
     # cumulative loss is exactly v_p(n!), landing back on lam.prec
-    return acc.truncate_to(out_prec)
+    return p_n.truncate_to(out_prec)
 
 
 def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
@@ -185,8 +228,8 @@ def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
     return PadicInt(pow(1 + z.residue, exponent, z.p**out_prec), z.p, out_prec)
 
 
-def _plog_terms(x: PadicInt, budget: SeriesBudget) -> PadicInt:
-    """log(1 + x) good to W = budget.working digits, for v(x) >= 1.
+def _plog_terms(x: PadicInt, working: int) -> PadicInt:
+    """log(1 + x) good to ``working`` = W digits, for v(x) >= 1.
 
     Argument reduction: with t = (1+x)^(p^k) - 1 mod p^(W+k), which has
     v(t) = v(x) + k for odd p, log(1+x) = log(1+t) / p^k.  The series on
@@ -196,42 +239,21 @@ def _plog_terms(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     about W terms to about sqrt(W).
     """
     p = x.p
-    k = isqrt(budget.working)
-    w = budget.working + k
-    t = pow(1 + x.residue, p**k, p**w) - 1
-    return _plog_series(PadicInt(t, p, w), w).divide_exact(PadicInt(p**k, p, w))
-
-
-def _plog_series(x: PadicInt, working: int) -> PadicInt:
-    """log(1 + x) = sum (-1)^(k-1) x^k / k to ``working`` digits, untruncated."""
-    p = x.p
-    v = x.valuation().value
-    # first K where every later term valuation k*v - v_p(k) clears the
-    # budget; k*v - floor(log_p k) is nondecreasing for v >= 1
-    trunc = 1
-    while trunc * v - _ceil_log(p, trunc + 1) + 1 < working:
-        trunc += 1
-    w0 = working + _ceil_log(p, trunc + 1)
-    if w0 > MAX_WORKING_PREC:
-        raise InsufficientPrecision(f"log series needs {w0} working digits")
-    x_w = PadicInt(x.residue, p, w0)
-    acc = PadicInt.zero(p, w0)
-    xpow = PadicInt.one(p, w0)
-    for j in range(1, trunc + 1):
-        xpow = xpow * x_w
-        term = xpow.divide_exact(PadicInt(j, p, xpow.prec))
-        acc = acc + term if j % 2 == 1 else acc - term
-    return acc
+    k = isqrt(working)
+    w = working + k
+    t = PadicInt(pow(1 + x.residue, p**k, p**w) - 1, p, w)
+    log_t = log_series(t, t.valuation().value, w, mul)
+    return log_t.divide_exact(PadicInt(p**k, p, w))
 
 
 @lru_cache(maxsize=256)
 def _log_one_plus_p(p: int, working: int) -> PadicInt:
-    """log(1+p) by _plog_terms under a budget of ``working`` digits.
+    """log(1+p) to ``working`` digits.
 
     The series depends only on p and the working precision, and zeta_of
     divides by it once per eigenvalue, so it is computed once per pair.
     """
-    return _plog_terms(PadicInt(p, p, working), SeriesBudget(working, 0))
+    return _plog_terms(PadicInt(p, p, working), working)
 
 
 def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -242,11 +264,8 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     and has valuation >= 1 (exactly 1 at u = 1 + p).
     """
     _require_principal(u, "plog argument")
-    x = u - 1
     out_prec = min(budget.target, u.prec)
-    if x.is_zero():
-        return PadicInt.zero(u.p, out_prec)
-    return _plog_terms(x, budget).truncate_to(out_prec)
+    return _plog_terms(u - 1, budget.working).truncate_to(out_prec)
 
 
 def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -277,12 +296,8 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     one digit, so the result carries min(target, prec(s) - 1) digits.
     """
     _require_principal(s, "zeta_of argument")
-    p = s.p
-    if (s - 1).is_zero():
-        return PadicInt.zero(p, min(budget.target, max(s.prec - 1, 1)))
-    wide = SeriesBudget(budget.target + 2, budget.guard)
-    num = _plog_terms(s - 1, wide)
-    den = _log_one_plus_p(p, wide.working)
+    num = _plog_terms(s - 1, budget.working + 2)
+    den = _log_one_plus_p(s.p, budget.working + 2)
     zeta = num.divide_exact(den)
     out_prec = min(budget.target, max(s.prec - 1, 1), zeta.prec)
     return zeta.truncate_to(out_prec)

@@ -15,7 +15,9 @@ generator from the single value U(1+p):
 implemented on V's certificate as S diag(zeta(1+lambda_i)) S^-1 with
 zeta(s) = log s / log(1+p), which provably loses exactly one digit to
 the final division, and with the operator log series kept as an
-independent cross-check path.
+independent cross-check path.  The two operator series, Mahler and log,
+are the engine functions of the functions module run with matmul; this
+module sums them but fixes no truncation or working precision itself.
 
 Certification of V with |V| < 1: V's reduction is the zero matrix, so
 the distinct-residue criterion cannot apply directly.  V is factored as
@@ -28,6 +30,7 @@ eigenbasis S is shared.  V = 0 gets the trivial certificate (eigenvalue
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import matmul
 
 from .core import PadicInt, Valuation
 from .errors import (
@@ -42,11 +45,11 @@ from .errors import (
 )
 from .functions import (
     SeriesBudget,
-    _vp_factorial,
-    _ceil_log,
-    _log_one_plus_p,
+    binomials,
     is_principal_unit,
+    log_series,
     pexp,
+    plog,
     principal_power,
     truncation_length,
     zeta_of,
@@ -110,7 +113,7 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         raise InsufficientPrecision(
             f"scaling out p^{w} leaves no digits at precision {v.prec}"
         )
-    v1 = v.divide_exact_scalar(PadicInt(v.p**w, v.p, v.prec))
+    v1 = v.divide_exact(PadicInt(v.p**w, v.p, v.prec))
     try:
         cert1 = certify_strongly_normal(v1)
     except Refusal as e:
@@ -228,30 +231,21 @@ class OneParamGroup:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
 
         Independent of the spectral route above: the binomial matrices
-        P_n(A) are built by the recurrence P_n = P_{n-1} (A - (n-1)I)/n
-        at extended working precision.  Exists as the dual evaluation
-        path; the two must agree at target precision.
+        P_n(A) come from :func:`binomials` run on A with matmul, up to
+        the truncation_length term.  Exists as the dual evaluation path;
+        the two must agree at target precision.
         """
         s = self._coerce_unit(s)
         z = s - 1
-        p = self.p
         a = self.generator
         out_prec = min(self.budget.target, s.prec, a.prec)
         if z.is_zero():
-            return PadicMatrix.identity(a.n, p, out_prec)
-        v_z = z.valuation().value
-        m = truncation_length(v_z, self.budget)
-        w0 = self.budget.working + _vp_factorial(m, p)
-        a_w = a.lift_to(w0) if a.prec < w0 else a.truncate_to(w0)
-        z_w = z.lift_to(w0) if z.prec < w0 else z.truncate_to(w0)
-        ident = PadicMatrix.identity(a.n, p, w0)
-        acc = ident
-        coeff = ident
-        zpow = PadicInt.one(p, w0)
-        for n in range(1, m + 1):
-            coeff = (coeff @ (a_w - (n - 1) * ident)).divide_exact_scalar(n)
-            zpow = zpow * z_w
-            acc = acc + zpow * coeff
+            return PadicMatrix.identity(a.n, self.p, out_prec)
+        m = truncation_length(z.valuation().value, self.budget)
+        coeffs = binomials(a, self.budget.working, m, matmul)
+        acc = next(coeffs)
+        for n, coeff in enumerate(coeffs, 1):
+            acc = acc + z**n * coeff
         return acc.truncate_to(min(out_prec, acc.prec))
 
     def verify_group_law(self, s1, s2) -> GroupCheck:
@@ -366,28 +360,20 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     """The generator by the operator log series: the cross-check path.
 
     Sums (1/log(1+p)) sum_k (-1)^(k-1) V^k / k directly in matrices,
-    sharing nothing with the eigenvalue route in stone_recover.
+    by :func:`log_series` with matmul, sharing nothing with the
+    eigenvalue route in stone_recover.
     """
     p = u1p.p
     n = u1p.n
     v = u1p - PadicMatrix.identity(n, p, u1p.prec)
+    out_prec = min(budget.target, max(u1p.prec - 1, 1))
     if v.is_zero():
-        return PadicMatrix.zeros(n, p, min(budget.target, max(u1p.prec - 1, 1)))
-    vv = v.op_norm().value
-    if vv < 1:
+        return PadicMatrix.zeros(n, p, out_prec)
+    norm = v.op_norm().value
+    if norm < 1:
         raise NotPrincipalSpectrum("U(1+p) - I has norm 1")
-    k = 1
-    while k * vv - _ceil_log(p, k + 1) + 1 < budget.working:
-        k += 1
-    trunc = k
-    w0 = budget.working + _ceil_log(p, trunc + 1)
-    v_w = v.lift_to(w0) if v.prec < w0 else v.truncate_to(w0)
-    acc = PadicMatrix.zeros(n, p, w0)
-    vpow = PadicMatrix.identity(n, p, w0)
-    for j in range(1, trunc + 1):
-        vpow = vpow @ v_w
-        term = vpow.divide_exact_scalar(j)
-        acc = acc + term if j % 2 == 1 else acc - term
-    log_unit = _log_one_plus_p(p, budget.working)
-    a = acc.divide_exact_scalar(log_unit)
-    return a.truncate_to(min(budget.target, max(u1p.prec - 1, 1), a.prec))
+    log_v = log_series(v, norm, budget.working, matmul)
+    # log(1+p) to all working digits, not only the target ones
+    w = budget.working
+    a = log_v.divide_exact(plog(PadicInt(1 + p, p, w), SeriesBudget(w, 0)))
+    return a.truncate_to(min(out_prec, a.prec))

@@ -11,8 +11,6 @@ spectral module lifts the residue eigenbasis by Newton's method.
 
 from __future__ import annotations
 
-import os
-
 from .core import PadicInt, Valuation, validate_prime
 from .errors import (
     DimensionMismatch,
@@ -24,8 +22,7 @@ from .errors import (
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
-def _max_dim() -> int:
-    return int(os.environ.get("PADIC_MAX_DIM", "64"))
+MAX_DIM = 64
 
 
 def _as_residue(x, p: int, mod: int) -> int:
@@ -57,8 +54,8 @@ class PadicMatrix:
         n = len(rows)
         if n < 1:
             raise ValueError("matrix must be at least 1 x 1")
-        if n > _max_dim():
-            raise DimensionMismatch(f"dimension {n} exceeds cap {_max_dim()}")
+        if n > MAX_DIM:
+            raise DimensionMismatch(f"dimension {n} exceeds cap {MAX_DIM}")
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square")
         mod = p**prec
@@ -254,8 +251,9 @@ class PadicMatrix:
             for row in self._e
         ]
 
-    def divide_exact_scalar(self, d) -> "PadicMatrix":
-        """Entrywise exact division by a scalar, tracking the lost digits."""
+    def divide_exact(self, d) -> "PadicMatrix":
+        """Entrywise exact division by a scalar (PadicInt or int); as for
+        PadicInt.divide_exact, a divisor of valuation w costs w digits."""
         if isinstance(d, int):
             d = PadicInt(d, self.p, self.prec)
         return PadicMatrix(

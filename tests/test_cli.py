@@ -161,12 +161,6 @@ def test_byte_identical_output(group_file, capsys):
     assert out3 != out1
 
 
-def test_dimension_cap_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PADIC_MAX_DIM", "1")
-    path = _write(tmp_path / "m.json", {"p": 5, "prec": 4, "n": 2, "entries": [["0", "1"], ["2", "1"]]})
-    assert main(["certify", path]) == 1
-
-
 def test_refusal_config_comes_from_input(tmp_path, capsys):
     scalar = PadicMatrix([[3, 0], [0, 3]], 7, 32)
     path = _write(tmp_path / "scalar7.json", scalar.to_dict())
@@ -273,6 +267,20 @@ MALFORMED = [
         "certificate-fields-missing",
         ["group-eval", "--s", "6"],
         lambda g: _bundle_with(g, lambda b: b["certificate"].pop("basis")),
+    ),
+    ("boolean-entry", ["certify"], _matrix_doc([[False, True], [2, True]])),
+    ("boolean-prec", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=True)),
+    (
+        "boolean-guard",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(g, lambda b: b["budget"].update(guard=False)),
+    ),
+    (
+        "boolean-multiplicities",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(
+            g, lambda b: b["certificate"].update(multiplicities=[True, 1])
+        ),
     ),
 ]
 

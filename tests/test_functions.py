@@ -1,5 +1,6 @@
 """Mahler coefficients, principal powers, log/exp, and the zeta coordinate."""
 
+from operator import mul
 from random import Random
 
 import pytest
@@ -22,8 +23,8 @@ from padicspectral.errors import (
     NotPrincipal,
     OutOfConvergenceDomain,
 )
-from padicspectral.functions import _plog_series, _plog_terms
-from padicspectral.oracle import oracle_power
+from padicspectral.functions import _plog_terms, log_series
+from padicspectral.oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
 PRIMES = [3, 5, 7]
@@ -294,9 +295,22 @@ def test_log_reduction_matches_unreduced_series(p, target):
         if u == 1:
             continue
         got = plog(u, b)
-        direct = _plog_series(u - 1, b.working)
+        x = u - 1
+        direct = log_series(x, x.valuation().value, b.working, mul)
         assert got == direct.truncate_to(got.prec)
-        assert _plog_terms(u - 1, b).congruent(direct, b.working)
+        assert _plog_terms(x, b.working).congruent(direct, b.working)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_log_series_digits_against_oracle(p):
+    # every digit the log engine returns, against an exact rational sum
+    rng = Random(1180 + p)
+    for working in range(4, 40):
+        for v in (1, 2, 3):
+            x = PadicInt(p**v * rng.randrange(1, p**working, p), p, working + 3)
+            got = log_series(x, v, working, mul)
+            ref = oracle_series("log", 1 + x.residue, 3 * working, p, working)
+            assert got == PadicInt(ref, p, working)
 
 
 @st.composite
@@ -376,7 +390,7 @@ def test_zeta_matches_uncached_quotient(p):
     rng = Random(950 + p)
     for target in (8, 32, 128):
         b = SeriesBudget.auto(target, p)
-        wide = SeriesBudget(target + 2, b.guard)
+        wide = b.working + 2
         for prec in (target, target + 3):
             s = sample_principal_unit(rng, p, prec)
             num = _plog_terms(s - 1, wide)

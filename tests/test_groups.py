@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicspectral import (
     OneParamGroup,
@@ -23,6 +25,7 @@ from padicspectral.errors import (
     NotPrincipal,
     NotPrincipalSpectrum,
 )
+from padicspectral.oracle import oracle_series
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,
@@ -217,6 +220,83 @@ def test_generator_log_series_cross_check(p):
     assert generator_log_series(
         PadicMatrix.identity(2, p, 32), b
     ).is_zero()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dual_paths_match_oracle_on_diagonal(p):
+    # every digit the operator series return, against exact rational sums
+    b = BUDGETS[p]
+    rng = Random(4100 + p)
+    for _ in range(6):
+        n = rng.randrange(2, min(p, 4) + 1)
+        a_prec, s_prec = rng.choice([24, 32, 40]), rng.choice([24, 32, 40])
+        residues = rng.sample(range(p), n)
+        lams = [r + p * rng.randrange(p ** (a_prec - 1)) for r in residues]
+        g = OneParamGroup(
+            certify_strongly_normal(PadicMatrix.diagonal(lams, p, a_prec)), b
+        )
+        s = sample_principal_unit(rng, p, s_prec)
+        got = g.evaluate_mahler(s)
+        d = min(b.target, a_prec, s_prec)
+        z = (s - 1).residue
+        terms = -(-d // (s - 1).valuation().value) if z else 1
+        expected = [
+            oracle_series("mahler", z, terms, p, d, exponent=lam) for lam in lams
+        ]
+        assert got == PadicMatrix.diagonal(expected, p, d)
+
+        mus = [p * rng.randrange(p ** (a_prec - 1)) for _ in range(n)]
+        got = generator_log_series(
+            PadicMatrix.diagonal([1 + mu for mu in mus], p, a_prec), b
+        )
+        d = min(b.target, a_prec - 1)
+        den = oracle_series("log", 1 + p, 2 * d, p, d + 1) // p
+        expected = [
+            oracle_series("log", 1 + mu, 2 * d, p, d + 1) // p * pow(den, -1, p**d)
+            for mu in mus
+        ]
+        assert got == PadicMatrix.diagonal(expected, p, d)
+
+
+def _moved(m, t):
+    """m + p^prec t entrywise, tracked to 8 more digits than m."""
+    step = m.p**m.prec
+    return PadicMatrix(
+        [[x + step * y for x, y in zip(r, ty)] for r, ty in zip(m.rows(), t)],
+        m.p,
+        m.prec + 8,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    prec=st.integers(8, 40),
+    target=st.integers(8, 40),
+    data=st.data(),
+)
+def test_precision_lemma_group_paths(p, seed, prec, target, data):
+    # moving the matrix beyond its tracked digits moves no returned digit
+    rng = Random(seed)
+    n = rng.randrange(2, min(p, 3) + 1)
+    cell = st.integers(0, p**8 - 1)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    b = SeriesBudget.auto(target, p)
+    a = sample_certifiable_matrix(rng, p, prec, n)
+    s = sample_principal_unit(rng, p, 40)
+    g = OneParamGroup(certify_strongly_normal(a), b)
+    moved = OneParamGroup(certify_strongly_normal(_moved(a, data.draw(square))), b)
+    for f in (lambda h: h.evaluate(s).matrix, lambda h: h.evaluate_mahler(s)):
+        got = f(g)
+        assert f(moved).congruent(got, got.prec)
+
+    u1p = g.evaluate(1 + p).matrix
+    u1p_moved = _moved(u1p, data.draw(square))
+    got = stone_recover(u1p, b).generator
+    assert stone_recover(u1p_moved, b).generator.congruent(got, got.prec)
+    got = generator_log_series(u1p, b)
+    assert generator_log_series(u1p_moved, b).congruent(got, got.prec)
 
 
 def test_digit_limit_at_one_plus_p():

@@ -148,12 +148,10 @@ def test_matrix_structure_errors():
         a.matvec([PadicInt(1, 5, 4)])
 
 
-def test_dimension_cap(monkeypatch):
-    monkeypatch.setenv("PADIC_MAX_DIM", "2")
+def test_dimension_cap():
+    assert PadicMatrix.identity(64, 5, 4).n == 64
     with pytest.raises(DimensionMismatch):
-        PadicMatrix.identity(3, 5, 4)
-    monkeypatch.delenv("PADIC_MAX_DIM")
-    PadicMatrix.identity(3, 5, 4)
+        PadicMatrix.identity(65, 5, 4)
 
 
 def test_matvec_and_vector_norm():
@@ -175,11 +173,11 @@ def test_matrix_power():
 
 def test_scalar_division():
     a = PadicMatrix([[5, 10], [25, 50]], 5, 8)
-    q = a.divide_exact_scalar(PadicInt(5, 5, 8))
+    q = a.divide_exact(PadicInt(5, 5, 8))
     assert q.prec == 7
     assert q.rows() == ((1, 2), (5, 10))
     with pytest.raises(DivisionByHigherValuation):
-        PadicMatrix([[1, 0], [0, 1]], 5, 8).divide_exact_scalar(PadicInt(5, 5, 8))
+        PadicMatrix([[1, 0], [0, 1]], 5, 8).divide_exact(PadicInt(5, 5, 8))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -234,10 +232,24 @@ def test_scale_columns():
         a.scale_columns([1])
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_correctness_guards_raise():
-    # correctness checks are exceptions, not asserts, so they survive python -O
+    # correctness checks are exceptions, not asserts, so they survive python -O;
+    # and no module reaches into another's private names, so each rule
+    # (a truncation length, a working precision) has one owning module
     root = Path(padicspectral.__file__).resolve().parent
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} uses assert at lines {asserts}"
+        private = [
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if _is_private(alias.name)
+        ]
+        assert not private, f"{path.name} imports private names {private}"
