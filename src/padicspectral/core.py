@@ -22,12 +22,17 @@ from .errors import (
     PrimeMismatch,
 )
 
-__all__ = ["Prime", "Valuation", "PadicInt", "validate_prime"]
+__all__ = ["Prime", "Valuation", "PadicInt", "validate_prime", "validate_prec"]
+
+# Desk-scale bounds; the residue eigenvalue scan walks all of F_p.
+MAX_PRIME = 2**16
+MAX_DIM = 64
+MAX_WORKING_PREC = 4096
 
 
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
-    # Trial division; the package targets desk-scale primes (p <= ~10^4).
+    # Trial division; fast enough below MAX_PRIME.
     if p < 2:
         return False
     if p % 2 == 0:
@@ -43,15 +48,24 @@ def _is_prime(p: int) -> bool:
 def validate_prime(p: int) -> int:
     """Check that ``p`` is an odd prime >= 3 and return it.
 
-    Raises ValueError for composites and for p = 2 (excluded globally:
-    the one-parameter-group results require p odd).
+    Raises ValueError for composites, for p >= MAX_PRIME and for p = 2
+    (excluded globally: the one-parameter-group results require p odd).
     """
     p = int(p)
     if p == 2:
         raise ValueError("p = 2 is not supported (odd primes only)")
+    if p >= MAX_PRIME:
+        raise ValueError(f"p = {p} is beyond the supported bound {MAX_PRIME}")
     if p < 3 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return p
+
+
+def validate_prec(prec: int) -> int:
+    """Check that a precision read from input is at most MAX_WORKING_PREC."""
+    if int(prec) > MAX_WORKING_PREC:
+        raise ValueError(f"precision {prec} is beyond the bound {MAX_WORKING_PREC}")
+    return int(prec)
 
 
 class Prime(int):
@@ -347,7 +361,7 @@ class PadicInt:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PadicInt":
-        return cls(int(d["val"]), int(d["p"]), int(d["prec"]))
+        return cls(int(d["val"]), int(d["p"]), validate_prec(d["prec"]))
 
     def __repr__(self):
         return f"PadicInt({self.residue}, p={self.p}, prec={self.prec})"

@@ -72,10 +72,6 @@ class CertificationFailed(Refusal):
     """No spectral certificate could be produced for the input."""
 
 
-class SpectrumNotInPZp(Refusal):
-    """An eigenvalue expected in pZ_p is a unit."""
-
-
 class NotPrincipalSpectrum(Refusal):
     """The spectrum is expected to consist of principal units and does not."""
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .core import PadicInt, validate_prime
+from .core import MAX_WORKING_PREC, PadicInt, validate_prime
 from .errors import (
     InsufficientPrecision,
     NotPrincipal,
@@ -44,10 +44,6 @@ __all__ = [
     "truncation_length",
     "digit_truncation_error",
 ]
-
-# Hard ceiling on internal working digits; hitting it means the request
-# itself is unreasonable at desk scale.
-MAX_WORKING_PREC = 4096
 
 
 def _vp_factorial(n: int, p: int) -> int:

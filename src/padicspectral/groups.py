@@ -41,7 +41,6 @@ from .errors import (
     NotPrincipalSpectrum,
     PrimeMismatch,
     Refusal,
-    SpectrumNotInPZp,
 )
 from .functions import (
     SeriesBudget,
@@ -120,11 +119,9 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         raise CertificationFailed(
             f"scaled part V/p^{w} is not certifiable: {e}"
         ) from e
+    # V = p^w V' holds exactly at prec V - w, so V S = p^w S D' = S D there
     scale = PadicInt(v.p**w, v.p, v1.prec)
-    eigenvalues = [scale * lam for lam in cert1.eigenvalues]
-    cert = cert1.reuse_basis(v, eigenvalues)
-    cert.verify()
-    return cert
+    return cert1.reuse_basis(v, [scale * lam for lam in cert1.eigenvalues])
 
 
 def _first_unit_entry(v: PadicMatrix):
@@ -322,8 +319,8 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """Recover the generator A from the single group value U(1+p).
 
-    Requires U(1+p) = I + V with the spectrum of V in pZ_p (checked on
-    the lifted eigenvalues, not assumed).  The generator is
+    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum; then
+    V = p^w V' with w >= 1 puts the spectrum of V in pZ_p.  The generator is
 
         A = log(I + V) / log(1+p) = S diag(log(1+lambda_i)/log(1+p)) S^-1,
 
@@ -331,29 +328,17 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     scalar, costs exactly one digit.  Then evaluate(A, 1+p) reproduces
     U(1+p), since (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
     """
-    n = u1p.n
-    v = u1p - PadicMatrix.identity(n, u1p.p, u1p.prec)
-    if not v.is_zero() and v.op_norm().value < 1:
-        raise NotPrincipalSpectrum(
-            "U(1+p) - I has norm 1, so the spectrum of U(1+p) is not "
-            "principal and no generator in the supported class exists"
-        )
+    v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
     cert_v = _small_norm_certificate(v, err=NotPrincipalSpectrum)
-    for lam in cert_v.eigenvalues:
-        val = lam.valuation()
-        if val.is_finite and val.value < 1:
-            raise SpectrumNotInPZp(
-                f"eigenvalue {lam!r} of U(1+p) - I is a unit"
-            )
     a_eigen = []
     for lam in cert_v.eigenvalues:
         if lam.is_zero():
             a_eigen.append(PadicInt.zero(u1p.p, lam.prec))
         else:
             a_eigen.append(zeta_of(lam + 1, budget))
-    cert_a = cert_v.reuse_basis(cert_v.spectral_operator(a_eigen), a_eigen)
-    cert_a.verify()
-    return OneParamGroup(cert_a, budget)
+    # A = S diag(a) S^-1 and S^-1 S = I give A S = S D at A's precision
+    a = cert_v.spectral_operator(a_eigen)
+    return OneParamGroup(cert_v.reuse_basis(a, a_eigen), budget)
 
 
 def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:

@@ -11,7 +11,7 @@ spectral module lifts the residue eigenbasis by Newton's method.
 
 from __future__ import annotations
 
-from .core import PadicInt, Valuation, validate_prime
+from .core import MAX_DIM, PadicInt, Valuation, validate_prec, validate_prime
 from .errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
@@ -20,9 +20,6 @@ from .errors import (
 )
 
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
-
-
-MAX_DIM = 64
 
 
 def _as_residue(x, p: int, mod: int) -> int:
@@ -329,7 +326,7 @@ class PadicMatrix:
     @classmethod
     def from_dict(cls, d: dict) -> "PadicMatrix":
         entries = [[int(x) for x in row] for row in d["entries"]]
-        m = cls(entries, int(d["p"]), int(d["prec"]))
+        m = cls(entries, int(d["p"]), validate_prec(d["prec"]))
         if m.n != int(d["n"]):
             raise DimensionMismatch("declared n does not match entries")
         return m

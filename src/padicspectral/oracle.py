@@ -1,8 +1,8 @@
 """Independent ground truth for differential tests.
 
 Everything here recomputes results by a route the library never takes:
-integer binary exponentiation, exact rational partial sums reduced mod
-p^N in one final step, and characteristic polynomials by cofactor
+exact binomial sums over Z and exact rational partial sums, each reduced
+mod p^N in one final step, and characteristic polynomials by cofactor
 expansion over Z[x].  No code is shared with the series or linear
 algebra modules; that independence is the point.  Test-only; nothing
 here tracks precision or aims to be fast.
@@ -11,6 +11,8 @@ here tracks precision or aims to be fast.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import comb
 
 from .errors import DenominatorNotInvertible
 
@@ -18,10 +20,14 @@ __all__ = ["oracle_power", "oracle_series", "oracle_char_poly", "reduce_fraction
 
 
 def oracle_power(base: int, exp: int, p: int, prec: int) -> int:
-    """base^exp mod p^prec by plain binary exponentiation."""
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exp, p**prec)
+    """base^exp mod p^prec for base = 1 + z, v(z) >= 1: the exact sum of
+    comb(exp, k) z^k over Z, cut where k v(z) >= prec, reduced once."""
+    z = base - 1
+    if exp < 0 or z % p:
+        raise ValueError(f"need exp >= 0 and base = 1 mod {p}, got {base}^{exp}")
+    v = next(k for k in count(1) if z % p ** (k + 1)) if z else prec
+    last = min(exp, (prec - 1) // v)
+    return sum(comb(exp, k) * z**k for k in range(last + 1)) % p**prec
 
 
 def reduce_fraction(q: Fraction, p: int, prec: int) -> int:

@@ -47,7 +47,8 @@ class StrongNormalCertificate:
     every column, E = I).  D repeats each eigenvalue that many times.
     The certificate precision is the minimum precision over the matrix
     and all certificate data, and the stored identities hold as exact
-    congruences at that precision (see :meth:`verify`).
+    congruences at that precision (see :meth:`verify`), checked where a
+    certificate is made or read, not where :meth:`reuse_basis` derives one.
     """
 
     __slots__ = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
@@ -109,7 +110,11 @@ class StrongNormalCertificate:
         )
 
     def reuse_basis(self, matrix: PadicMatrix, eigenvalues) -> "StrongNormalCertificate":
-        """A certificate for another matrix diagonal in the same basis."""
+        """A certificate for another matrix diagonal in the same basis.
+
+        Not verified again: it holds when ``matrix`` S = S D by construction
+        and its precision is at most this certificate's.
+        """
         return StrongNormalCertificate(
             matrix, eigenvalues, self.basis, self.basis_inverse, self.multiplicities
         )
@@ -284,14 +289,14 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     return s, t, [PadicInt(di, p, target) for di in d]
 
 
-def certify_strongly_normal(a: PadicMatrix, check: bool = True) -> StrongNormalCertificate:
+def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:
     """Certify a matrix whose reduction has n distinct residue eigenvalues.
 
     Refuses scalar reductions (DegenerateReduction), characteristic
     polynomials that do not split over F_p (ResidueEigenvalueDeficit),
     and repeated residue eigenvalues (RepeatedResidueEigenvalue).  The
-    eigenvalues come out sorted by residue.  On success the certificate
-    is re-verified before being returned.
+    eigenvalues come out sorted by residue.  The certificate is verified
+    before it is returned.
     """
     ahat = a.reduction()
     if ahat.is_scalar():
@@ -315,7 +320,6 @@ def certify_strongly_normal(a: PadicMatrix, check: bool = True) -> StrongNormalC
     residues = sorted(r for r, _ in residue_roots)
     basis, inverse, eigenvalues = _lift_eigenbasis(a, ahat, residues)
     cert = StrongNormalCertificate(a, eigenvalues, basis, inverse)
-    if check:
-        cert.verify()
+    cert.verify()
     return cert
 

@@ -101,7 +101,7 @@ def test_criterion_04_spectral_algebra():
         for _ in range(count):
             n = rng.randrange(2, min(p, 5) + 1)
             a = sample_certifiable_matrix(rng, p, PREC, n)
-            cert = certify_strongly_normal(a, check=False)
+            cert = certify_strongly_normal(a)
             d = cert.precision
             ident = PadicMatrix.identity(n, p, d)
             zero = PadicMatrix.zeros(n, p, d)

@@ -252,6 +252,8 @@ MALFORMED = [
     ("infinite-prime", ["certify"], '{"p": Infinity, "prec": 8, "n": 1, "entries": [[1]]}'),
     ("prime-2", ["certify"], _matrix_doc([[0, 1], [1, 1]], p=2)),
     ("composite-prime", ["certify"], _matrix_doc([[0, 1], [2, 1]], p=9)),
+    ("prime-beyond-bound", ["certify"], _matrix_doc([[0, 1], [2, 1]], p=2**61 - 1)),
+    ("prec-beyond-bound", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=2000000)),
     ("above-max-dim", ["certify"], _matrix_doc([[0] * 65 for _ in range(65)])),
     ("ragged-rows", ["certify"], _matrix_doc([[0, 1], [2]])),
     ("prec-zero", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=0)),
@@ -267,6 +269,13 @@ MALFORMED = [
         "certificate-fields-missing",
         ["group-eval", "--s", "6"],
         lambda g: _bundle_with(g, lambda b: b["certificate"].pop("basis")),
+    ),
+    (
+        "eigenvalue-prec-beyond-bound",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(
+            g, lambda b: b["certificate"]["eigenvalues"][0].update(prec=2000000)
+        ),
     ),
     ("boolean-entry", ["certify"], _matrix_doc([[False, True], [2, True]])),
     ("boolean-prec", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=True)),

@@ -404,6 +404,33 @@ def test_pushforward_certificate_of_evaluate(p):
     assert all(x.reduce_mod_p() == 1 for x in u.unit_spectrum())
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_derived_certificates_verify(p):
+    # evaluate, make_unitary and stone derive certificates by reuse_basis
+    # without re-checking them: each must verify, at no more than its
+    # parent's precision
+    rng = Random(3300 + p)
+    for _ in range(4):
+        n = rng.randrange(2, min(p, 6) + 1)
+        prec = rng.randrange(16, 65)
+        b = SeriesBudget.auto(prec, p)
+        cert = certify_strongly_normal(sample_certifiable_matrix(rng, p, prec, n))
+        g = OneParamGroup(cert, b)
+        u1p = g.evaluate(1 + p).matrix
+        v = u1p - PadicMatrix.identity(n, p, u1p.prec)
+        w = v.op_norm().value
+        scaled = certify_strongly_normal(v.divide_exact(p**w))
+        unitary = make_unitary(v).cert
+        derived = [
+            (g.evaluate(sample_principal_unit(rng, p, prec)).cert, cert),
+            (unitary, scaled),
+            (stone_recover(u1p, b).cert, unitary),
+        ]
+        for child, parent in derived:
+            child.verify()
+            assert child.precision <= parent.precision
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_dual_path_on_recovered_generator(p):
     # recovered eigenvalues collide mod p: the hard case for the exact

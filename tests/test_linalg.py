@@ -5,6 +5,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicspectral
 from padicspectral import PadicInt, PadicMatrix, ResidueMatrix, Valuation, vector_norm
@@ -15,7 +17,12 @@ from padicspectral.errors import (
     PrimeMismatch,
 )
 from padicspectral.oracle import oracle_char_poly
-from padicspectral.sampling import sample_certifiable_matrix
+from padicspectral.sampling import (
+    sample_certifiable_matrix,
+    sample_invertible_matrix,
+    sample_padic,
+    sample_unit,
+)
 
 PRIMES = [3, 5, 7]
 
@@ -253,3 +260,46 @@ def test_correctness_guards_raise():
             if _is_private(alias.name)
         ]
         assert not private, f"{path.name} imports private names {private}"
+
+
+def _moved(x, t):
+    """x + p^prec t, tracked to 8 more digits: a matrix (t a grid) or a scalar."""
+    step = x.p**x.prec
+    if isinstance(x, PadicInt):
+        return PadicInt(x.residue + step * t, x.p, x.prec + 8)
+    rows = [[a + step * b for a, b in zip(r, tr)] for r, tr in zip(x.rows(), t)]
+    return PadicMatrix(rows, x.p, x.prec + 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    prec=st.integers(4, 40),
+    data=st.data(),
+)
+def test_precision_lemma_linalg(p, seed, prec, data):
+    # moving an input beyond its tracked digits moves no returned digit
+    rng = Random(seed)
+    n = rng.randrange(1, 5)
+    cell = st.integers(0, p**8 - 1)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    # the inputs carry different precisions, so each result takes the least
+    a = sample_invertible_matrix(rng, p, prec, n)
+    b = sample_invertible_matrix(rng, p, rng.randrange(1, prec + 1), n)
+    vec = [sample_padic(rng, p, rng.randrange(1, prec + 1)) for _ in range(n)]
+    w = rng.randrange(min(3, prec - 1) + 1)
+    d = p**w * sample_unit(rng, p, rng.randrange(w + 1, prec + 1))
+    c = a * p**w
+    a2, b2, c2 = (_moved(m, data.draw(square)) for m in (a, b, c))
+    d2 = _moved(d, data.draw(cell))
+    vec2 = [_moved(x, data.draw(cell)) for x in vec]
+    for got, moved in [
+        (a @ b, a2 @ b2),
+        (a.inverse(), a2.inverse()),
+        (c.divide_exact(d), c2.divide_exact(d2)),
+        (a.scale_columns(vec), a2.scale_columns(vec2)),
+    ]:
+        assert moved.congruent(got, got.prec)
+    for got, moved in zip(a.matvec(vec), a2.matvec(vec2)):
+        assert moved.congruent(got, got.prec)

@@ -20,6 +20,8 @@ def test_oracle_power_examples():
     assert oracle_power(123456, 0, 5, 4) == 1
     with pytest.raises(ValueError):
         oracle_power(6, -1, 5, 4)
+    with pytest.raises(ValueError):
+        oracle_power(7, 2, 5, 4)  # not a principal unit
 
 
 def test_oracle_power_cross_checks_series():
