@@ -23,7 +23,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .core import validate_prime
+from .core import MAX_PRIME, MAX_WORKING_PREC, validate_prec, validate_prime
 from .errors import PadicError, PrecisionFailure, Refusal
 from .functions import SeriesBudget, digit_truncation_error
 from .groups import OneParamGroup, stone_recover
@@ -127,9 +127,10 @@ def _load_json(path: str) -> dict:
 
 
 def _budget(args, p: int) -> SeriesBudget:
+    target = validate_prec(args.prec)
     if args.guard is None:
-        return SeriesBudget.auto(args.prec, p)
-    return SeriesBudget(args.prec, args.guard)
+        return SeriesBudget.auto(target, p)
+    return SeriesBudget(target, validate_prec(args.guard))
 
 
 def _record_input(args, inputs: dict, p: int, budget: SeriesBudget) -> None:
@@ -263,6 +264,9 @@ def _cmd_converge(args, inputs: dict) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # entries below p^prec within the input bounds must print and parse
+        sys.set_int_max_str_digits(len(str(MAX_PRIME)) * MAX_WORKING_PREC)
     args = _build_parser().parse_args(argv)
     handlers = {
         "certify": _cmd_certify,

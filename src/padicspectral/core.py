@@ -127,6 +127,17 @@ class Valuation:
             return NotImplemented
         return Valuation(self.value + other.value, self.bounded and other.bounded)
 
+    @classmethod
+    def of_residue(cls, r: int, p: int, prec: int) -> "Valuation":
+        """Valuation of a residue r in [0, p^prec): exact, or at_least(prec) for 0."""
+        if r == 0:
+            return cls.at_least(prec)
+        v = 0
+        while r % p == 0:
+            r //= p
+            v += 1
+        return cls.exact(v)
+
     def cap(self, prec: int) -> "Valuation":
         """Clamp to what precision ``prec`` can distinguish."""
         if self.value >= prec:
@@ -186,13 +197,7 @@ class PadicInt:
 
     def valuation(self) -> Valuation:
         """Largest v < prec with p^v dividing the residue, else at_least(prec)."""
-        if self.residue == 0:
-            return Valuation.at_least(self.prec)
-        r, v = self.residue, 0
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return Valuation.exact(v)
+        return Valuation.of_residue(self.residue, self.p, self.prec)
 
     def reduce_mod_p(self) -> int:
         """Image in the residue field F_p."""

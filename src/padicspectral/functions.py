@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .core import MAX_WORKING_PREC, PadicInt, validate_prime
+from .core import MAX_WORKING_PREC, PadicInt, validate_prec, validate_prime
 from .errors import (
     InsufficientPrecision,
     NotPrincipal,
@@ -156,7 +156,7 @@ class SeriesBudget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeriesBudget":
-        return cls(int(d["target"]), int(d["guard"]))
+        return cls(validate_prec(d["target"]), validate_prec(d["guard"]))
 
 
 def is_principal_unit(x: PadicInt) -> bool:

@@ -87,9 +87,6 @@ class UnitaryOperator:
         """sigma(U) = {1 + lambda : lambda in sigma(V)}."""
         return [lam + 1 for lam in self.cert.eigenvalues]
 
-    def to_dict(self) -> dict:
-        return {"matrix": self.matrix.to_dict(), "certificate": self.cert.to_dict()}
-
     def __repr__(self):
         spectrum = [u.residue for u in self.unit_spectrum()]
         return (

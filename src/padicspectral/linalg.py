@@ -3,10 +3,10 @@
 The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
 the ring operations, the inverse, and reduction to the residue field
-F_p, where residue eigenanalysis runs: the characteristic polynomial by
-Hessenberg reduction mod p, eigenvalues by a root scan of F_p, and
-eigenvectors by elimination.  Nothing here lifts a root p-adically; the
-spectral module lifts the residue eigenbasis by Newton's method.
+F_p: the precision-1 PadicMatrix, where residue eigenanalysis runs (the
+char poly by Hessenberg reduction mod p, eigenvalues by a root scan of
+F_p, eigenvectors by elimination).  Nothing here lifts a root p-adically;
+the spectral module lifts the residue eigenbasis by Newton's method.
 """
 
 from __future__ import annotations
@@ -103,27 +103,12 @@ class PadicMatrix:
 
     def op_norm(self) -> Valuation:
         """Sup norm as a valuation: min entry valuation (at_least for 0)."""
-        best = None
-        for row in self._e:
-            for x in row:
-                if x == 0:
-                    continue
-                v, r = 0, x
-                while r % self.p == 0:
-                    r //= self.p
-                    v += 1
-                if best is None or v < best:
-                    best = v
-                if best == 0:
-                    return Valuation.exact(0)
-        if best is None:
-            return Valuation.at_least(self.prec)
-        return Valuation.exact(best)
+        return min(
+            Valuation.of_residue(x, self.p, self.prec) for row in self._e for x in row
+        )
 
     def reduction(self) -> "ResidueMatrix":
-        return ResidueMatrix(
-            [[x % self.p for x in row] for row in self._e], self.p
-        )
+        return ResidueMatrix(self._e, self.p)
 
     # -- precision -----------------------------------------------------
 
@@ -338,37 +323,18 @@ class PadicMatrix:
         )
 
 
-class ResidueMatrix:
-    """The reduction mod p: an n x n matrix over the residue field F_p."""
+class ResidueMatrix(PadicMatrix):
+    """The reduction mod p over F_p = Z_p / pZ_p: a precision-1 PadicMatrix
+    with residue eigenanalysis; its arithmetic returns PadicMatrix objects."""
 
-    __slots__ = ("p", "n", "_e")
+    __slots__ = ()
 
     def __init__(self, rows, p: int):
-        p = validate_prime(p)
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("matrix must be square")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "_e", tuple(tuple(int(x) % p for x in r) for r in rows)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueMatrix is immutable")
-
-    def rows(self):
-        return self._e
+        super().__init__(rows, p, 1)
 
     def is_scalar(self) -> bool:
         """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""
-        nu = self._e[0][0]
-        return all(
-            self._e[i][j] == (nu if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self == self._e[0][0] * PadicMatrix.identity(self.n, self.p, 1)
 
     def char_poly(self) -> tuple[int, ...]:
         """det(xI - A) over F_p: ascending coefficients in [0, p).
@@ -425,8 +391,11 @@ class ResidueMatrix:
         f = list(self.char_poly())
         for r in range(p):
             mult = 0
-            while len(f) > 1 and _eval_mod(f, r, p) == 0:
-                f = _synth_div(f, r, p)
+            while len(f) > 1:
+                quotient, remainder = _synth_div(f, r, p)
+                if remainder:
+                    break
+                f = quotient
                 mult += 1
             if mult:
                 out.append((r, mult))
@@ -468,33 +437,16 @@ class ResidueMatrix:
             v[col] = -sum(m[k][j] * v[j] for j in range(col + 1, n)) % p
         return v
 
-    def __eq__(self, other):
-        if not isinstance(other, ResidueMatrix):
-            return NotImplemented
-        return self.p == other.p and self._e == other._e
 
-    def __hash__(self):
-        return hash((self.p, self._e))
-
-    def __repr__(self):
-        return f"ResidueMatrix({[list(r) for r in self._e]}, p={self.p})"
-
-
-def _eval_mod(coeffs, x: int, mod: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % mod
-    return acc
-
-
-def _synth_div(coeffs, r: int, mod: int) -> list[int]:
-    """Exact quotient of a polynomial by (x - r) mod a prime modulus."""
-    out = [0] * (len(coeffs) - 1)
+def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:
+    """Divide a polynomial (ascending coefficients) by x - r mod a prime
+    modulus: the quotient and the remainder, which is the value at r."""
+    horner = []
     carry = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = (coeffs[k] + carry * r) % mod
-        out[k - 1] = carry
-    return out
+    for c in reversed(coeffs):
+        carry = (c + carry * r) % mod
+        horner.append(carry)
+    return horner[-2::-1], horner[-1]
 
 
 def vector_norm(vec) -> Valuation:

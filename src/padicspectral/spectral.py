@@ -229,15 +229,24 @@ class StrongNormalCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrongNormalCertificate":
-        """Read a certificate and verify it; a corrupted one is a ValueError."""
+        """Read a certificate and verify it; a corrupted one is a ValueError.
+
+        Every part is cut to the certificate precision, the only digits
+        :meth:`verify` checks, so no unverified digit reaches a result.
+        """
         missing = [k for k in _FIELDS if k not in d]
         if missing:
             raise ValueError(f"certificate is missing field(s) {missing}")
+        matrix, basis, inverse = (
+            PadicMatrix.from_dict(d[k]) for k in ("matrix", "basis", "basis_inverse")
+        )
+        eigenvalues = [PadicInt.from_dict(e) for e in d["eigenvalues"]]
+        prec = min(x.prec for x in (matrix, basis, inverse, *eigenvalues))
         cert = cls(
-            PadicMatrix.from_dict(d["matrix"]),
-            [PadicInt.from_dict(e) for e in d["eigenvalues"]],
-            PadicMatrix.from_dict(d["basis"]),
-            PadicMatrix.from_dict(d["basis_inverse"]),
+            matrix.truncate_to(prec),
+            [e.truncate_to(prec) for e in eigenvalues],
+            basis.truncate_to(prec),
+            inverse.truncate_to(prec),
             d["multiplicities"],
         )
         try:
@@ -270,7 +279,7 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     """
     p, n, target = a.p, a.n, a.prec
     columns = [ahat.eigenvector(r) for r in residues]
-    s = PadicMatrix(list(zip(*columns)), p, 1)
+    s = ResidueMatrix(list(zip(*columns)), p)
     t = s.inverse()
     d = list(residues)
     e = 1

@@ -232,6 +232,49 @@ def test_prime_flag_must_match_input(matrix_file, group_file, capsys):
         assert with_flag == without and json.loads(without)["config"]["p"] == 5
 
 
+def test_output_at_the_input_bounds(tmp_path, capsys):
+    # p < 2^16 and 4096 digits are inside the input bounds, so entries of
+    # 19728 decimal digits must print and read back; a longer one is refused
+    p, prec = 65521, 4096
+    matrix = PadicMatrix([[0, 1], [2, 1]], p, prec)
+    path = _write(tmp_path / "mat.json", matrix.to_dict())
+    code, out = _run(capsys, ["--prec", str(prec), "certify", path])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert max(len(x) for row in cert["basis"]["entries"] for x in row) == 19728
+    budget = SeriesBudget.auto(prec, p).to_dict()
+    bundle = _write(tmp_path / "bundle.json", {"certificate": cert, "budget": budget})
+    code, out = _run(capsys, ["group-eval", bundle, "--s", "1"])
+    assert code == 0
+    assert json.loads(out)["matrix"]["prec"] == prec
+    cert["basis"]["entries"][0][0] = "1" * 20481
+    _write(tmp_path / "long.json", {"certificate": cert, "budget": budget})
+    code = main(["group-eval", str(tmp_path / "long.json"), "--s", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+def test_budget_beyond_the_bound_is_input_error(
+    tmp_path, matrix_file, group_file, capsys
+):
+    # every modulus is p^(target + guard), so a budget read from a bundle or
+    # a flag is bounded like any other precision, not computed with
+    bundle = json.loads(open(group_file).read())
+    bundle["budget"]["target"] = 10**12
+    path = _write(tmp_path / "budget.json", bundle)
+    huge = str(10**12)
+    for argv in (
+        ["group-eval", path, "--s", "6"],
+        ["--prec", huge, "group-eval", matrix_file, "--s", "6"],
+        ["--guard", huge, "additive", matrix_file, "--z", "3"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"input error: precision {huge} is beyond")
+
+
 def _matrix_doc(entries, p=5, prec=8):
     return {"p": p, "prec": prec, "n": len(entries), "entries": entries}
 

@@ -17,7 +17,9 @@ from padicspectral import (
     generator_log_series,
     make_unitary,
     pexp,
+    plog,
     stone_recover,
+    zeta_of,
 )
 from padicspectral.errors import (
     CertificationFailed,
@@ -375,6 +377,22 @@ def test_group_serialization_roundtrip():
     assert back.evaluate(s).matrix == g.evaluate(s).matrix
 
 
+def test_read_certificate_keeps_only_verified_digits():
+    # from_dict verifies at the certificate precision, the minimum over its
+    # parts; a digit above it must not reach U(s)
+    g = OneParamGroup(
+        certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 5, 32)), BUDGETS[5]
+    )
+    doc = g.to_dict()
+    doc["certificate"]["matrix"] = g.generator.truncate_to(20).to_dict()
+    inverse = doc["certificate"]["basis_inverse"]["entries"]
+    inverse[0][0] = str(int(inverse[0][0]) + 5**25)
+    u = OneParamGroup.from_dict(doc).evaluate(6)
+    assert u.matrix.prec <= 20
+    assert u.matrix == g.evaluate(6).matrix.truncate_to(u.matrix.prec)
+    u.cert.verify()
+
+
 def test_group_check_reporting():
     g = OneParamGroup(
         certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 5, 32)), BUDGETS[5]
@@ -458,3 +476,35 @@ def test_full_dimension_at_p7():
     rec = stone_recover(u1p, b).generator
     d = min(b.target - b.guard - 1, rec.prec)
     assert rec.congruent(a, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from(PRIMES), seed=st.integers(0, 2**32), prec=st.integers(8, 24))
+def test_guard_never_changes_a_returned_digit(p, seed, prec):
+    # guard digits only buy room for division losses: every budget must
+    # agree with the automatic one at the smaller returned precision
+    rng = Random(seed)
+    n = rng.randrange(2, min(p, 3) + 1)
+    cert = certify_strongly_normal(sample_certifiable_matrix(rng, p, prec, n))
+    s = sample_principal_unit(rng, p, prec)
+    x, z = sample_in_pzp(rng, p, prec), sample_padic(rng, p, prec)
+    auto = SeriesBudget.auto(prec, p)
+    u1p = OneParamGroup(cert, auto).evaluate(1 + p).matrix
+
+    def results(b):
+        g = OneParamGroup(cert, b)
+        return [
+            g.evaluate(s).matrix,
+            g.evaluate_mahler(s),
+            stone_recover(u1p, b).generator,
+            generator_log_series(u1p, b),
+            g.additive_evaluate(z).matrix,
+            plog(s, b),
+            pexp(x, b),
+            zeta_of(s, b),
+        ]
+
+    reference = results(auto)
+    for guard in (0, 1, auto.guard + 6):
+        for got, want in zip(results(SeriesBudget(prec, guard)), reference):
+            assert got.congruent(want, min(got.prec, want.prec))
