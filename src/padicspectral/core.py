@@ -13,7 +13,8 @@ package implements need p odd (exp must converge on pZ_p).
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DivisionByHigherValuation,
@@ -75,7 +76,7 @@ class Prime(int):
         return super().__new__(cls, validate_prime(p))
 
 
-@total_ordering
+@dataclass(frozen=True, order=True)
 class Valuation:
     """A p-adic valuation: an exact value v >= 0 or "at least N".
 
@@ -86,46 +87,29 @@ class Valuation:
     open-ended form sorting above an exact value of the same size.
     """
 
-    __slots__ = ("value", "bounded")
+    value: int
+    open_ended: bool = False  # True: only "v >= value" is known
 
-    def __init__(self, value: int, bounded: bool = True):
-        if value < 0:
+    def __post_init__(self):
+        if self.value < 0:
             raise ValueError("valuation must be nonnegative")
-        self.value = int(value)
-        self.bounded = bounded  # False: only "v >= value" is known
 
     @classmethod
     def exact(cls, v: int) -> "Valuation":
-        return cls(v, True)
+        return cls(v)
 
     @classmethod
     def at_least(cls, n: int) -> "Valuation":
-        return cls(n, False)
+        return cls(n, True)
 
     @property
     def is_finite(self) -> bool:
-        return self.bounded
-
-    def _key(self):
-        return (self.value, not self.bounded)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self.value == other.value and self.bounded == other.bounded
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return not self.open_ended
 
     def __add__(self, other: "Valuation") -> "Valuation":
         if not isinstance(other, Valuation):
             return NotImplemented
-        return Valuation(self.value + other.value, self.bounded and other.bounded)
+        return Valuation(self.value + other.value, self.open_ended or other.open_ended)
 
     @classmethod
     def of_residue(cls, r: int, p: int, prec: int) -> "Valuation":
@@ -145,10 +129,112 @@ class Valuation:
         return self
 
     def __repr__(self):
-        return f"v={self.value}" if self.bounded else f"v>={self.value}"
+        return f"v>={self.value}" if self.open_ended else f"v={self.value}"
 
 
-class PadicInt:
+class PadicValue:
+    """Residues mod p^prec over one odd prime: what PadicInt and
+    PadicMatrix share, and the one home of their precision rules.
+
+    A subclass calls :meth:`_set_precision` first in ``__init__``, then
+    stores its residues, and defines ``_at(prec)``: itself at ``prec``
+    digits, its residues reduced or lifted by zero digits.  Instances are
+    immutable.
+    """
+
+    __slots__ = ("p", "prec")
+
+    def _set_precision(self, p: int, prec: int) -> int:
+        """Validate and store p and prec; return the modulus p^prec."""
+        p = validate_prime(p)
+        prec = int(prec)
+        if prec < 1:
+            raise ValueError("precision must be >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prec", prec)
+        return p**prec
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.prec
+
+    def truncate_to(self, prec: int):
+        """Drop digits down to ``prec`` (must be >= 1)."""
+        if prec > self.prec:
+            raise PrecisionExceeded(
+                f"cannot truncate to {prec} digits, only {self.prec} tracked"
+            )
+        return self.at_prec(prec)
+
+    def lift_to(self, prec: int):
+        """Reinterpret at higher precision with zero digits appended.
+
+        This is the canonical lift: the new digits are a choice, so the
+        result represents *some* preimage of the value.  Series code uses
+        it internally and accounts for the ambiguity in its error bounds.
+        """
+        if prec < self.prec:
+            raise ValueError("lift_to cannot lower precision; use truncate_to")
+        return self.at_prec(prec)
+
+    def at_prec(self, prec: int):
+        """This value at exactly ``prec`` digits: the zero-digit lift or the truncation."""
+        return self if prec == self.prec else self._at(prec)
+
+    def _congruence_modulus(self, prec: int, digits: int) -> int:
+        """p^digits, for a congruence between operands tracked to ``prec``.
+
+        ``digits`` may not exceed ``prec``: asking about digits nobody
+        tracked is an error, not a guess.
+        """
+        if digits > prec:
+            raise PrecisionExceeded(
+                f"congruence at {digits} digits exceeds tracked precision {prec}"
+            )
+        if digits < 0:
+            raise ValueError("digits must be >= 0")
+        return self.p**digits
+
+    def _divide_residues(self, residues, d) -> tuple[list[int], int]:
+        """Residues at this precision divided exactly by the scalar d
+        (PadicInt or int): the quotients and their precision N - v(d),
+        N = min(self.prec, d.prec)."""
+        p = self.p
+        if isinstance(d, int):
+            d = PadicInt(d, p, self.prec)
+        elif not isinstance(d, PadicInt):
+            raise TypeError("cannot divide by this operand")
+        elif d.p != p:
+            raise PrimeMismatch(f"p={p} vs p={d.p}")
+        w_val = d.valuation()
+        if not w_val.is_finite:
+            raise DivisionByHigherValuation("divisor is zero at its precision")
+        w = w_val.value
+        pw = p**w
+        quotients = []
+        for r in residues:
+            q, rest = divmod(r, pw)
+            if rest:
+                raise DivisionByHigherValuation(
+                    f"divisor valuation {w} exceeds dividend valuation "
+                    f"{Valuation.of_residue(r, p, self.prec).value}"
+                )
+            quotients.append(q)
+        prec = min(self.prec, d.prec) - w
+        if prec < 1:
+            raise InsufficientPrecision(
+                f"division by valuation {w} leaves no digits at precision "
+                f"{min(self.prec, d.prec)}"
+            )
+        mod = p**prec
+        inv = pow(d.residue // pw, -1, mod)
+        return [q * inv % mod for q in quotients], prec
+
+
+class PadicInt(PadicValue):
     """An element of Z_p known modulo p^N.
 
     ``PadicInt(n, p, prec)`` reduces any signed integer ``n`` to its
@@ -158,19 +244,13 @@ class PadicInt:
     at a chosen number of digits.
     """
 
-    __slots__ = ("p", "prec", "residue")
+    __slots__ = ("residue",)
 
     def __init__(self, n: int, p: int, prec: int):
-        p = validate_prime(p)
-        prec = int(prec)
-        if prec < 1:
-            raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "residue", int(n) % p**prec)
+        object.__setattr__(self, "residue", int(n) % self._set_precision(p, prec))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicInt is immutable")
+    def _at(self, prec: int) -> "PadicInt":
+        return PadicInt(self.residue, self.p, prec)
 
     # -- constructors ------------------------------------------------
 
@@ -183,10 +263,6 @@ class PadicInt:
         return cls(1, p, prec)
 
     # -- basic queries -----------------------------------------------
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.prec
 
     def is_zero(self) -> bool:
         """True when the residue vanishes, i.e. valuation is at least N."""
@@ -211,31 +287,6 @@ class PadicInt:
             r, d = divmod(r, self.p)
             out.append(d)
         return tuple(out)
-
-    # -- precision management ----------------------------------------
-
-    def truncate_to(self, prec: int) -> "PadicInt":
-        """Drop digits down to ``prec`` (must be >= 1)."""
-        if prec > self.prec:
-            raise PrecisionExceeded(
-                f"cannot truncate to {prec} digits, only {self.prec} tracked"
-            )
-        if prec == self.prec:
-            return self
-        return PadicInt(self.residue, self.p, prec)
-
-    def lift_to(self, prec: int) -> "PadicInt":
-        """Reinterpret at higher precision with zero digits appended.
-
-        This is the canonical lift: the new digits are a choice, so the
-        result represents *some* preimage of the value.  Series code uses
-        it internally and accounts for the ambiguity in its error bounds.
-        """
-        if prec < self.prec:
-            raise ValueError("lift_to cannot lower precision; use truncate_to")
-        if prec == self.prec:
-            return self
-        return PadicInt(self.residue, self.p, prec)
 
     # -- ring operations ---------------------------------------------
 
@@ -294,29 +345,8 @@ class PadicInt:
         p^(N - w) where N = min of the operand precisions; the result
         carries precision N - w so the loss is never silent.
         """
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError("cannot divide by this operand")
-        w_val = other.valuation()
-        if not w_val.is_finite:
-            raise DivisionByHigherValuation("divisor is zero at its precision")
-        w = w_val.value
-        my_val = self.valuation()
-        if my_val.is_finite and my_val.value < w:
-            raise DivisionByHigherValuation(
-                f"divisor valuation {w} exceeds dividend valuation {my_val.value}"
-            )
-        prec = min(self.prec, other.prec) - w
-        if prec < 1:
-            raise InsufficientPrecision(
-                f"division by valuation {w} leaves no digits at precision "
-                f"{min(self.prec, other.prec)}"
-            )
-        pw = self.p**w
-        unit = other.residue // pw
-        num = self.residue // pw
-        inv = pow(unit, -1, self.p**prec)
-        return PadicInt(num * inv, self.p, prec)
+        (q,), prec = self._divide_residues((self.residue,), other)
+        return PadicInt(q, self.p, prec)
 
     def inverse(self) -> "PadicInt":
         """Multiplicative inverse; requires a unit."""
@@ -327,22 +357,13 @@ class PadicInt:
     # -- comparisons ---------------------------------------------------
 
     def congruent(self, other, digits: int) -> bool:
-        """True iff self - other vanishes mod p^digits.
-
-        ``digits`` may not exceed either operand's precision: asking about
-        digits nobody tracked is an error, not a guess.
-        """
+        """True iff self - other vanishes mod p^digits, for digits at most
+        both operands' precision."""
         other = self._coerce(other)
         if other is NotImplemented:
             raise TypeError("cannot compare with this operand")
-        if digits > min(self.prec, other.prec):
-            raise PrecisionExceeded(
-                f"congruence at {digits} digits exceeds tracked precision "
-                f"{min(self.prec, other.prec)}"
-            )
-        if digits < 0:
-            raise ValueError("digits must be >= 0")
-        return (self.residue - other.residue) % self.p**digits == 0
+        mod = self._congruence_modulus(min(self.prec, other.prec), digits)
+        return (self.residue - other.residue) % mod == 0
 
     def __eq__(self, other):
         if isinstance(other, PadicInt):

@@ -64,11 +64,6 @@ def _ceil_log(p: int, n: int) -> int:
     return e
 
 
-def _at_prec(x, prec: int):
-    """x at exactly ``prec`` digits: the zero-digit lift or the truncation."""
-    return x.lift_to(prec) if x.prec < prec else x.truncate_to(prec)
-
-
 def log_series(x, v: int, working: int, product):
     """log(1 + x) = sum (-1)^(k-1) x^k / k to exactly ``working`` digits.
 
@@ -85,7 +80,7 @@ def log_series(x, v: int, working: int, product):
     w0 = working + _ceil_log(x.p, terms + 1)
     if w0 > MAX_WORKING_PREC:
         raise InsufficientPrecision(f"log series needs {w0} working digits")
-    x_w = _at_prec(x, w0)
+    x_w = x.at_prec(w0)
     acc = xpow = x_w
     for k in range(2, terms + 1):
         xpow = product(xpow, x_w)
@@ -104,7 +99,7 @@ def binomials(x, digits: int, terms: int, product):
     w0 = digits + _vp_factorial(terms, x.p)
     if w0 > MAX_WORKING_PREC:
         raise InsufficientPrecision(f"P_{terms} needs {w0} working digits")
-    x_w = _at_prec(x, w0)
+    x_w = x.at_prec(w0)
     acc = unit = x_w**0
     yield acc
     for n in range(1, terms + 1):
@@ -289,14 +284,16 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
 
     zeta = log s / log(1+p) lies in Z_p because |log s| <= 1/p while
     |log(1+p)| = 1/p exactly.  The division by log(1+p) costs exactly
-    one digit, so the result carries min(target, prec(s) - 1) digits.
+    one digit, so the result carries min(target, prec(s) - 1) digits, and
+    InsufficientPrecision is raised for a one-digit s.
     """
     _require_principal(s, "zeta_of argument")
+    if s.prec < 2:
+        raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")
     num = _plog_terms(s - 1, budget.working + 2)
     den = _log_one_plus_p(s.p, budget.working + 2)
     zeta = num.divide_exact(den)
-    out_prec = min(budget.target, max(s.prec - 1, 1), zeta.prec)
-    return zeta.truncate_to(out_prec)
+    return zeta.truncate_to(min(budget.target, s.prec - 1, zeta.prec))
 
 
 def digit_truncation_error(n: int, p: int) -> int:

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """U = I + V together with the spectral certificate of V.
 
@@ -74,14 +75,8 @@ class UnitaryOperator:
     under phi(x) = 1 + x and consists of principal units.
     """
 
-    __slots__ = ("matrix", "cert")
-
-    def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cert", cert)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryOperator is immutable")
+    matrix: PadicMatrix
+    cert: StrongNormalCertificate
 
     def unit_spectrum(self) -> list[PadicInt]:
         """sigma(U) = {1 + lambda : lambda in sigma(V)}."""
@@ -170,6 +165,7 @@ class GroupCheck:
         }
 
 
+@dataclass(frozen=True, eq=False)
 class OneParamGroup:
     """A certified generator A, evaluable at any principal unit s.
 
@@ -177,14 +173,8 @@ class OneParamGroup:
     the unitary operators for every principal s.
     """
 
-    __slots__ = ("cert", "budget")
-
-    def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "budget", budget)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneParamGroup is immutable")
+    cert: StrongNormalCertificate
+    budget: SeriesBudget
 
     @property
     def generator(self) -> PadicMatrix:
@@ -322,17 +312,13 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
         A = log(I + V) / log(1+p) = S diag(log(1+lambda_i)/log(1+p)) S^-1,
 
     computed on V's certificate; the division by log(1+p), a valuation-1
-    scalar, costs exactly one digit.  Then evaluate(A, 1+p) reproduces
+    scalar, costs exactly one digit, so an eigenvalue of V known to one
+    digit raises InsufficientPrecision.  Then evaluate(A, 1+p) reproduces
     U(1+p), since (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
     """
     v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
     cert_v = _small_norm_certificate(v, err=NotPrincipalSpectrum)
-    a_eigen = []
-    for lam in cert_v.eigenvalues:
-        if lam.is_zero():
-            a_eigen.append(PadicInt.zero(u1p.p, lam.prec))
-        else:
-            a_eigen.append(zeta_of(lam + 1, budget))
+    a_eigen = [zeta_of(lam + 1, budget) for lam in cert_v.eigenvalues]
     # A = S diag(a) S^-1 and S^-1 S = I give A S = S D at A's precision
     a = cert_v.spectral_operator(a_eigen)
     return OneParamGroup(cert_v.reuse_basis(a, a_eigen), budget)
@@ -348,12 +334,12 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     p = u1p.p
     n = u1p.n
     v = u1p - PadicMatrix.identity(n, p, u1p.prec)
-    out_prec = min(budget.target, max(u1p.prec - 1, 1))
-    if v.is_zero():
-        return PadicMatrix.zeros(n, p, out_prec)
     norm = v.op_norm().value
     if norm < 1:
         raise NotPrincipalSpectrum("U(1+p) - I has norm 1")
+    out_prec = min(budget.target, u1p.prec - 1)
+    if out_prec < 1:
+        raise InsufficientPrecision("one digit of U(1+p) fixes no digit of A")
     log_v = log_series(v, norm, budget.working, matmul)
     # log(1+p) to all working digits, not only the target ones
     w = budget.working

@@ -11,13 +11,10 @@ the spectral module lifts the residue eigenbasis by Newton's method.
 
 from __future__ import annotations
 
-from .core import MAX_DIM, PadicInt, Valuation, validate_prec, validate_prime
-from .errors import (
-    DimensionMismatch,
-    DivisionByHigherValuation,
-    PrecisionExceeded,
-    PrimeMismatch,
-)
+from operator import add, sub
+
+from .core import MAX_DIM, PadicInt, PadicValue, Valuation, validate_prec
+from .errors import DimensionMismatch, DivisionByHigherValuation, PrimeMismatch
 
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
@@ -31,7 +28,7 @@ def _as_residue(x, p: int, mod: int) -> int:
     return int(x) % mod
 
 
-class PadicMatrix:
+class PadicMatrix(PadicValue):
     """An n x n matrix of p-adic integers sharing one prime and precision.
 
     Entries are stored as canonical integer residues; ``entry(i, j)``
@@ -40,13 +37,11 @@ class PadicMatrix:
     scalar rules.
     """
 
-    __slots__ = ("p", "prec", "n", "_e")
+    __slots__ = ("n", "_e")
 
     def __init__(self, rows, p: int, prec: int):
-        p = validate_prime(p)
-        prec = int(prec)
-        if prec < 1:
-            raise ValueError("precision must be >= 1")
+        mod = self._set_precision(p, prec)
+        p = self.p
         rows = [list(r) for r in rows]
         n = len(rows)
         if n < 1:
@@ -55,27 +50,22 @@ class PadicMatrix:
             raise DimensionMismatch(f"dimension {n} exceeds cap {MAX_DIM}")
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square")
-        mod = p**prec
         grid = tuple(tuple(_as_residue(x, p, mod) for x in row) for row in rows)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_e", grid)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicMatrix is immutable")
+    def _at(self, prec: int) -> "PadicMatrix":
+        return PadicMatrix(self._e, self.p, prec)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, p: int, prec: int) -> "PadicMatrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], p, prec
-        )
+        return cls.diagonal([1] * n, p, prec)
 
     @classmethod
     def zeros(cls, n: int, p: int, prec: int) -> "PadicMatrix":
-        return cls([[0] * n for _ in range(n)], p, prec)
+        return cls.diagonal([0] * n, p, prec)
 
     @classmethod
     def diagonal(cls, diag, p: int, prec: int) -> "PadicMatrix":
@@ -87,10 +77,6 @@ class PadicMatrix:
         )
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.prec
 
     def entry(self, i: int, j: int) -> PadicInt:
         return PadicInt(self._e[i][j], self.p, self.prec)
@@ -110,23 +96,6 @@ class PadicMatrix:
     def reduction(self) -> "ResidueMatrix":
         return ResidueMatrix(self._e, self.p)
 
-    # -- precision -----------------------------------------------------
-
-    def truncate_to(self, prec: int) -> "PadicMatrix":
-        if prec > self.prec:
-            raise PrecisionExceeded("cannot truncate upward")
-        if prec == self.prec:
-            return self
-        return PadicMatrix(self._e, self.p, prec)
-
-    def lift_to(self, prec: int) -> "PadicMatrix":
-        """Canonical zero-digit lift, as for scalars."""
-        if prec < self.prec:
-            raise ValueError("lift_to cannot lower precision")
-        if prec == self.prec:
-            return self
-        return PadicMatrix(self._e, self.p, prec)
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "PadicMatrix") -> int:
@@ -136,27 +105,17 @@ class PadicMatrix:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
         return min(self.prec, other.prec)
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+    def _entrywise(self, op, other: "PadicMatrix") -> "PadicMatrix":
         prec = self._check(other)
         return PadicMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._e, other._e)
-            ],
-            self.p,
-            prec,
+            [list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)], self.p, prec
         )
 
+    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+        return self._entrywise(add, other)
+
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        prec = self._check(other)
-        return PadicMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._e, other._e)
-            ],
-            self.p,
-            prec,
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "PadicMatrix":
         return PadicMatrix(
@@ -236,16 +195,9 @@ class PadicMatrix:
     def divide_exact(self, d) -> "PadicMatrix":
         """Entrywise exact division by a scalar (PadicInt or int); as for
         PadicInt.divide_exact, a divisor of valuation w costs w digits."""
-        if isinstance(d, int):
-            d = PadicInt(d, self.p, self.prec)
-        return PadicMatrix(
-            [
-                [self.entry(i, j).divide_exact(d) for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            self.p,
-            min(self.prec, d.prec) - d.valuation().value,
-        )
+        n = self.n
+        flat, prec = self._divide_residues([x for row in self._e for x in row], d)
+        return PadicMatrix([flat[i : i + n] for i in range(0, n * n, n)], self.p, prec)
 
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; exists iff the reduction is invertible."""
@@ -276,12 +228,7 @@ class PadicMatrix:
     # -- comparisons and io ------------------------------------------------
 
     def congruent(self, other: "PadicMatrix", digits: int) -> bool:
-        prec = self._check(other)
-        if digits > prec:
-            raise PrecisionExceeded(
-                f"congruence at {digits} digits exceeds tracked precision {prec}"
-            )
-        mod = self.p**digits
+        mod = self._congruence_modulus(self._check(other), digits)
         return all(
             (a - b) % mod == 0
             for r1, r2 in zip(self._e, other._e)

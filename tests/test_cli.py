@@ -135,6 +135,11 @@ def test_stone_refusal(tmp_path, capsys):
     code, out = _run(capsys, ["stone", path])
     assert code == 2
     assert json.loads(out)["refusal"]["type"] == "NotPrincipalSpectrum"
+    # V = diag(5, 10) at 2 digits: stone keeps its eigenvalues to 1 digit, too few
+    path = _write(tmp_path / "short.json", _matrix_doc([["6", "0"], ["0", "11"]], prec=2))
+    code, out = _run(capsys, ["stone", path])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InsufficientPrecision"
 
 
 def test_additive(group_file, capsys):

@@ -4,7 +4,15 @@ from random import Random
 
 import pytest
 
-from padicspectral import PadicInt, Prime, Valuation
+from padicspectral import (
+    OneParamGroup,
+    PadicInt,
+    PadicMatrix,
+    Prime,
+    SeriesBudget,
+    Valuation,
+    certify_strongly_normal,
+)
 from padicspectral.errors import (
     DivisionByHigherValuation,
     InsufficientPrecision,
@@ -100,6 +108,8 @@ def test_congruent_examples():
     assert not PadicInt(1, 5, 4).congruent(PadicInt(6, 5, 4), 2)
     with pytest.raises(PrecisionExceeded):
         PadicInt(1, 5, 4).congruent(PadicInt(1, 5, 4), 5)
+    with pytest.raises(ValueError):
+        PadicInt(1, 5, 4).congruent(PadicInt(1, 5, 4), -1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -182,9 +192,28 @@ def test_truncate_and_lift():
 
 
 def test_immutability():
-    x = PadicInt(1, 5, 4)
+    # every value type refuses assignment, so a hashed value cannot change
+    a = PadicMatrix([[0, 1], [2, 1]], 5, 4)
+    group = OneParamGroup(certify_strongly_normal(a), SeriesBudget.auto(4, 5))
+    values = [
+        (PadicInt(1, 5, 4), "residue"),
+        (a, "prec"),
+        (a.reduction(), "p"),
+        (Valuation.exact(2), "value"),
+        (SeriesBudget(4, 2), "guard"),
+        (group, "budget"),
+        (group.cert, "eigenvalues"),
+        (group.evaluate(6), "matrix"),
+        (group.verify_group_law(6, 11), "required"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    v = Valuation.exact(2)
+    held = {v}
     with pytest.raises(AttributeError):
-        x.residue = 2
+        v.value = 5
+    assert v in held
 
 
 def test_serialization_roundtrip():

@@ -316,14 +316,14 @@ def test_log_series_digits_against_oracle(p):
 @st.composite
 def _lemma_inputs(draw):
     p = draw(st.sampled_from(PRIMES))
-    prec = draw(st.integers(8, 64))
-    target = draw(st.integers(8, 64))
+    prec = draw(st.integers(1, 64))
+    target = draw(st.integers(1, 64))
 
     def in_pzp(n):
         return PadicInt(p * draw(st.integers(0, p ** (n - 1) - 1)), p, n)
 
     z = in_pzp(prec)
-    lam = PadicInt(draw(st.integers(0, p**prec - 1)), p, draw(st.integers(8, 64)))
+    lam = PadicInt(draw(st.integers(0, p**prec - 1)), p, draw(st.integers(1, 64)))
     s = in_pzp(prec) + 1
     x = in_pzp(prec)
     t = draw(st.integers(1, p**8))
@@ -344,6 +344,11 @@ def test_precision_lemma_scalar_functions(case):
     assert principal_power(_perturb(z, t), lam, b).congruent(got, got.prec)
     assert principal_power(z, _perturb(lam, t), b).congruent(got, got.prec)
     for f, arg in ((plog, s), (zeta_of, s), (pexp, x)):
+        if f is zeta_of and arg.prec == 1:
+            # zeta(s) costs one digit, so a one-digit s determines none
+            with pytest.raises(InsufficientPrecision):
+                f(arg, b)
+            continue
         got = f(arg, b)
         assert f(_perturb(arg, t), b).congruent(got, got.prec)
 

@@ -23,6 +23,7 @@ from padicspectral import (
 )
 from padicspectral.errors import (
     CertificationFailed,
+    InsufficientPrecision,
     NormTooLarge,
     NotPrincipal,
     NotPrincipalSpectrum,
@@ -172,10 +173,23 @@ def test_stone_diagonal_example():
 
 
 def test_stone_identity():
+    # A = 0 pays the digit of the log(1+p) division like any other generator
     g = stone_recover(PadicMatrix.identity(2, 5, 32), BUDGETS[5])
     assert g.generator.is_zero()
+    assert g.generator.prec == 31
     u = g.evaluate(6)
     assert u.matrix == PadicMatrix.identity(2, 5, u.matrix.prec)
+
+
+def test_stone_one_digit_eigenvalue():
+    # stone keeps the eigenvalues p^w lam' of V = diag(5, 10) to 2 - w = 1
+    # digit, which fixes no digit of A = diag(1, 2) mod 5
+    with pytest.raises(InsufficientPrecision):
+        stone_recover(PadicMatrix.diagonal([6, 11], 5, 2), BUDGETS[5])
+    with pytest.raises(InsufficientPrecision):
+        generator_log_series(PadicMatrix.identity(2, 5, 1), BUDGETS[5])
+    a = generator_log_series(PadicMatrix.diagonal([6, 11], 5, 2), BUDGETS[5])
+    assert a == PadicMatrix.diagonal([1, 2], 5, 1)
 
 
 def test_stone_refuses_norm_one():
@@ -293,12 +307,21 @@ def test_precision_lemma_group_paths(p, seed, prec, target, data):
         got = f(g)
         assert f(moved).congruent(got, got.prec)
 
+    # U(1+p) = I is moved to I + p^prec diag(t), t with distinct residues so
+    # that V = p^prec diag(t) is certifiable, and tracked to 2 prec + 8
+    # digits so that V's eigenvalues keep prec + 8 of them
     u1p = g.evaluate(1 + p).matrix
-    u1p_moved = _moved(u1p, data.draw(square))
-    got = stone_recover(u1p, b).generator
-    assert stone_recover(u1p_moved, b).generator.congruent(got, got.prec)
-    got = generator_log_series(u1p, b)
-    assert generator_log_series(u1p_moved, b).congruent(got, got.prec)
+    residues = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    t = [r + p * data.draw(cell) for r in residues]
+    moved_ident = PadicMatrix.diagonal([1 + p**prec * x for x in t], p, 2 * prec + 8)
+    cases = (
+        (u1p, _moved(u1p, data.draw(square))),
+        (PadicMatrix.identity(n, p, prec), moved_ident),
+    )
+    for u, u_moved in cases:
+        for recover in (lambda m: stone_recover(m, b).generator, lambda m: generator_log_series(m, b)):
+            got, moved = recover(u), recover(u_moved)
+            assert moved.congruent(got, min(got.prec, moved.prec))
 
 
 def test_digit_limit_at_one_plus_p():

@@ -213,6 +213,8 @@ def test_matrix_congruence_precision_guard():
     a = PadicMatrix.identity(2, 5, 4)
     with pytest.raises(PrecisionExceeded):
         a.congruent(a, 5)
+    with pytest.raises(ValueError):
+        a.congruent(a, -1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -245,9 +247,11 @@ def _is_private(name: str) -> bool:
 
 def test_correctness_guards_raise():
     # correctness checks are exceptions, not asserts, so they survive python -O;
-    # and no module reaches into another's private names, so each rule
-    # (a truncation length, a working precision) has one owning module
+    # no module reaches into another's private names, so each rule
+    # (a truncation length, a working precision) has one owning module;
+    # and the precision rules of scalars and matrices live in core alone
     root = Path(padicspectral.__file__).resolve().parent
+    precision_rules = {"truncate_to", "lift_to", "modulus"}
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -260,6 +264,13 @@ def test_correctness_guards_raise():
             if _is_private(alias.name)
         ]
         assert not private, f"{path.name} imports private names {private}"
+        if path.name != "core.py":
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in precision_rules
+            }
+            assert not defined, f"{path.name} defines {sorted(defined)}, owned by core"
 
 
 def _moved(x, t):
