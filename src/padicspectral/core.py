@@ -76,7 +76,7 @@ class Prime(int):
         return super().__new__(cls, validate_prime(p))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Valuation:
     """A p-adic valuation: an exact value v >= 0 or "at least N".
 

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class UnitaryOperator:
     """U = I + V together with the spectral certificate of V.
 
@@ -165,7 +165,7 @@ class GroupCheck:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OneParamGroup:
     """A certified generator A, evaluable at any principal unit s.
 

@@ -11,6 +11,7 @@ the spectral module lifts the residue eigenbasis by Newton's method.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add, sub
 
 from .core import MAX_DIM, PadicInt, PadicValue, Valuation, validate_prec
@@ -88,10 +89,10 @@ class PadicMatrix(PadicValue):
         return all(x == 0 for row in self._e for x in row)
 
     def op_norm(self) -> Valuation:
-        """Sup norm as a valuation: min entry valuation (at_least for 0)."""
-        return min(
-            Valuation.of_residue(x, self.p, self.prec) for row in self._e for x in row
-        )
+        """Sup norm as a valuation: min entry valuation (at_least for 0),
+        which is the valuation of the gcd of the entries."""
+        gcd_entries = gcd(*(x for row in self._e for x in row))
+        return Valuation.of_residue(gcd_entries, self.p, self.prec)
 
     def reduction(self) -> "ResidueMatrix":
         return ResidueMatrix(self._e, self.p)

@@ -185,6 +185,13 @@ def test_bundle_refusal_config_uses_bundle_budget(tmp_path, capsys):
     assert code == 2
     cfg = json.loads(out)["config"]
     assert (cfg["p"], cfg["precision"], cfg["guard"]) == (7, 20, 3)
+    # a one-digit target leaves zeta(s), and so converge, no digit
+    path = _write(tmp_path / "g7t1.json", OneParamGroup(cert, SeriesBudget(1, 3)).to_dict())
+    code, out = _run(capsys, ["converge", path, "--s", "8", "--max-n", "2"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "InsufficientPrecision"
+    assert doc["config"]["precision"] == 1
 
 
 def test_invalid_prime_flag_is_input_error(tmp_path, capsys):

@@ -31,6 +31,15 @@ def test_op_norm_examples():
     assert PadicMatrix([[5, 1], [0, 25]], 5, 8).op_norm() == Valuation.exact(0)
     assert PadicMatrix.zeros(2, 5, 8).op_norm() == Valuation.at_least(8)
     assert PadicMatrix([[5, 10], [25, 5]], 5, 8).op_norm() == Valuation.exact(1)
+    assert PadicMatrix([[50, 0], [0, 75]], 5, 8).op_norm() == Valuation.exact(2)
+    rng = Random(8)
+    for _ in range(50):
+        p = rng.choice(PRIMES)
+        m = PadicMatrix(
+            [[p ** rng.randrange(9) * rng.randrange(p**8) for _ in range(3)] for _ in range(3)], p, 8
+        )
+        entries = [m.entry(i, j).valuation() for i in range(3) for j in range(3)]
+        assert m.op_norm() == min(entries)
 
 
 def test_ring_op_examples():
