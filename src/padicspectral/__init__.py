@@ -19,6 +19,7 @@ from .functions import (
     pexp,
     plog,
     principal_power,
+    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "pexp",
     "plog",
     "principal_power",
+    "principal_powers",
     "truncation_length",
     "zeta_of",
     "PadicMatrix",

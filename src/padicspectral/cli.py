@@ -242,8 +242,8 @@ def _cmd_converge(args, inputs: dict) -> int:
     s = int(args.s)
     reference = group.evaluate(s).matrix
     rows = []
-    for n in range(args.max_n + 1):
-        approx = group.digit_limit_approx(s, n)
+    approxes = group.digit_limit_approxes(s, range(args.max_n + 1))
+    for n, approx in enumerate(approxes):
         err = (approx - reference).op_norm()
         rows.append(
             {

@@ -9,17 +9,18 @@ working precision by a bound on the division loss it is about to incur,
 so the budgeted digits are a guarantee, not a hope.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
-powers (1+z)^lam by one modular pow, the p-adic logarithm by p-power
-argument reduction (about sqrt(W) series terms at W working digits),
-the exponential as (1+p)^(x / log(1+p)), and the coordinate
-zeta(s) = log s / log(1+p) that writes any principal unit of Q_p as
-(1+p)^zeta.
+powers (1+z)^lam by modular pow or, for many exponents, one shared power
+table, the p-adic logarithm by p-power argument reduction (about sqrt(W)
+series terms at W working digits), the exponential as
+(1+p)^(x / log(1+p)), and the coordinate zeta(s) = log s / log(1+p)
+that writes any principal unit of Q_p as (1+p)^zeta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from operator import mul
 
@@ -38,12 +39,17 @@ __all__ = [
     "log_series",
     "mahler_coeff",
     "principal_power",
+    "principal_powers",
     "plog",
     "pexp",
     "zeta_of",
     "truncation_length",
     "digit_truncation_error",
 ]
+
+# From this many exponents on, one shared table beat n pows for p = 5..67
+# at 64-128 digits; below it, the two were level or the pows won.
+_SHARED_TABLE_MIN = 8
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -197,7 +203,12 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
 
 
 def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
-    """(1 + z)^lam for |z| < 1 and lam in Z_p (a PadicInt or an int >= 0).
+    """(1 + z)^lam: the one-exponent case of :func:`principal_powers`."""
+    return principal_powers(z, [lam], budget)[0]
+
+
+def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
+    """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0).
 
     pow(1 + z, lam, p^N) on the canonical residues, N = min(target,
     prec z, prec lam) (no prec lam for an int), is exact at N digits:
@@ -205,18 +216,38 @@ def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
     only on lam mod p^(N - v(z)), which lam's tracked digits fix, and
     moving z by p^(prec z) t moves it by p^(prec z) at most.  The result
     is a principal unit with valuation(result - 1) >= valuation(z).
+
+    From _SHARED_TABLE_MIN exponents on, the pows share one table of
+    (1+z)^(d 2^(kj)) mod p^M, d <= 2^k, M the largest N (Menezes et al.,
+    *Handbook of Applied Cryptography*, Alg. 14.109), built and used one
+    row j at a time: an exponent cut mod p^(M-1), the order of 1 + pZ_p
+    mod p^M, costs one product per k bits.
     """
-    if isinstance(lam, int):
-        if lam < 0:
-            raise ValueError("integer exponents must be >= 0")
-        exponent, out_prec = lam, min(budget.target, z.prec)
-    else:
-        if lam.p != z.p:
+    jobs = []  # (exponent, output precision)
+    for lam in lams:
+        if isinstance(lam, int):
+            if lam < 0:
+                raise ValueError("integer exponents must be >= 0")
+            jobs.append((lam, min(budget.target, z.prec)))
+        elif lam.p != z.p:
             raise PrimeMismatch(f"p={z.p} vs p={lam.p}")
-        exponent, out_prec = lam.residue, min(budget.target, z.prec, lam.prec)
+        else:
+            jobs.append((lam.residue, min(budget.target, z.prec, lam.prec)))
     if z.is_unit():
         raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
-    return PadicInt(pow(1 + z.residue, exponent, z.p**out_prec), z.p, out_prec)
+    p, n = z.p, len(jobs)
+    if n < _SHARED_TABLE_MIN:
+        return [PadicInt(pow(1 + z.residue, e, p**m), p, m) for e, m in jobs]
+    mod = p ** max(m for _, m in jobs)
+    exponents = [e % (mod // p) for e, _ in jobs]
+    bits = max(exponents).bit_length()
+    k = min(range(1, 8), key=lambda w: -(-bits // w) * (2**w + n))
+    accs, base = [1] * n, (1 + z.residue) % mod
+    for j in range(0, bits, k):  # one row of the table at a time
+        row = list(accumulate([base] * 2**k, lambda x, y: x * y % mod, initial=1))
+        accs = [a * row[e >> j & 2**k - 1] % mod for a, e in zip(accs, exponents)]
+        base = row[-1]
+    return [PadicInt(a, p, m) for a, (_, m) in zip(accs, jobs)]
 
 
 def _plog_terms(x: PadicInt, working: int) -> PadicInt:

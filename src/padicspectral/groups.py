@@ -49,7 +49,7 @@ from .functions import (
     log_series,
     pexp,
     plog,
-    principal_power,
+    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -198,14 +198,13 @@ class OneParamGroup:
     def evaluate(self, s) -> UnitaryOperator:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
-        Each eigenvalue contributes (1+z)^(lambda_i) by principal_power,
-        one modular pow; the basis is untouched.  U(1) = I exactly.
+        The n powers (1+z)^(lambda_i) come from principal_powers, which
+        shares one power table of 1+z among them once n is large enough;
+        the basis is untouched.  U(1) = I exactly.
         """
         s = self._coerce_unit(s)
         z = s - 1
-        powers = [
-            principal_power(z, lam, self.budget) for lam in self.cert.eigenvalues
-        ]
+        powers = principal_powers(z, self.cert.eigenvalues, self.budget)
         u = self.cert.spectral_operator(powers)
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
         cert = self.cert.reuse_basis(v, [w - 1 for w in powers])
@@ -250,21 +249,28 @@ class OneParamGroup:
         return GroupCheck("lipschitz", diff.op_norm(), required)
 
     def digit_limit_approx(self, s, n: int) -> PadicMatrix:
-        """U(1+p) raised to the first n+1 base-p digits of zeta(s).
+        """The one-n case of :meth:`digit_limit_approxes`."""
+        return self.digit_limit_approxes(s, [n])[0]
+
+    def digit_limit_approxes(self, s, ns) -> list[PadicMatrix]:
+        """For each n in ns, U(1+p) raised to the first n+1 base-p digits of
+        zeta(s), with zeta(s) and U(1+p) computed once (not at all for no n).
 
         Writing s = (1+p)^zeta and cutting zeta after its p^n digit gives
         an integer exponent; the result converges to evaluate(s) with
         error valuation at least digit_truncation_error(n, p).
         """
-        if n < 0:
+        if any(n < 0 for n in ns):
             raise ValueError("n must be >= 0")
+        if not ns:
+            return []
         s = self._coerce_unit(s)
-        zeta = zeta_of(s, self.budget)
-        digits = zeta.digits()
-        top = min(n, len(digits) - 1)
-        exponent = sum(d * self.p**j for j, d in enumerate(digits[: top + 1]))
+        digits = zeta_of(s, self.budget).digits()
         base = self.evaluate(1 + self.p).matrix
-        return base**exponent
+        return [
+            base ** sum(d * self.p**j for j, d in enumerate(digits[: n + 1]))
+            for n in ns
+        ]
 
     def additive_evaluate(self, z) -> UnitaryOperator:
         """W(z) = e^(pzA) via the reparametrization s = e^(pz), z in Z_p.

@@ -3,16 +3,17 @@
 The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
 the ring operations, the inverse, and reduction to the residue field
-F_p: the precision-1 PadicMatrix, where residue eigenanalysis runs (the
-char poly by Hessenberg reduction mod p, eigenvalues by a root scan of
-F_p, eigenvectors by elimination).  Nothing here lifts a root p-adically;
-the spectral module lifts the residue eigenbasis by Newton's method.
+F_p: the precision-1 PadicMatrix, where residue eigenanalysis runs.  One
+Hessenberg reduction mod p gives the char poly and every eigenvector, by
+back-substitution; eigenvalues come from a root scan of F_p.  Nothing
+here lifts a root p-adically; the spectral module lifts the residue
+eigenbasis by Newton's method.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .core import MAX_DIM, PadicInt, PadicValue, Valuation, validate_prec
 from .errors import DimensionMismatch, DivisionByHigherValuation, PrimeMismatch
@@ -202,29 +203,14 @@ class PadicMatrix(PadicValue):
 
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; exists iff the reduction is invertible."""
-        n, mod, p = self.n, self.modulus, self.p
-        a = [list(row) for row in self._e]
-        b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if a[r][col] % p != 0), None
+        n = self.n
+        rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(self._e)]
+        reduced, pivots = _gauss_jordan(rows, self.p, self.modulus)
+        if pivots != list(range(n)):
+            raise DivisionByHigherValuation(
+                "matrix is not invertible over Z_p (determinant non-unit)"
             )
-            if piv is None:
-                raise DivisionByHigherValuation(
-                    "matrix is not invertible over Z_p (determinant non-unit)"
-                )
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = pow(a[col][col], -1, mod)
-            a[col] = [(x * inv) % mod for x in a[col]]
-            b[col] = [(x * inv) % mod for x in b[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                a[r] = [(x - f * y) % mod for x, y in zip(a[r], a[col])]
-                b[r] = [(x - f * y) % mod for x, y in zip(b[r], b[col])]
-        return PadicMatrix(b, p, self.prec)
+        return PadicMatrix([row[n:] for row in reduced], self.p, self.prec)
 
     # -- comparisons and io ------------------------------------------------
 
@@ -275,10 +261,11 @@ class ResidueMatrix(PadicMatrix):
     """The reduction mod p over F_p = Z_p / pZ_p: a precision-1 PadicMatrix
     with residue eigenanalysis; its arithmetic returns PadicMatrix objects."""
 
-    __slots__ = ()
+    __slots__ = ("_hess",)
 
     def __init__(self, rows, p: int):
         super().__init__(rows, p, 1)
+        object.__setattr__(self, "_hess", _hessenberg(self._e, self.p))
 
     def is_scalar(self) -> bool:
         """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""
@@ -287,9 +274,8 @@ class ResidueMatrix(PadicMatrix):
     def char_poly(self) -> tuple[int, ...]:
         """det(xI - A) over F_p: ascending coefficients in [0, p).
 
-        A is brought to upper Hessenberg form H by similarity transforms
-        (each row operation undone on the columns), and det(xI - H) is
-        expanded along its last column: with P_0 = 1,
+        det(xI - H) of the Hessenberg form H is expanded along its last
+        column: with P_0 = 1,
 
             P_{m+1} = (x - h_mm) P_m
                       - sum_{i=1..m} h_{m-i,m} h_{m,m-1} ... h_{m-i+1,m-i} P_{m-i}
@@ -298,22 +284,7 @@ class ResidueMatrix(PadicMatrix):
         Alg. 2.2.9).  O(n^3) operations on integers below p.
         """
         p, n = self.p, self.n
-        h = [list(row) for row in self._e]
-        for m in range(1, n - 1):
-            piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-            if piv is None:
-                continue  # column m - 1 is already zero below the subdiagonal
-            if piv != m:
-                h[m], h[piv] = h[piv], h[m]
-                for row in h:
-                    row[m], row[piv] = row[piv], row[m]
-            inv = pow(h[m][m - 1], -1, p)
-            for i in range(m + 1, n):
-                u = h[i][m - 1] * inv % p
-                if u:
-                    h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
-                    for row in h:
-                        row[m] = (row[m] + u * row[i]) % p
+        h, _ = self._hess
         polys = [[1]]
         for m in range(n):
             nxt = [0] + polys[m]
@@ -352,38 +323,112 @@ class ResidueMatrix(PadicMatrix):
     def eigenvector(self, r: int) -> list[int]:
         """A nonzero v over F_p with A v = r v, by row reduction of A - r I.
 
-        v is 1 at the first free column of the echelon form and 0 at the
-        others; for a simple eigenvalue the kernel is a line, so this
-        fixes v.  Raises ValueError if r is not an eigenvalue.
+        v is 1 at the first free column of the reduced echelon form and 0
+        at the others; for a simple eigenvalue the kernel is a line, so
+        this fixes v.  Raises ValueError if r is not an eigenvalue.
         """
         p, n = self.p, self.n
-        m = [
-            [(x - r) % p if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(self._e)
-        ]
-        pivots = []  # pivot column of each echelon row, in row order
-        for col in range(n):
-            k = len(pivots)
-            piv = next((i for i in range(k, n) if m[i][col]), None)
-            if piv is None:
-                continue
-            m[k], m[piv] = m[piv], m[k]
-            inv = pow(m[k][col], -1, p)
-            m[k] = [(x * inv) % p for x in m[k]]
-            for i in range(k + 1, n):
-                f = m[i][col]
-                if f:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
-            pivots.append(col)
+        shifted = self - r * PadicMatrix.identity(n, p, 1)
+        reduced, pivots = _gauss_jordan(shifted.rows(), p, p)
         free = next((c for c in range(n) if c not in pivots), None)
         if free is None:
             raise ValueError(f"{r} is not an eigenvalue mod {p}")
         v = [0] * n
         v[free] = 1
-        for k in reversed(range(len(pivots))):
-            col = pivots[k]
-            v[col] = -sum(m[k][j] * v[j] for j in range(col + 1, n)) % p
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[free] % p
         return v
+
+    def eigenvectors(self, roots) -> list[list[int]]:
+        """[eigenvector(r) for r in roots], from the Hessenberg form H = M^-1 A M.
+
+        Zeros on H's subdiagonal cut it into unreduced diagonal blocks,
+        where (H - rI) w = 0 fixes w up to one entry per block (see
+        _fill_block).  For r a root of exactly one block, w is that
+        block's kernel vector, zero below it, and each block above takes
+        the last entry that clears its first row: O(n^2) per root.  M w,
+        scaled to 1 at its last nonzero entry, is eigenvector(r), whose
+        free column is that entry.  A root of several blocks (a kernel of
+        dimension above 1) or of none goes to eigenvector.
+        """
+        p, n = self.p, self.n
+        h, m = self._hess
+        starts = [i for i in range(n) if i == 0 or not h[i][i - 1]]
+        blocks = list(zip(starts, starts[1:] + [n]))[::-1]  # bottom first
+        out = []
+        for r in roots:
+            # each block alone, last entry 1: its residual is the slope in t
+            slopes = {b: _fill_block(h, r, p, *b, [0] * n, 1) for b in blocks}
+            owners = [b for b in blocks if not slopes[b]]
+            if len(owners) != 1:
+                out.append(self.eigenvector(r))
+                continue
+            w = [0] * n
+            _fill_block(h, r, p, *owners[0], w, 1)
+            for s, e in blocks:
+                if e <= owners[0][0]:
+                    r0 = _fill_block(h, r, p, s, e, w, 0)
+                    _fill_block(h, r, p, s, e, w, -r0 * pow(slopes[s, e], -1, p))
+            v = [sum(map(mul, row, w)) % p for row in m]
+            inv = pow(next(x for x in reversed(v) if x), -1, p)
+            out.append([x * inv % p for x in v])
+        return out
+
+
+def _fill_block(h, r: int, p: int, s: int, e: int, w: list, t: int) -> int:
+    """Set w_{e-1} = t, then w_{e-2}, ..., w_s so that rows e-1, ..., s+1 of
+    (H - rI) w = 0 hold, for H unreduced on the block [s, e) and w already
+    set after it.  Returns row s of (H - rI) w mod p, affine in t."""
+    w[e - 1] = t % p
+    for i in range(e - 1, s, -1):
+        acc = sum(map(mul, h[i][i:], w[i:])) - r * w[i]
+        w[i - 1] = -acc * pow(h[i][i - 1], -1, p) % p
+    return (sum(map(mul, h[s][s:], w[s:])) - r * w[s]) % p
+
+
+def _gauss_jordan(rows, p: int, mod: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form of ``rows`` over Z/mod, mod a power of
+    p, with unit pivots, and the pivot column of each of its leading rows."""
+    a = [[x % mod for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0])):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][col] % p), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        inv = pow(a[k][col], -1, mod)
+        a[k] = [x * inv % mod for x in a[k]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != k:
+                a[i] = [(x - f * y) % mod for x, y in zip(row, a[k])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _hessenberg(rows, p: int):
+    """(H, M), H = M^-1 A M upper Hessenberg over F_p: each row operation
+    on H is undone on its columns, as on M = I."""
+    n = len(rows)
+    h = [list(row) for row in rows]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue  # column k - 1 is already zero below the subdiagonal
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h + m:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1], -1, p)
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[k])]
+                for row in h + m:
+                    row[k] = (row[k] + u * row[i]) % p
+    return h, m
 
 
 def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:

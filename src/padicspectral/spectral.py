@@ -7,7 +7,8 @@ are found by taking eigenvectors of the reduction over F_p and lifting
 them by Newton's method, which doubles the number of correct digits per
 step (X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794).
 Every divisor in the lift is a difference of two distinct residue
-eigenvalues, hence a unit, so the construction costs no precision.
+eigenvalues, hence a unit, so the construction costs no precision; each
+is inverted once mod p and lifted alongside the basis.
 
 The spectral idempotents are E_i = S e_i e_i^T S^-1, built on demand.
 They back the projection-valued measure E(S) = sum_{i in S} E_i and the
@@ -267,32 +268,38 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     """Newton-lift the residue eigenbasis of A to A's precision.
 
     Start from S whose columns are eigenvectors of the reduction, with
-    T = S^-1 mod p and d the residue eigenvalues, so A S = S D mod p^e
-    for e = 1.  One step works mod p^(2e).  With R = A S - S D, which
-    vanishes mod p^e, and C = T R: set d_i += C_ii, X_ij = C_ij / (d_j - d_i)
-    for i != j (a unit divisor, since the residues are distinct),
-    X_ii = 0, and S <- S (I + X).  The first-order terms of
-    A S - S D then cancel and the rest is a product of two matrices
-    divisible by p^e.  C needs T only mod p^e because R = 0 mod p^e,
-    and one Newton step T <- T (2I - S T) makes T the inverse of the new
-    S mod p^(2e).  Returns (S, S^-1, eigenvalues) at A's precision.
+    T = S^-1 mod p and d the residue eigenvalues, so A S = S D mod p^h
+    for h = 1.  A step works mod p^e, e = min(2h, N).  With R = A S - S D,
+    which vanishes mod p^h, and C = T R: set d_i += C_ii, X_ij = C_ij G_ij
+    with G_ij = 1 / (d_j - d_i) (a unit, as the residues are distinct),
+    X_ii = 0, and S <- S (I + X).  The first-order terms of A S - S D
+    cancel and the rest is a product of two matrices divisible by p^h.
+    C needs T only mod p^h because R = 0 mod p^h; the Newton step
+    T <- T (2I - S T) makes T the inverse of the new S mod p^e.  G is
+    inverted once mod p.  It inverts the new differences mod p^h too, as
+    d moved by C_ii = 0 mod p^h, and G <- G (2 - (d_j - d_i) G) mod p^e
+    makes it exact mod p^e.  X needs G only mod p^(e - h), as
+    C = 0 mod p^h, and e - h <= h; so X, and with it S, S^-1 and d, are
+    those of exact division.  Returns (S, S^-1, eigenvalues) at A's
+    precision.
     """
     p, n, target = a.p, a.n, a.prec
-    columns = [ahat.eigenvector(r) for r in residues]
-    s = ResidueMatrix(list(zip(*columns)), p)
+    s = PadicMatrix(list(zip(*ahat.eigenvectors(residues))), p, 1)
     t = s.inverse()
     d = list(residues)
+    g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
     e = 1
     while e < target:
         e = min(2 * e, target)
         mod = p**e
         s, t = s.lift_to(e), t.lift_to(e)
         c = (t @ (a.truncate_to(e) @ s - s.scale_columns(d))).rows()
-        x = [
-            [0 if i == j else c[i][j] * pow(d[j] - d[i], -1, mod) for j in range(n)]
-            for i in range(n)
-        ]
+        x = [[cij * gij for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
         d = [(di + c[i][i]) % mod for i, di in enumerate(d)]
+        g = [
+            [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
+            for di, gi in zip(d, g)
+        ]
         s = s + s @ PadicMatrix(x, p, e)
         t = t + t @ (PadicMatrix.identity(n, p, e) - s @ t)
     return s, t, [PadicInt(di, p, target) for di in d]

@@ -4,7 +4,9 @@ Counts of PadicMatrix.__matmul__ calls are exact on any host, so they
 can gate where timings cannot.  Lifting an eigenbasis to N digits takes
 e(N) = ceil(log2 N) Newton steps of 5 products each, and verifying a
 certificate takes 2 more.  Certificates derived from a verified one
-(evaluate, make_unitary, stone) are not verified again.
+(evaluate, make_unitary, stone) are not verified again.  The lift
+inverts each difference of residue eigenvalues once, mod p, and no
+divisor after that.
 """
 
 from random import Random
@@ -19,6 +21,7 @@ from padicspectral import (
     make_unitary,
     stone_recover,
 )
+from padicspectral import spectral
 from padicspectral.sampling import sample_certifiable_matrix, sample_principal_unit
 
 
@@ -83,3 +86,19 @@ def test_matmul_counts(matmuls, p, prec, n, w, pinned):
     )
     if pinned is not None:
         assert counts == pinned
+
+
+def test_lift_inverts_residue_differences_once(monkeypatch):
+    p, prec, n = 31, 128, 16
+    a = sample_certifiable_matrix(Random(7000 + p), p, prec, n)
+    moduli = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(spectral, "pow", counted, raising=False)
+    certify_strongly_normal(a)
+    assert 0 < len(moduli) <= n * (n - 1)
+    assert set(moduli) == {p}

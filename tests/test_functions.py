@@ -15,6 +15,7 @@ from padicspectral import (
     pexp,
     plog,
     principal_power,
+    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -23,7 +24,7 @@ from padicspectral.errors import (
     NotPrincipal,
     OutOfConvergenceDomain,
 )
-from padicspectral.functions import _plog_terms, log_series
+from padicspectral.functions import _SHARED_TABLE_MIN, _plog_terms, log_series
 from padicspectral.oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -129,6 +130,33 @@ def test_principal_power_vs_binary_exponentiation(p):
         assert series.congruent(PadicInt(direct, p, 32), 32)
         # the int-exponent bypass takes the binary route and must agree too
         assert principal_power(z, lam, b).congruent(series, 32)
+
+
+def _exponents(p):
+    """Eigenvalues at mixed precisions, 0 and 1 among them, and integers."""
+    residue = st.one_of(st.sampled_from([0, 1]), st.integers(0, p**90))
+    padic = st.builds(
+        lambda r, prec: PadicInt(r, p, prec), residue, st.integers(1, 90)
+    )
+    return st.one_of(padic, st.sampled_from([0, 1]), st.integers(0, 10**80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 31]),
+    zprec=st.integers(1, 80),
+    target=st.integers(1, 90),
+    n=st.sampled_from([0, 1, _SHARED_TABLE_MIN - 1, _SHARED_TABLE_MIN, 20]),
+    data=st.data(),
+)
+def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
+    # n on both sides of the crossover: the shared table must reproduce
+    # every pow, in residue and in precision
+    z = PadicInt(p * data.draw(st.integers(0, p**zprec)), p, zprec)
+    lams = data.draw(st.lists(_exponents(p), min_size=n, max_size=n))
+    budget = SeriesBudget(target, 3)
+    expected = [principal_power(z, lam, budget) for lam in lams]
+    assert principal_powers(z, lams, budget) == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -228,17 +228,55 @@ def test_matrix_congruence_precision_guard():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_residue_eigenvectors(p):
+    # the eigenvectors from the shared Hessenberg form equal the per-root
+    # row reduction, on sampled matrices and on the oracle char-poly ones
     rng = Random(2100 + p)
+    grids = []
+    for n in range(1, p + 3):
+        grids += _structured_grids(rng, p, n)
+        grids += [_random_grid(rng, p, n, d) for d in (1.0, 0.5, 0.2)]
     for _ in range(10):
         n = rng.randrange(2, p + 1)
-        ahat = sample_certifiable_matrix(rng, p, 4, n).reduction()
-        for r, _ in ahat.eigenvalues():
-            v = ahat.eigenvector(r)
+        grids.append(sample_certifiable_matrix(rng, p, 4, n).rows())
+    for grid in grids:
+        ahat = ResidueMatrix(grid, p)
+        roots = [r for r, _ in ahat.eigenvalues()]
+        vectors = ahat.eigenvectors(roots)
+        assert vectors == [ahat.eigenvector(r) for r in roots], grid
+        for r, v in zip(roots, vectors):
             assert any(v)
             av = [sum(x * y for x, y in zip(row, v)) % p for row in ahat.rows()]
             assert av == [r * x % p for x in v]
     with pytest.raises(ValueError):
         ResidueMatrix([[1, 0], [0, 2]], 5).eigenvector(3)
+    with pytest.raises(ValueError):
+        ResidueMatrix([[0, 1], [2, 1]], 7).eigenvectors([3])
+
+
+def test_residue_eigenvectors_reduced_hessenberg(monkeypatch):
+    # a zero on the Hessenberg subdiagonal cuts H into blocks: diag(1, 2, 3)
+    # and a block diagonal matrix are solved block by block, a root of
+    # two blocks (a two-dimensional kernel) falls back to eigenvector
+    fallbacks = []
+    per_root = ResidueMatrix.eigenvector
+    monkeypatch.setattr(
+        ResidueMatrix, "eigenvector", lambda m, r: fallbacks.append(r) or per_root(m, r)
+    )
+    diag = ResidueMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5)
+    assert diag.eigenvectors([1, 2, 3]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    block = ResidueMatrix([[0, 1, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 5]], 7)
+    roots = [r for r, _ in block.eigenvalues()]
+    assert roots == [2, 3, 5, 6]
+    assert block.eigenvectors(roots) == [per_root(block, r) for r in roots]
+    # coupled blocks: the root 4 of the lower block needs the upper one too
+    coupled = ResidueMatrix([[1, 2, 3], [0, 2, 1], [0, 0, 4]], 5)
+    assert coupled.eigenvectors([1, 2, 4]) == [per_root(coupled, r) for r in (1, 2, 4)]
+    assert fallbacks == []
+    repeated = ResidueMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 5)
+    assert repeated.eigenvectors([1, 2]) == [[1, 0, 0], [0, 0, 1]]
+    assert fallbacks == [1]
+    with pytest.raises(ValueError):
+        repeated.eigenvectors([3])
 
 
 def test_scale_columns():
