@@ -194,6 +194,8 @@ def _cmd_group_eval(args, inputs: dict) -> int:
 
 
 def _sampled_check(args, inputs: dict, check: str) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples {args.samples} checks nothing; it must be >= 1")
     group = _load_group(args.group_file, args, inputs)
     rng = Random(args.seed)
     prec = group.budget.target
@@ -210,7 +212,7 @@ def _sampled_check(args, inputs: dict, check: str) -> int:
             "check": check,
             "samples": args.samples,
             "seed": args.seed,
-            "min_margin_valuation": min(margins) if margins else 0,
+            "min_margin_valuation": min(margins),
             "pass": all(r.ok for r in results),
         }
     )
@@ -226,11 +228,12 @@ def _cmd_stone(args, inputs: dict) -> int:
 
 def _cmd_additive(args, inputs: dict) -> int:
     group = _load_group(args.group_file, args, inputs)
-    w = group.additive_evaluate(int(args.z))
+    z = int(args.z)
+    w = group.additive_evaluate(z)
     _emit(
         {
             "config": _config(args, **inputs),
-            "z": args.z,
+            "z": str(z),
             "matrix": w.matrix.to_dict(),
         }
     )
@@ -238,6 +241,8 @@ def _cmd_additive(args, inputs: dict) -> int:
 
 
 def _cmd_converge(args, inputs: dict) -> int:
+    if args.max_n < 0:
+        raise ValueError(f"--max-n {args.max_n} gives an empty table; it must be >= 0")
     group = _load_group(args.group_file, args, inputs)
     s = int(args.s)
     reference = group.evaluate(s).matrix

@@ -4,10 +4,12 @@ The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
 the ring operations, the inverse, and reduction to the residue field
 F_p: the precision-1 PadicMatrix, where residue eigenanalysis runs.  One
-Hessenberg reduction mod p gives the char poly and every eigenvector, by
-back-substitution; eigenvalues come from a root scan of F_p.  Nothing
-here lifts a root p-adically; the spectral module lifts the residue
-eigenbasis by Newton's method.
+Hessenberg reduction H = M^-1 A M mod p gives the char poly and the
+eigenvector of each simple eigenvalue r: eliminating each row of H - rI
+against the row above it alone triangularizes it, and r leaves one column
+without a pivot, where back-substitution starts; other roots raise
+ValueError.  Eigenvalues come from a root scan of F_p.  The spectral
+module lifts the residue eigenbasis p-adically, by Newton's method.
 """
 
 from __future__ import annotations
@@ -203,14 +205,22 @@ class PadicMatrix(PadicValue):
 
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; exists iff the reduction is invertible."""
-        n = self.n
-        rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(self._e)]
-        reduced, pivots = _gauss_jordan(rows, self.p, self.modulus)
-        if pivots != list(range(n)):
-            raise DivisionByHigherValuation(
-                "matrix is not invertible over Z_p (determinant non-unit)"
-            )
-        return PadicMatrix([row[n:] for row in reduced], self.p, self.prec)
+        n, p, mod = self.n, self.p, self.modulus
+        a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(self._e)]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if a[i][col] % p), None)
+            if piv is None:
+                raise DivisionByHigherValuation(
+                    "matrix is not invertible over Z_p (determinant non-unit)"
+                )
+            a[col], a[piv] = a[piv], a[col]
+            inv = pow(a[col][col], -1, mod)
+            a[col] = [x * inv % mod for x in a[col]]
+            for i, row in enumerate(a):
+                f = row[col]
+                if f and i != col:
+                    a[i] = [(x - f * y) % mod for x, y in zip(row, a[col])]
+        return PadicMatrix([row[n:] for row in a], p, self.prec)
 
     # -- comparisons and io ------------------------------------------------
 
@@ -320,91 +330,50 @@ class ResidueMatrix(PadicMatrix):
                 out.append((r, mult))
         return out
 
-    def eigenvector(self, r: int) -> list[int]:
-        """A nonzero v over F_p with A v = r v, by row reduction of A - r I.
-
-        v is 1 at the first free column of the reduced echelon form and 0
-        at the others; for a simple eigenvalue the kernel is a line, so
-        this fixes v.  Raises ValueError if r is not an eigenvalue.
-        """
-        p, n = self.p, self.n
-        shifted = self - r * PadicMatrix.identity(n, p, 1)
-        reduced, pivots = _gauss_jordan(shifted.rows(), p, p)
-        free = next((c for c in range(n) if c not in pivots), None)
-        if free is None:
-            raise ValueError(f"{r} is not an eigenvalue mod {p}")
-        v = [0] * n
-        v[free] = 1
-        for row, col in zip(reduced, pivots):
-            v[col] = -row[free] % p
-        return v
-
     def eigenvectors(self, roots) -> list[list[int]]:
-        """[eigenvector(r) for r in roots], from the Hessenberg form H = M^-1 A M.
+        """For each simple root r, the v over F_p with A v = r v whose last
+        nonzero entry is 1, from the Hessenberg form H = M^-1 A M.
 
-        Zeros on H's subdiagonal cut it into unreduced diagonal blocks,
-        where (H - rI) w = 0 fixes w up to one entry per block (see
-        _fill_block).  For r a root of exactly one block, w is that
-        block's kernel vector, zero below it, and each block above takes
-        the last entry that clears its first row: O(n^2) per root.  M w,
-        scaled to 1 at its last nonzero entry, is eigenvector(r), whose
-        free column is that entry.  A root of several blocks (a kernel of
-        dimension above 1) or of none goes to eigenvector.
+        H - rI is made upper triangular by eliminating each row against the
+        row above it only: H has one subdiagonal, so only row j + 1 can give
+        column j a pivot, and rows j and j + 1 swap when row j has none
+        there but row j + 1 does.  Inside an unreduced diagonal block of H
+        each column but the last takes its pivot from the block's nonzero
+        subdiagonal; the last has none exactly when r is a root of the
+        block's char poly.  A simple root is a root of one block alone, so
+        it leaves one column j without a pivot: w_j = 1, w is 0 after j and
+        back-substitution fills it above j.  The kernel is a line, so M w
+        scaled to 1 at its last nonzero entry is v.  O(n^2) per root.
+        Raises ValueError unless exactly one pivot is zero: r is not a
+        root, or a root of several blocks.
         """
         p, n = self.p, self.n
         h, m = self._hess
-        starts = [i for i in range(n) if i == 0 or not h[i][i - 1]]
-        blocks = list(zip(starts, starts[1:] + [n]))[::-1]  # bottom first
         out = []
         for r in roots:
-            # each block alone, last entry 1: its residual is the slope in t
-            slopes = {b: _fill_block(h, r, p, *b, [0] * n, 1) for b in blocks}
-            owners = [b for b in blocks if not slopes[b]]
-            if len(owners) != 1:
-                out.append(self.eigenvector(r))
-                continue
+            t = [list(row) for row in h]
+            for j in range(n):
+                t[j][j] = (t[j][j] - r) % p
+            for j in range(n - 1):
+                a, b = t[j][j], t[j + 1][j]
+                if b and not a:
+                    t[j], t[j + 1] = t[j + 1], t[j]
+                elif b:
+                    f = b * pow(a, -1, p)
+                    pairs = zip(t[j + 1][j:], t[j][j:])
+                    t[j + 1][j:] = [(x - f * y) % p for x, y in pairs]
+            free = [j for j in range(n) if not t[j][j]]
+            if len(free) != 1:
+                raise ValueError(f"{r} is not a simple eigenvalue mod {p}")
             w = [0] * n
-            _fill_block(h, r, p, *owners[0], w, 1)
-            for s, e in blocks:
-                if e <= owners[0][0]:
-                    r0 = _fill_block(h, r, p, s, e, w, 0)
-                    _fill_block(h, r, p, s, e, w, -r0 * pow(slopes[s, e], -1, p))
+            w[free[0]] = 1
+            for i in reversed(range(free[0])):
+                acc = sum(map(mul, t[i][i + 1 :], w[i + 1 :]))
+                w[i] = -acc * pow(t[i][i], -1, p) % p
             v = [sum(map(mul, row, w)) % p for row in m]
             inv = pow(next(x for x in reversed(v) if x), -1, p)
             out.append([x * inv % p for x in v])
         return out
-
-
-def _fill_block(h, r: int, p: int, s: int, e: int, w: list, t: int) -> int:
-    """Set w_{e-1} = t, then w_{e-2}, ..., w_s so that rows e-1, ..., s+1 of
-    (H - rI) w = 0 hold, for H unreduced on the block [s, e) and w already
-    set after it.  Returns row s of (H - rI) w mod p, affine in t."""
-    w[e - 1] = t % p
-    for i in range(e - 1, s, -1):
-        acc = sum(map(mul, h[i][i:], w[i:])) - r * w[i]
-        w[i - 1] = -acc * pow(h[i][i - 1], -1, p) % p
-    return (sum(map(mul, h[s][s:], w[s:])) - r * w[s]) % p
-
-
-def _gauss_jordan(rows, p: int, mod: int) -> tuple[list[list[int]], list[int]]:
-    """The reduced row echelon form of ``rows`` over Z/mod, mod a power of
-    p, with unit pivots, and the pivot column of each of its leading rows."""
-    a = [[x % mod for x in row] for row in rows]
-    pivots = []
-    for col in range(len(a[0])):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(a)) if a[i][col] % p), None)
-        if piv is None:
-            continue
-        a[k], a[piv] = a[piv], a[k]
-        inv = pow(a[k][col], -1, mod)
-        a[k] = [x * inv % mod for x in a[k]]
-        for i, row in enumerate(a):
-            f = row[col]
-            if f and i != k:
-                a[i] = [(x - f * y) % mod for x, y in zip(row, a[k])]
-        pivots.append(col)
-    return a, pivots
 
 
 def _hessenberg(rows, p: int):

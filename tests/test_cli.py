@@ -143,9 +143,13 @@ def test_stone_refusal(tmp_path, capsys):
 
 
 def test_additive(group_file, capsys):
-    code, out = _run(capsys, ["additive", group_file, "--z", "3"])
+    # z prints as the integer it parses to, as s does in group-eval
+    runs = [_run(capsys, ["additive", group_file, "--z", z]) for z in ("3", "+3", "03")]
+    code, out = runs[0]
     assert code == 0
-    assert json.loads(out)["matrix"]["n"] == 2
+    doc = json.loads(out)
+    assert doc["matrix"]["n"] == 2 and doc["z"] == "3"
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_converge_table(group_file, capsys):
@@ -331,6 +335,14 @@ MALFORMED = [
         lambda g: _bundle_with(
             g, lambda b: b["certificate"]["eigenvalues"][0].update(prec=2000000)
         ),
+    ),
+    # a sampled check of no samples, or an empty table, checks nothing
+    ("zero-samples", ["check-law", "--samples", "0"], _matrix_doc([[0, 1], [2, 1]])),
+    ("negative-samples", ["lipschitz", "--samples", "-3"], _matrix_doc([[0, 1], [2, 1]])),
+    (
+        "negative-max-n",
+        ["converge", "--s", "31", "--max-n", "-2"],
+        _matrix_doc([[0, 1], [2, 1]]),
     ),
     ("boolean-entry", ["certify"], _matrix_doc([[False, True], [2, True]])),
     ("boolean-prec", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=True)),

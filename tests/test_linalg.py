@@ -228,8 +228,9 @@ def test_matrix_congruence_precision_guard():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_residue_eigenvectors(p):
-    # the eigenvectors from the shared Hessenberg form equal the per-root
-    # row reduction, on sampled matrices and on the oracle char-poly ones
+    # for a simple root r, A v = r v mod p with v's last nonzero entry 1
+    # fixes v; a repeated root gives such a vector or ValueError, and a
+    # non-root ValueError; on sampled and oracle char-poly matrices
     rng = Random(2100 + p)
     grids = []
     for n in range(1, p + 3):
@@ -240,41 +241,44 @@ def test_residue_eigenvectors(p):
         grids.append(sample_certifiable_matrix(rng, p, 4, n).rows())
     for grid in grids:
         ahat = ResidueMatrix(grid, p)
-        roots = [r for r, _ in ahat.eigenvalues()]
-        vectors = ahat.eigenvectors(roots)
-        assert vectors == [ahat.eigenvector(r) for r in roots], grid
-        for r, v in zip(roots, vectors):
-            assert any(v)
+        for r, mult in ahat.eigenvalues():
+            try:
+                (v,) = ahat.eigenvectors([r])
+            except ValueError:
+                assert mult > 1, grid
+                continue
+            assert next(x for x in reversed(v) if x) == 1, grid
             av = [sum(x * y for x, y in zip(row, v)) % p for row in ahat.rows()]
-            assert av == [r * x % p for x in v]
+            assert av == [r * x % p for x in v], grid
     with pytest.raises(ValueError):
-        ResidueMatrix([[1, 0], [0, 2]], 5).eigenvector(3)
+        ResidueMatrix([[1, 0], [0, 2]], 5).eigenvectors([3])
     with pytest.raises(ValueError):
         ResidueMatrix([[0, 1], [2, 1]], 7).eigenvectors([3])
 
 
-def test_residue_eigenvectors_reduced_hessenberg(monkeypatch):
-    # a zero on the Hessenberg subdiagonal cuts H into blocks: diag(1, 2, 3)
-    # and a block diagonal matrix are solved block by block, a root of
-    # two blocks (a two-dimensional kernel) falls back to eigenvector
-    fallbacks = []
-    per_root = ResidueMatrix.eigenvector
-    monkeypatch.setattr(
-        ResidueMatrix, "eigenvector", lambda m, r: fallbacks.append(r) or per_root(m, r)
-    )
+def test_residue_eigenvectors_reduced_hessenberg():
+    # a zero on the Hessenberg subdiagonal cuts H into blocks: diag(1, 2, 3),
+    # a block diagonal matrix and coupled blocks keep the vectors of the
+    # per-root row reduction this solver replaced; a root of two blocks
+    # (a two-dimensional kernel) is not simple and raises
     diag = ResidueMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5)
     assert diag.eigenvectors([1, 2, 3]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     block = ResidueMatrix([[0, 1, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 5]], 7)
     roots = [r for r, _ in block.eigenvalues()]
     assert roots == [2, 3, 5, 6]
-    assert block.eigenvectors(roots) == [per_root(block, r) for r in roots]
+    assert block.eigenvectors(roots) == [
+        [4, 1, 0, 0],
+        [0, 0, 1, 0],
+        [0, 0, 4, 1],
+        [6, 1, 0, 0],
+    ]
     # coupled blocks: the root 4 of the lower block needs the upper one too
     coupled = ResidueMatrix([[1, 2, 3], [0, 2, 1], [0, 0, 4]], 5)
-    assert coupled.eigenvectors([1, 2, 4]) == [per_root(coupled, r) for r in (1, 2, 4)]
-    assert fallbacks == []
+    assert coupled.eigenvectors([1, 2, 4]) == [[1, 0, 0], [2, 1, 0], [3, 3, 1]]
     repeated = ResidueMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 5)
-    assert repeated.eigenvectors([1, 2]) == [[1, 0, 0], [0, 0, 1]]
-    assert fallbacks == [1]
+    assert repeated.eigenvectors([2]) == [[0, 0, 1]]
+    with pytest.raises(ValueError):
+        repeated.eigenvectors([1])
     with pytest.raises(ValueError):
         repeated.eigenvectors([3])
 
@@ -296,11 +300,25 @@ def test_correctness_guards_raise():
     # correctness checks are exceptions, not asserts, so they survive python -O;
     # no module reaches into another's private names, so each rule
     # (a truncation length, a working precision) has one owning module;
-    # and the precision rules of scalars and matrices live in core alone
+    # the precision rules of scalars and matrices live in core alone; and
+    # every private function, method or module constant is used somewhere
     root = Path(padicspectral.__file__).resolve().parent
     precision_rules = {"truncate_to", "lift_to", "modulus"}
+    helpers, used = {}, set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+                helpers[node.name] = path.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and _is_private(target.id):
+                    helpers[target.id] = path.name
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} uses assert at lines {asserts}"
         private = [
@@ -318,6 +336,8 @@ def test_correctness_guards_raise():
                 if isinstance(node, ast.FunctionDef) and node.name in precision_rules
             }
             assert not defined, f"{path.name} defines {sorted(defined)}, owned by core"
+    orphans = sorted((f, n) for n, f in helpers.items() if n not in used)
+    assert not orphans, f"private names defined and never used: {orphans}"
 
 
 def _moved(x, t):
