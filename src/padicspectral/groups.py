@@ -99,7 +99,9 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         )
     w = v.op_norm().value
     if w < 1:
-        raise err(f"|V| = 1: entry {_first_unit_entry(v)} is a unit")
+        rows = enumerate(v.rows())
+        unit = next((i, j) for i, r in rows for j, x in enumerate(r) if x % v.p)
+        raise err(f"|V| = 1: entry {unit} is a unit")
     if v.prec - w < 1:
         raise InsufficientPrecision(
             f"scaling out p^{w} leaves no digits at precision {v.prec}"
@@ -114,14 +116,6 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
     # V = p^w V' holds exactly at prec V - w, so V S = p^w S D' = S D there
     scale = PadicInt(v.p**w, v.p, v1.prec)
     return cert1.reuse_basis(v, [scale * lam for lam in cert1.eigenvalues])
-
-
-def _first_unit_entry(v: PadicMatrix):
-    for i in range(v.n):
-        for j in range(v.n):
-            if v.entry(i, j).is_unit():
-                return (i, j)
-    return None
 
 
 def make_unitary(v: PadicMatrix) -> UnitaryOperator:
@@ -267,10 +261,14 @@ class OneParamGroup:
         s = self._coerce_unit(s)
         digits = zeta_of(s, self.budget).digits()
         base = self.evaluate(1 + self.p).matrix
-        return [
-            base ** sum(d * self.p**j for j, d in enumerate(digits[: n + 1]))
-            for n in ns
-        ]
+        # a running product of the powers B_j = U(1+p)^(p^j), B_(j+1) = B_j^p
+        one, acc, prefixes = base**0, None, []
+        for j, d in enumerate(digits[: max(ns) + 1]):
+            base = base**self.p if j else base
+            if d:
+                acc = base**d if acc is None else acc @ base**d
+            prefixes.append(one if acc is None else acc)
+        return [prefixes[min(n, len(prefixes) - 1)] for n in ns]
 
     def additive_evaluate(self, z) -> UnitaryOperator:
         """W(z) = e^(pzA) via the reparametrization s = e^(pz), z in Z_p.

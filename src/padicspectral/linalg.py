@@ -128,14 +128,7 @@ class PadicMatrix(PadicValue):
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         prec = self._check(other)
-        mod = self.p**prec
-        n = self.n
-        cols = list(zip(*other._e))
-        grid = [
-            [sum(a * b for a, b in zip(row, col)) % mod for col in cols]
-            for row in self._e
-        ]
-        return PadicMatrix(grid, self.p, prec)
+        return PadicMatrix(grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
 
     def __mul__(self, scalar) -> "PadicMatrix":
         if isinstance(scalar, PadicInt):
@@ -157,13 +150,11 @@ class PadicMatrix(PadicValue):
     def __pow__(self, k: int) -> "PadicMatrix":
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer exponents")
-        acc = PadicMatrix.identity(self.n, self.p, self.prec)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc @ base
-            base = base @ base
-            k >>= 1
+        acc = self if k else PadicMatrix.identity(self.n, self.p, self.prec)
+        for bit in bin(k)[3:]:  # the bits after the top one, high to low
+            acc = acc @ acc
+            if bit == "1":
+                acc = acc @ self
         return acc
 
     def _vector(self, vec) -> tuple[list[int], int]:
@@ -374,6 +365,13 @@ class ResidueMatrix(PadicMatrix):
             inv = pow(next(x for x in reversed(v) if x), -1, p)
             out.append([x * inv % p for x in v])
         return out
+
+
+def grid_matmul(a, b, mod: int) -> list[list[int]]:
+    """The product of two n x n grids of integers, reduced mod ``mod``: the
+    one matrix-product kernel, behind ``@`` and the eigenbasis lift."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
 def _hessenberg(rows, p: int):

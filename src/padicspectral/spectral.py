@@ -6,6 +6,8 @@ invertible.  The certificate stores S, S^-1 and the eigenvalues.  They
 are found by taking eigenvectors of the reduction over F_p and lifting
 them by Newton's method, which doubles the number of correct digits per
 step (X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794).
+A step from h to 2h digits divides the residuals A S - S D and I - S T,
+which vanish mod p^h, by p^h, so it needs S and T only mod p^h there.
 Every divisor in the lift is a difference of two distinct residue
 eigenvalues, hence a unit, so the construction costs no precision; each
 is inverted once mod p and lifted alongside the basis.
@@ -32,7 +34,7 @@ from .errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from .linalg import PadicMatrix, ResidueMatrix, vector_norm
+from .linalg import PadicMatrix, ResidueMatrix, grid_matmul, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 
@@ -269,40 +271,61 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
 
     Start from S whose columns are eigenvectors of the reduction, with
     T = S^-1 mod p and d the residue eigenvalues, so A S = S D mod p^h
-    for h = 1.  A step works mod p^e, e = min(2h, N).  With R = A S - S D,
-    which vanishes mod p^h, and C = T R: set d_i += C_ii, X_ij = C_ij G_ij
-    with G_ij = 1 / (d_j - d_i) (a unit, as the residues are distinct),
-    X_ii = 0, and S <- S (I + X).  The first-order terms of A S - S D
-    cancel and the rest is a product of two matrices divisible by p^h.
-    C needs T only mod p^h because R = 0 mod p^h; the Newton step
-    T <- T (2I - S T) makes T the inverse of the new S mod p^e.  G is
-    inverted once mod p.  It inverts the new differences mod p^h too, as
-    d moved by C_ii = 0 mod p^h, and G <- G (2 - (d_j - d_i) G) mod p^e
-    makes it exact mod p^e.  X needs G only mod p^(e - h), as
-    C = 0 mod p^h, and e - h <= h; so X, and with it S, S^-1 and d, are
-    those of exact division.  Returns (S, S^-1, eigenvalues) at A's
-    precision.
+    for h = 1.  A step works mod p^e, e = min(2h, N), k = e - h <= h.
+    R = A S - S D vanishes mod p^h, so R' = R / p^h and C' = T R' need T
+    only mod p^k.  With G_ij = 1 / (d_j - d_i), a unit as the residues are
+    distinct: d_i += p^h C'_ii, X'_ij = C'_ij G_ij, X'_ii = 0 and
+    S += p^h S X' cancel the first-order terms of A S - S D.  The new S
+    is the old one mod p^h, so Y' = (I - S T) / p^h is exact and
+    T += p^h T Y' inverts S mod p^e.  Only A S and S T multiply e-digit
+    entries.  G is inverted once mod p; G <- G (2 - (d_j - d_i) G) mod p^e
+    keeps it exact, as d moves by multiples of p^h.  A division with a
+    remainder raises CertificationFailed.  Works on grids of residues;
+    returns (S, S^-1, eigenvalues) at A's precision.
     """
-    p, n, target = a.p, a.n, a.prec
-    s = PadicMatrix(list(zip(*ahat.eigenvectors(residues))), p, 1)
-    t = s.inverse()
+    p, target = a.p, a.prec
+    s = list(zip(*ahat.eigenvectors(residues)))
+    t = PadicMatrix(s, p, 1).inverse().rows()
     d = list(residues)
     g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
-    e = 1
-    while e < target:
-        e = min(2 * e, target)
-        mod = p**e
-        s, t = s.lift_to(e), t.lift_to(e)
-        c = (t @ (a.truncate_to(e) @ s - s.scale_columns(d))).rows()
-        x = [[cij * gij for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
-        d = [(di + c[i][i]) % mod for i, di in enumerate(d)]
+    h = 1
+    while h < target:
+        e = min(2 * h, target)
+        ph, mod, modk = p**h, p**e, p ** (e - h)
+        tk = _cut(t, modk)
+        a_s = grid_matmul(_cut(a.rows(), mod), s, mod)
+        r = [[x - y * dj for x, y, dj in zip(u, v, d)] for u, v in zip(a_s, s)]
+        c = grid_matmul(tk, _divide_residual(r, ph, mod), modk)
+        x = [[cij * gij % modk for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
+        d = [(di + ph * c[i][i]) % mod for i, di in enumerate(d)]
         g = [
             [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
             for di, gi in zip(d, g)
         ]
-        s = s + s @ PadicMatrix(x, p, e)
-        t = t + t @ (PadicMatrix.identity(n, p, e) - s @ t)
-    return s, t, [PadicInt(di, p, target) for di in d]
+        s = _add_shifted(s, grid_matmul(_cut(s, modk), x, modk), ph)
+        st = grid_matmul(s, t, mod)
+        y = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(st)]
+        t = _add_shifted(t, grid_matmul(tk, _divide_residual(y, ph, mod), modk), ph)
+        h = e
+    eigenvalues = [PadicInt(di, p, target) for di in d]
+    return PadicMatrix(s, p, target), PadicMatrix(t, p, target), eigenvalues
+
+
+def _divide_residual(grid, ph: int, mod: int) -> list[list[int]]:
+    """A grid that vanishes mod ph = p^h, taken mod p^e and divided by ph."""
+    qr = [[divmod(x % mod, ph) for x in row] for row in grid]
+    if any(rem for row in qr for _, rem in row):
+        raise CertificationFailed("a Newton residual is not divisible by p^h")
+    return [[q for q, _ in row] for row in qr]
+
+
+def _cut(grid, mod: int) -> list[list[int]]:
+    return [[x % mod for x in row] for row in grid]
+
+
+def _add_shifted(a, b, ph: int) -> list[list[int]]:
+    """a + ph b entrywise: the correction b, found mod p^k, moved up h digits."""
+    return [[u + ph * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:

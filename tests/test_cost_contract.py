@@ -1,12 +1,19 @@
-"""Cost contract: full-size matrix products per public operation.
+"""Cost contract: matrix products per public operation, and their digits.
 
-Counts of PadicMatrix.__matmul__ calls are exact on any host, so they
-can gate where timings cannot.  Lifting an eigenbasis to N digits takes
-e(N) = ceil(log2 N) Newton steps of 5 products each, and verifying a
-certificate takes 2 more.  Certificates derived from a verified one
-(evaluate, make_unitary, stone) are not verified again.  The lift
-inverts each difference of residue eigenvalues once, mod p, and no
-divisor after that.
+Every matrix product, whether through PadicMatrix.__matmul__ or in the
+eigenbasis lift, runs one kernel, linalg.grid_matmul, and counts of its
+calls are exact on any host, so they can gate where timings cannot.
+Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
+of 5 products each, and verifying a certificate takes 2 more.
+Certificates derived from a verified one (evaluate, make_unitary, stone)
+are not verified again.  The lift inverts each difference of residue
+eigenvalues once, mod p, and no divisor after that.
+
+A product's digit weight is n^3 digits(a) digits(b), with digits the
+base-p length of the largest entry.  A lift step from h to 2h digits
+weighs 7 h^2 n^3: A S and S T multiply 2h by h digits, and the
+corrections T R', S X' and T Y' only h by h, where a full-precision
+step would weigh 10 h^2 n^3.
 """
 
 from random import Random
@@ -20,33 +27,55 @@ from padicspectral import (
     certify_strongly_normal,
     make_unitary,
     stone_recover,
+    zeta_of,
 )
-from padicspectral import spectral
-from padicspectral.sampling import sample_certifiable_matrix, sample_principal_unit
+from padicspectral import linalg, spectral
+from padicspectral.sampling import (
+    sample_certifiable_matrix,
+    sample_group,
+    sample_principal_unit,
+)
 
 
 def _steps(digits):
     return (digits - 1).bit_length()
 
 
+def _length(x, p):
+    """The number of base-p digits of x >= 0."""
+    k = 0
+    while x:
+        x //= p
+        k += 1
+    return k
+
+
 @pytest.fixture
-def matmuls(monkeypatch):
-    """cost(f) runs f and returns its matmul count; the method is restored after."""
-    calls = [0]
-    inner = PadicMatrix.__matmul__
+def products(monkeypatch):
+    """products(f) runs f and lists (n, largest entry of a, largest of b)
+    for each call of the product kernel; the kernel is restored after."""
+    log = []
+    kernel = linalg.grid_matmul
 
-    def counted(self, other):
-        calls[0] += 1
-        return inner(self, other)
+    def counted(a, b, mod):
+        log.append((len(a), max(map(max, a)), max(map(max, b))))
+        return kernel(a, b, mod)
 
-    monkeypatch.setattr(PadicMatrix, "__matmul__", counted)
+    for module in (linalg, spectral):
+        monkeypatch.setattr(module, "grid_matmul", counted)
 
-    def cost(f):
-        before = calls[0]
+    def run(f):
+        start = len(log)
         f()
-        return calls[0] - before
+        return log[start:]
 
-    return cost
+    return run
+
+
+@pytest.fixture
+def matmuls(products):
+    """matmuls(f) runs f and returns its number of matrix products."""
+    return lambda f: len(products(f))
 
 
 @pytest.mark.parametrize(
@@ -102,3 +131,33 @@ def test_lift_inverts_residue_differences_once(monkeypatch):
     certify_strongly_normal(a)
     assert 0 < len(moduli) <= n * (n - 1)
     assert set(moduli) == {p}
+
+
+def test_certify_digit_weight(products):
+    p, prec, n = 31, 128, 16
+    a = sample_certifiable_matrix(Random(7000 + p), p, prec, n)
+    weight = sum(
+        m**3 * _length(x, p) * _length(y, p)
+        for m, x, y in products(lambda: certify_strongly_normal(a))
+    )
+    # the lift's steps h = 1, 2, ..., 64 at 7 h^2 each, and verify's two
+    # products of 128-digit entries
+    assert weight == n**3 * (7 * sum(4**i for i in range(7)) + 2 * prec**2)
+    assert weight == 290_795_520
+
+
+def test_converge_products_grow_linearly(matmuls):
+    p, prec, n = 13, 64, 6
+    rng = Random(7100)
+    g = sample_group(rng, p, prec, n, SeriesBudget.auto(prec, p))
+    s = sample_principal_unit(rng, p, prec)
+    # U(1+p) once, then per digit j: B_j^p and B_j^(d_j), each at most
+    # 2 (bits(p) - 1) products, and one step of the running product
+    per_digit = 4 * (p.bit_length() - 1) + 1
+    for max_n in (5, 10, 20, 40):
+        cost = matmuls(lambda: g.digit_limit_approxes(s, range(max_n + 1)))
+        assert cost <= 1 + (max_n + 1) * per_digit
+    base = g.evaluate(1 + p).matrix
+    digits = zeta_of(s, g.budget).digits()
+    for k, approx in enumerate(g.digit_limit_approxes(s, range(4))):
+        assert approx == base ** sum(d * p**j for j, d in enumerate(digits[: k + 1]))

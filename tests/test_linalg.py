@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import padicspectral
 from padicspectral import PadicInt, PadicMatrix, ResidueMatrix, Valuation, vector_norm
+from padicspectral import linalg
 from padicspectral.errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
@@ -185,6 +186,26 @@ def test_matrix_power():
     assert a**0 == PadicMatrix.identity(2, 5, 8)
     assert a**1 == a
     assert a**5 == a @ a @ a @ a @ a
+
+
+def test_matrix_power_costs_no_spare_product(monkeypatch):
+    # a**1 costs no product and a**2 one: k costs a square per bit below its
+    # top bit and a product per set bit after the first
+    calls = [0]
+    kernel = linalg.grid_matmul
+
+    def counted(a, b, mod):
+        calls[0] += 1
+        return kernel(a, b, mod)
+
+    monkeypatch.setattr(linalg, "grid_matmul", counted)
+    a = sample_certifiable_matrix(Random(4100), 7, 12, 3)
+    repeated = PadicMatrix.identity(3, 7, 12)
+    for k in range(40):
+        calls[0] = 0
+        assert a**k == repeated
+        assert calls[0] == max(0, k.bit_length() - 1) + max(0, k.bit_count() - 1)
+        repeated = repeated @ a
 
 
 def test_scalar_division():

@@ -15,6 +15,7 @@ from padicspectral import (
     certify_strongly_normal,
     make_unitary,
 )
+from padicspectral import linalg, spectral
 from padicspectral.errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -389,3 +390,80 @@ def test_certificate_shape_checks():
         StrongNormalCertificate(a, cert.eigenvalues[:1] * 2, s, t, [2, 0])
     with pytest.raises(ValueError):
         StrongNormalCertificate.from_dict({"matrix": a.to_dict()})
+
+
+def _reference_lift(a, ahat, residues):
+    """The eigenbasis lift on PadicMatrix objects at full precision: each
+    step multiplies e-digit matrices, as before the half-precision
+    corrections, so it shares no grid arithmetic with the code under test."""
+    p, n, target = a.p, a.n, a.prec
+    s = PadicMatrix(list(zip(*ahat.eigenvectors(residues))), p, 1)
+    t = s.inverse()
+    d = list(residues)
+    g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
+    e = 1
+    while e < target:
+        e = min(2 * e, target)
+        mod = p**e
+        s, t = s.lift_to(e), t.lift_to(e)
+        c = (t @ (a.truncate_to(e) @ s - s.scale_columns(d))).rows()
+        x = [[cij * gij for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
+        d = [(di + c[i][i]) % mod for i, di in enumerate(d)]
+        g = [
+            [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
+            for di, gi in zip(d, g)
+        ]
+        s = s + s @ PadicMatrix(x, p, e)
+        t = t + t @ (PadicMatrix.identity(n, p, e) - s @ t)
+    return s, t, [PadicInt(di, p, target) for di in d]
+
+
+def _lifted(a):
+    ahat = a.reduction()
+    residues = sorted(r for r, _ in ahat.eigenvalues())
+    return spectral._lift_eigenbasis(a, ahat, residues), _reference_lift(a, ahat, residues)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 31]),
+    prec=st.sampled_from([1, 2, 3, 7, 33, 63, 127, 128]),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_lift_matches_full_precision_reference(p, prec, n, seed):
+    rng = Random(seed)
+    n = min(n, p)
+    if n == 1:
+        a = PadicMatrix([[rng.randrange(p**prec)]], p, prec)
+    else:
+        a = sample_certifiable_matrix(rng, p, prec, n)
+    got, want = _lifted(a)
+    assert got == want
+
+
+def test_lift_matches_full_precision_reference_p31_n16():
+    a = sample_certifiable_matrix(Random(2100), 31, 128, 16)
+    got, want = _lifted(a)
+    assert got == want
+
+
+def test_lift_refuses_a_residual_it_cannot_divide(monkeypatch):
+    # the 6th product is A S in the step from h = 2 to 4 digits: one entry
+    # moved by p^(h-1) leaves R = A S - S D nonzero mod p^h
+    p = 7
+    a = sample_certifiable_matrix(Random(2200), p, 16, 3)
+    calls = [0]
+    kernel = linalg.grid_matmul
+
+    def corrupted(x, y, mod):
+        out = kernel(x, y, mod)
+        calls[0] += 1
+        if calls[0] == 6:
+            out[0][0] += p
+        return out
+
+    monkeypatch.setattr(spectral, "grid_matmul", corrupted)
+    with pytest.raises(CertificationFailed, match="not divisible by p\\^h"):
+        certify_strongly_normal(a)
+    assert calls[0] == 6
