@@ -24,8 +24,8 @@ from padicspectral import (
 )
 
 p = 5
-budget = SeriesBudget.auto(32, p)
-print(f"budget: {budget.target} target digits + {budget.guard} guard digits")
+budget = SeriesBudget(32)
+print(f"budget: {budget.target} target digits")
 print(f"series with a valuation-1 argument are cut after "
       f"{truncation_length(1, budget)} terms")
 

@@ -26,7 +26,7 @@ from padicspectral import (
 from padicspectral.sampling import sample_principal_unit
 
 p, N = 5, 32
-budget = SeriesBudget.auto(N, p)
+budget = SeriesBudget(N)
 rng = Random(77)
 
 A = PadicMatrix([[0, 1], [2, 1]], p, N)
@@ -38,9 +38,9 @@ print("known only to the recoverer: U(6) =",
 print()
 print("=== recovery through the spectrum of V = U(1+p) - I ===")
 recovered = stone_recover(u1p, budget)
-tol = budget.target - budget.guard - 1
+tol = budget.target - 1
 print(f"recovered generator == A mod p^{tol}:",
-      recovered.generator.congruent(A, min(tol, recovered.generator.prec)))
+      recovered.generator.congruent(A, tol))
 print(f"(carries {recovered.generator.prec} digits: one paid to the "
       "division by log(1+p))")
 
@@ -76,7 +76,7 @@ z1 = PadicInt(3, p, N)
 z2 = PadicInt(11, p, N)
 w1, w2 = group.additive_evaluate(z1), group.additive_evaluate(z2)
 w12 = group.additive_evaluate(z1 + z2)
-tol2 = budget.target - budget.guard
+tol2 = budget.target
 print("W(3+11) == W(3) W(11) mod p^{}: {}".format(
     tol2, w12.matrix.congruent(w1.matrix @ w2.matrix, tol2)))
 print("W(0) = I exactly:",

@@ -23,7 +23,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .core import MAX_PRIME, MAX_WORKING_PREC, validate_prec, validate_prime
+from .core import MAX_PREC, MAX_PRIME, validate_prec, validate_prime
 from .errors import PadicError, PrecisionFailure, Refusal
 from .functions import SeriesBudget, digit_truncation_error
 from .groups import OneParamGroup, stone_recover
@@ -50,12 +50,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--p", type=int, default=d(None), help="the input's prime")
     parser.add_argument(
         "--prec", type=int, default=d(32), help="target digits (default 32)"
-    )
-    parser.add_argument(
-        "--guard",
-        type=int,
-        default=d(None),
-        help="guard digits (default: sized automatically from p and prec)",
     )
     parser.add_argument("--seed", type=int, default=d(42), help="sampling seed")
 
@@ -126,13 +120,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _budget(args, p: int) -> SeriesBudget:
-    target = validate_prec(args.prec)
-    if args.guard is None:
-        return SeriesBudget.auto(target, p)
-    return SeriesBudget(target, validate_prec(args.guard))
-
-
 def _record_input(args, inputs: dict, p: int, budget: SeriesBudget) -> None:
     """Record the input's prime and budget; an explicit --p must agree."""
     inputs["p"], inputs["budget"] = p, budget
@@ -143,7 +130,7 @@ def _record_input(args, inputs: dict, p: int, budget: SeriesBudget) -> None:
 def _read_matrix(data: dict, args, inputs: dict) -> PadicMatrix:
     """Parse a matrix and record its prime and budget in ``inputs``."""
     matrix = PadicMatrix.from_dict(data)
-    _record_input(args, inputs, matrix.p, _budget(args, matrix.p))
+    _record_input(args, inputs, matrix.p, SeriesBudget(validate_prec(args.prec)))
     return matrix
 
 
@@ -161,7 +148,6 @@ def _config(args, p: int, budget: SeriesBudget) -> dict:
     return {
         "p": p,
         "precision": budget.target,
-        "guard": budget.guard,
         "seed": args.seed,
         "version": __version__,
     }
@@ -271,7 +257,7 @@ def _cmd_converge(args, inputs: dict) -> int:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # entries below p^prec within the input bounds must print and parse
-        sys.set_int_max_str_digits(len(str(MAX_PRIME)) * MAX_WORKING_PREC)
+        sys.set_int_max_str_digits(len(str(MAX_PRIME)) * MAX_PREC)
     args = _build_parser().parse_args(argv)
     handlers = {
         "certify": _cmd_certify,

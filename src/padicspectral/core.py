@@ -25,10 +25,14 @@ from .errors import (
 
 __all__ = ["Prime", "Valuation", "PadicInt", "validate_prime", "validate_prec"]
 
-# Desk-scale bounds; the residue eigenvalue scan walks all of F_p.
+# Desk-scale bounds on input; the residue eigenvalue scan walks all of F_p.
 MAX_PRIME = 2**16
 MAX_DIM = 64
-MAX_WORKING_PREC = 4096
+MAX_PREC = 4096
+# The series' cap on working digits, above MAX_PREC by what a series run
+# at MAX_PREC adds: v_p(M!) < M/2 for M <= MAX_PREC binomial terms, and
+# isqrt(W) plus a few for the log's argument reduction.
+MAX_WORKING_PREC = 2 * MAX_PREC
 
 
 @lru_cache(maxsize=None)
@@ -63,9 +67,9 @@ def validate_prime(p: int) -> int:
 
 
 def validate_prec(prec: int) -> int:
-    """Check that a precision read from input is at most MAX_WORKING_PREC."""
-    if int(prec) > MAX_WORKING_PREC:
-        raise ValueError(f"precision {prec} is beyond the bound {MAX_WORKING_PREC}")
+    """Check that a precision read from input is at most MAX_PREC."""
+    if int(prec) > MAX_PREC:
+        raise ValueError(f"precision {prec} is beyond the bound {MAX_PREC}")
     return int(prec)
 
 

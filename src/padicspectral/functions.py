@@ -1,12 +1,13 @@
 """Special functions on Z_p and the series engine, with tracked precision.
 
-Everything here is driven by a :class:`SeriesBudget`: ``target`` digits
-must come out right, ``guard`` extra digits absorb the valuation lost to
-divisions.  The package's two truncated series, log_series and
-binomials, live here and run unchanged on a PadicInt (ring product
-operator.mul) or a PadicMatrix (operator.matmul).  Each extends its
-working precision by a bound on the division loss it is about to incur,
-so the budgeted digits are a guarantee, not a hope.
+Everything here is driven by a :class:`SeriesBudget`, whose ``target``
+digits must come out right.  The package's two truncated series,
+log_series and binomials, live here and run unchanged on a PadicInt
+(ring product operator.mul) or a PadicMatrix (operator.matmul).  Each
+extends its working precision by a bound on the division loss it is
+about to incur, so the target digits are a guarantee, not a hope, and
+no caller adds digits of its own except for the one that the division
+by log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by modular pow or, for many exponents, one shared power
@@ -115,49 +116,31 @@ def binomials(x, digits: int, terms: int, product):
 
 @dataclass(frozen=True)
 class SeriesBudget:
-    """Precision contract for all truncated series.
-
-    target: digits of guaranteed correctness in results.
-    guard:  extra working digits; must dominate the division losses of
-            the longest series run under this budget.
-    """
+    """Precision contract for all truncated series: ``target`` digits of
+    guaranteed correctness in results."""
 
     target: int
-    guard: int
+
+    # read only by bench/workloads.py, whose tolerances subtract it
+    guard = 0
 
     def __post_init__(self):
         if self.target < 1:
             raise ValueError("target precision must be >= 1")
-        if self.guard < 0:
-            raise ValueError("guard must be >= 0")
 
-    @property
-    def working(self) -> int:
-        return self.target + self.guard
-
+    # called only by bench/workloads.py; the budget does not depend on p
     @classmethod
     def auto(cls, target: int, p: int) -> "SeriesBudget":
-        """Guard sized from the worst-case truncation length.
-
-        The longest series under this budget has K_max = target + guard
-        terms (argument valuation 1), so guard = ceil(log_p K_max) + 2
-        closes over itself; the fixpoint is reached in a couple of steps.
-        """
-        p = validate_prime(p)
-        guard = 2
-        while True:
-            k_max = target + guard
-            nxt = _ceil_log(p, k_max) + 2
-            if nxt == guard:
-                return cls(target, guard)
-            guard = nxt
+        validate_prime(p)
+        return cls(target)
 
     def to_dict(self) -> dict:
-        return {"target": self.target, "guard": self.guard}
+        return {"target": self.target}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeriesBudget":
-        return cls(validate_prec(d["target"]), validate_prec(d["guard"]))
+        # a "guard" key, written by older versions, is ignored
+        return cls(validate_prec(d["target"]))
 
 
 def is_principal_unit(x: PadicInt) -> bool:
@@ -171,14 +154,14 @@ def _require_principal(x: PadicInt, what: str) -> None:
 
 
 def truncation_length(v_z: int, budget: SeriesBudget) -> int:
-    """Smallest M with M * v_z >= target + guard.
+    """Smallest M with M * v_z >= target.
 
     Dropped Mahler terms z^n P_n(lam) for n > M then all have valuation
-    at least target + guard, since |P_n(lam)| <= 1 on Z_p.
+    above target, since |P_n(lam)| <= 1 on Z_p.
     """
     if v_z < 1:
         raise ValueError("truncation_length needs argument valuation >= 1")
-    return -(-budget.working // v_z)
+    return -(-budget.target // v_z)
 
 
 def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
@@ -287,7 +270,7 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     """
     _require_principal(u, "plog argument")
     out_prec = min(budget.target, u.prec)
-    return _plog_terms(u - 1, budget.working).truncate_to(out_prec)
+    return _plog_terms(u - 1, budget.target).truncate_to(out_prec)
 
 
 def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -295,10 +278,10 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
 
     Inverse isometry of plog; the result is a principal unit good to
     min(target, prec(x)) digits.  Computed as (1+p)^(x / log(1+p)) with
-    log(1+p) at W = budget.working digits.  The division by log(1+p), of
+    log(1+p) at W = target + 1 digits.  The division by log(1+p), of
     valuation exactly 1, leaves the exponent good to m - 1 digits with
     m = min(prec x, W), and an exponent error of p^(m-1) moves the power
-    by p^m at most.
+    by p^m at most.  The extra digit keeps log(1+p) nonzero at target 1.
     """
     p = x.p
     out_prec = min(budget.target, x.prec)
@@ -306,7 +289,7 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
         return PadicInt.one(p, out_prec)
     if x.valuation().value < 1:
         raise OutOfConvergenceDomain("pexp needs valuation >= 1")
-    exponent = x.divide_exact(_log_one_plus_p(p, budget.working))
+    exponent = x.divide_exact(_log_one_plus_p(p, budget.target + 1))
     return PadicInt(pow(1 + p, exponent.residue, p**out_prec), p, out_prec)
 
 
@@ -321,10 +304,9 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     _require_principal(s, "zeta_of argument")
     if s.prec < 2:
         raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")
-    num = _plog_terms(s - 1, budget.working + 2)
-    den = _log_one_plus_p(s.p, budget.working + 2)
-    zeta = num.divide_exact(den)
-    return zeta.truncate_to(min(budget.target, s.prec - 1, zeta.prec))
+    num = _plog_terms(s - 1, budget.target + 1)
+    zeta = num.divide_exact(_log_one_plus_p(s.p, budget.target + 1))
+    return zeta.truncate_to(min(budget.target, s.prec - 1))
 
 
 def digit_truncation_error(n: int, p: int) -> int:

@@ -17,7 +17,8 @@ zeta(s) = log s / log(1+p), which provably loses exactly one digit to
 the final division, and with the operator log series kept as an
 independent cross-check path.  The two operator series, Mahler and log,
 are the engine functions of the functions module run with matmul; this
-module sums them but fixes no truncation or working precision itself.
+module sums them but fixes no truncation itself, and adds to the target
+only the one digit that the division by log(1+p) costs.
 
 Certification of V with |V| < 1: V's reduction is the zero matrix, so
 the distinct-residue criterion cannot apply directly.  V is factored as
@@ -106,16 +107,19 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         raise InsufficientPrecision(
             f"scaling out p^{w} leaves no digits at precision {v.prec}"
         )
-    v1 = v.divide_exact(PadicInt(v.p**w, v.p, v.prec))
+    pw = v.p**w
+    v1 = v.divide_exact(pw)
     try:
         cert1 = certify_strongly_normal(v1)
     except Refusal as e:
         raise CertificationFailed(
             f"scaled part V/p^{w} is not certifiable: {e}"
         ) from e
-    # V = p^w V' holds exactly at prec V - w, so V S = p^w S D' = S D there
-    scale = PadicInt(v.p**w, v.p, v1.prec)
-    return cert1.reuse_basis(v, [scale * lam for lam in cert1.eigenvalues])
+    # V = p^w V' holds exactly at prec V - w, so V S = p^w S D' = S D there;
+    # an eigenvalue lam' of V' known to m digits fixes p^w lam' to m + w
+    return cert1.reuse_basis(
+        v, [PadicInt(pw * lam.residue, v.p, lam.prec + w) for lam in cert1.eigenvalues]
+    )
 
 
 def make_unitary(v: PadicMatrix) -> UnitaryOperator:
@@ -219,20 +223,19 @@ class OneParamGroup:
         if z.is_zero():
             return PadicMatrix.identity(a.n, self.p, out_prec)
         m = truncation_length(z.valuation().value, self.budget)
-        coeffs = binomials(a, self.budget.working, m, matmul)
+        coeffs = binomials(a, self.budget.target, m, matmul)
         acc = next(coeffs)
         for n, coeff in enumerate(coeffs, 1):
             acc = acc + z**n * coeff
         return acc.truncate_to(min(out_prec, acc.prec))
 
     def verify_group_law(self, s1, s2) -> GroupCheck:
-        """Check U(s1 s2) = U(s1) U(s2) at target-minus-guard digits."""
+        """Check U(s1 s2) = U(s1) U(s2) at every digit both sides claim,
+        up to the target: min(target, prec lhs, prec rhs)."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
         lhs = self.evaluate(s1 * s2).matrix
         rhs = self.evaluate(s1).matrix @ self.evaluate(s2).matrix
-        required = max(
-            1, min(self.budget.target - self.budget.guard, lhs.prec, rhs.prec)
-        )
+        required = min(self.budget.target, lhs.prec, rhs.prec)
         return GroupCheck("group-law", (lhs - rhs).op_norm(), required)
 
     def lipschitz_check(self, s1, s2) -> GroupCheck:
@@ -315,10 +318,11 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
 
         A = log(I + V) / log(1+p) = S diag(log(1+lambda_i)/log(1+p)) S^-1,
 
-    computed on V's certificate; the division by log(1+p), a valuation-1
-    scalar, costs exactly one digit, so an eigenvalue of V known to one
-    digit raises InsufficientPrecision.  Then evaluate(A, 1+p) reproduces
-    U(1+p), since (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
+    computed on V's certificate, whose eigenvalues keep every digit of
+    U(1+p); the division by log(1+p), a valuation-1 scalar, costs exactly
+    one digit, so a one-digit U(1+p) raises InsufficientPrecision.  Then
+    evaluate(A, 1+p) reproduces U(1+p), since
+    (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
     """
     v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
     cert_v = _small_norm_certificate(v, err=NotPrincipalSpectrum)
@@ -344,8 +348,8 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     out_prec = min(budget.target, u1p.prec - 1)
     if out_prec < 1:
         raise InsufficientPrecision("one digit of U(1+p) fixes no digit of A")
-    log_v = log_series(v, norm, budget.working, matmul)
-    # log(1+p) to all working digits, not only the target ones
-    w = budget.working
-    a = log_v.divide_exact(plog(PadicInt(1 + p, p, w), SeriesBudget(w, 0)))
-    return a.truncate_to(min(out_prec, a.prec))
+    # one digit above the target pays for the division by log(1+p)
+    w = budget.target + 1
+    log_v = log_series(v, norm, w, matmul)
+    a = log_v.divide_exact(plog(PadicInt(1 + p, p, w), SeriesBudget(w)))
+    return a.truncate_to(out_prec)

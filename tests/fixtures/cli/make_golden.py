@@ -5,7 +5,7 @@ Run from the repository root with the package importable:
     PYTHONPATH=src python3 tests/fixtures/cli/make_golden.py
 
 Each case is a certifiable matrix A from ``sample_certifiable_matrix``
-with a fixed seed, its group bundle under the automatic budget, and
+with a fixed seed, its group bundle under the budget of target prec, and
 U(1+p) as the input of ``stone``.  The ``refusals`` case holds one
 small matrix for each refusal that residue eigenanalysis decides: a
 scalar reduction, a residue characteristic polynomial that does not
@@ -82,7 +82,7 @@ def main_generate() -> None:
         case_dir = HERE / name
         case_dir.mkdir(exist_ok=True)
         a = sample_certifiable_matrix(Random(seed), p, prec, n)
-        group = OneParamGroup(certify_strongly_normal(a), SeriesBudget.auto(prec, p))
+        group = OneParamGroup(certify_strongly_normal(a), SeriesBudget(prec))
         _dump(case_dir / "matrix.json", a.to_dict())
         _dump(case_dir / "bundle.json", group.to_dict())
         _dump(case_dir / "unitary.json", group.evaluate(1 + p).matrix.to_dict())

@@ -26,7 +26,7 @@ def matrix_file(tmp_path):
 @pytest.fixture
 def group_file(tmp_path):
     cert = certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 5, 32))
-    g = OneParamGroup(cert, SeriesBudget.auto(32, 5))
+    g = OneParamGroup(cert, SeriesBudget(32))
     return _write(tmp_path / "group.json", g.to_dict())
 
 
@@ -45,7 +45,7 @@ def test_certify_success(matrix_file, capsys):
     }
     cfg = doc["config"]
     assert cfg["p"] == 5 and cfg["precision"] == 32 and "version" in cfg
-    assert cfg["seed"] == 42 and cfg["guard"] == 5
+    assert cfg["seed"] == 42 and "guard" not in cfg
 
 
 def test_certify_refusal_exit_2(tmp_path, capsys):
@@ -69,6 +69,20 @@ def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["group-eval"])  # missing file and --s
     assert exc.value.code == 1
+
+
+def test_guard_flag_is_unknown(matrix_file, capsys):
+    # the budget is a target only; a guard flag is malformed input
+    for argv in (
+        ["--guard", "3", "certify", matrix_file],
+        ["certify", matrix_file, "--guard", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("padic-spectral: error: ")
+        assert "Traceback" not in captured.err
 
 
 def test_group_eval(group_file, capsys):
@@ -135,11 +149,12 @@ def test_stone_refusal(tmp_path, capsys):
     code, out = _run(capsys, ["stone", path])
     assert code == 2
     assert json.loads(out)["refusal"]["type"] == "NotPrincipalSpectrum"
-    # V = diag(5, 10) at 2 digits: stone keeps its eigenvalues to 1 digit, too few
+    # V = diag(5, 10) at 2 digits fixes its eigenvalues mod 25, so A mod 5
     path = _write(tmp_path / "short.json", _matrix_doc([["6", "0"], ["0", "11"]], prec=2))
     code, out = _run(capsys, ["stone", path])
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "InsufficientPrecision"
+    assert code == 0
+    expected = PadicMatrix.diagonal([1, 2], 5, 1).to_dict()
+    assert json.loads(out)["certificate"]["matrix"] == expected
 
 
 def test_additive(group_file, capsys):
@@ -177,20 +192,19 @@ def test_refusal_config_comes_from_input(tmp_path, capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["refusal"]["type"] == "DegenerateReduction"
-    guard = SeriesBudget.auto(32, 7).guard
-    assert doc["config"]["p"] == 7 and doc["config"]["guard"] == guard
+    assert doc["config"]["p"] == 7 and doc["config"]["precision"] == 32
 
 
 def test_bundle_refusal_config_uses_bundle_budget(tmp_path, capsys):
     cert = certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 7, 20))
-    bundle = OneParamGroup(cert, SeriesBudget(20, 3)).to_dict()
+    bundle = OneParamGroup(cert, SeriesBudget(20)).to_dict()
     path = _write(tmp_path / "g7.json", bundle)
     code, out = _run(capsys, ["--prec", "40", "group-eval", path, "--s", "2"])
     assert code == 2
     cfg = json.loads(out)["config"]
-    assert (cfg["p"], cfg["precision"], cfg["guard"]) == (7, 20, 3)
+    assert (cfg["p"], cfg["precision"]) == (7, 20)
     # a one-digit target leaves zeta(s), and so converge, no digit
-    path = _write(tmp_path / "g7t1.json", OneParamGroup(cert, SeriesBudget(1, 3)).to_dict())
+    path = _write(tmp_path / "g7t1.json", OneParamGroup(cert, SeriesBudget(1)).to_dict())
     code, out = _run(capsys, ["converge", path, "--s", "8", "--max-n", "2"])
     assert code == 3
     doc = json.loads(out)
@@ -258,7 +272,7 @@ def test_output_at_the_input_bounds(tmp_path, capsys):
     assert code == 0
     cert = json.loads(out)["certificate"]
     assert max(len(x) for row in cert["basis"]["entries"] for x in row) == 19728
-    budget = SeriesBudget.auto(prec, p).to_dict()
+    budget = SeriesBudget(prec).to_dict()
     bundle = _write(tmp_path / "bundle.json", {"certificate": cert, "budget": budget})
     code, out = _run(capsys, ["group-eval", bundle, "--s", "1"])
     assert code == 0
@@ -274,8 +288,8 @@ def test_output_at_the_input_bounds(tmp_path, capsys):
 def test_budget_beyond_the_bound_is_input_error(
     tmp_path, matrix_file, group_file, capsys
 ):
-    # every modulus is p^(target + guard), so a budget read from a bundle or
-    # a flag is bounded like any other precision, not computed with
+    # every modulus grows with the target, so a budget read from a bundle
+    # or a flag is bounded like any other precision, not computed with
     bundle = json.loads(open(group_file).read())
     bundle["budget"]["target"] = 10**12
     path = _write(tmp_path / "budget.json", bundle)
@@ -283,7 +297,7 @@ def test_budget_beyond_the_bound_is_input_error(
     for argv in (
         ["group-eval", path, "--s", "6"],
         ["--prec", huge, "group-eval", matrix_file, "--s", "6"],
-        ["--guard", huge, "additive", matrix_file, "--z", "3"],
+        ["--prec", huge, "additive", matrix_file, "--z", "3"],
     ):
         code = main(argv)
         captured = capsys.readouterr()

@@ -194,13 +194,13 @@ def test_truncate_and_lift():
 def test_immutability():
     # every value type refuses assignment, so a hashed value cannot change
     a = PadicMatrix([[0, 1], [2, 1]], 5, 4)
-    group = OneParamGroup(certify_strongly_normal(a), SeriesBudget.auto(4, 5))
+    group = OneParamGroup(certify_strongly_normal(a), SeriesBudget(4))
     values = [
         (PadicInt(1, 5, 4), "residue"),
         (a, "prec"),
         (a.reduction(), "p"),
         (Valuation.exact(2), "value"),
-        (SeriesBudget(4, 2), "guard"),
+        (SeriesBudget(4), "target"),
         (group, "budget"),
         (group.cert, "eigenvalues"),
         (group.evaluate(6), "matrix"),

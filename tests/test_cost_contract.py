@@ -89,7 +89,7 @@ def matmuls(products):
 def test_matmul_counts(matmuls, p, prec, n, w, pinned):
     rng = Random(7000 + p)
     a = sample_certifiable_matrix(rng, p, prec, n)
-    budget = SeriesBudget.auto(prec, p)
+    budget = SeriesBudget(prec)
     g = OneParamGroup(certify_strongly_normal(a), budget)
     s1, s2 = (sample_principal_unit(rng, p, prec) for _ in range(2))
     v = sample_certifiable_matrix(rng, p, prec, n) * p**w
@@ -149,7 +149,7 @@ def test_certify_digit_weight(products):
 def test_converge_products_grow_linearly(matmuls):
     p, prec, n = 13, 64, 6
     rng = Random(7100)
-    g = sample_group(rng, p, prec, n, SeriesBudget.auto(prec, p))
+    g = sample_group(rng, p, prec, n, SeriesBudget(prec))
     s = sample_principal_unit(rng, p, prec)
     # U(1+p) once, then per digit j: B_j^p and B_j^(d_j), each at most
     # 2 (bits(p) - 1) products, and one step of the running product

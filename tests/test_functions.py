@@ -4,7 +4,7 @@ from operator import mul
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicspectral import (
@@ -19,6 +19,7 @@ from padicspectral import (
     truncation_length,
     zeta_of,
 )
+from padicspectral.core import MAX_PREC
 from padicspectral.errors import (
     InsufficientPrecision,
     NotPrincipal,
@@ -29,27 +30,22 @@ from padicspectral.oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
 PRIMES = [3, 5, 7]
-BUDGETS = {p: SeriesBudget.auto(32, p) for p in PRIMES}
+BUDGETS = {p: SeriesBudget(32) for p in PRIMES}
 
 
-def test_budget_auto_invariant():
-    # guard >= ceil(log_p K_max) + 2 with K_max the worst-case series length
-    for p in PRIMES:
-        b = BUDGETS[p]
-        k_max = truncation_length(1, b)
-        e, q = 0, 1
-        while q < k_max:
-            q *= p
-            e += 1
-        assert b.guard >= e + 2
+def test_budget_is_a_target_only():
+    # one field; a "guard" key of an older bundle is read and ignored
+    b = SeriesBudget(32)
+    assert b.to_dict() == {"target": 32}
+    assert SeriesBudget.from_dict({"target": 32, "guard": 5}) == b
+    with pytest.raises(TypeError):
+        SeriesBudget(32, 5)
     with pytest.raises(ValueError):
-        SeriesBudget(0, 3)
-    with pytest.raises(ValueError):
-        SeriesBudget(32, -1)
+        SeriesBudget(0)
 
 
 def test_truncation_length_examples():
-    b = SeriesBudget(30, 2)  # target + guard = 32
+    b = SeriesBudget(32)
     assert truncation_length(1, b) == 32
     assert truncation_length(2, b) == 16
     assert truncation_length(3, b) == 11
@@ -154,7 +150,7 @@ def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
     # every pow, in residue and in precision
     z = PadicInt(p * data.draw(st.integers(0, p**zprec)), p, zprec)
     lams = data.draw(st.lists(_exponents(p), min_size=n, max_size=n))
-    budget = SeriesBudget(target, 3)
+    budget = SeriesBudget(target)
     expected = [principal_power(z, lam, budget) for lam in lams]
     assert principal_powers(z, lams, budget) == expected
 
@@ -193,11 +189,12 @@ def test_principal_power_valuation_and_uniform_bound(p):
 
 
 def test_mahler_tail_independent_of_budget():
-    # lengthening the series cannot change the budgeted digits
-    z = PadicInt(5, 5, 32)
-    lam = PadicInt(987654321, 5, 32)
-    small = principal_power(z, lam, SeriesBudget(32, 5))
-    large = principal_power(z, lam, SeriesBudget(32, 14))
+    # a larger target only appends digits to the ones a smaller one returns
+    z = PadicInt(5, 5, 46)
+    lam = PadicInt(987654321, 5, 46)
+    small = principal_power(z, lam, SeriesBudget(32))
+    large = principal_power(z, lam, SeriesBudget(46))
+    assert (small.prec, large.prec) == (32, 46)
     assert small.congruent(large, 32)
 
 
@@ -237,7 +234,7 @@ def test_series_against_rational_oracle(p):
     from padicspectral.oracle import oracle_series
 
     b = BUDGETS[p]
-    tol = 32 - b.guard
+    tol = 32
     rng = Random(1050 + p)
     for _ in range(15):
         u = sample_principal_unit(rng, p, 32)
@@ -316,7 +313,7 @@ def test_log_exp_zeta_against_independent_series(p):
 @pytest.mark.parametrize("target", [32, 128])
 def test_log_reduction_matches_unreduced_series(p, target):
     # log(1+x) = log((1+x)^(p^k)) / p^k against the plain series on x
-    b = SeriesBudget.auto(target, p)
+    b = SeriesBudget(target)
     rng = Random(1170 + p + target)
     for _ in range(6):
         u = sample_principal_unit(rng, p, target)
@@ -324,9 +321,9 @@ def test_log_reduction_matches_unreduced_series(p, target):
             continue
         got = plog(u, b)
         x = u - 1
-        direct = log_series(x, x.valuation().value, b.working, mul)
+        direct = log_series(x, x.valuation().value, b.target, mul)
         assert got == direct.truncate_to(got.prec)
-        assert _plog_terms(x, b.working).congruent(direct, b.working)
+        assert _plog_terms(x, b.target).congruent(direct, b.target)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -355,7 +352,7 @@ def _lemma_inputs(draw):
     s = in_pzp(prec) + 1
     x = in_pzp(prec)
     t = draw(st.integers(1, p**8))
-    return SeriesBudget.auto(target, p), z, lam, s, x, t
+    return SeriesBudget(target), z, lam, s, x, t
 
 
 def _perturb(x, t):
@@ -365,6 +362,8 @@ def _perturb(x, t):
 
 @settings(max_examples=80, deadline=None)
 @given(_lemma_inputs())
+# at target 1, log(1+p) taken to one digit would be 0
+@example((SeriesBudget(1), *(PadicInt(r, 3, 9) for r in (3, 1, 4, 3)), 1))
 def test_precision_lemma_scalar_functions(case):
     # moving any input beyond its tracked digits moves no returned digit
     b, z, lam, s, x, t = case
@@ -422,8 +421,8 @@ def test_zeta_matches_uncached_quotient(p):
     # the one the two series give when both are summed afresh
     rng = Random(950 + p)
     for target in (8, 32, 128):
-        b = SeriesBudget.auto(target, p)
-        wide = b.working + 2
+        b = SeriesBudget(target)
+        wide = b.target + 1
         for prec in (target, target + 3):
             s = sample_principal_unit(rng, p, prec)
             num = _plog_terms(s - 1, wide)
@@ -431,6 +430,14 @@ def test_zeta_matches_uncached_quotient(p):
             zeta = num.divide_exact(den)
             expected = zeta.truncate_to(min(target, prec - 1, zeta.prec))
             assert zeta_of(s, b) == expected
+
+
+def test_series_at_the_input_bound():
+    # a target at the input bound leaves the series room for their own digits
+    b = SeriesBudget(MAX_PREC)
+    s = sample_principal_unit(Random(1190), 5, MAX_PREC)
+    assert plog(s, b).prec == MAX_PREC
+    assert zeta_of(s, b).prec == MAX_PREC - 1
 
 
 def test_digit_truncation_error_bound():

@@ -25,7 +25,7 @@ def test_oracle_power_examples():
 
 
 def test_oracle_power_cross_checks_series():
-    b = SeriesBudget.auto(32, 5)
+    b = SeriesBudget(32)
     lam = 5**3
     direct = oracle_power(6, lam, 5, 6)
     series = principal_power(PadicInt(5, 5, 32), PadicInt(lam, 5, 32), b)
