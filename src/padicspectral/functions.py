@@ -10,22 +10,29 @@ no caller adds digits of its own except for the one that the division
 by log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
-powers (1+z)^lam by modular pow or, for many exponents, one shared power
-table, the p-adic logarithm by p-power argument reduction (about sqrt(W)
-series terms at W working digits), the exponential as
-(1+p)^(x / log(1+p)), and the coordinate zeta(s) = log s / log(1+p)
-that writes any principal unit of Q_p as (1+p)^zeta.
+powers (1+z)^lam by exponent splitting (lam = a + p^k b: one short
+pow for a, and a binomial series of about W / k terms in
+(1+z)^(p^k) - 1 for b, at W digits), the p-adic logarithm by p-power
+argument reduction (about sqrt(W) series terms at W working digits),
+the exponential as (1+p)^(x / log(1+p)) on the same power route, and
+the coordinate zeta(s) = log s / log(1+p) that writes any principal
+unit of Q_p as (1+p)^zeta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import isqrt
+from math import isqrt, log2, sqrt
 from operator import mul
 
-from .core import MAX_WORKING_PREC, PadicInt, validate_prec, validate_prime
+from .core import (
+    MAX_WORKING_PREC,
+    PadicInt,
+    Valuation,
+    validate_prec,
+    validate_prime,
+)
 from .errors import (
     InsufficientPrecision,
     NotPrincipal,
@@ -47,11 +54,6 @@ __all__ = [
     "truncation_length",
     "digit_truncation_error",
 ]
-
-# From this many exponents on, one shared table beat n pows for p = 5..67
-# at 64-128 digits; below it, the two were level or the pows won.
-_SHARED_TABLE_MIN = 8
-
 
 def _vp_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's formula (n minus digit sum, over p - 1)."""
@@ -193,18 +195,14 @@ def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
 def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
     """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0).
 
-    pow(1 + z, lam, p^N) on the canonical residues, N = min(target,
-    prec z, prec lam) (no prec lam for an int), is exact at N digits:
-    for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the result depends
-    only on lam mod p^(N - v(z)), which lam's tracked digits fix, and
-    moving z by p^(prec z) t moves it by p^(prec z) at most.  The result
-    is a principal unit with valuation(result - 1) >= valuation(z).
-
-    From _SHARED_TABLE_MIN exponents on, the pows share one table of
-    (1+z)^(d 2^(kj)) mod p^M, d <= 2^k, M the largest N (Menezes et al.,
-    *Handbook of Applied Cryptography*, Alg. 14.109), built and used one
-    row j at a time: an exponent cut mod p^(M-1), the order of 1 + pZ_p
-    mod p^M, costs one product per k bits.
+    Each result is pow(1 + z, lam, p^N) on the canonical residues, N =
+    min(target, prec z, prec lam) (no prec lam for an int), and is exact
+    at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the
+    result depends only on lam mod p^(N - v(z)), which lam's tracked
+    digits fix, and moving z by p^(prec z) t moves it by p^(prec z) at
+    most.  The result is a principal unit with valuation(result - 1) >=
+    valuation(z).  The residues come from :func:`_power_residues`, which
+    computes the same residues as those pows with far fewer products.
     """
     jobs = []  # (exponent, output precision)
     for lam in lams:
@@ -218,19 +216,64 @@ def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
             jobs.append((lam.residue, min(budget.target, z.prec, lam.prec)))
     if z.is_unit():
         raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
-    p, n = z.p, len(jobs)
-    if n < _SHARED_TABLE_MIN:
-        return [PadicInt(pow(1 + z.residue, e, p**m), p, m) for e, m in jobs]
-    mod = p ** max(m for _, m in jobs)
-    exponents = [e % (mod // p) for e, _ in jobs]
-    bits = max(exponents).bit_length()
-    k = min(range(1, 8), key=lambda w: -(-bits // w) * (2**w + n))
-    accs, base = [1] * n, (1 + z.residue) % mod
-    for j in range(0, bits, k):  # one row of the table at a time
-        row = list(accumulate([base] * 2**k, lambda x, y: x * y % mod, initial=1))
-        accs = [a * row[e >> j & 2**k - 1] % mod for a, e in zip(accs, exponents)]
-        base = row[-1]
-    return [PadicInt(a, p, m) for a, (_, m) in zip(accs, jobs)]
+    residues = _power_residues(z.residue, z.p, jobs)
+    return [PadicInt(r, z.p, m) for r, (_, m) in zip(residues, jobs)]
+
+
+def _split_point(p: int, digits: int, n: int, v: int) -> int:
+    """The k of the split lam = a + p^k b for n exponents, v = v(z).
+
+    Counted in products of numbers of ``digits`` digits, the n powers
+    (1+z)^a with a < p^k cost about 1.5 k log2 p products each and
+    t = (1+z)^(p^k) - 1 costs k log2 p once, while the series in t takes
+    digits / (v + k) products for each exponent and once more for its
+    coefficients.  (1 + 1.5 n) k log2 p + (1 + n) digits / (v + k) is
+    least at v + k = sqrt((1 + n) digits / ((1 + 1.5 n) log2 p)).
+    """
+    return max(0, round(sqrt((1 + n) * digits / ((1 + 1.5 * n) * log2(p)))) - v)
+
+
+def _power_residues(z: int, p: int, jobs) -> list[int]:
+    """pow(1 + z, e, p^d) for each (e, d) in ``jobs``: z = 0 mod p, e >= 0.
+
+    1 + z has order dividing p^(d-1) mod p^d for odd p, so e is cut mod
+    p^(d-1) and split as a + p^k b with a < p^k (k by _split_point).
+    With t = (1+z)^(p^k) - 1, of valuation v + k for v = v(z),
+    (1+z)^e = (1+z)^a (1+t)^b and (1+t)^b = sum_j b (b-1) ... (b-j+1)
+    c_j, c_j = t^j / j!, an identity of integers.  The terms j >= J =
+    ceil(m / (v + k)) vanish mod p^m, m the largest d, and so do those
+    with j > b; Horner's rule sums the rest as c_0 + b (c_1 + (b-1) (c_2
+    + ...)), one product per term.  c_j = c_(j-1) t / j runs mod p^m, and the exact division by
+    the p-part of j costs v_p(j) digits, so c_j is known mod
+    p^(m - v_p(j!)); its error times b (b-1) ... (b-j+1), which j!
+    divides, vanishes mod p^m, and the residue equals the pow's exactly.
+    """
+    if not jobs:
+        return []
+    m = max(d for _, d in jobs)
+    mod_m = p**m
+    if z % mod_m == 0:
+        return [1] * len(jobs)
+    v = Valuation.of_residue(z, p, m).value
+    k = _split_point(p, m, len(jobs), v)
+    terms = -(-m // (v + k))
+    t = pow(1 + z, p**k, mod_m) - 1
+    c, coeffs = 1, [1]
+    for j in range(1, terms):
+        c, unit = c * t % mod_m, j
+        while unit % p == 0:
+            c, unit = c // p, unit // p
+        c = c * pow(unit, -1, mod_m) % mod_m
+        coeffs.append(c)
+    out = []
+    for e, d in jobs:
+        mod = p**d
+        b, a = divmod(e % (mod // p), p**k)
+        acc = 0
+        for j in reversed(range(min(terms, b + 1))):
+            acc = (coeffs[j] + (b - j) * acc) % mod
+        out.append(pow(1 + z, a, mod) * acc % mod)
+    return out
 
 
 def _plog_terms(x: PadicInt, working: int) -> PadicInt:
@@ -290,7 +333,8 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     if x.valuation().value < 1:
         raise OutOfConvergenceDomain("pexp needs valuation >= 1")
     exponent = x.divide_exact(_log_one_plus_p(p, budget.target + 1))
-    return PadicInt(pow(1 + p, exponent.residue, p**out_prec), p, out_prec)
+    [power] = _power_residues(p, p, [(exponent.residue, out_prec)])
+    return PadicInt(power, p, out_prec)
 
 
 def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:

@@ -197,8 +197,9 @@ class OneParamGroup:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
         The n powers (1+z)^(lambda_i) come from principal_powers, which
-        shares one power table of 1+z among them once n is large enough;
-        the basis is untouched.  U(1) = I exactly.
+        splits each exponent as a + p^k b and shares (1+z)^(p^k) and the
+        coefficients of its binomial series among them; the basis is
+        untouched.  U(1) = I exactly.
         """
         s = self._coerce_unit(s)
         z = s - 1

@@ -8,6 +8,7 @@ from padicspectral import (
     OneParamGroup,
     PadicMatrix,
     SeriesBudget,
+    StrongNormalCertificate,
     certify_strongly_normal,
 )
 from padicspectral.cli import main
@@ -283,6 +284,32 @@ def test_output_at_the_input_bounds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+def test_group_eval_at_the_prime_bound(tmp_path, capsys):
+    # a non-trivial s at the largest prime: U(s) = S diag(s^lam) S^-1,
+    # with s^lam a pow on lam's signed residue (the eigenvalues are 2, -1)
+    p, prec, s = 65521, 1024, 65522
+    path = _write(tmp_path / "mat.json", PadicMatrix([[0, 1], [2, 1]], p, prec).to_dict())
+    code, out = _run(capsys, ["--prec", str(prec), "certify", path])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    budget = SeriesBudget(prec).to_dict()
+    bundle = _write(tmp_path / "bundle.json", {"certificate": cert, "budget": budget})
+    code, out = _run(capsys, ["group-eval", bundle, "--s", str(s)])
+    assert code == 0
+    u = PadicMatrix.from_dict(json.loads(out)["matrix"])
+    c = StrongNormalCertificate.from_dict(cert)
+    mod = p**prec
+    signed = [x.residue - mod if x.residue > mod // 2 else x.residue for x in c.eigenvalues]
+    assert sorted(signed) == [-1, 2]
+    d = [pow(s, e, mod) for e in signed]
+    b, b_inv = c.basis.rows(), c.basis_inverse.rows()
+    expected = [
+        [sum(b[i][k] * d[k] * b_inv[k][j] for k in range(2)) % mod for j in range(2)]
+        for i in range(2)
+    ]
+    assert u.prec == prec and list(map(list, u.rows())) == expected
 
 
 def test_budget_beyond_the_bound_is_input_error(

@@ -7,7 +7,9 @@ Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
 of 5 products each, and verifying a certificate takes 2 more.
 Certificates derived from a verified one (evaluate, make_unitary, stone)
 are not verified again.  The lift inverts each difference of residue
-eigenvalues once, mod p, and no divisor after that.
+eigenvalues once, mod p, and no divisor after that.  Principal powers
+pass no pow an exponent above p^k, k from the split's cost model, so a
+full-length pow per eigenvalue cannot come back.
 
 A product's digit weight is n^3 digits(a) digits(b), with digits the
 base-p length of the largest entry.  A lift step from h to 2h digits
@@ -22,14 +24,16 @@ import pytest
 
 from padicspectral import (
     OneParamGroup,
+    PadicInt,
     PadicMatrix,
     SeriesBudget,
     certify_strongly_normal,
     make_unitary,
+    pexp,
     stone_recover,
     zeta_of,
 )
-from padicspectral import linalg, spectral
+from padicspectral import functions, linalg, spectral
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,
@@ -131,6 +135,32 @@ def test_lift_inverts_residue_differences_once(monkeypatch):
     certify_strongly_normal(a)
     assert 0 < len(moduli) <= n * (n - 1)
     assert set(moduli) == {p}
+
+
+def test_powers_pass_no_exponent_above_the_split(monkeypatch):
+    exponents = []
+
+    def counted(base, exp, mod=None):
+        exponents.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(functions, "pow", counted, raising=False)
+
+    p, prec, n = 31, 128, 16
+    a = sample_certifiable_matrix(Random(7000 + p), p, prec, n)
+    g = OneParamGroup(certify_strongly_normal(a), SeriesBudget(prec))
+    g.evaluate(1 + 2 * p)  # v(z) = 1
+    k = functions._split_point(p, prec, n, 1)
+    assert k >= 1 and exponents and max(exponents) <= p**k
+
+    p, prec = 5, 4096
+    x = PadicInt(p * Random(7200).randrange(p ** (prec - 1)), p, prec)
+    # log(1+p), cached, reduces its own argument by one pow of p^isqrt(W)
+    functions._log_one_plus_p(p, prec + 1)
+    exponents.clear()
+    pexp(x, SeriesBudget(prec))
+    k = functions._split_point(p, prec, 1, 1)
+    assert k >= 1 and exponents and max(exponents) <= p**k
 
 
 def test_certify_digit_weight(products):

@@ -25,7 +25,7 @@ from padicspectral.errors import (
     NotPrincipal,
     OutOfConvergenceDomain,
 )
-from padicspectral.functions import _SHARED_TABLE_MIN, _plog_terms, log_series
+from padicspectral.functions import _plog_terms, log_series
 from padicspectral.oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -137,22 +137,28 @@ def _exponents(p):
     return st.one_of(padic, st.sampled_from([0, 1]), st.integers(0, 10**80))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    p=st.sampled_from([3, 5, 31]),
+    p=st.sampled_from([3, 5, 31, 65521]),
     zprec=st.integers(1, 80),
     target=st.integers(1, 90),
-    n=st.sampled_from([0, 1, _SHARED_TABLE_MIN - 1, _SHARED_TABLE_MIN, 20]),
+    n=st.sampled_from([0, 1, 4, 16]),
     data=st.data(),
 )
 def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
-    # n on both sides of the crossover: the shared table must reproduce
-    # every pow, in residue and in precision
-    z = PadicInt(p * data.draw(st.integers(0, p**zprec)), p, zprec)
+    # each power against one builtin pow, in residue and in precision;
+    # v(z) runs past prec z, so z = 0 at its precision comes up too
+    v = data.draw(st.integers(1, zprec + 2))
+    z = PadicInt(p**v * data.draw(st.integers(0, p**zprec)), p, zprec)
     lams = data.draw(st.lists(_exponents(p), min_size=n, max_size=n))
-    budget = SeriesBudget(target)
-    expected = [principal_power(z, lam, budget) for lam in lams]
-    assert principal_powers(z, lams, budget) == expected
+    expected = []
+    for lam in lams:
+        if isinstance(lam, int):
+            e, prec = lam, min(target, zprec)
+        else:
+            e, prec = lam.residue, min(target, zprec, lam.prec)
+        expected.append(PadicInt(pow(1 + z.residue, e, p**prec), p, prec))
+    assert principal_powers(z, lams, SeriesBudget(target)) == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)
