@@ -13,8 +13,7 @@ package implements need p odd (exp must converge on pZ_p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import (
     DivisionByHigherValuation,
@@ -31,7 +30,7 @@ MAX_DIM = 64
 MAX_PREC = 4096
 # The series' cap on working digits, above MAX_PREC by what a series run
 # at MAX_PREC adds: v_p(M!) < M/2 for M <= MAX_PREC binomial terms, and
-# isqrt(W) plus a few for the log's argument reduction.
+# under sqrt(W) plus a few for the log's argument reduction.
 MAX_WORKING_PREC = 2 * MAX_PREC
 
 
@@ -80,7 +79,7 @@ class Prime(int):
         return super().__new__(cls, validate_prime(p))
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@total_ordering
 class Valuation:
     """A p-adic valuation: an exact value v >= 0 or "at least N".
 
@@ -89,14 +88,35 @@ class Valuation:
     |x| = p^(-v) is represented by this object (together with p), never
     as a float.  Ordering compares the known lower bound, with the
     open-ended form sorting above an exact value of the same size.
+    Instances are immutable and hashable.
     """
 
-    value: int
-    open_ended: bool = False  # True: only "v >= value" is known
+    __slots__ = ("value", "open_ended")  # open_ended: only "v >= value" is known
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int, open_ended: bool = False):
+        if value < 0:
             raise ValueError("valuation must be nonnegative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "open_ended", open_ended)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Valuation is immutable")
+
+    def _key(self) -> tuple[int, bool]:
+        return (self.value, self.open_ended)
+
+    def __eq__(self, other):
+        if not isinstance(other, Valuation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other):
+        if not isinstance(other, Valuation):
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def exact(cls, v: int) -> "Valuation":

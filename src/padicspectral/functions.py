@@ -1,19 +1,22 @@
 """Special functions on Z_p and the series engine, with tracked precision.
 
 Everything here is driven by a :class:`SeriesBudget`, whose ``target``
-digits must come out right.  The package's two truncated series,
-log_series and binomials, live here and run unchanged on a PadicInt
-(ring product operator.mul) or a PadicMatrix (operator.matmul).  Each
-extends its working precision by a bound on the division loss it is
-about to incur, so the target digits are a guarantee, not a hope, and
-no caller adds digits of its own except for the one that the division
-by log(1+p) costs.
+digits must come out right.  Every truncation rule of the package lives
+here, one home per series: _log_terms for the logarithm, which both
+log_series (on a PadicInt with operator.mul or a PadicMatrix with
+operator.matmul) and the scalar log on plain residues (_plog_terms)
+follow; binomials for the Mahler series, on either type as well; and
+_power_residues for the power series behind principal_powers and pexp.
+Each series bounds the division loss it is about to incur, so the target
+digits are a guarantee, not a hope, and no caller adds digits of its
+own except for the one that the division by log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by exponent splitting (lam = a + p^k b: one short
 pow for a, and a binomial series of about W / k terms in
 (1+z)^(p^k) - 1 for b, at W digits), the p-adic logarithm by p-power
-argument reduction (about sqrt(W) series terms at W working digits),
+argument reduction (about sqrt(W log2 p) series terms at W working
+digits, k from the same cost model as the powers),
 the exponential as (1+p)^(x / log(1+p)) on the same power route, and
 the coordinate zeta(s) = log s / log(1+p) that writes any principal
 unit of Q_p as (1+p)^zeta.
@@ -21,9 +24,8 @@ unit of Q_p as (1+p)^zeta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log2, sqrt
+from math import log2, sqrt
 from operator import mul
 
 from .core import (
@@ -73,22 +75,34 @@ def _ceil_log(p: int, n: int) -> int:
     return e
 
 
+def _log_terms(p: int, v: int, working: int) -> tuple[int, int]:
+    """The log's truncation rule: (K, w0) for log(1 + x), v(x) = v >= 1,
+    to ``working`` digits.  K is the last k with k v - floor(log_p k) <
+    working (at least 1; the bound is nondecreasing), so every dropped
+    term x^k / k vanishes mod p^working, and the terms run at w0 =
+    working + ceil_log_p(K+1) digits, so each division by k stays exact
+    to working digits."""
+    if v < 1:
+        raise OutOfConvergenceDomain("log series needs valuation >= 1")
+    terms = 1
+    while (terms + 1) * v - _ceil_log(p, terms + 2) + 1 < working:
+        terms += 1
+    w0 = working + _ceil_log(p, terms + 1)
+    if w0 > MAX_WORKING_PREC:
+        raise InsufficientPrecision(f"log series needs {w0} working digits")
+    return terms, w0
+
+
 def log_series(x, v: int, working: int, product):
     """log(1 + x) = sum (-1)^(k-1) x^k / k to exactly ``working`` digits.
 
     x is a PadicInt or PadicMatrix of valuation (sup norm) v >= 1, lifted
-    by zero digits, and ``product`` its ring product.  Terms k = 1..K run,
-    K the last k with k v - floor(log_p k) < working (at least 1; the
-    bound is nondecreasing), at working + ceil_log_p(K+1) digits.
+    by zero digits, and ``product`` its ring product.  The terms and their
+    digits come from :func:`_log_terms`.  The scalar logarithm runs the
+    same rule on plain residues (:func:`_plog_terms`); this one is its
+    reference and the operator log of :func:`generator_log_series`.
     """
-    if v < 1:
-        raise OutOfConvergenceDomain("log series needs valuation >= 1")
-    terms = 1
-    while (terms + 1) * v - _ceil_log(x.p, terms + 2) + 1 < working:
-        terms += 1
-    w0 = working + _ceil_log(x.p, terms + 1)
-    if w0 > MAX_WORKING_PREC:
-        raise InsufficientPrecision(f"log series needs {w0} working digits")
+    terms, w0 = _log_terms(x.p, v, working)
     x_w = x.at_prec(w0)
     acc = xpow = x_w
     for k in range(2, terms + 1):
@@ -116,19 +130,30 @@ def binomials(x, digits: int, terms: int, product):
         yield acc
 
 
-@dataclass(frozen=True)
 class SeriesBudget:
     """Precision contract for all truncated series: ``target`` digits of
-    guaranteed correctness in results."""
+    guaranteed correctness in results.  Immutable."""
 
-    target: int
+    __slots__ = ("target",)
 
     # read only by bench/workloads.py, whose tolerances subtract it
     guard = 0
 
-    def __post_init__(self):
-        if self.target < 1:
+    def __init__(self, target: int):
+        if target < 1:
             raise ValueError("target precision must be >= 1")
+        object.__setattr__(self, "target", target)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesBudget is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesBudget):
+            return NotImplemented
+        return self.target == other.target
+
+    def __repr__(self):
+        return f"SeriesBudget(target={self.target!r})"
 
     # called only by bench/workloads.py; the budget does not depend on p
     @classmethod
@@ -228,7 +253,8 @@ def _split_point(p: int, digits: int, n: int, v: int) -> int:
     t = (1+z)^(p^k) - 1 costs k log2 p once, while the series in t takes
     digits / (v + k) products for each exponent and once more for its
     coefficients.  (1 + 1.5 n) k log2 p + (1 + n) digits / (v + k) is
-    least at v + k = sqrt((1 + n) digits / ((1 + 1.5 n) log2 p)).
+    least at v + k = sqrt((1 + n) digits / ((1 + 1.5 n) log2 p)).  The
+    logarithm is the case n = 0: it forms t once and sums one series.
     """
     return max(0, round(sqrt((1 + n) * digits / ((1 + 1.5 * n) * log2(p)))) - v)
 
@@ -281,17 +307,31 @@ def _plog_terms(x: PadicInt, working: int) -> PadicInt:
 
     Argument reduction: with t = (1+x)^(p^k) - 1 mod p^(W+k), which has
     v(t) = v(x) + k for odd p, log(1+x) = log(1+t) / p^k.  The series on
-    t runs to W + k digits and the exact division by p^k returns to W.
-    Since log is an isometry on pZ_p, cutting t mod p^(W+k) moves
-    log(1+t) by p^(W+k) at most.  k = isqrt(W) cuts the series from
-    about W terms to about sqrt(W).
+    t runs to W + k digits by the rule of :func:`_log_terms` and the
+    exact division by p^k returns to W.  Since log is an isometry on
+    pZ_p, cutting t mod p^(W+k) moves log(1+t) by p^(W+k) at most.  k
+    comes from the cost model of :func:`_split_point` with no exponents.
+    Everything runs on plain residues: a term t^j / j drops the p-part
+    of j exactly, then divides by its unit part u after adding the
+    multiple of p^w0 that makes it divisible by u, so the result is the
+    true log(1+x) mod p^W.
     """
     p = x.p
-    k = isqrt(working)
+    k = _split_point(p, working, 0, Valuation.of_residue(x.residue, p, working).value)
     w = working + k
-    t = PadicInt(pow(1 + x.residue, p**k, p**w) - 1, p, w)
-    log_t = log_series(t, t.valuation().value, w, mul)
-    return log_t.divide_exact(PadicInt(p**k, p, w))
+    t = pow(1 + x.residue, p**k, p**w) - 1
+    terms, w0 = _log_terms(p, Valuation.of_residue(t, p, w).value, w)
+    mod = p**w0
+    acc = term_num = t
+    for j in range(2, terms + 1):
+        term_num = term_num * t % mod
+        term, u = term_num, j
+        while u % p == 0:
+            term, u = term // p, u // p
+        if u != 1:
+            term = (term - term * pow(mod, -1, u) % u * mod) // u
+        acc = acc + term if j % 2 else acc - term
+    return PadicInt(acc % p**w // p**k, p, working)
 
 
 @lru_cache(maxsize=256)

@@ -30,7 +30,6 @@ eigenbasis S is shared.  V = 0 gets the trivial certificate (eigenvalue
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import matmul
 
 from .core import PadicInt, Valuation
@@ -68,16 +67,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class UnitaryOperator:
+class _Frozen:
+    """Attributes set once in __init__; assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class UnitaryOperator(_Frozen):
     """U = I + V together with the spectral certificate of V.
 
     V is ``cert.matrix``.  The spectrum of U is the pushforward of V's
     under phi(x) = 1 + x and consists of principal units.
     """
 
-    matrix: PadicMatrix
-    cert: StrongNormalCertificate
+    __slots__ = ("matrix", "cert")
+
+    def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "cert", cert)
 
     def unit_spectrum(self) -> list[PadicInt]:
         """sigma(U) = {1 + lambda : lambda in sigma(V)}."""
@@ -129,8 +139,7 @@ def make_unitary(v: PadicMatrix) -> UnitaryOperator:
     return UnitaryOperator(u, cert)
 
 
-@dataclass(frozen=True)
-class GroupCheck:
+class GroupCheck(_Frozen):
     """Outcome of a quantitative valuation check.
 
     ``observed`` is the valuation actually measured, ``required`` the
@@ -138,9 +147,21 @@ class GroupCheck:
     required.  Truthy on pass, and ``margin`` reports the slack.
     """
 
-    check: str
-    observed: Valuation
-    required: int
+    __slots__ = ("check", "observed", "required")
+
+    def __init__(self, check: str, observed: Valuation, required: int):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "required", required)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupCheck):
+            return NotImplemented
+        return (self.check, self.observed, self.required) == (
+            other.check,
+            other.observed,
+            other.required,
+        )
 
     @property
     def ok(self) -> bool:
@@ -163,16 +184,18 @@ class GroupCheck:
         }
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class OneParamGroup:
+class OneParamGroup(_Frozen):
     """A certified generator A, evaluable at any principal unit s.
 
     All eigenvalues of A lie in Z_p and |A| <= 1, so s -> s^A lands in
     the unitary operators for every principal s.
     """
 
-    cert: StrongNormalCertificate
-    budget: SeriesBudget
+    __slots__ = ("cert", "budget")
+
+    def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
+        object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def generator(self) -> PadicMatrix:

@@ -1,9 +1,14 @@
 """CLI contract: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicspectral
 from padicspectral import (
     OneParamGroup,
     PadicMatrix,
@@ -419,3 +424,19 @@ def test_malformed_input_is_input_error(tmp_path, group_file, capsys, argv, payl
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_import_loads_no_heavy_stdlib():
+    # start-up: importing the CLI loads neither dataclasses nor inspect
+    # (-S keeps site hooks of the environment out of the count)
+    src = str(Path(padicspectral.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = (
+        "import padicspectral.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -155,7 +155,7 @@ def test_powers_pass_no_exponent_above_the_split(monkeypatch):
 
     p, prec = 5, 4096
     x = PadicInt(p * Random(7200).randrange(p ** (prec - 1)), p, prec)
-    # log(1+p), cached, reduces its own argument by one pow of p^isqrt(W)
+    # log(1+p), cached, reduces its own argument by one pow of its own p^k
     functions._log_one_plus_p(p, prec + 1)
     exponents.clear()
     pexp(x, SeriesBudget(prec))

@@ -1,5 +1,6 @@
 """Mahler coefficients, principal powers, log/exp, and the zeta coordinate."""
 
+from math import isqrt
 from operator import mul
 from random import Random
 
@@ -330,6 +331,50 @@ def test_log_reduction_matches_unreduced_series(p, target):
         direct = log_series(x, x.valuation().value, b.target, mul)
         assert got == direct.truncate_to(got.prec)
         assert _plog_terms(x, b.target).congruent(direct, b.target)
+
+
+def _engine_log(x, working):
+    """log(1 + x) to ``working`` digits by the series engine on PadicInt,
+    with the argument reduced by p^isqrt(W): a route of its own, on
+    PadicInt arithmetic and with another split than _plog_terms."""
+    p, k = x.p, isqrt(working)
+    w = working + k
+    t = PadicInt(pow(1 + x.residue, p**k, p**w) - 1, p, w)
+    return log_series(t, t.valuation().value, w, mul).divide_exact(PadicInt(p**k, p, w))
+
+
+@st.composite
+def _log_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 31, 65521]))
+    # a power at p = 65521 and 4096 digits costs seconds, so it stays smaller
+    target = draw(st.integers(1, 4096 if p < 100 else 160))
+    prec = draw(st.integers(2, target + 3))
+    # v >= prec gives s = 1; target <= v < prec gives s != 1 with t = 0
+    v = draw(st.integers(1, prec + 2))
+    unit = draw(st.integers(1, p**4)) if v < prec else 0
+    return p, target, prec, (p**v * unit) % p**prec
+
+
+@settings(max_examples=40, deadline=None)
+@given(_log_inputs())
+@example((3, 4096, 4096, 3))
+@example((65521, 160, 160, 65521**150))
+@example((31, 128, 131, 31**129))  # x != 0, but t = 0 mod p^(W+k)
+@example((5, 1, 2, 5))
+def test_log_routes_match_series_engine(case):
+    # plog, zeta_of and pexp, with their residue logarithm, give the
+    # residues and precisions of the PadicInt series engine
+    p, target, prec, x_res = case
+    b = SeriesBudget(target)
+    s = PadicInt(1 + x_res, p, prec)
+    assert plog(s, b) == _engine_log(s - 1, target).truncate_to(min(target, prec))
+    log_base = _engine_log(PadicInt(p, p, target + 1), target + 1)
+    zeta = _engine_log(s - 1, target + 1).divide_exact(log_base)
+    assert zeta_of(s, b) == zeta.truncate_to(min(target, prec - 1))
+    x = PadicInt(x_res, p, prec)
+    out = min(target, prec)
+    exponent = x.divide_exact(log_base).residue
+    assert pexp(x, b) == PadicInt(pow(1 + p, exponent, p**out), p, out)
 
 
 @pytest.mark.parametrize("p", PRIMES)

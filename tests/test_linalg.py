@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicspectral
-from padicspectral import PadicInt, PadicMatrix, ResidueMatrix, Valuation, vector_norm
+from padicspectral import (
+    PadicInt,
+    PadicMatrix,
+    ResidueMatrix,
+    Valuation,
+    certify_strongly_normal,
+    vector_norm,
+)
 from padicspectral import linalg
 from padicspectral.errors import (
     DimensionMismatch,
@@ -207,6 +214,74 @@ def test_matrix_power_costs_no_spare_product(monkeypatch):
         assert calls[0] == max(0, k.bit_length() - 1) + max(0, k.bit_count() - 1)
         repeated = repeated @ a
 
+
+
+def _plain_product(a, b, mod):
+    return [[sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
+
+
+def _factor(rng, n, kind, bits, p):
+    """An n x n grid of integers of the given bit length, shaped by ``kind``."""
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "unreduced":
+        # u + p^h v with u, v < p^h, as the lift's shifted corrections leave them
+        ph = p ** max(1, bits // p.bit_length())
+        return [[rng.randrange(ph) + ph * rng.randrange(ph) for _ in range(n)] for _ in range(n)]
+    rows = [[rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(n)] for _ in range(n)]
+    if kind == "diagonal":
+        return [[x if i == j else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 17),
+    seed=st.integers(0, 2**32),
+    bits=st.tuples(*[st.one_of(st.sampled_from([399, 400]), st.integers(1, 900))] * 2),
+    kinds=st.tuples(*[st.sampled_from(["dense", "zero", "diagonal", "unreduced"])] * 2),
+)
+def test_product_kernels_agree(n, seed, bits, kinds):
+    # Winograd's inner product and the plain kernel compute the same
+    # integers, whichever kernel grid_matmul picks, odd n included
+    rng = Random(seed)
+    p = rng.choice([3, 5, 31])
+    mod = p ** rng.randrange(1, 200)
+    a, b = (_factor(rng, n, kind, m, p) for kind, m in zip(kinds, bits))
+    expected = _plain_product(a, b, mod)
+    assert linalg._winograd(a, b, mod) == expected
+    assert linalg.grid_matmul(a, b, mod) == expected
+
+
+def test_kernel_choice(monkeypatch):
+    # Winograd runs only where both factors have long entries: verify's two
+    # products and the spectral operator at (31,128,16), not the lift's
+    # products, n = 4, (13,64,12) or a product with a diagonal factor
+    calls = []
+    kernel = linalg._winograd
+
+    def counted(a, b, mod):
+        calls.append(len(a))
+        return kernel(a, b, mod)
+
+    monkeypatch.setattr(linalg, "_winograd", counted)
+
+    def winograd_calls(f):
+        calls.clear()
+        f()
+        return len(calls)
+
+    p, prec, n = 31, 128, 16
+    a = sample_certifiable_matrix(Random(4200), p, prec, n)
+    cert = certify_strongly_normal(a)
+    assert winograd_calls(cert.verify) == 2
+    assert winograd_calls(lambda: certify_strongly_normal(a)) == 2
+    assert winograd_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == 1
+    diag = PadicMatrix.diagonal([e.residue for e in cert.eigenvalues], p, prec)
+    assert winograd_calls(lambda: cert.basis @ diag) == 0
+    for p, prec, n in ((31, 128, 4), (13, 64, 12)):
+        small = sample_certifiable_matrix(Random(4300 + n), p, prec, n)
+        assert winograd_calls(lambda: certify_strongly_normal(small).verify()) == 0
 
 def test_scalar_division():
     a = PadicMatrix([[5, 10], [25, 50]], 5, 8)
