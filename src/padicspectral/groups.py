@@ -224,13 +224,17 @@ class OneParamGroup(_Frozen):
         coefficients of its binomial series among them; the basis is
         untouched.  U(1) = I exactly.
         """
-        s = self._coerce_unit(s)
-        z = s - 1
-        powers = principal_powers(z, self.cert.eigenvalues, self.budget)
-        u = self.cert.spectral_operator(powers)
+        powers, u = self._matrix_at(s)
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
         cert = self.cert.reuse_basis(v, [w - 1 for w in powers])
         return UnitaryOperator(u, cert)
+
+    def _matrix_at(self, s) -> tuple[list[PadicInt], PadicMatrix]:
+        """The eigenvalue powers of U(s) and U(s) itself, with no certificate
+        for checks that read only the matrix."""
+        z = self._coerce_unit(s) - 1
+        powers = principal_powers(z, self.cert.eigenvalues, self.budget)
+        return powers, self.cert.spectral_operator(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
@@ -257,15 +261,15 @@ class OneParamGroup(_Frozen):
         """Check U(s1 s2) = U(s1) U(s2) at every digit both sides claim,
         up to the target: min(target, prec lhs, prec rhs)."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        lhs = self.evaluate(s1 * s2).matrix
-        rhs = self.evaluate(s1).matrix @ self.evaluate(s2).matrix
+        lhs = self._matrix_at(s1 * s2)[1]
+        rhs = self._matrix_at(s1)[1] @ self._matrix_at(s2)[1]
         required = min(self.budget.target, lhs.prec, rhs.prec)
         return GroupCheck("group-law", (lhs - rhs).op_norm(), required)
 
     def lipschitz_check(self, s1, s2) -> GroupCheck:
         """Check the modulus-of-continuity bound |U(s1)-U(s2)| <= |s1-s2|."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        diff = self.evaluate(s1).matrix - self.evaluate(s2).matrix
+        diff = self._matrix_at(s1)[1] - self._matrix_at(s2)[1]
         required = min((s1 - s2).valuation().value, diff.prec)
         return GroupCheck("lipschitz", diff.op_norm(), required)
 
@@ -287,7 +291,7 @@ class OneParamGroup(_Frozen):
             return []
         s = self._coerce_unit(s)
         digits = zeta_of(s, self.budget).digits()
-        base = self.evaluate(1 + self.p).matrix
+        base = self._matrix_at(1 + self.p)[1]
         # a running product of the powers B_j = U(1+p)^(p^j), B_(j+1) = B_j^p
         one, acc, prefixes = base**0, None, []
         for j, d in enumerate(digits[: max(ns) + 1]):

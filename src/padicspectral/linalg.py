@@ -10,6 +10,12 @@ against the row above it alone triangularizes it, and r leaves one column
 without a pivot, where back-substitution starts; other roots raise
 ValueError.  Eigenvalues come from a root scan of F_p.  The spectral
 module lifts the residue eigenbasis p-adically, by Newton's method.
+
+Every product runs through one kernel, ``grid_matmul``, which picks one
+of three algorithms that compute the same integers from the operands
+alone: Winograd's inner product when every entry is long, rows packed
+into one big integer when the entries are short and n is not small, and
+one sum of products per entry otherwise.
 """
 
 from __future__ import annotations
@@ -368,32 +374,71 @@ class ResidueMatrix(PadicMatrix):
 
 
 # Winograd's inner product pays once n >= 8 and every entry of both
-# factors has at least 400 bits (measured on CPython 3.11 big integers).
+# factors has at least 400 bits; packing rows pays once n >= 12 and the
+# entries of the two factors have at most 400 bits together (measured on
+# CPython 3.11 big integers).
 _WINOGRAD_MIN_N = 8
 _WINOGRAD_MIN_BITS = 400
+_PACKED_MIN_N = 12
+_PACKED_MAX_BITS = 400
 
 
 def grid_matmul(a, b, mod: int) -> list[list[int]]:
     """The product of two n x n grids of integers, reduced mod ``mod``: the
     one matrix-product kernel, behind ``@`` and the eigenbasis lift.
 
-    It picks one of two algorithms from the operands alone: Winograd's
-    inner product when n >= 8 and the smallest entry of each factor has
-    400 bits or more, else one sum of products per entry.  Both compute
-    the same integers, so the result does not depend on the choice.
-    Winograd adds entries of one factor to the other's before it
+    It picks one of three algorithms from the operands alone.  Winograd's
+    inner product runs when n >= 8 and the smallest entry of each factor
+    has 400 bits or more; packed rows run when n >= 12, no entry is
+    negative and the largest entries of the two factors have 400 bits or
+    fewer together; one sum of products per entry runs otherwise.  All
+    three compute the same integers, so the result does not depend on the
+    choice.  Winograd adds entries of one factor to the other's before it
     multiplies, so it halves the products only where both are long: a
     short or zero entry (a half-digit correction in the lift, a diagonal
-    factor) keeps the plain kernel.
+    factor) rules it out.  Packing pays where the plain kernel's cost is
+    the interpreter's, not the integers': the lift's early steps.
     """
-    if (
-        len(a) >= _WINOGRAD_MIN_N
-        and min(map(min, a)).bit_length() >= _WINOGRAD_MIN_BITS
-        and min(map(min, b)).bit_length() >= _WINOGRAD_MIN_BITS
-    ):
-        return _winograd(a, b, mod)
+    n = len(a)
+    if n >= _WINOGRAD_MIN_N:
+        low_a, low_b = min(map(min, a)), min(map(min, b))
+        if min(low_a.bit_length(), low_b.bit_length()) >= _WINOGRAD_MIN_BITS:
+            return _winograd(a, b, mod)
+        if n >= _PACKED_MIN_N and min(low_a, low_b) >= 0:
+            bits_a, bits_b = (max(map(max, x)).bit_length() for x in (a, b))
+            if bits_a + bits_b <= _PACKED_MAX_BITS:
+                return _packed(a, b, mod, bits_a, bits_b)
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
+
+
+def _packed(a, b, mod: int, bits_a: int, bits_b: int) -> list[list[int]]:
+    """Packed rows (Kronecker substitution; D. Harvey, *Faster polynomial
+    multiplication via multipoint Kronecker substitution*, J. Symbolic
+    Comput. 44, 2009) for factors with entries 0 <= a < 2^bits_a and
+    0 <= b < 2^bits_b.
+
+    Row k of B becomes the integer sum_j b_kj 2^(w j), with slots of w >=
+    bits_a + bits_b + bits(n) bits rounded up to whole bytes, so that
+    sum_k a_ik (row k) = sum_j c_ij 2^(w j): each c_ij < n 2^(bits_a +
+    bits_b) <= 2^w fills its own slot and carries into no other, an
+    identity of integers.  One big-integer sum of n products gives a row
+    of C.  The factor with the longer entries is the one packed: when it
+    is A, its columns are, which gives C column by column.
+    """
+    n = len(a)
+    width = (bits_a + bits_b + n.bit_length() + 7) // 8
+    slots = [slice(i, i + width) for i in range(0, width * n, width)]
+    short, long = (zip(*b), zip(*a)) if bits_a > bits_b else (a, b)
+    rows = [
+        int.from_bytes(b"".join([x.to_bytes(width, "little") for x in r]), "little")
+        for r in long
+    ]
+    out = []
+    for r in short:
+        c = sum(map(mul, r, rows)).to_bytes(width * n, "little")
+        out.append([int.from_bytes(c[slot], "little") % mod for slot in slots])
+    return [list(col) for col in zip(*out)] if bits_a > bits_b else out
 
 
 def _winograd(a, b, mod: int) -> list[list[int]]:

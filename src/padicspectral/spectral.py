@@ -279,9 +279,10 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     is the old one mod p^h, so Y' = (I - S T) / p^h is exact and
     T += p^h T Y' inverts S mod p^e.  Only A S and S T multiply e-digit
     entries.  G is inverted once mod p; G <- G (2 - (d_j - d_i) G) mod p^e
-    keeps it exact, as d moves by multiples of p^h.  A division with a
-    remainder raises CertificationFailed.  Works on grids of residues;
-    returns (S, S^-1, eigenvalues) at A's precision.
+    keeps it exact, as d moves by multiples of p^h; the last step leaves
+    it, as nothing reads it after.  A division with a remainder raises
+    CertificationFailed.  Works on grids of residues; returns (S, S^-1,
+    eigenvalues) at A's precision.
     """
     p, target = a.p, a.prec
     s = list(zip(*ahat.eigenvectors(residues)))
@@ -292,31 +293,37 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     while h < target:
         e = min(2 * h, target)
         ph, mod, modk = p**h, p**e, p ** (e - h)
-        tk = _cut(t, modk)
+        # S and T have h digits: a cut to k = e - h digits changes them only if k < h
+        sk, tk = (s, t) if e == 2 * h else (_cut(s, modk), _cut(t, modk))
         a_s = grid_matmul(_cut(a.rows(), mod), s, mod)
-        r = [[x - y * dj for x, y, dj in zip(u, v, d)] for u, v in zip(a_s, s)]
-        c = grid_matmul(tk, _divide_residual(r, ph, mod), modk)
+        r = [[(x - y * dj) % mod for x, y, dj in zip(u, v, d)] for u, v in zip(a_s, s)]
+        c = grid_matmul(tk, _divide_residual(r, ph), modk)
         x = [[cij * gij % modk for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
         d = [(di + ph * c[i][i]) % mod for i, di in enumerate(d)]
-        g = [
-            [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
-            for di, gi in zip(d, g)
-        ]
-        s = _add_shifted(s, grid_matmul(_cut(s, modk), x, modk), ph)
+        if e < target:
+            g = [
+                [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
+                for di, gi in zip(d, g)
+            ]
+        s = _add_shifted(s, grid_matmul(sk, x, modk), ph)
         st = grid_matmul(s, t, mod)
-        y = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(st)]
-        t = _add_shifted(t, grid_matmul(tk, _divide_residual(y, ph, mod), modk), ph)
+        y = [[((i == j) - v) % mod for j, v in enumerate(row)] for i, row in enumerate(st)]
+        t = _add_shifted(t, grid_matmul(tk, _divide_residual(y, ph), modk), ph)
         h = e
     eigenvalues = [PadicInt(di, p, target) for di in d]
     return PadicMatrix(s, p, target), PadicMatrix(t, p, target), eigenvalues
 
 
-def _divide_residual(grid, ph: int, mod: int) -> list[list[int]]:
-    """A grid that vanishes mod ph = p^h, taken mod p^e and divided by ph."""
-    qr = [[divmod(x % mod, ph) for x in row] for row in grid]
-    if any(rem for row in qr for _, rem in row):
+def _divide_residual(grid, ph: int) -> list[list[int]]:
+    """A residual reduced mod p^e that vanishes mod ph = p^h, divided by ph.
+
+    Its entries are >= 0, and so are their remainders mod ph: all of them
+    are 0 exactly when the entries sum to ph times the quotients' sum.
+    """
+    q = [[x // ph for x in row] for row in grid]
+    if sum(map(sum, grid)) != ph * sum(map(sum, q)):
         raise CertificationFailed("a Newton residual is not divisible by p^h")
-    return [[q for q, _ in row] for row in qr]
+    return q
 
 
 def _cut(grid, mod: int) -> list[list[int]]:

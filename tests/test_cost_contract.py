@@ -1,8 +1,9 @@
 """Cost contract: matrix products per public operation, and their digits.
 
 Every matrix product, whether through PadicMatrix.__matmul__ or in the
-eigenbasis lift, runs one kernel, linalg.grid_matmul, and counts of its
-calls are exact on any host, so they can gate where timings cannot.
+eigenbasis lift, runs one entry point, linalg.grid_matmul, whichever of
+its algorithms it picks, and counts of its calls are exact on any host,
+so they can gate where timings cannot.
 Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
 of 5 products each, and verifying a certificate takes 2 more.
 Certificates derived from a verified one (evaluate, make_unitary, stone)

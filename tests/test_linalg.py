@@ -1,11 +1,12 @@
 """Matrix norm, reduction, residue characteristic polynomials and eigenvectors."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padicspectral
@@ -231,19 +232,36 @@ def _factor(rng, n, kind, bits, p):
     rows = [[rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(n)] for _ in range(n)]
     if kind == "diagonal":
         return [[x if i == j else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    if kind == "negative":
+        return [[-x if (i + j) % 3 else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
     return rows
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(1, 17),
+    n=st.integers(1, 20),
     seed=st.integers(0, 2**32),
-    bits=st.tuples(*[st.one_of(st.sampled_from([399, 400]), st.integers(1, 900))] * 2),
-    kinds=st.tuples(*[st.sampled_from(["dense", "zero", "diagonal", "unreduced"])] * 2),
+    bits=st.tuples(
+        *[st.one_of(st.sampled_from([100, 199, 200, 201, 300, 399, 400]), st.integers(1, 900))]
+        * 2
+    ),
+    kinds=st.tuples(
+        *[st.sampled_from(["dense", "zero", "diagonal", "unreduced", "negative"])] * 2
+    ),
 )
+# the packing bound of 400 bits together, met and missed, each factor longer
+@example(n=12, seed=1, bits=(200, 200), kinds=("dense", "dense"))
+@example(n=12, seed=2, bits=(200, 201), kinds=("dense", "dense"))
+@example(n=20, seed=3, bits=(300, 100), kinds=("dense", "unreduced"))
+@example(n=20, seed=4, bits=(100, 300), kinds=("diagonal", "dense"))
+@example(n=16, seed=5, bits=(100, 301), kinds=("dense", "dense"))
+@example(n=16, seed=6, bits=(80, 80), kinds=("zero", "dense"))
+# short entries at n >= 12 with negative ones among them: never packed
+@example(n=12, seed=7, bits=(40, 40), kinds=("negative", "dense"))
+@example(n=16, seed=8, bits=(40, 40), kinds=("dense", "negative"))
 def test_product_kernels_agree(n, seed, bits, kinds):
-    # Winograd's inner product and the plain kernel compute the same
-    # integers, whichever kernel grid_matmul picks, odd n included
+    # Winograd's inner product, packed rows and the plain kernel compute the
+    # same integers, whichever kernel grid_matmul picks, odd n included
     rng = Random(seed)
     p = rng.choice([3, 5, 31])
     mod = p ** rng.randrange(1, 200)
@@ -251,37 +269,54 @@ def test_product_kernels_agree(n, seed, bits, kinds):
     expected = _plain_product(a, b, mod)
     assert linalg._winograd(a, b, mod) == expected
     assert linalg.grid_matmul(a, b, mod) == expected
+    if "negative" not in kinds:
+        bits_a, bits_b = (max(map(max, x)).bit_length() for x in (a, b))
+        assert linalg._packed(a, b, mod, bits_a, bits_b) == expected
 
 
 def test_kernel_choice(monkeypatch):
     # Winograd runs only where both factors have long entries: verify's two
     # products and the spectral operator at (31,128,16), not the lift's
-    # products, n = 4, (13,64,12) or a product with a diagonal factor
-    calls = []
-    kernel = linalg._winograd
+    # products, n = 4, (13,64,12) or a product with a diagonal factor.
+    # Packed rows run only in the lift, on its products of short entries at
+    # n >= 12: 28 of 35 at (31,128,16) and all 30 at (13,64,12)
+    calls = Counter()
 
-    def counted(a, b, mod):
-        calls.append(len(a))
-        return kernel(a, b, mod)
+    def counted(name):
+        kernel = getattr(linalg, name)
 
-    monkeypatch.setattr(linalg, "_winograd", counted)
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
 
-    def winograd_calls(f):
+        return run
+
+    for name in ("_winograd", "_packed"):
+        monkeypatch.setattr(linalg, name, counted(name))
+
+    def kernel_calls(f):
         calls.clear()
         f()
-        return len(calls)
+        return calls["_winograd"], calls["_packed"]
 
     p, prec, n = 31, 128, 16
     a = sample_certifiable_matrix(Random(4200), p, prec, n)
     cert = certify_strongly_normal(a)
-    assert winograd_calls(cert.verify) == 2
-    assert winograd_calls(lambda: certify_strongly_normal(a)) == 2
-    assert winograd_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == 1
+    assert kernel_calls(cert.verify) == (2, 0)
+    assert kernel_calls(lambda: certify_strongly_normal(a)) == (2, 28)
+    assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (1, 0)
     diag = PadicMatrix.diagonal([e.residue for e in cert.eigenvalues], p, prec)
-    assert winograd_calls(lambda: cert.basis @ diag) == 0
-    for p, prec, n in ((31, 128, 4), (13, 64, 12)):
-        small = sample_certifiable_matrix(Random(4300 + n), p, prec, n)
-        assert winograd_calls(lambda: certify_strongly_normal(small).verify()) == 0
+    assert kernel_calls(lambda: cert.basis @ diag) == (0, 0)
+    small = sample_certifiable_matrix(Random(4312), 13, 64, 12)
+    cert = certify_strongly_normal(small)
+    assert kernel_calls(lambda: certify_strongly_normal(small)) == (0, 30)
+    assert kernel_calls(cert.verify) == (0, 0)
+    assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (0, 0)
+    small = sample_certifiable_matrix(Random(4304), 31, 128, 4)
+    assert kernel_calls(lambda: certify_strongly_normal(small)) == (0, 0)
+    small = sample_certifiable_matrix(Random(4308), 31, 128, 8)
+    assert kernel_calls(lambda: certify_strongly_normal(small))[1] == 0
+
 
 def test_scalar_division():
     a = PadicMatrix([[5, 10], [25, 50]], 5, 8)

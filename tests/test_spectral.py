@@ -448,22 +448,46 @@ def test_lift_matches_full_precision_reference_p31_n16():
     assert got == want
 
 
-def test_lift_refuses_a_residual_it_cannot_divide(monkeypatch):
-    # the 6th product is A S in the step from h = 2 to 4 digits: one entry
-    # moved by p^(h-1) leaves R = A S - S D nonzero mod p^h
-    p = 7
-    a = sample_certifiable_matrix(Random(2200), p, 16, 3)
-    calls = [0]
-    kernel = linalg.grid_matmul
+def _certify_with_a_moved_product(monkeypatch, a, call):
+    """Certify A with one entry of the lift's product number ``call`` moved
+    by p, expecting a refusal; return the products run and those packed.
+
+    Products 6 to 10 are the step from h = 2 to 4 digits: A S, T R', S X',
+    S T and T Y'.  Moving an entry of A S or S T by p^(h-1) leaves A S - S D
+    or I - S T nonzero mod p^h.
+    """
+    calls, packed = [0], []
+    kernel, pack = linalg.grid_matmul, linalg._packed
 
     def corrupted(x, y, mod):
         out = kernel(x, y, mod)
         calls[0] += 1
-        if calls[0] == 6:
-            out[0][0] += p
+        if calls[0] == call:
+            out[0][0] += a.p
         return out
 
+    def counted(*args):
+        packed.append(calls[0] + 1)
+        return pack(*args)
+
     monkeypatch.setattr(spectral, "grid_matmul", corrupted)
+    monkeypatch.setattr(linalg, "_packed", counted)
     with pytest.raises(CertificationFailed, match="not divisible by p\\^h"):
         certify_strongly_normal(a)
-    assert calls[0] == 6
+    return calls[0], packed
+
+
+def test_lift_refuses_a_residual_it_cannot_divide(monkeypatch):
+    # the 6th product is A S in the step from h = 2 to 4 digits
+    a = sample_certifiable_matrix(Random(2200), 7, 16, 3)
+    assert _certify_with_a_moved_product(monkeypatch, a, 6)[0] == 6
+
+
+@pytest.mark.parametrize("p, prec, n", [(7, 16, 3), (31, 128, 16)])
+def test_lift_refuses_an_inverse_residual_it_cannot_divide(monkeypatch, p, prec, n):
+    # the 9th product is S T in the step from h = 2 to 4 digits; at n = 16
+    # it packs its rows
+    a = sample_certifiable_matrix(Random(2200), p, prec, n)
+    calls, packed = _certify_with_a_moved_product(monkeypatch, a, 9)
+    assert calls == 9
+    assert (9 in packed) == (n >= 12)
