@@ -153,33 +153,26 @@ def _config(args, p: int, budget: SeriesBudget) -> dict:
     }
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# Each handler returns (body, exit code); main adds the config to the body.
 
 
-def _cmd_certify(args, inputs: dict) -> int:
+def _cmd_certify(args, inputs: dict):
     matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
-    cert = certify_strongly_normal(matrix)
-    _emit({"config": _config(args, **inputs), "certificate": cert.to_dict()})
-    return EXIT_OK
+    return {"certificate": certify_strongly_normal(matrix).to_dict()}, EXIT_OK
 
 
-def _cmd_group_eval(args, inputs: dict) -> int:
+def _cmd_group_eval(args, inputs: dict):
     group = _load_group(args.group_file, args, inputs)
     s = int(args.s)
     u = group.evaluate(s)
-    _emit(
-        {
-            "config": _config(args, **inputs),
-            "s": str(s),
-            "matrix": u.matrix.to_dict(),
-            "unit_spectrum": [x.to_dict() for x in u.unit_spectrum()],
-        }
-    )
-    return EXIT_OK
+    return {
+        "s": str(s),
+        "matrix": u.matrix.to_dict(),
+        "unit_spectrum": [x.to_dict() for x in u.unit_spectrum()],
+    }, EXIT_OK
 
 
-def _sampled_check(args, inputs: dict, check: str) -> int:
+def _sampled_check(args, inputs: dict, check: str):
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples} checks nothing; it must be >= 1")
     group = _load_group(args.group_file, args, inputs)
@@ -191,44 +184,30 @@ def _sampled_check(args, inputs: dict, check: str) -> int:
         s1 = sample_principal_unit(rng, group.p, prec)
         s2 = sample_principal_unit(rng, group.p, prec)
         results.append(run(s1, s2))
-    margins = [r.margin for r in results]
-    _emit(
-        {
-            "config": _config(args, **inputs),
-            "check": check,
-            "samples": args.samples,
-            "seed": args.seed,
-            "min_margin_valuation": min(margins),
-            "pass": all(r.ok for r in results),
-        }
-    )
-    return EXIT_OK if all(r.ok for r in results) else EXIT_REFUSAL
+    ok = all(r.ok for r in results)
+    return {
+        "check": check,
+        "samples": args.samples,
+        "seed": args.seed,
+        "min_margin_valuation": min(r.margin for r in results),
+        "pass": ok,
+    }, EXIT_OK if ok else EXIT_REFUSAL
 
 
-def _cmd_stone(args, inputs: dict) -> int:
+def _cmd_stone(args, inputs: dict):
     matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
-    group = stone_recover(matrix, inputs["budget"])
-    _emit({"config": _config(args, **inputs), **group.to_dict()})
-    return EXIT_OK
+    return stone_recover(matrix, inputs["budget"]).to_dict(), EXIT_OK
 
 
-def _cmd_additive(args, inputs: dict) -> int:
+def _cmd_additive(args, inputs: dict):
     group = _load_group(args.group_file, args, inputs)
     z = int(args.z)
-    w = group.additive_evaluate(z)
-    _emit(
-        {
-            "config": _config(args, **inputs),
-            "z": str(z),
-            "matrix": w.matrix.to_dict(),
-        }
-    )
-    return EXIT_OK
+    return {"z": str(z), "matrix": group.additive_evaluate(z).matrix.to_dict()}, EXIT_OK
 
 
-def _cmd_converge(args, inputs: dict) -> int:
-    if args.max_n < 0:
-        raise ValueError(f"--max-n {args.max_n} gives an empty table; it must be >= 0")
+def _cmd_converge(args, inputs: dict):
+    if not 0 <= args.max_n <= MAX_PREC:
+        raise ValueError(f"--max-n {args.max_n} is outside [0, {MAX_PREC}]")
     group = _load_group(args.group_file, args, inputs)
     s = int(args.s)
     reference = group.evaluate(s).matrix
@@ -244,14 +223,7 @@ def _cmd_converge(args, inputs: dict) -> int:
                 "proven_bound": digit_truncation_error(n, group.p),
             }
         )
-    _emit(
-        {
-            "config": _config(args, **inputs),
-            "s": str(s),
-            "table": rows,
-        }
-    )
-    return EXIT_OK
+    return {"s": str(s), "table": rows}, EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -270,26 +242,19 @@ def main(argv=None) -> int:
     }
     inputs = {}  # the input's prime and budget, recorded once it is parsed
     try:
-        return handlers[args.command](args, inputs)
+        body, code = handlers[args.command](args, inputs)
     except Refusal as e:
-        _emit(
-            {
-                "config": _config(args, **inputs),
-                "refusal": {"type": type(e).__name__, "message": str(e)},
-            }
-        )
-        return EXIT_REFUSAL
+        body = {"refusal": {"type": type(e).__name__, "message": str(e)}}
+        code = EXIT_REFUSAL
     except PrecisionFailure as e:
-        _emit(
-            {
-                "config": _config(args, **inputs),
-                "error": {"type": type(e).__name__, "message": str(e)},
-            }
-        )
-        return EXIT_PRECISION
+        body = {"error": {"type": type(e).__name__, "message": str(e)}}
+        code = EXIT_PRECISION
     except (OSError, ValueError, KeyError, TypeError, PadicError, json.JSONDecodeError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
+    payload = {"config": _config(args, **inputs), **body}
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ package implements need p odd (exp must converge on pZ_p).
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import add, attrgetter, mul, sub
 
 from .errors import (
     DivisionByHigherValuation,
@@ -79,8 +80,37 @@ class Prime(int):
         return super().__new__(cls, validate_prime(p))
 
 
+class Frozen:
+    """An immutable value: ``_set`` stores its fields once, in one call,
+    and assignment afterwards raises AttributeError.  ``==`` and ``hash``
+    compare ``_fields``: the values of the names in ``__slots__`` along
+    the MRO, a tuple, or the bare value for a single name."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [n for c in reversed(cls.__mro__) for n in vars(c).get("__slots__", ())]
+        cls._fields = property(attrgetter(*names))
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+
 @total_ordering
-class Valuation:
+class Valuation(Frozen):
     """A p-adic valuation: an exact value v >= 0 or "at least N".
 
     ``Valuation.at_least(N)`` is the valuation of a residue that is zero
@@ -88,7 +118,6 @@ class Valuation:
     |x| = p^(-v) is represented by this object (together with p), never
     as a float.  Ordering compares the known lower bound, with the
     open-ended form sorting above an exact value of the same size.
-    Instances are immutable and hashable.
     """
 
     __slots__ = ("value", "open_ended")  # open_ended: only "v >= value" is known
@@ -96,27 +125,12 @@ class Valuation:
     def __init__(self, value: int, open_ended: bool = False):
         if value < 0:
             raise ValueError("valuation must be nonnegative")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "open_ended", open_ended)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Valuation is immutable")
-
-    def _key(self) -> tuple[int, bool]:
-        return (self.value, self.open_ended)
-
-    def __eq__(self, other):
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self._key() == other._key()
+        self._set(value=value, open_ended=open_ended)
 
     def __lt__(self, other):
         if not isinstance(other, Valuation):
             return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return self._fields < other._fields
 
     @classmethod
     def exact(cls, v: int) -> "Valuation":
@@ -156,30 +170,25 @@ class Valuation:
         return f"v>={self.value}" if self.open_ended else f"v={self.value}"
 
 
-class PadicValue:
+class PadicValue(Frozen):
     """Residues mod p^prec over one odd prime: what PadicInt and
     PadicMatrix share, and the one home of their precision rules.
 
-    A subclass calls :meth:`_set_precision` first in ``__init__``, then
-    stores its residues, and defines ``_at(prec)``: itself at ``prec``
-    digits, its residues reduced or lifted by zero digits.  Instances are
-    immutable.
+    A subclass checks p and prec by :meth:`_check_precision` first in
+    ``__init__``, then sets them and its residues in one ``_set``, and
+    defines ``_at(prec)``: itself at ``prec`` digits, its residues reduced
+    or lifted by zero digits.
     """
 
     __slots__ = ("p", "prec")
 
-    def _set_precision(self, p: int, prec: int) -> int:
-        """Validate and store p and prec; return the modulus p^prec."""
-        p = validate_prime(p)
-        prec = int(prec)
+    @staticmethod
+    def _check_precision(p: int, prec: int) -> tuple[int, int]:
+        """Validate p and prec and return them as ints."""
+        p, prec = validate_prime(p), int(prec)
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        return p**prec
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        return p, prec
 
     @property
     def modulus(self) -> int:
@@ -258,6 +267,20 @@ class PadicValue:
         return [q * inv % mod for q in quotients], prec
 
 
+def _ring_op(op):
+    """PadicInt's binary operation ``op`` on residues: the other operand
+    (PadicInt or int) coerced, the precision the minimum of the two."""
+
+    def method(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        prec = min(self.prec, other.prec)
+        return PadicInt(op(self.residue, other.residue), self.p, prec)
+
+    return method
+
+
 class PadicInt(PadicValue):
     """An element of Z_p known modulo p^N.
 
@@ -271,7 +294,8 @@ class PadicInt(PadicValue):
     __slots__ = ("residue",)
 
     def __init__(self, n: int, p: int, prec: int):
-        object.__setattr__(self, "residue", int(n) % self._set_precision(p, prec))
+        p, prec = self._check_precision(p, prec)
+        self._set(p=p, prec=prec, residue=int(n) % p**prec)
 
     def _at(self, prec: int) -> "PadicInt":
         return PadicInt(self.residue, self.p, prec)
@@ -323,36 +347,10 @@ class PadicInt(PadicValue):
             return PadicInt(other, self.p, self.prec)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return PadicInt(self.residue + other.residue, self.p, prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return PadicInt(self.residue - other.residue, self.p, prec)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return PadicInt(self.residue * other.residue, self.p, prec)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _ring_op(add)
+    __sub__ = _ring_op(sub)
+    __rsub__ = _ring_op(lambda a, b: b - a)
+    __mul__ = __rmul__ = _ring_op(mul)
 
     def __neg__(self):
         return PadicInt(-self.residue, self.p, self.prec)
@@ -390,18 +388,11 @@ class PadicInt(PadicValue):
         return (self.residue - other.residue) % mod == 0
 
     def __eq__(self, other):
-        if isinstance(other, PadicInt):
-            return (
-                self.p == other.p
-                and self.prec == other.prec
-                and self.residue == other.residue
-            )
         if isinstance(other, int):
             return self.residue == other % self.modulus
-        return NotImplemented
+        return Frozen.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.p, self.prec, self.residue))
+    __hash__ = Frozen.__hash__
 
     # -- serialization -------------------------------------------------
 

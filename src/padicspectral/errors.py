@@ -74,7 +74,3 @@ class CertificationFailed(Refusal):
 
 class NotPrincipalSpectrum(Refusal):
     """The spectrum is expected to consist of principal units and does not."""
-
-
-class DenominatorNotInvertible(Refusal):
-    """A rational partial sum kept a factor of p in its denominator."""

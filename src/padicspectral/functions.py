@@ -30,6 +30,7 @@ from operator import mul
 
 from .core import (
     MAX_WORKING_PREC,
+    Frozen,
     PadicInt,
     Valuation,
     validate_prec,
@@ -130,9 +131,9 @@ def binomials(x, digits: int, terms: int, product):
         yield acc
 
 
-class SeriesBudget:
+class SeriesBudget(Frozen):
     """Precision contract for all truncated series: ``target`` digits of
-    guaranteed correctness in results.  Immutable."""
+    guaranteed correctness in results."""
 
     __slots__ = ("target",)
 
@@ -142,15 +143,7 @@ class SeriesBudget:
     def __init__(self, target: int):
         if target < 1:
             raise ValueError("target precision must be >= 1")
-        object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesBudget is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesBudget):
-            return NotImplemented
-        return self.target == other.target
+        self._set(target=target)
 
     def __repr__(self):
         return f"SeriesBudget(target={self.target!r})"
@@ -269,8 +262,9 @@ def _power_residues(z: int, p: int, jobs) -> list[int]:
     c_j, c_j = t^j / j!, an identity of integers.  The terms j >= J =
     ceil(m / (v + k)) vanish mod p^m, m the largest d, and so do those
     with j > b; Horner's rule sums the rest as c_0 + b (c_1 + (b-1) (c_2
-    + ...)), one product per term.  c_j = c_(j-1) t / j runs mod p^m, and the exact division by
-    the p-part of j costs v_p(j) digits, so c_j is known mod
+    + ...)), one product per term.  c_j = c_(j-1) t / j runs mod p^m by
+    :func:`_divide_index`, whose division by the p-part of j costs
+    v_p(j) digits, so c_j is known mod
     p^(m - v_p(j!)); its error times b (b-1) ... (b-j+1), which j!
     divides, vanishes mod p^m, and the residue equals the pow's exactly.
     """
@@ -286,10 +280,7 @@ def _power_residues(z: int, p: int, jobs) -> list[int]:
     t = pow(1 + z, p**k, mod_m) - 1
     c, coeffs = 1, [1]
     for j in range(1, terms):
-        c, unit = c * t % mod_m, j
-        while unit % p == 0:
-            c, unit = c // p, unit // p
-        c = c * pow(unit, -1, mod_m) % mod_m
+        c = _divide_index(c * t % mod_m, j, p, mod_m)
         coeffs.append(c)
     out = []
     for e, d in jobs:
@@ -302,6 +293,18 @@ def _power_residues(z: int, p: int, jobs) -> list[int]:
     return out
 
 
+def _divide_index(c: int, j: int, p: int, mod: int) -> int:
+    """A series term c, known mod ``mod`` (a power of p), divided by j:
+    the p-part of j divides c exactly, and the unit part u divides c
+    after adding the multiple of ``mod`` that makes c divisible by u.  The
+    quotient is known mod mod / p^v_p(j) and is not reduced."""
+    while j % p == 0:
+        c, j = c // p, j // p
+    if j == 1:
+        return c
+    return (c - c * pow(mod, -1, j) % j * mod) // j
+
+
 def _plog_terms(x: PadicInt, working: int) -> PadicInt:
     """log(1 + x) good to ``working`` = W digits, for v(x) >= 1.
 
@@ -311,10 +314,8 @@ def _plog_terms(x: PadicInt, working: int) -> PadicInt:
     exact division by p^k returns to W.  Since log is an isometry on
     pZ_p, cutting t mod p^(W+k) moves log(1+t) by p^(W+k) at most.  k
     comes from the cost model of :func:`_split_point` with no exponents.
-    Everything runs on plain residues: a term t^j / j drops the p-part
-    of j exactly, then divides by its unit part u after adding the
-    multiple of p^w0 that makes it divisible by u, so the result is the
-    true log(1+x) mod p^W.
+    Everything runs on plain residues, each term t^j / j divided by
+    :func:`_divide_index`, so the result is the true log(1+x) mod p^W.
     """
     p = x.p
     k = _split_point(p, working, 0, Valuation.of_residue(x.residue, p, working).value)
@@ -325,11 +326,7 @@ def _plog_terms(x: PadicInt, working: int) -> PadicInt:
     acc = term_num = t
     for j in range(2, terms + 1):
         term_num = term_num * t % mod
-        term, u = term_num, j
-        while u % p == 0:
-            term, u = term // p, u // p
-        if u != 1:
-            term = (term - term * pow(mod, -1, u) % u * mod) // u
+        term = _divide_index(term_num, j, p, mod)
         acc = acc + term if j % 2 else acc - term
     return PadicInt(acc % p**w // p**k, p, working)
 

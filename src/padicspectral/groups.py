@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from operator import matmul
 
-from .core import PadicInt, Valuation
+from .core import Frozen, PadicInt, Valuation
 from .errors import (
     CertificationFailed,
     InsufficientPrecision,
@@ -67,16 +67,7 @@ __all__ = [
 ]
 
 
-class _Frozen:
-    """Attributes set once in __init__; assignment afterwards raises."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class UnitaryOperator(_Frozen):
+class UnitaryOperator(Frozen):
     """U = I + V together with the spectral certificate of V.
 
     V is ``cert.matrix``.  The spectrum of U is the pushforward of V's
@@ -86,8 +77,7 @@ class UnitaryOperator(_Frozen):
     __slots__ = ("matrix", "cert")
 
     def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cert", cert)
+        self._set(matrix=matrix, cert=cert)
 
     def unit_spectrum(self) -> list[PadicInt]:
         """sigma(U) = {1 + lambda : lambda in sigma(V)}."""
@@ -139,7 +129,7 @@ def make_unitary(v: PadicMatrix) -> UnitaryOperator:
     return UnitaryOperator(u, cert)
 
 
-class GroupCheck(_Frozen):
+class GroupCheck(Frozen):
     """Outcome of a quantitative valuation check.
 
     ``observed`` is the valuation actually measured, ``required`` the
@@ -150,18 +140,7 @@ class GroupCheck(_Frozen):
     __slots__ = ("check", "observed", "required")
 
     def __init__(self, check: str, observed: Valuation, required: int):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "required", required)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupCheck):
-            return NotImplemented
-        return (self.check, self.observed, self.required) == (
-            other.check,
-            other.observed,
-            other.required,
-        )
+        self._set(check=check, observed=observed, required=required)
 
     @property
     def ok(self) -> bool:
@@ -184,7 +163,7 @@ class GroupCheck(_Frozen):
         }
 
 
-class OneParamGroup(_Frozen):
+class OneParamGroup(Frozen):
     """A certified generator A, evaluable at any principal unit s.
 
     All eigenvalues of A lie in Z_p and |A| <= 1, so s -> s^A lands in
@@ -194,8 +173,7 @@ class OneParamGroup(_Frozen):
     __slots__ = ("cert", "budget")
 
     def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "budget", budget)
+        self._set(cert=cert, budget=budget)
 
     @property
     def generator(self) -> PadicMatrix:

@@ -24,16 +24,24 @@ from math import gcd
 from operator import add, mul, sub
 
 from .core import MAX_DIM, PadicInt, PadicValue, Valuation, validate_prec
-from .errors import DimensionMismatch, DivisionByHigherValuation, PrimeMismatch
+from .errors import (
+    DimensionMismatch,
+    DivisionByHigherValuation,
+    PrecisionExceeded,
+    PrimeMismatch,
+)
 
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
-def _as_residue(x, p: int, mod: int) -> int:
-    """x as a residue mod ``mod``, a power of p."""
+def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
+    """x as a residue mod ``mod``, a power of p; a PadicInt x must track
+    at least ``prec`` digits."""
     if isinstance(x, PadicInt):
         if x.p != p:
             raise PrimeMismatch(f"entry prime {x.p} != matrix prime {p}")
+        if x.prec < prec:
+            raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
         return x.residue % mod
     return int(x) % mod
 
@@ -50,8 +58,8 @@ class PadicMatrix(PadicValue):
     __slots__ = ("n", "_e")
 
     def __init__(self, rows, p: int, prec: int):
-        mod = self._set_precision(p, prec)
-        p = self.p
+        p, prec = self._check_precision(p, prec)
+        mod = p**prec
         rows = [list(r) for r in rows]
         n = len(rows)
         if n < 1:
@@ -60,9 +68,8 @@ class PadicMatrix(PadicValue):
             raise DimensionMismatch(f"dimension {n} exceeds cap {MAX_DIM}")
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square")
-        grid = tuple(tuple(_as_residue(x, p, mod) for x in row) for row in rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_e", grid)
+        grid = tuple(tuple(_as_residue(x, p, mod, prec) for x in row) for row in rows)
+        self._set(p=p, prec=prec, n=n, _e=grid)
 
     def _at(self, prec: int) -> "PadicMatrix":
         return PadicMatrix(self._e, self.p, prec)
@@ -137,19 +144,9 @@ class PadicMatrix(PadicValue):
         return PadicMatrix(grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
 
     def __mul__(self, scalar) -> "PadicMatrix":
-        if isinstance(scalar, PadicInt):
-            if scalar.p != self.p:
-                raise PrimeMismatch(f"p={self.p} vs p={scalar.p}")
-            prec = min(self.prec, scalar.prec)
-            s = scalar.residue
-        elif isinstance(scalar, int):
-            prec, s = self.prec, scalar
-        else:
+        if not isinstance(scalar, (int, PadicInt)):
             return NotImplemented
-        mod = self.p**prec
-        return PadicMatrix(
-            [[(s * a) % mod for a in row] for row in self._e], self.p, prec
-        )
+        return self.scale_columns([scalar] * self.n)
 
     __rmul__ = __mul__
 
@@ -168,7 +165,8 @@ class PadicMatrix(PadicValue):
         with this matrix."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
-        xs = [_as_residue(x, self.p, self.modulus) for x in vec]
+        p, mod = self.p, self.modulus
+        xs = [_as_residue(x, p, mod) for x in vec]
         precs = [x.prec for x in vec if isinstance(x, PadicInt)]
         return xs, min([self.prec] + precs)
 
@@ -272,7 +270,7 @@ class ResidueMatrix(PadicMatrix):
 
     def __init__(self, rows, p: int):
         super().__init__(rows, p, 1)
-        object.__setattr__(self, "_hess", _hessenberg(self._e, self.p))
+        self._set(_hess=_hessenberg(self._e, self.p))
 
     def is_scalar(self) -> bool:
         """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""

@@ -25,7 +25,7 @@ deliberately does not guess at.
 
 from __future__ import annotations
 
-from .core import PadicInt
+from .core import Frozen, PadicInt
 from .errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -41,7 +41,7 @@ __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 _FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
 
 
-class StrongNormalCertificate:
+class StrongNormalCertificate(Frozen):
     """A verified eigenbasis A S = S D, so that A = sum lambda_i E_i.
 
     ``basis`` is S and ``basis_inverse`` is S^-1.  Eigenvalue i owns
@@ -54,7 +54,7 @@ class StrongNormalCertificate:
     certificate is made or read, not where :meth:`reuse_basis` derives one.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
+    __slots__ = _FIELDS
 
     def __init__(
         self,
@@ -80,14 +80,13 @@ class StrongNormalCertificate:
             )
         if any(x.p != matrix.p for x in (basis, basis_inverse, *eigenvalues)):
             raise PrimeMismatch("certificate data must share the matrix prime")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "basis_inverse", basis_inverse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("certificate is immutable")
+        self._set(
+            matrix=matrix,
+            eigenvalues=eigenvalues,
+            multiplicities=multiplicities,
+            basis=basis,
+            basis_inverse=basis_inverse,
+        )
 
     @property
     def p(self) -> int:

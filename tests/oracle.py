@@ -4,8 +4,9 @@ Everything here recomputes results by a route the library never takes:
 exact binomial sums over Z and exact rational partial sums, each reduced
 mod p^N in one final step, and characteristic polynomials by cofactor
 expansion over Z[x].  No code is shared with the series or linear
-algebra modules; that independence is the point.  Test-only; nothing
-here tracks precision or aims to be fast.
+algebra modules, and nothing is imported from the package; that
+independence is the point.  Nothing here tracks precision or aims to be
+fast.
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .errors import DenominatorNotInvertible
+__all__ = [
+    "DenominatorNotInvertible",
+    "oracle_power",
+    "oracle_series",
+    "oracle_char_poly",
+    "reduce_fraction",
+]
 
-__all__ = ["oracle_power", "oracle_series", "oracle_char_poly", "reduce_fraction"]
+
+class DenominatorNotInvertible(ArithmeticError):
+    """A rational partial sum kept a factor of p in its denominator."""
 
 
 def oracle_power(base: int, exp: int, p: int, prec: int) -> int:

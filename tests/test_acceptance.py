@@ -24,7 +24,7 @@ from padicspectral import (
     stone_recover,
     zeta_of,
 )
-from padicspectral.oracle import oracle_power
+from oracle import oracle_power
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,

@@ -390,6 +390,12 @@ MALFORMED = [
         ["converge", "--s", "31", "--max-n", "-2"],
         _matrix_doc([[0, 1], [2, 1]]),
     ),
+    # a table longer than the precision bound is refused before it is built
+    (
+        "max-n-beyond-bound",
+        ["converge", "--s", "31", "--max-n", "4097"],
+        _matrix_doc([[0, 1], [2, 1]]),
+    ),
     ("boolean-entry", ["certify"], _matrix_doc([[False, True], [2, True]])),
     ("boolean-prec", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=True)),
     (

@@ -5,11 +5,15 @@ from random import Random
 import pytest
 
 from padicspectral import (
+    GroupCheck,
     OneParamGroup,
     PadicInt,
     PadicMatrix,
     Prime,
+    ResidueMatrix,
     SeriesBudget,
+    StrongNormalCertificate,
+    UnitaryOperator,
     Valuation,
     certify_strongly_normal,
 )
@@ -51,6 +55,11 @@ def test_ring_op_examples():
     prod = PadicInt(5, 5, 4) * PadicInt(125, 5, 4)
     assert prod.residue == 0
     assert prod.valuation() == Valuation.at_least(4)
+    # an int operand, on either side, takes the PadicInt's precision
+    y = PadicInt(3, 5, 4)
+    assert 2 + y == y + 2 == PadicInt(5, 5, 4)
+    assert 2 * y == y * 2 == PadicInt(6, 5, 4)
+    assert (y - 4, 4 - y) == (PadicInt(-1, 5, 4), PadicInt(1, 5, 4))
 
 
 def test_min_precision_propagation():
@@ -192,23 +201,46 @@ def test_truncate_and_lift():
 
 
 def test_immutability():
-    # every value type refuses assignment, so a hashed value cannot change
+    # every value type refuses assignment, so a hashed value cannot change;
+    # it hashes, equals a copy rebuilt from its fields, and differs from a
+    # copy with one field changed
     a = PadicMatrix([[0, 1], [2, 1]], 5, 4)
-    group = OneParamGroup(certify_strongly_normal(a), SeriesBudget(4))
-    values = [
-        (PadicInt(1, 5, 4), "residue"),
-        (a, "prec"),
-        (a.reduction(), "p"),
-        (Valuation.exact(2), "value"),
-        (SeriesBudget(4), "target"),
-        (group, "budget"),
-        (group.cert, "eigenvalues"),
-        (group.evaluate(6), "matrix"),
-        (group.verify_group_law(6, 11), "required"),
+    cert = certify_strongly_normal(a)
+    group = OneParamGroup(cert, SeriesBudget(4))
+    u = group.evaluate(6)
+    check = group.verify_group_law(6, 11)
+    parts = (cert.eigenvalues, cert.basis, cert.basis_inverse)
+    values = [  # (value, a field, the rebuilt copy, the changed copy)
+        (PadicInt(1, 5, 4), "residue", PadicInt(1, 5, 4), PadicInt(2, 5, 4)),
+        (a, "prec", PadicMatrix(a.rows(), 5, 4), PadicMatrix(a.rows(), 5, 3)),
+        (a.reduction(), "p", ResidueMatrix(a.rows(), 5), ResidueMatrix(a.rows(), 7)),
+        (Valuation.exact(2), "value", Valuation(2), Valuation(2, True)),
+        (SeriesBudget(4), "target", SeriesBudget(4), SeriesBudget(5)),
+        (
+            group,
+            "budget",
+            OneParamGroup(cert, SeriesBudget(4)),
+            OneParamGroup(cert, SeriesBudget(5)),
+        ),
+        (
+            cert,
+            "eigenvalues",
+            StrongNormalCertificate(a, *parts),
+            StrongNormalCertificate(a.truncate_to(3), *parts),
+        ),
+        (u, "matrix", UnitaryOperator(u.matrix, u.cert), UnitaryOperator(u.matrix, cert)),
+        (
+            check,
+            "required",
+            GroupCheck("group-law", check.observed, check.required),
+            GroupCheck("group-law", check.observed, check.required + 1),
+        ),
     ]
-    for value, field in values:
+    for value, field, same, changed in values:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+        assert value == same and hash(value) == hash(same) and same in {value}
+        assert value != changed, (value, changed)
     v = Valuation.exact(2)
     held = {v}
     with pytest.raises(AttributeError):

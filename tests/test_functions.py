@@ -27,7 +27,7 @@ from padicspectral.errors import (
     OutOfConvergenceDomain,
 )
 from padicspectral.functions import _plog_terms, log_series
-from padicspectral.oracle import oracle_power, oracle_series
+from oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
 PRIMES = [3, 5, 7]
@@ -238,7 +238,7 @@ def test_series_against_rational_oracle(p):
     # the independent big-rational partial sums confirm each series route
     from fractions import Fraction
 
-    from padicspectral.oracle import oracle_series
+    from oracle import oracle_series
 
     b = BUDGETS[p]
     tol = 32
@@ -278,7 +278,7 @@ def test_principal_power_against_independent_series(p):
     # terms of valuation >= 32
     from fractions import Fraction
 
-    from padicspectral.oracle import oracle_series
+    from oracle import oracle_series
 
     b = BUDGETS[p]
     rng = Random(1100 + p)
@@ -299,7 +299,7 @@ def test_log_exp_zeta_against_independent_series(p):
     # rational partial sums (90 terms drop only valuation >= 46 at p = 3)
     from fractions import Fraction
 
-    from padicspectral.oracle import oracle_series
+    from oracle import oracle_series
 
     b = BUDGETS[p]
     rng = Random(1150 + p)

@@ -28,7 +28,7 @@ from padicspectral.errors import (
     NotPrincipal,
     NotPrincipalSpectrum,
 )
-from padicspectral.oracle import oracle_series
+from oracle import oracle_series
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,

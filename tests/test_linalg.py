@@ -25,7 +25,7 @@ from padicspectral.errors import (
     PrecisionExceeded,
     PrimeMismatch,
 )
-from padicspectral.oracle import oracle_char_poly
+from oracle import oracle_char_poly
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_invertible_matrix,
@@ -177,6 +177,17 @@ def test_dimension_cap():
     assert PadicMatrix.identity(64, 5, 4).n == 64
     with pytest.raises(DimensionMismatch):
         PadicMatrix.identity(65, 5, 4)
+
+
+def test_constructor_claims_no_untracked_digits():
+    # a PadicInt entry must track every digit the matrix claims
+    with pytest.raises(PrecisionExceeded, match="PadicInt\\(1, p=5, prec=2\\)"):
+        PadicMatrix([[PadicInt(1, 5, 2)]], 5, 10)
+    assert PadicMatrix([[PadicInt(1, 5, 12)]], 5, 10) == PadicMatrix([[1]], 5, 10)
+    # a scalar product keeps the scalar's precision, as scale_columns does
+    a = PadicMatrix([[1, 2], [3, 4]], 5, 8)
+    assert 3 * a == a * 3 == a.scale_columns([3, 3])
+    assert a * PadicInt(3, 5, 2) == PadicMatrix([[3, 6], [9, 12]], 5, 2)
 
 
 def test_matvec_and_vector_norm():

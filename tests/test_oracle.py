@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from padicspectral import PadicInt, SeriesBudget, principal_power
-from padicspectral.errors import DenominatorNotInvertible
-from padicspectral.oracle import (
+from oracle import (
+    DenominatorNotInvertible,
     oracle_char_poly,
     oracle_power,
     oracle_series,

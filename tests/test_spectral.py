@@ -23,7 +23,7 @@ from padicspectral.errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from padicspectral.oracle import oracle_char_poly
+from oracle import oracle_char_poly
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_invertible_matrix,
