@@ -23,7 +23,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .core import MAX_PREC, MAX_PRIME, validate_prec, validate_prime
+from .core import MAX_PREC, from_decimal, to_decimal, validate_prec, validate_prime
 from .errors import PadicError, PrecisionFailure, Refusal
 from .functions import SeriesBudget, digit_truncation_error
 from .groups import OneParamGroup, stone_recover
@@ -103,7 +103,10 @@ def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(
-                fh, parse_float=_not_an_integer, parse_constant=_not_an_integer
+                fh,
+                parse_float=_not_an_integer,
+                parse_int=from_decimal,
+                parse_constant=_not_an_integer,
             )
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
@@ -163,10 +166,10 @@ def _cmd_certify(args, inputs: dict):
 
 def _cmd_group_eval(args, inputs: dict):
     group = _load_group(args.group_file, args, inputs)
-    s = int(args.s)
+    s = from_decimal(args.s)
     u = group.evaluate(s)
     return {
-        "s": str(s),
+        "s": to_decimal(s),
         "matrix": u.matrix.to_dict(),
         "unit_spectrum": [x.to_dict() for x in u.unit_spectrum()],
     }, EXIT_OK
@@ -201,15 +204,16 @@ def _cmd_stone(args, inputs: dict):
 
 def _cmd_additive(args, inputs: dict):
     group = _load_group(args.group_file, args, inputs)
-    z = int(args.z)
-    return {"z": str(z), "matrix": group.additive_evaluate(z).matrix.to_dict()}, EXIT_OK
+    z = from_decimal(args.z)
+    matrix = group.additive_evaluate(z).matrix
+    return {"z": to_decimal(z), "matrix": matrix.to_dict()}, EXIT_OK
 
 
 def _cmd_converge(args, inputs: dict):
     if not 0 <= args.max_n <= MAX_PREC:
         raise ValueError(f"--max-n {args.max_n} is outside [0, {MAX_PREC}]")
     group = _load_group(args.group_file, args, inputs)
-    s = int(args.s)
+    s = from_decimal(args.s)
     reference = group.evaluate(s).matrix
     rows = []
     approxes = group.digit_limit_approxes(s, range(args.max_n + 1))
@@ -223,13 +227,10 @@ def _cmd_converge(args, inputs: dict):
                 "proven_bound": digit_truncation_error(n, group.p),
             }
         )
-    return {"s": str(s), "table": rows}, EXIT_OK
+    return {"s": to_decimal(s), "table": rows}, EXIT_OK
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # entries below p^prec within the input bounds must print and parse
-        sys.set_int_max_str_digits(len(str(MAX_PRIME)) * MAX_PREC)
     args = _build_parser().parse_args(argv)
     handlers = {
         "certify": _cmd_certify,

@@ -23,7 +23,7 @@ from .errors import (
     PrimeMismatch,
 )
 
-__all__ = ["Prime", "Valuation", "PadicInt", "validate_prime", "validate_prec"]
+__all__ = ["Prime", "Valuation", "PadicInt"]
 
 # Desk-scale bounds on input; the residue eigenvalue scan walks all of F_p.
 MAX_PRIME = 2**16
@@ -33,6 +33,12 @@ MAX_PREC = 4096
 # at MAX_PREC adds: v_p(M!) < M/2 for M <= MAX_PREC binomial terms, and
 # under sqrt(W) plus a few for the log's argument reduction.
 MAX_WORKING_PREC = 2 * MAX_PREC
+# Decimals are read and written in chunks of _DIGITS digits, below the
+# interpreter's int/str limit (4300 digits by default), up to a length of
+# MAX_DECIMAL_DIGITS, which covers every value below MAX_PRIME^MAX_PREC.
+_DIGITS = 4000
+_CHUNK = 10**_DIGITS
+MAX_DECIMAL_DIGITS = len(str(MAX_PRIME)) * MAX_PREC
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +77,32 @@ def validate_prec(prec: int) -> int:
     if int(prec) > MAX_PREC:
         raise ValueError(f"precision {prec} is beyond the bound {MAX_PREC}")
     return int(prec)
+
+
+def to_decimal(n: int) -> str:
+    """str(n), written in chunks of 4000 digits once |n| >= 10^4000."""
+    if n < _CHUNK:
+        return str(n) if n > -_CHUNK else "-" + to_decimal(-n)
+    high, low = divmod(n, _CHUNK)
+    return to_decimal(high) + str(low).zfill(_DIGITS)
+
+
+def from_decimal(s) -> int:
+    """int(s), with a string of more than 4000 characters read in chunks
+    of 4000 digits: an optional sign, then ASCII digits, at most
+    MAX_DECIMAL_DIGITS of them."""
+    if not isinstance(s, str) or len(s) <= _DIGITS:
+        return int(s)
+    digits = s[1:] if s[0] in "+-" else s
+    if len(digits) > MAX_DECIMAL_DIGITS or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(
+            f"{len(s)} characters: not a decimal of at most {MAX_DECIMAL_DIGITS} digits"
+        )
+    first = len(digits) % _DIGITS or _DIGITS
+    n = int(digits[:first])
+    for i in range(first, len(digits), _DIGITS):
+        n = n * _CHUNK + int(digits[i : i + _DIGITS])
+    return -n if s[0] == "-" else n
 
 
 class Prime(int):
@@ -236,12 +268,9 @@ class PadicValue(Frozen):
         (PadicInt or int): the quotients and their precision N - v(d),
         N = min(self.prec, d.prec)."""
         p = self.p
-        if isinstance(d, int):
-            d = PadicInt(d, p, self.prec)
-        elif not isinstance(d, PadicInt):
+        d = as_padic(d, p, self.prec)
+        if d is NotImplemented:
             raise TypeError("cannot divide by this operand")
-        elif d.p != p:
-            raise PrimeMismatch(f"p={p} vs p={d.p}")
         w_val = d.valuation()
         if not w_val.is_finite:
             raise DivisionByHigherValuation("divisor is zero at its precision")
@@ -267,12 +296,25 @@ class PadicValue(Frozen):
         return [q * inv % mod for q in quotients], prec
 
 
+def as_padic(x, p: int, prec: int):
+    """The scalar coercion rule: a PadicInt over p as it is, an int as
+    PadicInt(x, p, prec), NotImplemented for anything else; a PadicInt
+    over another prime raises PrimeMismatch."""
+    if isinstance(x, PadicInt):
+        if x.p != p:
+            raise PrimeMismatch(f"p={p} vs p={x.p}")
+        return x
+    if isinstance(x, int):
+        return PadicInt(x, p, prec)
+    return NotImplemented
+
+
 def _ring_op(op):
     """PadicInt's binary operation ``op`` on residues: the other operand
-    (PadicInt or int) coerced, the precision the minimum of the two."""
+    coerced by :func:`as_padic`, the precision the minimum of the two."""
 
     def method(self, other):
-        other = self._coerce(other)
+        other = as_padic(other, self.p, self.prec)
         if other is NotImplemented:
             return NotImplemented
         prec = min(self.prec, other.prec)
@@ -338,15 +380,6 @@ class PadicInt(PadicValue):
 
     # -- ring operations ---------------------------------------------
 
-    def _coerce(self, other) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if other.p != self.p:
-                raise PrimeMismatch(f"p={self.p} vs p={other.p}")
-            return other
-        if isinstance(other, int):
-            return PadicInt(other, self.p, self.prec)
-        return NotImplemented
-
     __add__ = __radd__ = _ring_op(add)
     __sub__ = _ring_op(sub)
     __rsub__ = _ring_op(lambda a, b: b - a)
@@ -381,7 +414,7 @@ class PadicInt(PadicValue):
     def congruent(self, other, digits: int) -> bool:
         """True iff self - other vanishes mod p^digits, for digits at most
         both operands' precision."""
-        other = self._coerce(other)
+        other = as_padic(other, self.p, self.prec)
         if other is NotImplemented:
             raise TypeError("cannot compare with this operand")
         mod = self._congruence_modulus(min(self.prec, other.prec), digits)
@@ -398,14 +431,14 @@ class PadicInt(PadicValue):
 
     def to_dict(self) -> dict:
         """JSON form: prime and precision always travel with the value."""
-        return {"p": self.p, "prec": self.prec, "val": str(self.residue)}
+        return {"p": self.p, "prec": self.prec, "val": to_decimal(self.residue)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PadicInt":
-        return cls(int(d["val"]), int(d["p"]), validate_prec(d["prec"]))
+        return cls(from_decimal(d["val"]), int(d["p"]), validate_prec(d["prec"]))
 
     def __repr__(self):
-        return f"PadicInt({self.residue}, p={self.p}, prec={self.prec})"
+        return f"PadicInt({to_decimal(self.residue)}, p={self.p}, prec={self.prec})"
 
     def __str__(self):
-        return f"{self.residue} + O({self.p}^{self.prec})"
+        return f"{to_decimal(self.residue)} + O({self.p}^{self.prec})"

@@ -45,9 +45,7 @@ from .errors import (
 
 __all__ = [
     "SeriesBudget",
-    "binomials",
     "is_principal_unit",
-    "log_series",
     "mahler_coeff",
     "principal_power",
     "principal_powers",

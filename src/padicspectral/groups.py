@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from operator import matmul
 
-from .core import Frozen, PadicInt, Valuation
+from .core import Frozen, PadicInt, Valuation, as_padic, to_decimal
 from .errors import (
     CertificationFailed,
     InsufficientPrecision,
     NormTooLarge,
     NotPrincipal,
     NotPrincipalSpectrum,
-    PrimeMismatch,
     Refusal,
 )
 from .functions import (
@@ -84,10 +83,10 @@ class UnitaryOperator(Frozen):
         return [lam + 1 for lam in self.cert.eigenvalues]
 
     def __repr__(self):
-        spectrum = [u.residue for u in self.unit_spectrum()]
+        spectrum = ", ".join(to_decimal(u.residue) for u in self.unit_spectrum())
         return (
             f"UnitaryOperator(n={self.matrix.n}, p={self.matrix.p}, "
-            f"spectrum={spectrum})"
+            f"spectrum=[{spectrum}])"
         )
 
 
@@ -103,10 +102,6 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
         rows = enumerate(v.rows())
         unit = next((i, j) for i, r in rows for j, x in enumerate(r) if x % v.p)
         raise err(f"|V| = 1: entry {unit} is a unit")
-    if v.prec - w < 1:
-        raise InsufficientPrecision(
-            f"scaling out p^{w} leaves no digits at precision {v.prec}"
-        )
     pw = v.p**w
     v1 = v.divide_exact(pw)
     try:
@@ -184,10 +179,9 @@ class OneParamGroup(Frozen):
         return self.cert.p
 
     def _coerce_unit(self, s) -> PadicInt:
-        if isinstance(s, int):
-            s = PadicInt(s, self.p, self.budget.target)
-        if s.p != self.p:
-            raise PrimeMismatch(f"s has p={s.p}, group has p={self.p}")
+        s = as_padic(s, self.p, self.budget.target)
+        if s is NotImplemented:
+            raise TypeError("s must be a PadicInt or an int")
         if not is_principal_unit(s):
             raise NotPrincipal(f"s = {s!r} is not congruent to 1 mod p")
         return s
@@ -284,10 +278,9 @@ class OneParamGroup(Frozen):
 
         Additivity W(z1 + z2) = W(z1) W(z2) follows from the group law.
         """
-        if isinstance(z, int):
-            z = PadicInt(z, self.p, self.budget.target)
-        if z.p != self.p:
-            raise PrimeMismatch(f"z has p={z.p}, group has p={self.p}")
+        z = as_padic(z, self.p, self.budget.target)
+        if z is NotImplemented:
+            raise TypeError("z must be a PadicInt or an int")
         s = additive_reparam(z, self.budget)
         return self.evaluate(s)
 

@@ -23,7 +23,16 @@ from __future__ import annotations
 from math import gcd
 from operator import add, mul, sub
 
-from .core import MAX_DIM, PadicInt, PadicValue, Valuation, validate_prec
+from .core import (
+    MAX_DIM,
+    PadicInt,
+    PadicValue,
+    Valuation,
+    as_padic,
+    from_decimal,
+    to_decimal,
+    validate_prec,
+)
 from .errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
@@ -35,12 +44,10 @@ __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
 def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
-    """x as a residue mod ``mod``, a power of p; a PadicInt x must track
-    at least ``prec`` digits."""
+    """x as a residue mod ``mod``, a power of p; a PadicInt x must be over
+    p (by :func:`as_padic`) and track at least ``prec`` digits."""
     if isinstance(x, PadicInt):
-        if x.p != p:
-            raise PrimeMismatch(f"entry prime {x.p} != matrix prime {p}")
-        if x.prec < prec:
+        if as_padic(x, p, prec).prec < prec:
             raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
         return x.residue % mod
     return int(x) % mod
@@ -227,39 +234,28 @@ class PadicMatrix(PadicValue):
             for a, b in zip(r1, r2)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, PadicMatrix):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.prec == other.prec
-            and self._e == other._e
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self._e))
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "prec": self.prec,
             "n": self.n,
-            "entries": [[str(x) for x in row] for row in self._e],
+            "entries": [list(map(to_decimal, row)) for row in self._e],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PadicMatrix":
-        entries = [[int(x) for x in row] for row in d["entries"]]
+        rows = d["entries"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ValueError("entries must be a list of rows, each a list")
+        entries = [list(map(from_decimal, row)) for row in rows]
         m = cls(entries, int(d["p"]), validate_prec(d["prec"]))
         if m.n != int(d["n"]):
             raise DimensionMismatch("declared n does not match entries")
         return m
 
     def __repr__(self):
-        return (
-            f"PadicMatrix({[list(r) for r in self._e]}, "
-            f"p={self.p}, prec={self.prec})"
-        )
+        rows = ", ".join(f"[{', '.join(map(to_decimal, r))}]" for r in self._e)
+        return f"PadicMatrix([{rows}], p={self.p}, prec={self.prec})"
 
 
 class ResidueMatrix(PadicMatrix):
@@ -274,7 +270,8 @@ class ResidueMatrix(PadicMatrix):
 
     def is_scalar(self) -> bool:
         """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""
-        return self == self._e[0][0] * PadicMatrix.identity(self.n, self.p, 1)
+        c, rows = self._e[0][0], enumerate(self._e)
+        return all(x == (c if i == j else 0) for i, r in rows for j, x in enumerate(r))
 
     def char_poly(self) -> tuple[int, ...]:
         """det(xI - A) over F_p: ascending coefficients in [0, p).
@@ -471,8 +468,8 @@ def _winograd(a, b, mod: int) -> list[list[int]]:
 
 
 def _hessenberg(rows, p: int):
-    """(H, M), H = M^-1 A M upper Hessenberg over F_p: each row operation
-    on H is undone on its columns, as on M = I."""
+    """(H, M), H = M^-1 A M upper Hessenberg over F_p, as tuples of rows:
+    each row operation on H is undone on its columns, as on M = I."""
     n = len(rows)
     h = [list(row) for row in rows]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -491,7 +488,7 @@ def _hessenberg(rows, p: int):
                 h[i] = [(x - u * y) % p for x, y in zip(h[i], h[k])]
                 for row in h + m:
                     row[k] = (row[k] + u * row[i]) % p
-    return h, m
+    return tuple(map(tuple, h)), tuple(map(tuple, m))
 
 
 def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:

@@ -25,7 +25,7 @@ deliberately does not guess at.
 
 from __future__ import annotations
 
-from .core import Frozen, PadicInt
+from .core import Frozen, PadicInt, as_padic, to_decimal
 from .errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -188,12 +188,9 @@ class StrongNormalCertificate(Frozen):
         ``phi`` may return PadicInt or int.  The norm bound
         |phi(A)| <= max_i |phi(lambda_i)| holds by construction.
         """
-        values = []
-        for lam in self.eigenvalues:
-            val = phi(lam)
-            if isinstance(val, int):
-                val = PadicInt(val, self.p, lam.prec)
-            values.append(val)
+        values = [as_padic(phi(lam), self.p, lam.prec) for lam in self.eigenvalues]
+        if any(v is NotImplemented for v in values):
+            raise TypeError("phi must return PadicInt or int values")
         return self.spectral_operator(values)
 
     def verify_orthogonality(self, vec) -> bool:
@@ -243,6 +240,8 @@ class StrongNormalCertificate(Frozen):
             PadicMatrix.from_dict(d[k]) for k in ("matrix", "basis", "basis_inverse")
         )
         eigenvalues = [PadicInt.from_dict(e) for e in d["eigenvalues"]]
+        if not isinstance(d["multiplicities"], list):
+            raise ValueError("multiplicities must be a list")
         prec = min(x.prec for x in (matrix, basis, inverse, *eigenvalues))
         cert = cls(
             matrix.truncate_to(prec),
@@ -258,10 +257,10 @@ class StrongNormalCertificate(Frozen):
         return cert
 
     def __repr__(self):
-        ev = [e.residue for e in self.eigenvalues]
+        ev = ", ".join(to_decimal(e.residue) for e in self.eigenvalues)
         return (
             f"StrongNormalCertificate(n={self.n}, p={self.p}, "
-            f"prec={self.precision}, eigenvalues={ev})"
+            f"prec={self.precision}, eigenvalues=[{ev}])"
         )
 
 

@@ -17,6 +17,7 @@ from padicspectral import (
     certify_strongly_normal,
 )
 from padicspectral.cli import main
+from conftest import current_digit_limit
 
 
 def _write(path, payload):
@@ -268,9 +269,10 @@ def test_prime_flag_must_match_input(matrix_file, group_file, capsys):
         assert with_flag == without and json.loads(without)["config"]["p"] == 5
 
 
-def test_output_at_the_input_bounds(tmp_path, capsys):
+def test_output_at_the_input_bounds(tmp_path, capsys, digit_limit):
     # p < 2^16 and 4096 digits are inside the input bounds, so entries of
-    # 19728 decimal digits must print and read back; a longer one is refused
+    # 19728 decimal digits must print and read back; a longer one is refused.
+    # It runs at the interpreter's default digit limit, which it leaves alone
     p, prec = 65521, 4096
     matrix = PadicMatrix([[0, 1], [2, 1]], p, prec)
     path = _write(tmp_path / "mat.json", matrix.to_dict())
@@ -289,6 +291,22 @@ def test_output_at_the_input_bounds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ")
+    assert current_digit_limit() == digit_limit
+
+
+def test_long_parameters_read_and_echo(group_file, capsys, digit_limit):
+    # --s and --z beyond the interpreter's digit limit read and echo in full,
+    # and act as their residues mod p^target
+    for command, key, last in [("group-eval", "s", 6), ("additive", "z", 3)]:
+        text = "1" + "0" * 4999 + str(last)
+        code, out = _run(capsys, [command, group_file, f"--{key}", text])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc[key] == text
+        short = str((10**5000 + last) % 5**32)
+        code, out = _run(capsys, [command, group_file, f"--{key}", short])
+        assert code == 0 and json.loads(out)["matrix"] == doc["matrix"]
+    assert current_digit_limit() == digit_limit
 
 
 def test_group_eval_at_the_prime_bound(tmp_path, capsys):
@@ -365,6 +383,15 @@ MALFORMED = [
     ("prec-negative", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=-3)),
     ("prec-flag-zero", ["--prec", "0", "certify"], _matrix_doc([[0, 1], [2, 1]])),
     ("entries-string", ["certify"], {"p": 5, "prec": 8, "n": 2, "entries": "0 1 2 1"}),
+    # a string where a list belongs is malformed, though it iterates
+    ("row-strings", ["certify"], {"p": 5, "prec": 8, "n": 2, "entries": ["01", "21"]}),
+    (
+        "multiplicities-string",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(
+            g, lambda b: b["certificate"].update(multiplicities="11")
+        ),
+    ),
     (
         "budget-list",
         ["group-eval", "--s", "6"],

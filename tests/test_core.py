@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+import padicspectral
+from conftest import current_digit_limit
 from padicspectral import (
     GroupCheck,
     OneParamGroup,
@@ -16,10 +18,13 @@ from padicspectral import (
     UnitaryOperator,
     Valuation,
     certify_strongly_normal,
+    plog,
 )
+from padicspectral.core import from_decimal, to_decimal
 from padicspectral.errors import (
     DivisionByHigherValuation,
     InsufficientPrecision,
+    NotPrincipal,
     PrecisionExceeded,
     PrimeMismatch,
 )
@@ -75,6 +80,81 @@ def test_prime_mismatch():
         PadicInt(1, 5, 4) + PadicInt(1, 7, 4)
     with pytest.raises(PrimeMismatch):
         PadicInt(1, 5, 4) * PadicInt(1, 3, 4)
+
+
+_M5 = PadicMatrix([[0, 1], [2, 1]], 5, 4)
+_CERT5 = certify_strongly_normal(_M5)
+_GROUP5 = OneParamGroup(_CERT5, SeriesBudget(4))
+_X7 = PadicInt(8, 7, 4)  # a principal unit over 7
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda: PadicInt(1, 5, 4) - _X7,
+        lambda: PadicInt(1, 5, 4).congruent(_X7, 1),
+        lambda: PadicInt(1, 5, 4).divide_exact(_X7),
+        lambda: _M5.divide_exact(_X7),
+        lambda: PadicMatrix([[_X7, 0], [0, 1]], 5, 4),
+        lambda: _M5.scale_columns([_X7, 1]),
+        lambda: _M5.matvec([1, _X7]),
+        lambda: _GROUP5.evaluate(_X7),
+        lambda: _GROUP5.additive_evaluate(_X7),
+        lambda: _CERT5.functional_calculus(lambda lam: _X7),
+    ],
+    ids=[
+        "ring-op",
+        "congruent",
+        "scalar-divide",
+        "matrix-divide",
+        "matrix-entry",
+        "scale-columns",
+        "matvec",
+        "evaluate",
+        "additive-evaluate",
+        "functional-calculus",
+    ],
+)
+def test_scalar_over_another_prime_is_refused(site):
+    # every scalar is coerced by core.as_padic, so every site says the same
+    with pytest.raises(PrimeMismatch, match=r"^p=5 vs p=7$"):
+        site()
+
+
+def test_package_exports():
+    # each module's __all__ lists its public names; the package joins them
+    assert sorted(padicspectral.__all__) == sorted(
+        [
+            "errors",
+            "__version__",
+            "PadicInt",
+            "Prime",
+            "Valuation",
+            "SeriesBudget",
+            "digit_truncation_error",
+            "is_principal_unit",
+            "mahler_coeff",
+            "pexp",
+            "plog",
+            "principal_power",
+            "principal_powers",
+            "truncation_length",
+            "zeta_of",
+            "PadicMatrix",
+            "ResidueMatrix",
+            "vector_norm",
+            "StrongNormalCertificate",
+            "certify_strongly_normal",
+            "GroupCheck",
+            "OneParamGroup",
+            "UnitaryOperator",
+            "additive_reparam",
+            "generator_log_series",
+            "make_unitary",
+            "stone_recover",
+        ]
+    )
+    assert all(hasattr(padicspectral, name) for name in padicspectral.__all__)
 
 
 def test_valuation_examples():
@@ -255,3 +335,33 @@ def test_serialization_roundtrip():
     assert PadicInt.from_dict(d) == x
     # signed strings are accepted and canonicalized
     assert PadicInt.from_dict({"p": 7, "prec": 2, "val": "-1"}).residue == 48
+
+
+def test_decimals_beyond_the_interpreter_limit(digit_limit):
+    # p^prec at the input bounds has 19728 digits, above the default limit
+    # of 4300; values of any length within the bounds write and read back
+    p, prec = 65521, 4096
+    top = p**prec - 1
+    m = PadicMatrix([[top, 1], [2, top // 7]], p, prec)
+    d = m.to_dict()
+    assert [len(x) for row in d["entries"] for x in row] == [19728, 1, 1, 19728]
+    assert PadicMatrix.from_dict(d) == m
+    x = m.entry(0, 0)
+    assert PadicInt.from_dict(x.to_dict()) == x
+    assert str(x) == f"{d['entries'][0][0]} + O({p}^{prec})"
+    assert repr(x) == f"PadicInt({d['entries'][0][0]}, p={p}, prec={prec})"
+    assert repr(m).startswith(f"PadicMatrix([[{d['entries'][0][0]}, 1], [2, ")
+    # chunk edges and signs
+    assert to_decimal(10**4000) == "1" + "0" * 4000
+    assert to_decimal(-(10**8000) + 1) == "-" + "9" * 8000
+    assert from_decimal("-" + "9" * 4001) == -(10**4001) + 1
+    assert from_decimal("+1" + "0" * 4000) == 10**4000
+    # a chunk may not carry a sign or a space of its own
+    chunked = ["1" * 4000 + "-" + "1" * 3999, "1" * 4001 + " " + "1" * 3999]
+    for bad in ["1" * 20481, "1_" * 2001, "--" + "1" * 4000, *chunked]:
+        with pytest.raises(ValueError):
+            from_decimal(bad)
+    # a refusal that shows a long value is still a refusal
+    with pytest.raises(NotPrincipal):
+        plog(PadicInt(2 + p**1000, p, prec), SeriesBudget(prec))
+    assert current_digit_limit() == digit_limit

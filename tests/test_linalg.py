@@ -99,8 +99,21 @@ def test_reduction_examples():
 def test_nondegeneracy():
     assert PadicMatrix.identity(2, 5, 4).reduction().is_scalar()
     assert not ResidueMatrix([[1, 1], [0, 1]], 5).is_scalar()
+    assert not ResidueMatrix([[3, 0], [1, 3]], 5).is_scalar()
     assert ResidueMatrix([[0, 0], [0, 0]], 5).is_scalar()
     assert ResidueMatrix([[3, 0], [0, 3]], 5).is_scalar()
+
+
+def test_residue_matrix_is_a_hashable_value():
+    # Frozen compares and hashes every matrix by its fields, the Hessenberg
+    # form included, and a ResidueMatrix equals only a ResidueMatrix
+    a = PadicMatrix([[6, 1, 3], [0, 7, 2], [4, 4, 9]], 5, 8)
+    ahat = a.reduction()
+    rebuilt = ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 4]], 5)
+    assert ahat == rebuilt and hash(ahat) == hash(rebuilt) and rebuilt in {ahat}
+    assert ahat != ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 3]], 5)
+    assert ahat != PadicMatrix(ahat.rows(), 5, 1)
+    assert PadicMatrix(ahat.rows(), 5, 1) in {PadicMatrix(rebuilt.rows(), 5, 1)}
 
 
 def test_residue_char_poly_and_roots():
