@@ -88,16 +88,16 @@ def to_decimal(n: int) -> str:
 
 
 def from_decimal(s) -> int:
-    """int(s), with a string of more than 4000 characters read in chunks
-    of 4000 digits: an optional sign, then ASCII digits, at most
-    MAX_DECIMAL_DIGITS of them."""
-    if not isinstance(s, str) or len(s) <= _DIGITS:
-        return int(s)
-    digits = s[1:] if s[0] in "+-" else s
+    """An int (not a bool) as it is, or the value of a decimal string: an
+    optional sign, then ASCII digits, at most MAX_DECIMAL_DIGITS of them,
+    read in chunks of 4000 digits.  Anything else raises ValueError."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    if not isinstance(s, str):
+        raise ValueError(f"a {type(s).__name__} is not a decimal integer")
+    digits = s[1:] if s[:1] in ("+", "-") else s
     if len(digits) > MAX_DECIMAL_DIGITS or not (digits.isascii() and digits.isdigit()):
-        raise ValueError(
-            f"{len(s)} characters: not a decimal of at most {MAX_DECIMAL_DIGITS} digits"
-        )
+        raise ValueError(f"{s[:40]!r}: not a sign and at most {MAX_DECIMAL_DIGITS} digits")
     first = len(digits) % _DIGITS or _DIGITS
     n = int(digits[:first])
     for i in range(first, len(digits), _DIGITS):

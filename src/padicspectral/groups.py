@@ -48,11 +48,12 @@ from .functions import (
     log_series,
     pexp,
     plog,
-    principal_powers,
+    power_residues,
     truncation_length,
     zeta_of,
 )
-from .linalg import PadicMatrix
+from . import linalg  # grid_matmul by module attribute, where counters see it
+from .linalg import PadicMatrix, grid_norm
 from .spectral import StrongNormalCertificate, certify_strongly_normal
 
 __all__ = [
@@ -191,22 +192,28 @@ class OneParamGroup(Frozen):
     def evaluate(self, s) -> UnitaryOperator:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
-        The n powers (1+z)^(lambda_i) come from principal_powers, which
-        splits each exponent as a + p^k b and shares (1+z)^(p^k) and the
-        coefficients of its binomial series among them; the basis is
-        untouched.  U(1) = I exactly.
+        The n powers (1+z)^(lambda_i) are those of principal_powers: each
+        exponent splits as a + p^k b, and all share (1+z)^(p^k), its series
+        and, where the split's cost model (p, digits, n, v(z)) says so, one
+        table of small powers.  Residues become values here.  U(1) = I.
         """
-        powers, u = self._matrix_at(s)
-        v = u - PadicMatrix.identity(u.n, self.p, u.prec)
-        cert = self.cert.reuse_basis(v, [w - 1 for w in powers])
-        return UnitaryOperator(u, cert)
+        powers, grid, prec = self._grid_at(self._coerce_unit(s))
+        v = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+        eigenvalues = [PadicInt(r - 1, self.p, m) for r, m in powers]
+        cert = self.cert.reuse_basis(PadicMatrix(v, self.p, prec), eigenvalues)
+        return UnitaryOperator(PadicMatrix(grid, self.p, prec), cert)
 
-    def _matrix_at(self, s) -> tuple[list[PadicInt], PadicMatrix]:
-        """The eigenvalue powers of U(s) and U(s) itself, with no certificate
-        for checks that read only the matrix."""
-        z = self._coerce_unit(s) - 1
-        powers = principal_powers(z, self.cert.eigenvalues, self.budget)
-        return powers, self.cert.spectral_operator(powers)
+    def _grid_at(self, s: PadicInt) -> tuple[list[tuple[int, int]], list[list[int]], int]:
+        """U(s) on residues, for a coerced s: the residue and precision of each
+        (1+z)^(lambda_i), repeated over its columns in S diag(...) S^-1, that
+        grid, and its precision min(target, prec s, lambda_i, S, S^-1)."""
+        cert = self.cert
+        powers = power_residues(s - 1, cert.eigenvalues, self.budget)
+        prec = min([cert.basis.prec, cert.basis_inverse.prec] + [m for _, m in powers])
+        mod = self.p**prec
+        xs = [r for (r, _), m in zip(powers, cert.multiplicities) for _ in range(m)]
+        scaled = [[a * x % mod for a, x in zip(row, xs)] for row in cert.basis.rows()]
+        return powers, linalg.grid_matmul(scaled, cert.basis_inverse.rows(), mod), prec
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
@@ -233,17 +240,24 @@ class OneParamGroup(Frozen):
         """Check U(s1 s2) = U(s1) U(s2) at every digit both sides claim,
         up to the target: min(target, prec lhs, prec rhs)."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        lhs = self._matrix_at(s1 * s2)[1]
-        rhs = self._matrix_at(s1)[1] @ self._matrix_at(s2)[1]
-        required = min(self.budget.target, lhs.prec, rhs.prec)
-        return GroupCheck("group-law", (lhs - rhs).op_norm(), required)
+        _, lhs, lhs_prec = self._grid_at(s1 * s2)
+        _, u1, prec1 = self._grid_at(s1)
+        _, u2, prec2 = self._grid_at(s2)
+        rhs = linalg.grid_matmul(u1, u2, self.p ** min(prec1, prec2))
+        diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+        prec = min(lhs_prec, prec1, prec2)
+        required = min(self.budget.target, prec)
+        return GroupCheck("group-law", grid_norm(diff, self.p, prec), required)
 
     def lipschitz_check(self, s1, s2) -> GroupCheck:
         """Check the modulus-of-continuity bound |U(s1)-U(s2)| <= |s1-s2|."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        diff = self._matrix_at(s1)[1] - self._matrix_at(s2)[1]
-        required = min((s1 - s2).valuation().value, diff.prec)
-        return GroupCheck("lipschitz", diff.op_norm(), required)
+        _, u1, prec1 = self._grid_at(s1)
+        _, u2, prec2 = self._grid_at(s2)
+        prec = min(prec1, prec2)
+        diff = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(u1, u2)]
+        required = min((s1 - s2).valuation().value, prec)
+        return GroupCheck("lipschitz", grid_norm(diff, self.p, prec), required)
 
     def digit_limit_approx(self, s, n: int) -> PadicMatrix:
         """The one-n case of :meth:`digit_limit_approxes`."""
@@ -263,7 +277,8 @@ class OneParamGroup(Frozen):
             return []
         s = self._coerce_unit(s)
         digits = zeta_of(s, self.budget).digits()
-        base = self._matrix_at(1 + self.p)[1]
+        _, grid, prec = self._grid_at(self._coerce_unit(1 + self.p))
+        base = PadicMatrix(grid, self.p, prec)
         # a running product of the powers B_j = U(1+p)^(p^j), B_(j+1) = B_j^p
         one, acc, prefixes = base**0, None, []
         for j, d in enumerate(digits[: max(ns) + 1]):

@@ -44,13 +44,24 @@ __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
 def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
-    """x as a residue mod ``mod``, a power of p; a PadicInt x must be over
-    p (by :func:`as_padic`) and track at least ``prec`` digits."""
+    """x, an int (not a bool) or a PadicInt, as a residue mod ``mod``, a power
+    of p; a PadicInt x must be over p (by :func:`as_padic`) and track at
+    least ``prec`` digits."""
     if isinstance(x, PadicInt):
         if as_padic(x, p, prec).prec < prec:
             raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
         return x.residue % mod
-    return int(x) % mod
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"entry {x!r} is not an int or a PadicInt")
+    return x % mod
+
+
+def _matrix(grid, p: int, prec: int) -> "PadicMatrix":
+    """The PadicMatrix of a square grid reduced mod p^prec, p and prec checked:
+    PadicMatrix's own results, built with no per-entry call."""
+    m = object.__new__(PadicMatrix)
+    m._set(p=p, prec=prec, n=len(grid), _e=tuple(map(tuple, grid)))
+    return m
 
 
 class PadicMatrix(PadicValue):
@@ -79,7 +90,9 @@ class PadicMatrix(PadicValue):
         self._set(p=p, prec=prec, n=n, _e=grid)
 
     def _at(self, prec: int) -> "PadicMatrix":
-        return PadicMatrix(self._e, self.p, prec)
+        p, prec = self._check_precision(self.p, prec)
+        mod = p**prec
+        return _matrix([[x % mod for x in row] for row in self._e], p, prec)
 
     # -- constructors ------------------------------------------------
 
@@ -114,8 +127,7 @@ class PadicMatrix(PadicValue):
     def op_norm(self) -> Valuation:
         """Sup norm as a valuation: min entry valuation (at_least for 0),
         which is the valuation of the gcd of the entries."""
-        gcd_entries = gcd(*(x for row in self._e for x in row))
-        return Valuation.of_residue(gcd_entries, self.p, self.prec)
+        return grid_norm(self._e, self.p, self.prec)
 
     def reduction(self) -> "ResidueMatrix":
         return ResidueMatrix(self._e, self.p)
@@ -131,9 +143,9 @@ class PadicMatrix(PadicValue):
 
     def _entrywise(self, op, other: "PadicMatrix") -> "PadicMatrix":
         prec = self._check(other)
-        return PadicMatrix(
-            [list(map(op, r1, r2)) for r1, r2 in zip(self._e, other._e)], self.p, prec
-        )
+        mod = self.p**prec
+        grid = [[op(x, y) % mod for x, y in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)]
+        return _matrix(grid, self.p, prec)
 
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         return self._entrywise(add, other)
@@ -142,13 +154,12 @@ class PadicMatrix(PadicValue):
         return self._entrywise(sub, other)
 
     def __neg__(self) -> "PadicMatrix":
-        return PadicMatrix(
-            [[-a for a in row] for row in self._e], self.p, self.prec
-        )
+        mod = self.modulus
+        return _matrix([[-a % mod for a in row] for row in self._e], self.p, self.prec)
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         prec = self._check(other)
-        return PadicMatrix(grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
+        return _matrix(grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
 
     def __mul__(self, scalar) -> "PadicMatrix":
         if not isinstance(scalar, (int, PadicInt)):
@@ -184,11 +195,8 @@ class PadicMatrix(PadicValue):
         """
         xs, prec = self._vector(values)
         mod = self.p**prec
-        return PadicMatrix(
-            [[(a * x) % mod for a, x in zip(row, xs)] for row in self._e],
-            self.p,
-            prec,
-        )
+        grid = [[(a * x) % mod for a, x in zip(row, xs)] for row in self._e]
+        return _matrix(grid, self.p, prec)
 
     def matvec(self, vec) -> list[PadicInt]:
         xs, prec = self._vector(vec)
@@ -203,7 +211,7 @@ class PadicMatrix(PadicValue):
         PadicInt.divide_exact, a divisor of valuation w costs w digits."""
         n = self.n
         flat, prec = self._divide_residues([x for row in self._e for x in row], d)
-        return PadicMatrix([flat[i : i + n] for i in range(0, n * n, n)], self.p, prec)
+        return _matrix([flat[i : i + n] for i in range(0, n * n, n)], self.p, prec)
 
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; exists iff the reduction is invertible."""
@@ -222,7 +230,7 @@ class PadicMatrix(PadicValue):
                 f = row[col]
                 if f and i != col:
                     a[i] = [(x - f * y) % mod for x, y in zip(row, a[col])]
-        return PadicMatrix([row[n:] for row in a], p, self.prec)
+        return _matrix([row[n:] for row in a], p, self.prec)
 
     # -- comparisons and io ------------------------------------------------
 
@@ -500,6 +508,13 @@ def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:
         carry = (c + carry * r) % mod
         horner.append(carry)
     return horner[-2::-1], horner[-1]
+
+
+def grid_norm(grid, p: int, prec: int) -> Valuation:
+    """The sup norm at ``prec`` digits of a grid of integers, as a valuation:
+    that of the gcd of its entries mod p^prec (at_least(prec) for 0)."""
+    mod = p**prec
+    return Valuation.of_residue(gcd(*(x % mod for row in grid for x in row)), p, prec)
 
 
 def vector_norm(vec) -> Valuation:

@@ -424,6 +424,16 @@ MALFORMED = [
         _matrix_doc([[0, 1], [2, 1]]),
     ),
     ("boolean-entry", ["certify"], _matrix_doc([[False, True], [2, True]])),
+    # a decimal is a sign and ASCII digits, with no space or underscore
+    ("space-padded-entry", ["certify"], _matrix_doc([[" 1", "0"], ["2", "1"]])),
+    ("underscore-entry", ["certify"], _matrix_doc([["2_0", "1"], ["2", "1"]])),
+    (
+        "true-eigenvalue",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(
+            g, lambda b: b["certificate"]["eigenvalues"][0].update(val=True)
+        ),
+    ),
     ("boolean-prec", ["certify"], _matrix_doc([[0, 1], [2, 1]], prec=True)),
     (
         "boolean-guard",

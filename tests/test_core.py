@@ -358,7 +358,8 @@ def test_decimals_beyond_the_interpreter_limit(digit_limit):
     assert from_decimal("+1" + "0" * 4000) == 10**4000
     # a chunk may not carry a sign or a space of its own
     chunked = ["1" * 4000 + "-" + "1" * 3999, "1" * 4001 + " " + "1" * 3999]
-    for bad in ["1" * 20481, "1_" * 2001, "--" + "1" * 4000, *chunked]:
+    short = [" 1", "2_0", "1 ", "", "+", "-", "\u0661", True, 2.0, None]
+    for bad in ["1" * 20481, "1_" * 2001, "--" + "1" * 4000, *chunked, *short]:
         with pytest.raises(ValueError):
             from_decimal(bad)
     # a refusal that shows a long value is still a refusal

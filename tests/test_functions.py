@@ -26,7 +26,8 @@ from padicspectral.errors import (
     NotPrincipal,
     OutOfConvergenceDomain,
 )
-from padicspectral.functions import _plog_terms, log_series
+from padicspectral import functions
+from padicspectral.functions import _plog_terms, _power_residues, log_series
 from oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -160,6 +161,65 @@ def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
             e, prec = lam.residue, min(target, zprec, lam.prec)
         expected.append(PadicInt(pow(1 + z.residue, e, p**prec), p, prec))
     assert principal_powers(z, lams, SeriesBudget(target)) == expected
+
+
+def _pinned_jobs(p, m, n):
+    """(p, z, jobs): v(z) = 1 and n exponents of every length, to m digits."""
+    rng = Random(p * m + n)
+    z = p * (1 + p * rng.randrange(p ** (m - 2)))
+    return p, z, [(rng.randrange(p ** (m + 2)), m) for _ in range(n)]
+
+
+@st.composite
+def _power_jobs(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 31, 65521]))
+    m = draw(st.integers(1, 160))
+    # v >= m gives z = 0 mod p^m; v > 1 a shorter series
+    v = draw(st.integers(1, m + 1))
+    z = p**v * draw(st.integers(0, p**4)) % p**m
+    # e = 0, e below p^k (b = 0), and e of any length, at mixed precisions
+    exponent = st.one_of(
+        st.just(0), st.integers(0, p**3), st.integers(0, p ** (m + 2))
+    )
+    jobs = draw(
+        st.lists(st.tuples(exponent, st.integers(1, m)), min_size=1, max_size=20)
+    )
+    return p, z, jobs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_power_jobs())
+@example(_pinned_jobs(7, 128, 4))  # a table of small powers
+@example(_pinned_jobs(31, 128, 4))  # one pow per exponent
+@example(_pinned_jobs(31, 128, 16))  # a table at a larger p, for more exponents
+def test_power_residues_match_pow(case):
+    # either route to (1+z)^a, the table or the pows, gives pow's residues
+    p, z, jobs = case
+    assert _power_residues(z, p, jobs) == [pow(1 + z, e, p**d) for e, d in jobs]
+
+
+def test_power_table_replaces_pows_where_cheaper(monkeypatch):
+    # a table gives t and every (1+z)^a at (7, 128, 4 exponents): no pow
+    # takes a positive exponent; at p = 65521 a table of p - 1 powers per
+    # digit would cost more than it saves, so t = pow(1+z, p^k) comes back
+    exponents = []
+
+    def counted(base, exp, mod=None):
+        exponents.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(functions, "pow", counted, raising=False)
+    for p, m, table in ((7, 128, True), (65521, 1024, False)):
+        _, z, jobs = _pinned_jobs(p, m, 4)
+        exponents.clear()
+        _power_residues(z, p, jobs)
+        positive = [e for e in exponents if e > 0]
+        k = functions._split_point(p, m, 4, 1)
+        assert k >= 1
+        if table:
+            assert positive == []
+        else:
+            assert p**k in positive and max(positive) == p**k
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -18,6 +18,7 @@ from padicspectral import (
     make_unitary,
     pexp,
     plog,
+    principal_powers,
     stone_recover,
     zeta_of,
 )
@@ -534,3 +535,52 @@ def test_bundle_guard_field_is_ignored(p, seed, prec):
         bundle = group.to_dict()
         bundle["budget"]["guard"] = guard
         assert results(OneParamGroup.from_dict(bundle)) == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES + [31]),
+    seed=st.integers(0, 2**32),
+    prec=st.integers(2, 40),
+    target=st.integers(1, 40),
+    zero=st.booleans(),
+    sprecs=st.tuples(st.integers(2, 48), st.integers(2, 48)),
+    close=st.none() | st.integers(1, 48),
+)
+def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, close):
+    # the checks on residue grids report what value objects report: U(s) as
+    # the certificate's spectral operator of principal_powers, then @, - and
+    # op_norm; s may track fewer digits than the target, s2 may agree with
+    # s1 to many digits, and the zero generator owns all its columns with
+    # one eigenvalue
+    rng = Random(seed)
+    n = rng.randrange(2, min(p, 4) + 1)
+    budget = SeriesBudget(target)
+    if zero:
+        g = OneParamGroup(stone_recover(PadicMatrix.identity(n, p, prec), budget).cert, budget)
+    else:
+        g = sample_group(rng, p, prec, n, budget)
+    s1, s2 = (sample_principal_unit(rng, p, k) for k in sprecs)
+    if close is not None:
+        s2 = PadicInt(s1.residue + p**close * rng.randrange(p), p, sprecs[1])
+
+    def u(s):
+        powers = principal_powers(s - 1, g.cert.eigenvalues, budget)
+        value = g.cert.spectral_operator(powers)
+        assert g.evaluate(s).matrix == value
+        return value
+
+    law = g.verify_group_law(s1, s2)
+    lhs, rhs = u(s1 * s2), u(s1) @ u(s2)
+    required = min(target, lhs.prec, rhs.prec)
+    assert (law.observed, law.required) == ((lhs - rhs).op_norm(), required)
+    assert law.ok and law.ok == (law.observed.value >= required)
+
+    lip = g.lipschitz_check(s1, s2)
+    diff = u(s1) - u(s2)
+    required = min((s1 - s2).valuation().value, diff.prec)
+    assert (lip.observed, lip.required, lip.ok) == (
+        diff.op_norm(),
+        required,
+        diff.op_norm().value >= required,
+    )

@@ -184,6 +184,14 @@ def test_matrix_structure_errors():
         a @ PadicMatrix.identity(2, 7, 4)
     with pytest.raises(DimensionMismatch):
         a.matvec([PadicInt(1, 5, 4)])
+    # entries and scalars are ints or PadicInts: no string, float or bool
+    for bad in ("3", 2.9, True):
+        with pytest.raises(TypeError, match="not an int or a PadicInt"):
+            PadicMatrix([[bad, 2], [1, 1]], 5, 4)
+        with pytest.raises(TypeError):
+            a.scale_columns([bad, 1])
+    with pytest.raises(TypeError):
+        PadicMatrix.diagonal([1, False], 5, 4)
 
 
 def test_dimension_cap():
