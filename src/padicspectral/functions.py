@@ -245,9 +245,9 @@ def _a_part(p: int, n: int) -> tuple[float, bool]:
     """Products per digit k of the split for t = (1+z)^(p^k) - 1 and n powers
     (1+z)^a, a < p^k, and whether a table gives the fewest: pows take (1 +
     1.5 n) k log2 p; a table of (1+z)^(d p^i), i < k, 0 < d < p, k (p - 1)
-    and one per digit of each a, each weighing 1.2 products inside pow as
-    it runs in the interpreter (measured on CPython 3.11 at 128 digits)."""
-    table = 1.2 * (p - 1 + n)
+    and one per digit of each a, each weighing 1.25 products inside pow (on
+    CPython 3.11 at 128 digits and 4 exponents, it won up to p = 19)."""
+    table = 1.25 * (p - 1 + n)
     pows = (1 + 1.5 * n) * log2(p)
     return min(table, pows), table < pows
 
@@ -295,12 +295,11 @@ def _power_residues(z: int, p: int, jobs) -> list[int]:
     k = _split_point(p, m, len(jobs), v)
     terms = -(-m // (v + k))
     table, base = [], 1 + z  # table[i][d] = (1+z)^(d p^i), for this call only
-    if _a_part(p, len(jobs))[1]:
-        for _ in range(k):
-            table.append([1, base])
-            for _ in range(p - 2):
-                table[-1].append(table[-1][-1] * base % mod_m)
-            base = table[-1][-1] * base % mod_m
+    for _ in range(k if _a_part(p, len(jobs))[1] else 0):
+        table.append([1, base])
+        for _ in range(p - 1):
+            table[-1].append(table[-1][-1] * base % mod_m)
+        base = table[-1].pop()  # (1+z)^(p^(i+1)), the next row's base
     t = (base if table else pow(base, p**k, mod_m)) - 1
     c, coeffs = 1, [1]
     for j in range(1, terms):

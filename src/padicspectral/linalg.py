@@ -57,8 +57,8 @@ def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
 
 
 def _matrix(grid, p: int, prec: int) -> "PadicMatrix":
-    """The PadicMatrix of a square grid reduced mod p^prec, p and prec checked:
-    PadicMatrix's own results, built with no per-entry call."""
+    """The PadicMatrix of a square grid already reduced mod p^prec, p and prec
+    already checked: PadicMatrix's own results, built with no per-entry call."""
     m = object.__new__(PadicMatrix)
     m._set(p=p, prec=prec, n=len(grid), _e=tuple(map(tuple, grid)))
     return m

@@ -157,17 +157,26 @@ class StrongNormalCertificate(Frozen):
         return [v for v, m in zip(values, self.multiplicities) for _ in range(m)]
 
     def spectral_operator(self, values) -> PadicMatrix:
-        """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue.
-
-        This is the operator with the certified eigenbasis and spectrum
-        ``values``; it carries the minimum precision of S, S^-1 and the
-        values.
-        """
+        """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
+        the operator with the certified eigenbasis and spectrum ``values``, at
+        the minimum precision of S, S^-1 and the values."""
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
                 f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"
             )
-        return self.basis.scale_columns(self._per_column(values)) @ self.basis_inverse
+        values = [as_padic(v, self.p, self.basis.prec) for v in values]
+        if any(v is NotImplemented for v in values):
+            raise TypeError("each value must be a PadicInt or an int")
+        prec = min([self.basis.prec, self.basis_inverse.prec] + [v.prec for v in values])
+        return PadicMatrix(self.spectral_grid([v.residue for v in values], prec), self.p, prec)
+
+    def spectral_grid(self, residues, prec: int) -> list[list[int]]:
+        """S diag(residues) S^-1 mod p^prec, one integer per eigenvalue and prec
+        at most that of S and S^-1: :meth:`spectral_operator` on residues."""
+        mod = self.p**prec
+        xs = self._per_column(residues)
+        scaled = [[a * x % mod for a, x in zip(row, xs)] for row in self.basis.rows()]
+        return grid_matmul(scaled, self.basis_inverse.rows(), mod)
 
     def spectral_measure(self, subset) -> PadicMatrix:
         """E(S) = sum_{i in S} E_i for a subset S of spectral indices.
@@ -189,8 +198,6 @@ class StrongNormalCertificate(Frozen):
         |phi(A)| <= max_i |phi(lambda_i)| holds by construction.
         """
         values = [as_padic(phi(lam), self.p, lam.prec) for lam in self.eigenvalues]
-        if any(v is NotImplemented for v in values):
-            raise TypeError("phi must return PadicInt or int values")
         return self.spectral_operator(values)
 
     def verify_orthogonality(self, vec) -> bool:

@@ -549,10 +549,10 @@ def test_bundle_guard_field_is_ignored(p, seed, prec):
 )
 def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, close):
     # the checks on residue grids report what value objects report: U(s) as
-    # the certificate's spectral operator of principal_powers, then @, - and
-    # op_norm; s may track fewer digits than the target, s2 may agree with
-    # s1 to many digits, and the zero generator owns all its columns with
-    # one eigenvalue
+    # S diag(principal_powers) S^-1 by scale_columns and @, each power over
+    # the columns of its eigenvalue, then @, - and op_norm; s may track fewer
+    # digits than the target, s2 may agree with s1 to many digits, and the
+    # zero generator owns all its columns with one eigenvalue
     rng = Random(seed)
     n = rng.randrange(2, min(p, 4) + 1)
     budget = SeriesBudget(target)
@@ -566,7 +566,9 @@ def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, clo
 
     def u(s):
         powers = principal_powers(s - 1, g.cert.eigenvalues, budget)
-        value = g.cert.spectral_operator(powers)
+        owned = zip(powers, g.cert.multiplicities)
+        value = g.cert.basis.scale_columns([w for w, m in owned for _ in range(m)])
+        value = value @ g.cert.basis_inverse
         assert g.evaluate(s).matrix == value
         return value
 
