@@ -296,15 +296,21 @@ class PadicValue(Frozen):
         return [q * inv % mod for q in quotients], prec
 
 
+def is_int(x) -> bool:
+    """The integer rule of every scalar and matrix entry: an int, not a
+    bool, so that True is never read as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_padic(x, p: int, prec: int):
-    """The scalar coercion rule: a PadicInt over p as it is, an int as
-    PadicInt(x, p, prec), NotImplemented for anything else; a PadicInt
-    over another prime raises PrimeMismatch."""
+    """The scalar coercion rule: a PadicInt over p as it is, an int (by
+    :func:`is_int`) as PadicInt(x, p, prec), NotImplemented for anything
+    else; a PadicInt over another prime raises PrimeMismatch."""
     if isinstance(x, PadicInt):
         if x.p != p:
             raise PrimeMismatch(f"p={p} vs p={x.p}")
         return x
-    if isinstance(x, int):
+    if is_int(x):
         return PadicInt(x, p, prec)
     return NotImplemented
 
@@ -327,7 +333,8 @@ class PadicInt(PadicValue):
     """An element of Z_p known modulo p^N.
 
     ``PadicInt(n, p, prec)`` reduces any signed integer ``n`` to its
-    canonical residue in ``[0, p^prec)``.  Instances are immutable;
+    canonical residue in ``[0, p^prec)``; any other ``n``, a bool or a
+    string included, raises TypeError.  Instances are immutable;
     arithmetic returns new objects.  ``==`` is structural (same prime,
     same precision, same residue); use :meth:`congruent` for equality
     at a chosen number of digits.
@@ -336,8 +343,10 @@ class PadicInt(PadicValue):
     __slots__ = ("residue",)
 
     def __init__(self, n: int, p: int, prec: int):
+        if not is_int(n):
+            raise TypeError(f"{n!r} is not an int")
         p, prec = self._check_precision(p, prec)
-        self._set(p=p, prec=prec, residue=int(n) % p**prec)
+        self._set(p=p, prec=prec, residue=n % p**prec)
 
     def _at(self, prec: int) -> "PadicInt":
         return PadicInt(self.residue, self.p, prec)

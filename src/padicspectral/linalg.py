@@ -11,11 +11,8 @@ without a pivot, where back-substitution starts; other roots raise
 ValueError.  Eigenvalues come from a root scan of F_p.  The spectral
 module lifts the residue eigenbasis p-adically, by Newton's method.
 
-Every product runs through one kernel, ``grid_matmul``, which picks one
-of three algorithms that compute the same integers from the operands
-alone: Winograd's inner product when every entry is long, rows packed
-into one big integer when the entries are short and n is not small, and
-one sum of products per entry otherwise.
+Products and inverses run on the residues, through the kernels module:
+``grid_matmul`` and ``grid_inverse``.
 """
 
 from __future__ import annotations
@@ -30,28 +27,29 @@ from .core import (
     Valuation,
     as_padic,
     from_decimal,
+    is_int,
     to_decimal,
     validate_prec,
 )
 from .errors import (
     DimensionMismatch,
-    DivisionByHigherValuation,
     PrecisionExceeded,
     PrimeMismatch,
 )
+from .kernels import grid_inverse, grid_matmul
 
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
 def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
-    """x, an int (not a bool) or a PadicInt, as a residue mod ``mod``, a power
-    of p; a PadicInt x must be over p (by :func:`as_padic`) and track at
-    least ``prec`` digits."""
+    """x, an int (by :func:`is_int`) or a PadicInt, as a residue mod
+    ``mod``, a power of p; a PadicInt x must be over p (by
+    :func:`as_padic`) and track at least ``prec`` digits."""
     if isinstance(x, PadicInt):
         if as_padic(x, p, prec).prec < prec:
             raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
         return x.residue % mod
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not is_int(x):
         raise TypeError(f"entry {x!r} is not an int or a PadicInt")
     return x % mod
 
@@ -214,23 +212,21 @@ class PadicMatrix(PadicValue):
         return _matrix([flat[i : i + n] for i in range(0, n * n, n)], self.p, prec)
 
     def inverse(self) -> "PadicMatrix":
-        """Gauss-Jordan inverse; exists iff the reduction is invertible."""
-        n, p, mod = self.n, self.p, self.modulus
-        a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(self._e)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] % p), None)
-            if piv is None:
-                raise DivisionByHigherValuation(
-                    "matrix is not invertible over Z_p (determinant non-unit)"
-                )
-            a[col], a[piv] = a[piv], a[col]
-            inv = pow(a[col][col], -1, mod)
-            a[col] = [x * inv % mod for x in a[col]]
-            for i, row in enumerate(a):
-                f = row[col]
-                if f and i != col:
-                    a[i] = [(x - f * y) % mod for x, y in zip(row, a[col])]
-        return _matrix([row[n:] for row in a], p, self.prec)
+        """The inverse, which exists iff the reduction mod p is invertible.
+
+        With the rows in an order whose leading principal minors are units,
+        M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
+        complement S = D - C X give
+
+            M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]],
+
+        six half-size products and the inverses of A and S, found the same
+        way.  The leading minors of A are M's, and the j-th of S is the
+        (k + j)-th of M over det A, so all are units and no pivoting is
+        needed below the top.  :func:`kernels.grid_inverse` runs this where
+        it pays, and Gauss-Jordan elsewhere.
+        """
+        return _matrix(grid_inverse(self._e, self.p, self.modulus), self.p, self.prec)
 
     # -- comparisons and io ------------------------------------------------
 
@@ -374,105 +370,6 @@ class ResidueMatrix(PadicMatrix):
             inv = pow(next(x for x in reversed(v) if x), -1, p)
             out.append([x * inv % p for x in v])
         return out
-
-
-# Winograd's inner product pays once n >= 8 and every entry of both
-# factors has at least 400 bits; packing rows pays once n >= 12 and the
-# entries of the two factors have at most 400 bits together (measured on
-# CPython 3.11 big integers).
-_WINOGRAD_MIN_N = 8
-_WINOGRAD_MIN_BITS = 400
-_PACKED_MIN_N = 12
-_PACKED_MAX_BITS = 400
-
-
-def grid_matmul(a, b, mod: int) -> list[list[int]]:
-    """The product of two n x n grids of integers, reduced mod ``mod``: the
-    one matrix-product kernel, behind ``@`` and the eigenbasis lift.
-
-    It picks one of three algorithms from the operands alone.  Winograd's
-    inner product runs when n >= 8 and the smallest entry of each factor
-    has 400 bits or more; packed rows run when n >= 12, no entry is
-    negative and the largest entries of the two factors have 400 bits or
-    fewer together; one sum of products per entry runs otherwise.  All
-    three compute the same integers, so the result does not depend on the
-    choice.  Winograd adds entries of one factor to the other's before it
-    multiplies, so it halves the products only where both are long: a
-    short or zero entry (a half-digit correction in the lift, a diagonal
-    factor) rules it out.  Packing pays where the plain kernel's cost is
-    the interpreter's, not the integers': the lift's early steps.
-    """
-    n = len(a)
-    if n >= _WINOGRAD_MIN_N:
-        low_a, low_b = min(map(min, a)), min(map(min, b))
-        if min(low_a.bit_length(), low_b.bit_length()) >= _WINOGRAD_MIN_BITS:
-            return _winograd(a, b, mod)
-        if n >= _PACKED_MIN_N and min(low_a, low_b) >= 0:
-            bits_a, bits_b = (max(map(max, x)).bit_length() for x in (a, b))
-            if bits_a + bits_b <= _PACKED_MAX_BITS:
-                return _packed(a, b, mod, bits_a, bits_b)
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
-
-
-def _packed(a, b, mod: int, bits_a: int, bits_b: int) -> list[list[int]]:
-    """Packed rows (Kronecker substitution; D. Harvey, *Faster polynomial
-    multiplication via multipoint Kronecker substitution*, J. Symbolic
-    Comput. 44, 2009) for factors with entries 0 <= a < 2^bits_a and
-    0 <= b < 2^bits_b.
-
-    Row k of B becomes the integer sum_j b_kj 2^(w j), with slots of w >=
-    bits_a + bits_b + bits(n) bits rounded up to whole bytes, so that
-    sum_k a_ik (row k) = sum_j c_ij 2^(w j): each c_ij < n 2^(bits_a +
-    bits_b) <= 2^w fills its own slot and carries into no other, an
-    identity of integers.  One big-integer sum of n products gives a row
-    of C.  The factor with the longer entries is the one packed: when it
-    is A, its columns are, which gives C column by column.
-    """
-    n = len(a)
-    width = (bits_a + bits_b + n.bit_length() + 7) // 8
-    slots = [slice(i, i + width) for i in range(0, width * n, width)]
-    short, long = (zip(*b), zip(*a)) if bits_a > bits_b else (a, b)
-    rows = [
-        int.from_bytes(b"".join([x.to_bytes(width, "little") for x in r]), "little")
-        for r in long
-    ]
-    out = []
-    for r in short:
-        c = sum(map(mul, r, rows)).to_bytes(width * n, "little")
-        out.append([int.from_bytes(c[slot], "little") % mod for slot in slots])
-    return [list(col) for col in zip(*out)] if bits_a > bits_b else out
-
-
-def _winograd(a, b, mod: int) -> list[list[int]]:
-    """Winograd's inner product (S. Winograd, *A new algorithm for inner
-    product*, IEEE Trans. Comput. C-17, 1968): with m the even part of n,
-
-        sum_k x_k y_k = sum_{k < m/2} (x_2k + y_2k+1) (x_2k+1 + y_2k)
-                        - sum x_2k x_2k+1 - sum y_2k y_2k+1
-                        (+ x_(n-1) y_(n-1) for odd n),
-
-    an identity of integers whose row and column terms are shared by the
-    n entries of a row or column: n^3 / 2 products and O(n^2) more.
-    """
-    odd = len(a) % 2
-    m = len(a) - odd
-    cols = [
-        (c[1:m:2], c[0:m:2], sum(map(mul, c[0:m:2], c[1:m:2])), c[-1] * odd)
-        for c in zip(*b)
-    ]
-    out = []
-    for row in a:
-        r_even, r_odd = row[0:m:2], row[1:m:2]
-        x, last = sum(map(mul, r_even, r_odd)), row[-1]
-        out.append(
-            [
-                (sum(map(mul, map(add, r_even, c_odd), map(add, r_odd, c_even))) - x - y + last * z)
-                % mod
-                for c_odd, c_even, y, z in cols
-            ]
-        )
-    return out
 
 
 def _hessenberg(rows, p: int):

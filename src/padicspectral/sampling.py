@@ -66,12 +66,8 @@ def sample_invertible_matrix(rng: Random, p: int, prec: int, n: int) -> PadicMat
     ]
     perm = list(range(n))
     rng.shuffle(perm)
-    pm = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-    return (
-        PadicMatrix(pm, p, prec)
-        @ PadicMatrix(lower, p, prec)
-        @ PadicMatrix(upper, p, prec)
-    )
+    lu = (PadicMatrix(lower, p, prec) @ PadicMatrix(upper, p, prec)).rows()
+    return PadicMatrix([lu[i] for i in perm], p, prec)
 
 
 def sample_certifiable_matrix(rng: Random, p: int, prec: int, n: int) -> PadicMatrix:
@@ -83,9 +79,8 @@ def sample_certifiable_matrix(rng: Random, p: int, prec: int, n: int) -> PadicMa
         raise ValueError(f"need 2 <= n <= p for distinct residues, got n={n}, p={p}")
     residues = rng.sample(range(p), n)
     diag = [r + p * rng.randrange(p ** (prec - 1)) for r in residues]
-    d = PadicMatrix.diagonal(diag, p, prec)
     s = sample_invertible_matrix(rng, p, prec, n)
-    return s @ d @ s.inverse()
+    return s.scale_columns(diag) @ s.inverse()
 
 
 def sample_group(

@@ -34,7 +34,8 @@ from .errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from .linalg import PadicMatrix, ResidueMatrix, grid_matmul, vector_norm
+from .kernels import grid_matmul
+from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 

@@ -88,37 +88,40 @@ _GROUP5 = OneParamGroup(_CERT5, SeriesBudget(4))
 _X7 = PadicInt(8, 7, 4)  # a principal unit over 7
 
 
-@pytest.mark.parametrize(
-    "site",
-    [
-        lambda: PadicInt(1, 5, 4) - _X7,
-        lambda: PadicInt(1, 5, 4).congruent(_X7, 1),
-        lambda: PadicInt(1, 5, 4).divide_exact(_X7),
-        lambda: _M5.divide_exact(_X7),
-        lambda: PadicMatrix([[_X7, 0], [0, 1]], 5, 4),
-        lambda: _M5.scale_columns([_X7, 1]),
-        lambda: _M5.matvec([1, _X7]),
-        lambda: _GROUP5.evaluate(_X7),
-        lambda: _GROUP5.additive_evaluate(_X7),
-        lambda: _CERT5.functional_calculus(lambda lam: _X7),
-    ],
-    ids=[
-        "ring-op",
-        "congruent",
-        "scalar-divide",
-        "matrix-divide",
-        "matrix-entry",
-        "scale-columns",
-        "matvec",
-        "evaluate",
-        "additive-evaluate",
-        "functional-calculus",
-    ],
-)
+# every site that takes a scalar, as a function of the scalar
+_SCALAR_SITES = {
+    "ring-op": lambda x: PadicInt(1, 5, 4) - x,
+    "congruent": lambda x: PadicInt(1, 5, 4).congruent(x, 1),
+    "scalar-divide": lambda x: PadicInt(1, 5, 4).divide_exact(x),
+    "matrix-divide": lambda x: _M5.divide_exact(x),
+    "matrix-entry": lambda x: PadicMatrix([[x, 0], [0, 1]], 5, 4),
+    "scale-columns": lambda x: _M5.scale_columns([x, 1]),
+    "matvec": lambda x: _M5.matvec([1, x]),
+    "evaluate": lambda x: _GROUP5.evaluate(x),
+    "additive-evaluate": lambda x: _GROUP5.additive_evaluate(x),
+    "functional-calculus": lambda x: _CERT5.functional_calculus(lambda lam: x),
+    "spectral-operator": lambda x: _CERT5.spectral_operator([x, 0]),
+}
+
+
+@pytest.mark.parametrize("site", _SCALAR_SITES.values(), ids=_SCALAR_SITES.keys())
 def test_scalar_over_another_prime_is_refused(site):
     # every scalar is coerced by core.as_padic, so every site says the same
     with pytest.raises(PrimeMismatch, match=r"^p=5 vs p=7$"):
-        site()
+        site(_X7)
+
+
+@pytest.mark.parametrize("site", _SCALAR_SITES.values(), ids=_SCALAR_SITES.keys())
+def test_bool_scalar_is_refused(site):
+    # one integer rule (core.is_int) for scalars and entries: True is not 1
+    with pytest.raises(TypeError):
+        site(True)
+
+
+@pytest.mark.parametrize("n", ["3", 2.9, True, False, None, 3 + 0j])
+def test_padic_int_refuses_a_non_int(n):
+    with pytest.raises(TypeError, match="is not an int"):
+        PadicInt(n, 5, 4)
 
 
 def test_package_exports():

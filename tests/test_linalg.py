@@ -1,6 +1,7 @@
 """Matrix norm, reduction, residue characteristic polynomials and eigenvectors."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -18,7 +19,7 @@ from padicspectral import (
     certify_strongly_normal,
     vector_norm,
 )
-from padicspectral import linalg
+from padicspectral import kernels, linalg, spectral
 from padicspectral.errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
@@ -253,15 +254,16 @@ def _plain_product(a, b, mod):
     return [[sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
 
 
-def _factor(rng, n, kind, bits, p):
-    """An n x n grid of integers of the given bit length, shaped by ``kind``."""
+def _factor(rng, shape, kind, bits, p):
+    """An r x c grid of integers of the given bit length, shaped by ``kind``."""
+    r, c = shape
     if kind == "zero":
-        return [[0] * n for _ in range(n)]
+        return [[0] * c for _ in range(r)]
     if kind == "unreduced":
         # u + p^h v with u, v < p^h, as the lift's shifted corrections leave them
         ph = p ** max(1, bits // p.bit_length())
-        return [[rng.randrange(ph) + ph * rng.randrange(ph) for _ in range(n)] for _ in range(n)]
-    rows = [[rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(n)] for _ in range(n)]
+        return [[rng.randrange(ph) + ph * rng.randrange(ph) for _ in range(c)] for _ in range(r)]
+    rows = [[rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(c)] for _ in range(r)]
     if kind == "diagonal":
         return [[x if i == j else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)]
     if kind == "negative":
@@ -280,30 +282,38 @@ def _factor(rng, n, kind, bits, p):
     kinds=st.tuples(
         *[st.sampled_from(["dense", "zero", "diagonal", "unreduced", "negative"])] * 2
     ),
+    extra=st.tuples(*[st.integers(0, 1)] * 3),
 )
 # the packing bound of 400 bits together, met and missed, each factor longer
-@example(n=12, seed=1, bits=(200, 200), kinds=("dense", "dense"))
-@example(n=12, seed=2, bits=(200, 201), kinds=("dense", "dense"))
-@example(n=20, seed=3, bits=(300, 100), kinds=("dense", "unreduced"))
-@example(n=20, seed=4, bits=(100, 300), kinds=("diagonal", "dense"))
-@example(n=16, seed=5, bits=(100, 301), kinds=("dense", "dense"))
-@example(n=16, seed=6, bits=(80, 80), kinds=("zero", "dense"))
+@example(n=12, seed=1, bits=(200, 200), kinds=("dense", "dense"), extra=(0, 0, 0))
+@example(n=12, seed=2, bits=(200, 201), kinds=("dense", "dense"), extra=(0, 0, 0))
+@example(n=20, seed=3, bits=(300, 100), kinds=("dense", "unreduced"), extra=(0, 0, 0))
+@example(n=20, seed=4, bits=(100, 300), kinds=("diagonal", "dense"), extra=(0, 0, 0))
+@example(n=16, seed=5, bits=(100, 301), kinds=("dense", "dense"), extra=(0, 0, 0))
+@example(n=16, seed=6, bits=(80, 80), kinds=("zero", "dense"), extra=(0, 0, 0))
 # short entries at n >= 12 with negative ones among them: never packed
-@example(n=12, seed=7, bits=(40, 40), kinds=("negative", "dense"))
-@example(n=16, seed=8, bits=(40, 40), kinds=("dense", "negative"))
-def test_product_kernels_agree(n, seed, bits, kinds):
+@example(n=12, seed=7, bits=(40, 40), kinds=("negative", "dense"), extra=(0, 0, 0))
+@example(n=16, seed=8, bits=(40, 40), kinds=("dense", "negative"), extra=(0, 0, 0))
+# an r x k by k x c product, as the blocks of an odd-sized inverse
+@example(n=8, seed=9, bits=(500, 500), kinds=("dense", "dense"), extra=(0, 1, 0))
+@example(n=12, seed=10, bits=(40, 60), kinds=("dense", "dense"), extra=(1, 0, 1))
+@example(n=12, seed=11, bits=(60, 40), kinds=("dense", "dense"), extra=(0, 1, 1))
+def test_product_kernels_agree(n, seed, bits, kinds, extra):
     # Winograd's inner product, packed rows and the plain kernel compute the
-    # same integers, whichever kernel grid_matmul picks, odd n included
+    # same integers, whichever kernel grid_matmul picks, odd n included, for
+    # an r x k and a k x c factor (r, k, c each n or n + 1)
     rng = Random(seed)
     p = rng.choice([3, 5, 31])
     mod = p ** rng.randrange(1, 200)
-    a, b = (_factor(rng, n, kind, m, p) for kind, m in zip(kinds, bits))
+    r, k, c = (n + e for e in extra)
+    shapes = ((r, k), (k, c))
+    a, b = (_factor(rng, shape, kind, m, p) for shape, kind, m in zip(shapes, kinds, bits))
     expected = _plain_product(a, b, mod)
-    assert linalg._winograd(a, b, mod) == expected
-    assert linalg.grid_matmul(a, b, mod) == expected
+    assert kernels._winograd(a, b, mod) == expected
+    assert kernels.grid_matmul(a, b, mod) == expected
     if "negative" not in kinds:
         bits_a, bits_b = (max(map(max, x)).bit_length() for x in (a, b))
-        assert linalg._packed(a, b, mod, bits_a, bits_b) == expected
+        assert kernels._packed(a, b, mod, bits_a, bits_b) == expected
 
 
 def test_kernel_choice(monkeypatch):
@@ -315,7 +325,7 @@ def test_kernel_choice(monkeypatch):
     calls = Counter()
 
     def counted(name):
-        kernel = getattr(linalg, name)
+        kernel = getattr(kernels, name)
 
         def run(*args):
             calls[name] += 1
@@ -324,7 +334,7 @@ def test_kernel_choice(monkeypatch):
         return run
 
     for name in ("_winograd", "_packed"):
-        monkeypatch.setattr(linalg, name, counted(name))
+        monkeypatch.setattr(kernels, name, counted(name))
 
     def kernel_calls(f):
         calls.clear()
@@ -370,6 +380,130 @@ def test_inverse(p):
         assert s.inverse() @ s == PadicMatrix.identity(n, p, 12)
     with pytest.raises(DivisionByHigherValuation):
         PadicMatrix([[p, 0], [0, 1]], p, 8).inverse()
+
+
+def _inverse_input(rng, p, prec, n, shape):
+    mod = p**prec
+    if shape == "sampled":  # P L U: leading minors of either kind
+        return sample_invertible_matrix(rng, p, prec, n).rows()
+    if shape == "reversed":
+        # unit upper triangular rows in reverse order: the leading k x k
+        # minors vanish mod p for k <= n/2, the top block A among them
+        return [
+            [rng.randrange(mod) if j > i else int(i == j) for j in range(n)]
+            for i in reversed(range(n))
+        ]
+    return [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]  # singular mod p at times
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 31]),
+    prec=st.sampled_from([1, 2, 33, 128]),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+    shape=st.sampled_from(["sampled", "reversed", "random"]),
+)
+# blocks at even and odd n, one with a random reduction and one refused
+@example(p=31, prec=128, n=16, seed=1, shape="reversed")
+@example(p=31, prec=128, n=17, seed=2, shape="sampled")
+@example(p=5, prec=128, n=13, seed=3, shape="reversed")
+@example(p=3, prec=128, n=15, seed=2, shape="random")
+@example(p=3, prec=128, n=15, seed=4, shape="random")
+# Gauss-Jordan alone at precision 1
+@example(p=31, prec=1, n=20, seed=5, shape="reversed")
+def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
+    # the Schur blocks, where they run, give the Gauss-Jordan leaf's residues
+    # and an exact two-sided inverse; a singular reduction is refused the same way
+    rows = _inverse_input(Random(seed), p, prec, n, shape)
+    m = PadicMatrix(rows, p, prec)
+    try:
+        expected, _ = kernels._gauss_jordan(rows, p, p**prec)
+    except DivisionByHigherValuation as refusal:
+        with pytest.raises(DivisionByHigherValuation, match=f"^{re.escape(str(refusal))}$"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert [list(r) for r in inv.rows()] == expected
+    assert m @ inv == inv @ m == PadicMatrix.identity(n, p, prec)
+
+
+@given(p=st.sampled_from([3, 5, 31, 65521]), prec=st.integers(1, 300), seed=st.integers(0, 2**32))
+@example(p=31, prec=128, seed=0)
+@example(p=3, prec=2, seed=1)
+def test_unit_inverse_matches_pow(p, prec, seed):
+    # the pivots' inverses by Newton's iteration are pow's, at every precision
+    mod = p**prec
+    u = Random(seed).randrange(mod // p) * p + 1 + seed % (p - 1)
+    assert kernels._unit_inverse(u, p, mod) == pow(u, -1, mod)
+
+
+def test_inverse_runs_the_product_kernel(monkeypatch):
+    # at (31,128,16) the inverse is 18 products (6 at n = 16, 6 in each of
+    # its two 8 x 8 blocks); Gauss-Jordan alone at precision 1 and below
+    # n = 8, so the lift's start keeps certification at 37 products
+    log = []
+    kernel = kernels.grid_matmul
+
+    def counted(a, b, mod):
+        log.append(len(a))
+        return kernel(a, b, mod)
+
+    for module in (kernels, linalg, spectral):
+        monkeypatch.setattr(module, "grid_matmul", counted)
+
+    def products(f):
+        log.clear()
+        f()
+        return len(log)
+
+    p, prec, n = 31, 128, 16
+    s = sample_invertible_matrix(Random(4400), p, prec, n)
+    assert products(s.inverse) == 18
+    assert products(s.truncate_to(1).inverse) == 0
+    assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 0
+    a = sample_certifiable_matrix(Random(4402), p, prec, n)
+    assert products(lambda: certify_strongly_normal(a)) == 37
+    # a singular reduction is refused before any product runs
+    rows = [list(r) for r in s.rows()]
+    rows[-1] = [(x + y + p * 7) % p**prec for x, y in zip(rows[0], rows[1])]
+    with pytest.raises(DivisionByHigherValuation, match="determinant non-unit"):
+        products(PadicMatrix(rows, p, prec).inverse)
+    assert log == []
+
+
+def _sample_invertible_by_products(rng, p, prec, n):
+    """sample_invertible_matrix as P @ L @ U, the same draws multiplied out."""
+    mod = p**prec
+    lower = [
+        [1 if i == j else (rng.randrange(mod) if j < i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [
+            sample_unit(rng, p, prec).residue if i == j else (rng.randrange(mod) if j > i else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pm = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    return PadicMatrix(pm, p, prec) @ PadicMatrix(lower, p, prec) @ PadicMatrix(upper, p, prec)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p,prec,n", [(5, 8, 3), (13, 64, 12), (31, 128, 16)])
+def test_sampling_draws_match_their_products(seed, p, prec, n):
+    # rows permuted and columns scaled give what P @ L @ U and S @ D @ S^-1
+    # gave, draw for draw, so every seeded fixture keeps its matrix
+    s = _sample_invertible_by_products(Random(seed), p, prec, n)
+    assert sample_invertible_matrix(Random(seed), p, prec, n) == s
+    rng = Random(seed)
+    residues = rng.sample(range(p), n)
+    d = PadicMatrix.diagonal([r + p * rng.randrange(p ** (prec - 1)) for r in residues], p, prec)
+    s = _sample_invertible_by_products(rng, p, prec, n)
+    assert sample_certifiable_matrix(Random(seed), p, prec, n) == s @ d @ s.inverse()
 
 
 def test_matrix_serialization():

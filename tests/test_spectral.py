@@ -15,7 +15,7 @@ from padicspectral import (
     certify_strongly_normal,
     make_unitary,
 )
-from padicspectral import linalg, spectral
+from padicspectral import kernels, spectral
 from padicspectral.errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -457,7 +457,7 @@ def _certify_with_a_moved_product(monkeypatch, a, call):
     or I - S T nonzero mod p^h.
     """
     calls, packed = [0], []
-    kernel, pack = linalg.grid_matmul, linalg._packed
+    kernel, pack = kernels.grid_matmul, kernels._packed
 
     def corrupted(x, y, mod):
         out = kernel(x, y, mod)
@@ -471,7 +471,7 @@ def _certify_with_a_moved_product(monkeypatch, a, call):
         return pack(*args)
 
     monkeypatch.setattr(spectral, "grid_matmul", corrupted)
-    monkeypatch.setattr(linalg, "_packed", counted)
+    monkeypatch.setattr(kernels, "_packed", counted)
     with pytest.raises(CertificationFailed, match="not divisible by p\\^h"):
         certify_strongly_normal(a)
     return calls[0], packed
