@@ -33,6 +33,7 @@ from .core import (
     Frozen,
     PadicInt,
     Valuation,
+    check_int,
     validate_prec,
     validate_prime,
 )
@@ -139,9 +140,7 @@ class SeriesBudget(Frozen):
     guard = 0
 
     def __init__(self, target: int):
-        if target < 1:
-            raise ValueError("target precision must be >= 1")
-        self._set(target=target)
+        self._set(target=check_int(target, 1, "target precision"))
 
     def __repr__(self):
         return f"SeriesBudget(target={self.target!r})"
@@ -177,8 +176,7 @@ def truncation_length(v_z: int, budget: SeriesBudget) -> int:
     Dropped Mahler terms z^n P_n(lam) for n > M then all have valuation
     above target, since |P_n(lam)| <= 1 on Z_p.
     """
-    if v_z < 1:
-        raise ValueError("truncation_length needs argument valuation >= 1")
+    check_int(v_z, 1, "argument valuation")
     return -(-budget.target // v_z)
 
 
@@ -191,9 +189,7 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
     result carries exactly that precision and InsufficientPrecision is
     raised when no digit is left.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
+    if check_int(n, 0, "n") == 0:
         return PadicInt.one(lam.p, lam.prec)
     out_prec = lam.prec - (_ceil_log(lam.p, n + 1) - 1)
     if out_prec < 1:
@@ -228,10 +224,8 @@ def power_residues(z: PadicInt, lams, budget: SeriesBudget) -> list[tuple[int, i
     with no PadicInt made, for callers that work on plain residues."""
     jobs = []  # (exponent, output precision)
     for lam in lams:
-        if isinstance(lam, int):
-            if lam < 0:
-                raise ValueError("integer exponents must be >= 0")
-            jobs.append((lam, min(budget.target, z.prec)))
+        if not isinstance(lam, PadicInt):
+            jobs.append((check_int(lam, 0, "exponent"), min(budget.target, z.prec)))
         elif lam.p != z.p:
             raise PrimeMismatch(f"p={z.p} vs p={lam.p}")
         else:
@@ -359,11 +353,12 @@ def _plog_terms(x: PadicInt, working: int) -> PadicInt:
 
 
 @lru_cache(maxsize=256)
-def _log_one_plus_p(p: int, working: int) -> PadicInt:
+def log_one_plus_p(p: int, working: int) -> PadicInt:
     """log(1+p) to ``working`` digits.
 
-    The series depends only on p and the working precision, and zeta_of
-    divides by it once per eigenvalue, so it is computed once per pair.
+    The series depends only on p and the working precision, and zeta_of,
+    pexp and the operator log divide by it, zeta_of once per eigenvalue,
+    so it is computed once per pair.
     """
     return _plog_terms(PadicInt(p, p, working), working)
 
@@ -396,7 +391,7 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
         return PadicInt.one(p, out_prec)
     if x.valuation().value < 1:
         raise OutOfConvergenceDomain("pexp needs valuation >= 1")
-    exponent = x.divide_exact(_log_one_plus_p(p, budget.target + 1))
+    exponent = x.divide_exact(log_one_plus_p(p, budget.target + 1))
     [power] = _power_residues(p, p, [(exponent.residue, out_prec)])
     return PadicInt(power, p, out_prec)
 
@@ -413,7 +408,7 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     if s.prec < 2:
         raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")
     num = _plog_terms(s - 1, budget.target + 1)
-    zeta = num.divide_exact(_log_one_plus_p(s.p, budget.target + 1))
+    zeta = num.divide_exact(log_one_plus_p(s.p, budget.target + 1))
     return zeta.truncate_to(min(budget.target, s.prec - 1))
 
 
@@ -427,7 +422,6 @@ def digit_truncation_error(n: int, p: int) -> int:
     k = 1 (the exponent is strictly decreasing in k), giving p^(-n-2);
     returned as the exact valuation bound n + 2.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int(n, 0, "n")
     validate_prime(p)
     return n + 2

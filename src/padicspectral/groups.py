@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from operator import matmul
 
-from .core import Frozen, PadicInt, Valuation, as_padic, to_decimal
+from . import kernels
+from .core import Frozen, PadicInt, Valuation, as_padic, check_int, to_decimal
 from .errors import (
     CertificationFailed,
     InsufficientPrecision,
@@ -45,14 +46,13 @@ from .functions import (
     SeriesBudget,
     binomials,
     is_principal_unit,
+    log_one_plus_p,
     log_series,
     pexp,
-    plog,
     power_residues,
     truncation_length,
     zeta_of,
 )
-from . import linalg  # grid_matmul by module attribute, where counters see it
 from .linalg import PadicMatrix, grid_norm
 from .spectral import StrongNormalCertificate, certify_strongly_normal
 
@@ -181,8 +181,6 @@ class OneParamGroup(Frozen):
 
     def _coerce_unit(self, s) -> PadicInt:
         s = as_padic(s, self.p, self.budget.target)
-        if s is NotImplemented:
-            raise TypeError("s must be a PadicInt or an int")
         if not is_principal_unit(s):
             raise NotPrincipal(f"s = {s!r} is not congruent to 1 mod p")
         return s
@@ -205,11 +203,9 @@ class OneParamGroup(Frozen):
 
     def _grid_at(self, s: PadicInt) -> tuple[list[tuple[int, int]], list[list[int]], int]:
         """U(s) on residues, for a coerced s: the residue and precision of each
-        (1+z)^(lambda_i), S diag(...) S^-1 and its precision (min of those, S, S^-1)."""
-        cert = self.cert
-        powers = power_residues(s - 1, cert.eigenvalues, self.budget)
-        prec = min([cert.basis.prec, cert.basis_inverse.prec] + [m for _, m in powers])
-        return powers, cert.spectral_grid([r for r, _ in powers], prec), prec
+        (1+z)^(lambda_i), and the grid and precision of S diag(...) S^-1."""
+        powers = power_residues(s - 1, self.cert.eigenvalues, self.budget)
+        return powers, *self.cert.spectral_grid(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
@@ -240,7 +236,7 @@ class OneParamGroup(Frozen):
         _, u1, prec1 = self._grid_at(s1)
         _, u2, prec2 = self._grid_at(s2)
         prec = min(prec, prec1, prec2)
-        rhs = linalg.grid_matmul(u1, u2, self.p**prec)
+        rhs = kernels.grid_matmul(u1, u2, self.p**prec)
         diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
         return GroupCheck("group-law", grid_norm(diff, self.p, prec), prec)
 
@@ -266,8 +262,7 @@ class OneParamGroup(Frozen):
         an integer exponent; the result converges to evaluate(s) with
         error valuation at least digit_truncation_error(n, p).
         """
-        if any(n < 0 for n in ns):
-            raise ValueError("n must be >= 0")
+        ns = [check_int(n, 0, "n") for n in ns]
         if not ns:
             return []
         s = self._coerce_unit(s)
@@ -288,8 +283,6 @@ class OneParamGroup(Frozen):
         Additivity W(z1 + z2) = W(z1) W(z2) follows from the group law.
         """
         z = as_padic(z, self.p, self.budget.target)
-        if z is NotImplemented:
-            raise TypeError("z must be a PadicInt or an int")
         s = additive_reparam(z, self.budget)
         return self.evaluate(s)
 
@@ -344,8 +337,8 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     """The generator by the operator log series: the cross-check path.
 
     Sums (1/log(1+p)) sum_k (-1)^(k-1) V^k / k directly in matrices,
-    by :func:`log_series` with matmul, sharing nothing with the
-    eigenvalue route in stone_recover.
+    by :func:`log_series` with matmul, sharing with the eigenvalue route
+    in stone_recover only the scalar log(1+p).
     """
     p = u1p.p
     n = u1p.n
@@ -359,5 +352,5 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     # one digit above the target pays for the division by log(1+p)
     w = budget.target + 1
     log_v = log_series(v, norm, w, matmul)
-    a = log_v.divide_exact(plog(PadicInt(1 + p, p, w), SeriesBudget(w)))
+    a = log_v.divide_exact(log_one_plus_p(p, w))
     return a.truncate_to(out_prec)

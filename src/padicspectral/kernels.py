@@ -1,9 +1,11 @@
 """Algorithms on plain grids of integers mod p^N: the product kernel and
 the inverse.
 
-``PadicMatrix`` (linalg) and the eigenbasis lift (spectral) call these on
-canonical residues.  Each picks its algorithm from the operands alone,
-and every choice computes the same integers, so no result depends on it.
+``PadicMatrix`` (linalg), the eigenbasis lift (spectral) and the group
+checks call these on canonical residues, each as ``kernels.grid_matmul``
+or ``kernels.grid_inverse``, so a counter set there sees every call.
+Each picks its algorithm from the operands alone, and every choice
+computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
+from .core import unit_inverse
 from .errors import DivisionByHigherValuation
 
 
@@ -157,27 +160,13 @@ def _gauss_jordan(rows, p: int, mod: int):
             )
         a[col], a[piv] = a[piv], a[col]
         order[col], order[piv] = order[piv], order[col]
-        inv = _unit_inverse(a[col][col], p, mod)
+        inv = unit_inverse(a[col][col], p, mod)
         a[col] = [x * inv % mod for x in a[col]]
         for i, row in enumerate(a):
             f = row[col]
             if f and i != col:
                 a[i] = [(x - f * y) % mod for x, y in zip(row, a[col])]
     return [row[n:] for row in a], order
-
-
-def _unit_inverse(u: int, p: int, mod: int) -> int:
-    """u^-1 mod ``mod`` = p^N for a unit u, by Newton's iteration
-    x <- x (2 - u x) from u^-1 mod p: each step doubles the digits that
-    are right.  At 128 digits of 31 it takes 12 us where pow(u, -1, mod)
-    takes 75; below 32 bits pow's one call is the cheaper."""
-    if mod.bit_length() <= 32:
-        return pow(u, -1, mod)
-    x, q = pow(u, -1, p), p
-    while q < mod:
-        q = min(q * q, mod)
-        x = x * (2 - u * x) % q
-    return x
 
 
 def _blocks_pay(n: int, p: int, mod: int) -> bool:
@@ -188,9 +177,18 @@ def _blocks_pay(n: int, p: int, mod: int) -> bool:
 
 
 def _block_inverse(m, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` for a grid M with unit leading principal minors, by
-    the Schur complement (see ``PadicMatrix.inverse``): six half-size
-    products and two half-size inverses, A^-1 and S^-1, found the same way."""
+    """M^-1 mod ``mod`` for a grid M with unit leading principal minors.
+
+    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
+    complement S = D - C X,
+
+        M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]],
+
+    six half-size products and the inverses of A and S, found the same
+    way.  The leading minors of A are M's, and the j-th of S is the
+    (k + j)-th of M over det A, so all are units and no pivoting is
+    needed below the top.
+    """
     n = len(m)
     if not _blocks_pay(n, p, mod):
         return _gauss_jordan(m, p, mod)[0]

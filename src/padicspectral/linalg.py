@@ -12,7 +12,7 @@ ValueError.  Eigenvalues come from a root scan of F_p.  The spectral
 module lifts the residue eigenbasis p-adically, by Newton's method.
 
 Products and inverses run on the residues, through the kernels module:
-``grid_matmul`` and ``grid_inverse``.
+``kernels.grid_matmul`` and ``kernels.grid_inverse``, by that one binding.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from __future__ import annotations
 from math import gcd
 from operator import add, mul, sub
 
+from . import kernels
 from .core import (
     MAX_DIM,
     PadicInt,
     PadicValue,
     Valuation,
     as_padic,
+    check_int,
     from_decimal,
     is_int,
     to_decimal,
@@ -36,22 +38,19 @@ from .errors import (
     PrecisionExceeded,
     PrimeMismatch,
 )
-from .kernels import grid_inverse, grid_matmul
 
 __all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
 
 
 def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
     """x, an int (by :func:`is_int`) or a PadicInt, as a residue mod
-    ``mod``, a power of p; a PadicInt x must be over p (by
-    :func:`as_padic`) and track at least ``prec`` digits."""
-    if isinstance(x, PadicInt):
-        if as_padic(x, p, prec).prec < prec:
-            raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
-        return x.residue % mod
-    if not is_int(x):
-        raise TypeError(f"entry {x!r} is not an int or a PadicInt")
-    return x % mod
+    ``mod``, a power of p; anything else x must pass :func:`as_padic`, as
+    a PadicInt over p that tracks at least ``prec`` digits."""
+    if is_int(x):
+        return x % mod
+    if as_padic(x, p, prec).prec < prec:
+        raise PrecisionExceeded(f"entry {x!r} tracks fewer than {prec} digits")
+    return x.residue % mod
 
 
 def _matrix(grid, p: int, prec: int) -> "PadicMatrix":
@@ -157,7 +156,7 @@ class PadicMatrix(PadicValue):
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         prec = self._check(other)
-        return _matrix(grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
+        return _matrix(kernels.grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
 
     def __mul__(self, scalar) -> "PadicMatrix":
         if not isinstance(scalar, (int, PadicInt)):
@@ -167,8 +166,7 @@ class PadicMatrix(PadicValue):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PadicMatrix":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer exponents")
+        k = check_int(k, 0, "exponent")
         acc = self if k else PadicMatrix.identity(self.n, self.p, self.prec)
         for bit in bin(k)[3:]:  # the bits after the top one, high to low
             acc = acc @ acc
@@ -212,21 +210,10 @@ class PadicMatrix(PadicValue):
         return _matrix([flat[i : i + n] for i in range(0, n * n, n)], self.p, prec)
 
     def inverse(self) -> "PadicMatrix":
-        """The inverse, which exists iff the reduction mod p is invertible.
-
-        With the rows in an order whose leading principal minors are units,
-        M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
-        complement S = D - C X give
-
-            M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]],
-
-        six half-size products and the inverses of A and S, found the same
-        way.  The leading minors of A are M's, and the j-th of S is the
-        (k + j)-th of M over det A, so all are units and no pivoting is
-        needed below the top.  :func:`kernels.grid_inverse` runs this where
-        it pays, and Gauss-Jordan elsewhere.
-        """
-        return _matrix(grid_inverse(self._e, self.p, self.modulus), self.p, self.prec)
+        """The inverse, which exists iff the reduction mod p is invertible:
+        :func:`kernels.grid_inverse`, Schur blocks where they pay and
+        Gauss-Jordan elsewhere."""
+        return _matrix(kernels.grid_inverse(self._e, self.p, self.modulus), self.p, self.prec)
 
     # -- comparisons and io ------------------------------------------------
 
@@ -252,8 +239,8 @@ class PadicMatrix(PadicValue):
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise ValueError("entries must be a list of rows, each a list")
         entries = [list(map(from_decimal, row)) for row in rows]
-        m = cls(entries, int(d["p"]), validate_prec(d["prec"]))
-        if m.n != int(d["n"]):
+        m = cls(entries, from_decimal(d["p"]), validate_prec(d["prec"]))
+        if m.n != from_decimal(d["n"]):
             raise DimensionMismatch("declared n does not match entries")
         return m
 

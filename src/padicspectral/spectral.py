@@ -25,7 +25,8 @@ deliberately does not guess at.
 
 from __future__ import annotations
 
-from .core import Frozen, PadicInt, as_padic, to_decimal
+from . import kernels
+from .core import Frozen, PadicInt, as_padic, check_int, to_decimal
 from .errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -34,7 +35,6 @@ from .errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from .kernels import grid_matmul
 from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
@@ -70,11 +70,9 @@ class StrongNormalCertificate(Frozen):
             raise ValueError("certificate needs at least one spectral point")
         if multiplicities is None:
             multiplicities = (1,) * len(eigenvalues)
-        multiplicities = tuple(int(m) for m in multiplicities)
+        multiplicities = tuple(check_int(m, 1, "multiplicity") for m in multiplicities)
         if len(multiplicities) != len(eigenvalues):
             raise DimensionMismatch("one multiplicity per eigenvalue required")
-        if min(multiplicities) < 1:
-            raise ValueError("every eigenvalue needs at least one basis column")
         if sum(multiplicities) != matrix.n or {basis.n, basis_inverse.n} != {matrix.n}:
             raise DimensionMismatch(
                 f"basis columns do not match the dimension {matrix.n}"
@@ -160,24 +158,24 @@ class StrongNormalCertificate(Frozen):
     def spectral_operator(self, values) -> PadicMatrix:
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
         the operator with the certified eigenbasis and spectrum ``values``, at
-        the minimum precision of S, S^-1 and the values."""
+        the precision :meth:`spectral_grid` gives it."""
+        values = [as_padic(v, self.p, self.basis.prec) for v in values]
+        grid, prec = self.spectral_grid([(v.residue, v.prec) for v in values])
+        return PadicMatrix(grid, self.p, prec)
+
+    def spectral_grid(self, values) -> tuple[list[list[int]], int]:
+        """(S diag(residues) S^-1 mod p^prec, prec) for one (residue,
+        precision) pair per eigenvalue, prec the minimum precision of S, S^-1
+        and the values: :meth:`spectral_operator` on residues."""
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
                 f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"
             )
-        values = [as_padic(v, self.p, self.basis.prec) for v in values]
-        if any(v is NotImplemented for v in values):
-            raise TypeError("each value must be a PadicInt or an int")
-        prec = min([self.basis.prec, self.basis_inverse.prec] + [v.prec for v in values])
-        return PadicMatrix(self.spectral_grid([v.residue for v in values], prec), self.p, prec)
-
-    def spectral_grid(self, residues, prec: int) -> list[list[int]]:
-        """S diag(residues) S^-1 mod p^prec, one integer per eigenvalue and prec
-        at most that of S and S^-1: :meth:`spectral_operator` on residues."""
+        prec = min([self.basis.prec, self.basis_inverse.prec] + [m for _, m in values])
         mod = self.p**prec
-        xs = self._per_column(residues)
+        xs = self._per_column([r for r, _ in values])
         scaled = [[a * x % mod for a, x in zip(row, xs)] for row in self.basis.rows()]
-        return grid_matmul(scaled, self.basis_inverse.rows(), mod)
+        return kernels.grid_matmul(scaled, self.basis_inverse.rows(), mod), prec
 
     def spectral_measure(self, subset) -> PadicMatrix:
         """E(S) = sum_{i in S} E_i for a subset S of spectral indices.
@@ -301,9 +299,9 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
         ph, mod, modk = p**h, p**e, p ** (e - h)
         # S and T have h digits: a cut to k = e - h digits changes them only if k < h
         sk, tk = (s, t) if e == 2 * h else (_cut(s, modk), _cut(t, modk))
-        a_s = grid_matmul(_cut(a.rows(), mod), s, mod)
+        a_s = kernels.grid_matmul(_cut(a.rows(), mod), s, mod)
         r = [[(x - y * dj) % mod for x, y, dj in zip(u, v, d)] for u, v in zip(a_s, s)]
-        c = grid_matmul(tk, _divide_residual(r, ph), modk)
+        c = kernels.grid_matmul(tk, _divide_residual(r, ph), modk)
         x = [[cij * gij % modk for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
         d = [(di + ph * c[i][i]) % mod for i, di in enumerate(d)]
         if e < target:
@@ -311,10 +309,10 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
                 [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
                 for di, gi in zip(d, g)
             ]
-        s = _add_shifted(s, grid_matmul(sk, x, modk), ph)
-        st = grid_matmul(s, t, mod)
+        s = _add_shifted(s, kernels.grid_matmul(sk, x, modk), ph)
+        st = kernels.grid_matmul(s, t, mod)
         y = [[((i == j) - v) % mod for j, v in enumerate(row)] for i, row in enumerate(st)]
-        t = _add_shifted(t, grid_matmul(tk, _divide_residual(y, ph), modk), ph)
+        t = _add_shifted(t, kernels.grid_matmul(tk, _divide_residual(y, ph), modk), ph)
         h = e
     eigenvalues = [PadicInt(di, p, target) for di in d]
     return PadicMatrix(s, p, target), PadicMatrix(t, p, target), eigenvalues

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import padicspectral
 from conftest import current_digit_limit
@@ -18,7 +20,11 @@ from padicspectral import (
     UnitaryOperator,
     Valuation,
     certify_strongly_normal,
+    digit_truncation_error,
+    mahler_coeff,
     plog,
+    principal_power,
+    truncation_length,
 )
 from padicspectral.core import from_decimal, to_decimal
 from padicspectral.errors import (
@@ -116,6 +122,107 @@ def test_bool_scalar_is_refused(site):
     # one integer rule (core.is_int) for scalars and entries: True is not 1
     with pytest.raises(TypeError):
         site(True)
+
+
+@pytest.mark.parametrize("site", _SCALAR_SITES.values(), ids=_SCALAR_SITES.keys())
+def test_float_scalar_is_refused_with_one_message(site):
+    # as_padic's refusal, at every site but the ring op, which leaves the
+    # operand to the other type first, so Python words its refusal
+    one_message = site is not _SCALAR_SITES["ring-op"]
+    match = r"^2\.5 is not an int or a PadicInt$" if one_message else "unsupported operand"
+    with pytest.raises(TypeError, match=match):
+        site(2.5)
+
+
+_Z5, _LAM5, _B4 = PadicInt(5, 5, 4), PadicInt(2, 5, 4), SeriesBudget(4)
+_M5_DICT, _CERT5_DICT = _M5.to_dict(), _CERT5.to_dict()
+
+# one integer rule (core.is_int) for precisions, primes, counts and
+# exponents, and for the integers of the file formats (core.from_decimal)
+_NOT_INTS = {
+    "prec-float": (lambda: PadicInt(3, 5, 4.7), TypeError, "is not an int"),
+    "prec-bool": (lambda: PadicInt(3, 5, True), TypeError, "is not an int"),
+    "prime-float": (lambda: PadicInt(3, 5.0, 4), TypeError, "is not an int"),
+    "budget-float": (lambda: SeriesBudget(7.5), TypeError, "is not an int"),
+    "valuation-float": (lambda: Valuation(2.5), TypeError, "is not an int"),
+    "valuation-bool": (lambda: Valuation(True), TypeError, "is not an int"),
+    "truncation-length-float": (lambda: truncation_length(2.5, _B4), TypeError, "is not an int"),
+    "scalar-power-bool": (lambda: PadicInt(3, 5, 4) ** True, TypeError, "is not an int"),
+    "scalar-power-negative": (lambda: PadicInt(3, 5, 4) ** -1, ValueError, ">= 0"),
+    "matrix-power-bool": (lambda: _M5**True, TypeError, "is not an int"),
+    "matrix-power-negative": (lambda: _M5**-1, ValueError, ">= 0"),
+    "principal-power-bool": (lambda: principal_power(_Z5, True, _B4), TypeError, "is not an int"),
+    "principal-power-negative": (lambda: principal_power(_Z5, -1, _B4), ValueError, ">= 0"),
+    "mahler-bool": (lambda: mahler_coeff(True, _LAM5), TypeError, "is not an int"),
+    "mahler-negative": (lambda: mahler_coeff(-1, _LAM5), ValueError, ">= 0"),
+    "truncation-error-bool": (lambda: digit_truncation_error(True, 5), TypeError, "is not an int"),
+    "truncation-error-negative": (lambda: digit_truncation_error(-1, 5), ValueError, ">= 0"),
+    "digit-limit-float": (lambda: _GROUP5.digit_limit_approxes(6, [1.0]), TypeError, "is not an int"),
+    "digit-limit-negative": (lambda: _GROUP5.digit_limit_approxes(6, [0, -1]), ValueError, ">= 0"),
+    "congruent-digits-float": (lambda: PadicInt(3, 5, 4).congruent(3, 2.0), TypeError, "is not an int"),
+    "int-file-prec": (
+        lambda: PadicInt.from_dict({"p": 5, "prec": 4.9, "val": "3"}),
+        ValueError,
+        "not a decimal integer",
+    ),
+    "int-file-p": (
+        lambda: PadicInt.from_dict({"p": True, "prec": 4, "val": "3"}),
+        ValueError,
+        "not a decimal integer",
+    ),
+    "matrix-file-p": (
+        lambda: PadicMatrix.from_dict({**_M5_DICT, "p": 5.0}),
+        ValueError,
+        "not a decimal integer",
+    ),
+    "matrix-file-n": (
+        lambda: PadicMatrix.from_dict({**_M5_DICT, "n": 2.5}),
+        ValueError,
+        "not a decimal integer",
+    ),
+    "budget-file-target": (
+        lambda: SeriesBudget.from_dict({"target": 7.5}),
+        ValueError,
+        "not a decimal integer",
+    ),
+    "certificate-multiplicities": (
+        lambda: StrongNormalCertificate.from_dict({**_CERT5_DICT, "multiplicities": [True, 1.0]}),
+        TypeError,
+        "is not an int",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_INTS.values(), ids=_NOT_INTS.keys())
+def test_one_integer_rule(case):
+    call, error, match = case
+    with pytest.raises(error, match=match):
+        call()
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    prec=st.integers(1, 40),
+    n=st.integers(-(10**30), 10**30),
+    shift=st.integers(-3, 3),
+    open_ended=st.booleans(),
+)
+@example(p=5, prec=4, n=3, shift=1, open_ended=False)
+def test_equal_values_hash_alike(p, prec, n, shift, open_ended):
+    # Frozen's == and hash agree, so sets and dicts find equal values, and
+    # no int equals a PadicInt, not even its own residue
+    mod = p**prec
+    pairs = [
+        (PadicInt(n, p, prec), PadicInt(n + shift * mod, p, prec)),
+        (PadicMatrix([[n, 1], [0, n]], p, prec), PadicMatrix([[n + shift * mod, 1], [0, n]], p, prec)),
+        (Valuation(abs(n) % 50, open_ended), Valuation(abs(n) % 50, open_ended)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert b in {a} and {a: 1}[b] == 1
+    x = pairs[0][0]
+    assert x != x.residue and x.residue not in {x} and {x: 1}.get(x.residue) is None
+    assert PadicInt(3, 5, 4) != 3
 
 
 @pytest.mark.parametrize("n", ["3", 2.9, True, False, None, 3 + 0j])
@@ -264,8 +371,9 @@ def test_int_coercion():
     assert (1 + x).residue == 11
     assert (x - 11).residue == 624
     assert (3 * x).residue == 30
-    assert x == 10
-    assert x == 10 + 5**4
+    # Frozen's equality: no int equals a PadicInt; congruent compares with one
+    assert x != 10 and x != 10 + 5**4
+    assert x.congruent(10, 4) and x.congruent(10 + 5**4, 4)
 
 
 def test_digits():

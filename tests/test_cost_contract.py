@@ -1,8 +1,9 @@
 """Cost contract: matrix products per public operation, and their digits.
 
-Every matrix product, whether through PadicMatrix.__matmul__ or in the
-eigenbasis lift, runs one entry point, linalg.grid_matmul, whichever of
-its algorithms it picks, and counts of its calls are exact on any host,
+Every matrix product, whether through PadicMatrix.__matmul__, in the
+eigenbasis lift, the group checks or the inverse's blocks, runs one entry
+point, kernels.grid_matmul, reached by that one binding, whichever of its
+algorithms it picks, and counts of its calls are exact on any host,
 so they can gate where timings cannot.
 Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
 of 5 products each, and verifying a certificate takes 2 more.
@@ -34,7 +35,7 @@ from padicspectral import (
     stone_recover,
     zeta_of,
 )
-from padicspectral import functions, linalg, spectral
+from padicspectral import functions, kernels, spectral
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,
@@ -60,14 +61,13 @@ def products(monkeypatch):
     """products(f) runs f and lists (n, largest entry of a, largest of b)
     for each call of the product kernel; the kernel is restored after."""
     log = []
-    kernel = linalg.grid_matmul
+    kernel = kernels.grid_matmul
 
     def counted(a, b, mod):
         log.append((len(a), max(map(max, a)), max(map(max, b))))
         return kernel(a, b, mod)
 
-    for module in (linalg, spectral):
-        monkeypatch.setattr(module, "grid_matmul", counted)
+    monkeypatch.setattr(kernels, "grid_matmul", counted)
 
     def run(f):
         start = len(log)
@@ -157,7 +157,7 @@ def test_powers_pass_no_exponent_above_the_split(monkeypatch):
     p, prec = 5, 4096
     x = PadicInt(p * Random(7200).randrange(p ** (prec - 1)), p, prec)
     # log(1+p), cached, reduces its own argument by one pow of its own p^k
-    functions._log_one_plus_p(p, prec + 1)
+    functions.log_one_plus_p(p, prec + 1)
     exponents.clear()
     pexp(x, SeriesBudget(prec))
     k = functions._split_point(p, prec, 1, 1)

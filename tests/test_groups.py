@@ -336,6 +336,8 @@ def test_digit_limit_at_one_plus_p():
     for n in (0, 1, 4):
         approx = g.digit_limit_approx(6, n)
         assert approx.congruent(u1p.truncate_to(approx.prec), approx.prec)
+    # ns may be any iterable, read once
+    assert g.digit_limit_approxes(6, (n for n in (0, 1, 4))) == g.digit_limit_approxes(6, [0, 1, 4])
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -19,7 +19,8 @@ from padicspectral import (
     certify_strongly_normal,
     vector_norm,
 )
-from padicspectral import kernels, linalg, spectral
+from padicspectral import kernels
+from padicspectral.core import unit_inverse
 from padicspectral.errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
@@ -233,13 +234,13 @@ def test_matrix_power_costs_no_spare_product(monkeypatch):
     # a**1 costs no product and a**2 one: k costs a square per bit below its
     # top bit and a product per set bit after the first
     calls = [0]
-    kernel = linalg.grid_matmul
+    kernel = kernels.grid_matmul
 
     def counted(a, b, mod):
         calls[0] += 1
         return kernel(a, b, mod)
 
-    monkeypatch.setattr(linalg, "grid_matmul", counted)
+    monkeypatch.setattr(kernels, "grid_matmul", counted)
     a = sample_certifiable_matrix(Random(4100), 7, 12, 3)
     repeated = PadicMatrix.identity(3, 7, 12)
     for k in range(40):
@@ -432,10 +433,11 @@ def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
 @example(p=31, prec=128, seed=0)
 @example(p=3, prec=2, seed=1)
 def test_unit_inverse_matches_pow(p, prec, seed):
-    # the pivots' inverses by Newton's iteration are pow's, at every precision
+    # core.unit_inverse (the pivots, exact division, PadicInt.inverse) by
+    # Newton's iteration gives pow's inverse at every precision
     mod = p**prec
     u = Random(seed).randrange(mod // p) * p + 1 + seed % (p - 1)
-    assert kernels._unit_inverse(u, p, mod) == pow(u, -1, mod)
+    assert unit_inverse(u, p, mod) == pow(u, -1, mod)
 
 
 def test_inverse_runs_the_product_kernel(monkeypatch):
@@ -449,8 +451,7 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
         log.append(len(a))
         return kernel(a, b, mod)
 
-    for module in (kernels, linalg, spectral):
-        monkeypatch.setattr(module, "grid_matmul", counted)
+    monkeypatch.setattr(kernels, "grid_matmul", counted)
 
     def products(f):
         log.clear()
@@ -597,10 +598,13 @@ def test_correctness_guards_raise():
     # correctness checks are exceptions, not asserts, so they survive python -O;
     # no module reaches into another's private names, so each rule
     # (a truncation length, a working precision) has one owning module;
-    # the precision rules of scalars and matrices live in core alone; and
-    # every private function, method or module constant is used somewhere
+    # the precision rules of scalars and matrices live in core alone; no
+    # module but kernels binds the kernels by name, so a counter set on
+    # kernels.grid_matmul sees every product; and every private function,
+    # method or module constant is used somewhere
     root = Path(padicspectral.__file__).resolve().parent
     precision_rules = {"truncate_to", "lift_to", "modulus"}
+    kernel_names = {"grid_matmul", "grid_inverse"}
     helpers, used = {}, set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -626,6 +630,14 @@ def test_correctness_guards_raise():
             if _is_private(alias.name)
         ]
         assert not private, f"{path.name} imports private names {private}"
+        bound = [
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in kernel_names
+        ]
+        assert not bound, f"{path.name} binds kernels by name {bound}"
         if path.name != "core.py":
             defined = {
                 node.name

@@ -133,6 +133,12 @@ def test_functional_calculus_basics():
     assert cert.functional_calculus(lambda lam: 1).congruent(ident, 32)
     assert cert.functional_calculus(lambda lam: lam * lam).congruent(a @ a, 32)
     assert cert.functional_calculus(lambda lam: lam + 1).congruent(a + ident, 32)
+    # spectral_grid owns the precision: the least of S, S^-1 and the values
+    lams = cert.eigenvalues
+    low = cert.spectral_operator([lams[0].truncate_to(9), lams[1]])
+    assert low.prec == 9 and low.congruent(a, 9)
+    grid, prec = cert.spectral_grid([(lams[0].residue, 9), (lams[1].residue, 32)])
+    assert prec == 9 and low == PadicMatrix(grid, 5, 9)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -470,7 +476,7 @@ def _certify_with_a_moved_product(monkeypatch, a, call):
         packed.append(calls[0] + 1)
         return pack(*args)
 
-    monkeypatch.setattr(spectral, "grid_matmul", corrupted)
+    monkeypatch.setattr(kernels, "grid_matmul", corrupted)
     monkeypatch.setattr(kernels, "_packed", counted)
     with pytest.raises(CertificationFailed, match="not divisible by p\\^h"):
         certify_strongly_normal(a)
