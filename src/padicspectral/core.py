@@ -123,6 +123,17 @@ class Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _read(cls, d, *names) -> list:
+        """The values of ``names`` in ``d``, a JSON object read by ``from_dict``,
+        or a ValueError naming this type and every field d lacks (or no object)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object")
+        missing = [k for k in names if k not in d]
+        if missing:
+            raise ValueError(f"{cls.__name__} is missing field(s) {missing}")
+        return [d[k] for k in names]
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -443,7 +454,8 @@ class PadicInt(PadicValue):
 
     @classmethod
     def from_dict(cls, d: dict) -> "PadicInt":
-        return cls(from_decimal(d["val"]), from_decimal(d["p"]), validate_prec(d["prec"]))
+        val, p, prec = cls._read(d, "val", "p", "prec")
+        return cls(from_decimal(val), from_decimal(p), validate_prec(prec))
 
     def __repr__(self):
         return f"PadicInt({to_decimal(self.residue)}, p={self.p}, prec={self.prec})"

@@ -157,7 +157,7 @@ class SeriesBudget(Frozen):
     @classmethod
     def from_dict(cls, d: dict) -> "SeriesBudget":
         # a "guard" key, written by older versions, is ignored
-        return cls(validate_prec(d["target"]))
+        return cls(validate_prec(*cls._read(d, "target")))
 
 
 def is_principal_unit(x: PadicInt) -> bool:

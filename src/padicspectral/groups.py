@@ -18,7 +18,8 @@ the final division, and with the operator log series kept as an
 independent cross-check path.  The two operator series, Mahler and log,
 are the engine functions of the functions module run with matmul; this
 module sums them but fixes no truncation itself, and adds to the target
-only the one digit that the division by log(1+p) costs.
+only the one digit that the division by log(1+p) costs.  The group checks
+are PadicMatrix's own @, - and op_norm: no grid of residues is formed here.
 
 Certification of V with |V| < 1: V's reduction is the zero matrix, so
 the distinct-residue criterion cannot apply directly.  V is factored as
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from operator import matmul
 
-from . import kernels
 from .core import Frozen, PadicInt, Valuation, as_padic, check_int, to_decimal
 from .errors import (
     CertificationFailed,
@@ -53,7 +53,7 @@ from .functions import (
     truncation_length,
     zeta_of,
 )
-from .linalg import PadicMatrix, grid_norm
+from .linalg import PadicMatrix
 from .spectral import StrongNormalCertificate, certify_strongly_normal
 
 __all__ = [
@@ -195,17 +195,15 @@ class OneParamGroup(Frozen):
         and, where the split's cost model (p, digits, n, v(z)) says so, one
         table of small powers; values are built from residues once.  U(1) = I.
         """
-        powers, grid, prec = self._grid_at(self._coerce_unit(s))
-        v = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+        powers, u = self._value_at(self._coerce_unit(s))
+        v = u - PadicMatrix.identity(u.n, self.p, u.prec)
         eigenvalues = [PadicInt(r - 1, self.p, m) for r, m in powers]
-        cert = self.cert.reuse_basis(PadicMatrix(v, self.p, prec), eigenvalues)
-        return UnitaryOperator(PadicMatrix(grid, self.p, prec), cert)
+        return UnitaryOperator(u, self.cert.reuse_basis(v, eigenvalues))
 
-    def _grid_at(self, s: PadicInt) -> tuple[list[tuple[int, int]], list[list[int]], int]:
-        """U(s) on residues, for a coerced s: the residue and precision of each
-        (1+z)^(lambda_i), and the grid and precision of S diag(...) S^-1."""
+    def _value_at(self, s: PadicInt) -> tuple[list[tuple[int, int]], PadicMatrix]:
+        """U(s) for a coerced s, with each (1+z)^(lambda_i) as (residue, precision)."""
         powers = power_residues(s - 1, self.cert.eigenvalues, self.budget)
-        return powers, *self.cert.spectral_grid(powers)
+        return powers, self.cert.spectral_residues(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
@@ -232,23 +230,16 @@ class OneParamGroup(Frozen):
         """Check U(s1 s2) = U(s1) U(s2) at every digit both sides claim:
         min(prec lhs, prec rhs), which the powers' precision holds to the target."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        _, lhs, prec = self._grid_at(s1 * s2)
-        _, u1, prec1 = self._grid_at(s1)
-        _, u2, prec2 = self._grid_at(s2)
-        prec = min(prec, prec1, prec2)
-        rhs = kernels.grid_matmul(u1, u2, self.p**prec)
-        diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
-        return GroupCheck("group-law", grid_norm(diff, self.p, prec), prec)
+        (_, lhs), (_, u1), (_, u2) = map(self._value_at, (s1 * s2, s1, s2))
+        diff = lhs - u1 @ u2
+        return GroupCheck("group-law", diff.op_norm(), diff.prec)
 
     def lipschitz_check(self, s1, s2) -> GroupCheck:
         """Check the modulus-of-continuity bound |U(s1)-U(s2)| <= |s1-s2|."""
         s1, s2 = self._coerce_unit(s1), self._coerce_unit(s2)
-        _, u1, prec1 = self._grid_at(s1)
-        _, u2, prec2 = self._grid_at(s2)
-        prec = min(prec1, prec2)
-        diff = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(u1, u2)]
-        required = min((s1 - s2).valuation().value, prec)
-        return GroupCheck("lipschitz", grid_norm(diff, self.p, prec), required)
+        diff = self._value_at(s1)[1] - self._value_at(s2)[1]
+        required = min((s1 - s2).valuation().value, diff.prec)
+        return GroupCheck("lipschitz", diff.op_norm(), required)
 
     def digit_limit_approx(self, s, n: int) -> PadicMatrix:
         """The one-n case of :meth:`digit_limit_approxes`."""
@@ -296,10 +287,8 @@ class OneParamGroup(Frozen):
 
     @classmethod
     def from_dict(cls, d: dict) -> "OneParamGroup":
-        return cls(
-            StrongNormalCertificate.from_dict(d["certificate"]),
-            SeriesBudget.from_dict(d["budget"]),
-        )
+        cert, budget = cls._read(d, "certificate", "budget")
+        return cls(StrongNormalCertificate.from_dict(cert), SeriesBudget.from_dict(budget))
 
     def __repr__(self):
         return f"OneParamGroup(generator={self.generator!r}, budget={self.budget})"

@@ -1,16 +1,17 @@
 """Algorithms on plain grids of integers mod p^N: the product kernel and
 the inverse.
 
-``PadicMatrix`` (linalg), the eigenbasis lift (spectral) and the group
-checks call these on canonical residues, each as ``kernels.grid_matmul``
+``PadicMatrix`` (linalg) and the eigenbasis lift (spectral), the only
+importers, call these on canonical residues, each as ``kernels.grid_matmul``
 or ``kernels.grid_inverse``, so a counter set there sees every call.
 Each picks its algorithm from the operands alone, and every choice
 computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
-otherwise.  The inverse runs Gauss-Jordan, or Schur complements whose
-n^3 work is products, where those pay.  These live apart from linalg
+otherwise.  The inverse takes the rows in the order forward elimination
+mod p gives, then runs Gauss-Jordan, or Schur complements whose n^3
+work is products, where those pay.  These live apart from linalg
 because importing the package compiles every module, and its peak memory
 is set by the largest one.
 """
@@ -130,49 +131,59 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """M^-1 mod ``mod`` = p^N for a square grid M; DivisionByHigherValuation
     when M mod p is singular.
 
-    Where Schur blocks pay (``_blocks_pay``), Gauss-Jordan mod p first
-    fixes a row order P, the pivot rows in turn, so the leading principal
-    minors of P M are units (P M = L U with unit pivots); the blocks invert
-    P M without pivoting, and M^-1 = (P M)^-1 P puts the columns back.
-    Elsewhere Gauss-Jordan runs alone.
+    Forward elimination mod p first fixes a row order P, the pivot rows in
+    turn, so the leading principal minors of P M are units (P M = L U with
+    unit pivots).  Schur blocks where they pay (``_blocks_pay``), and
+    Gauss-Jordan elsewhere, invert P M with no pivoting, and
+    M^-1 = (P M)^-1 P puts the columns back.
     """
-    n = len(m)
-    if not _blocks_pay(n, p, mod):
-        return _gauss_jordan(m, p, mod)[0]
-    order = _gauss_jordan([[x % p for x in r] for r in m], p, p)[1]
+    order = _row_order(m, p)
     grid = _block_inverse([m[i] for i in order], p, mod)
-    cols = sorted(range(n), key=order.__getitem__)
+    cols = sorted(range(len(m)), key=order.__getitem__)
     return [[row[k] for k in cols] for row in grid]
 
 
-def _gauss_jordan(rows, p: int, mod: int):
-    """(M^-1 mod ``mod``, order) by Gauss-Jordan on [M | I]: the pivot of
-    column k is row order[k] of M, so M's rows taken in that order have
-    unit leading principal minors."""
-    n = len(rows)
-    a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
-    order = list(range(n))
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] % p), None)
+def _row_order(m, p: int) -> list[int]:
+    """The pivot rows of forward elimination on M mod p, in turn: M's rows
+    taken in that order have unit leading principal minors."""
+    a = [[x % p for x in r] for r in m]
+    order = list(range(len(a)))
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
         if piv is None:
             raise DivisionByHigherValuation(
                 "matrix is not invertible over Z_p (determinant non-unit)"
             )
         a[col], a[piv] = a[piv], a[col]
         order[col], order[piv] = order[piv], order[col]
+        inv = pow(a[col][col], -1, p)
+        for row in a[col + 1 :]:
+            f = row[col] * inv % p
+            if f:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], a[col][col:])]
+    return order
+
+
+def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
+    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], for M with unit leading
+    principal minors, so that each pivot is the next diagonal entry; the
+    columns before it are 0 in its row, so each step starts at its column."""
+    n = len(rows)
+    a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    for col in range(n):
         inv = unit_inverse(a[col][col], p, mod)
-        a[col] = [x * inv % mod for x in a[col]]
+        piv = a[col][col:] = [x * inv % mod for x in a[col][col:]]
         for i, row in enumerate(a):
             f = row[col]
             if f and i != col:
-                a[i] = [(x - f * y) % mod for x, y in zip(row, a[col])]
-    return [row[n:] for row in a], order
+                row[col:] = [(x - f * y) % mod for x, y in zip(row[col:], piv)]
+    return [row[n:] for row in a]
 
 
 def _blocks_pay(n: int, p: int, mod: int) -> bool:
     """Whether Schur blocks beat Gauss-Jordan on an n x n grid mod p^N: once
-    n >= 8 and n^2 bits(p^N) >= 36000, and never at N = 1, where
-    Gauss-Jordan is itself the row-order pass."""
+    n >= 8 and n^2 bits(p^N) >= 36000, and never at N = 1, where every
+    entry is a single digit."""
     return mod > p and n >= _BLOCK_MIN_N and n * n * mod.bit_length() >= _BLOCK_MIN_WEIGHT
 
 
@@ -186,12 +197,11 @@ def _block_inverse(m, p: int, mod: int) -> list[list[int]]:
 
     six half-size products and the inverses of A and S, found the same
     way.  The leading minors of A are M's, and the j-th of S is the
-    (k + j)-th of M over det A, so all are units and no pivoting is
-    needed below the top.
+    (k + j)-th of M over det A, so all are units and nothing pivots.
     """
     n = len(m)
     if not _blocks_pay(n, p, mod):
-        return _gauss_jordan(m, p, mod)[0]
+        return _gauss_jordan(m, p, mod)
     k = n // 2
     c = [r[:k] for r in m[k:]]
     a_inv = _block_inverse([r[:k] for r in m[:k]], p, mod)

@@ -124,7 +124,7 @@ class PadicMatrix(PadicValue):
     def op_norm(self) -> Valuation:
         """Sup norm as a valuation: min entry valuation (at_least for 0),
         which is the valuation of the gcd of the entries."""
-        return grid_norm(self._e, self.p, self.prec)
+        return Valuation.of_residue(gcd(*(x for row in self._e for x in row)), self.p, self.prec)
 
     def reduction(self) -> "ResidueMatrix":
         return ResidueMatrix(self._e, self.p)
@@ -235,12 +235,12 @@ class PadicMatrix(PadicValue):
 
     @classmethod
     def from_dict(cls, d: dict) -> "PadicMatrix":
-        rows = d["entries"]
+        rows, p, prec, n = cls._read(d, "entries", "p", "prec", "n")
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise ValueError("entries must be a list of rows, each a list")
         entries = [list(map(from_decimal, row)) for row in rows]
-        m = cls(entries, from_decimal(d["p"]), validate_prec(d["prec"]))
-        if m.n != from_decimal(d["n"]):
+        m = cls(entries, from_decimal(p), validate_prec(prec))
+        if m.n != from_decimal(n):
             raise DimensionMismatch("declared n does not match entries")
         return m
 
@@ -392,13 +392,6 @@ def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:
         carry = (c + carry * r) % mod
         horner.append(carry)
     return horner[-2::-1], horner[-1]
-
-
-def grid_norm(grid, p: int, prec: int) -> Valuation:
-    """The sup norm at ``prec`` digits of a grid of integers, as a valuation:
-    that of the gcd of its entries mod p^prec (at_least(prec) for 0)."""
-    mod = p**prec
-    return Valuation.of_residue(gcd(*(x % mod for row in grid for x in row)), p, prec)
 
 
 def vector_norm(vec) -> Valuation:

@@ -158,24 +158,20 @@ class StrongNormalCertificate(Frozen):
     def spectral_operator(self, values) -> PadicMatrix:
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
         the operator with the certified eigenbasis and spectrum ``values``, at
-        the precision :meth:`spectral_grid` gives it."""
+        the precision :meth:`spectral_residues` gives it."""
         values = [as_padic(v, self.p, self.basis.prec) for v in values]
-        grid, prec = self.spectral_grid([(v.residue, v.prec) for v in values])
-        return PadicMatrix(grid, self.p, prec)
+        return self.spectral_residues([(v.residue, v.prec) for v in values])
 
-    def spectral_grid(self, values) -> tuple[list[list[int]], int]:
-        """(S diag(residues) S^-1 mod p^prec, prec) for one (residue,
-        precision) pair per eigenvalue, prec the minimum precision of S, S^-1
-        and the values: :meth:`spectral_operator` on residues."""
+    def spectral_residues(self, values) -> PadicMatrix:
+        """S diag(residues) S^-1, at the least precision of S, S^-1 and the
+        values, for one (residue, precision) pair per eigenvalue."""
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
                 f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"
             )
-        prec = min([self.basis.prec, self.basis_inverse.prec] + [m for _, m in values])
-        mod = self.p**prec
+        prec = min([self.basis.prec] + [m for _, m in values])
         xs = self._per_column([r for r, _ in values])
-        scaled = [[a * x % mod for a, x in zip(row, xs)] for row in self.basis.rows()]
-        return kernels.grid_matmul(scaled, self.basis_inverse.rows(), mod), prec
+        return self.basis.truncate_to(prec).scale_columns(xs) @ self.basis_inverse
 
     def spectral_measure(self, subset) -> PadicMatrix:
         """E(S) = sum_{i in S} E_i for a subset S of spectral indices.
@@ -184,7 +180,7 @@ class StrongNormalCertificate(Frozen):
         this is the full projection-valued measure: E({}) = 0, E(all) = I,
         and E is additive on disjoint subsets.
         """
-        idx = set(subset)
+        idx = {check_int(i, float("-inf"), "spectral index") for i in subset}
         if idx and (min(idx) < 0 or max(idx) >= len(self.eigenvalues)):
             raise IndexError(f"spectral index out of range: {sorted(idx)}")
         mask = [int(i in idx) for i in range(len(self.eigenvalues))]
@@ -207,14 +203,14 @@ class StrongNormalCertificate(Frozen):
         """
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
+        vec = [as_padic(x, self.p, self.basis.prec) for x in vec]
         lhs = vector_norm(vec)
         coords = self.basis_inverse.matvec(vec)
-        zero = PadicInt.zero(self.p, coords[0].prec)
         owner = self._per_column(range(len(self.eigenvalues)))
         rhs = min(
             vector_norm(
                 self.basis.matvec(
-                    [c if o == i else zero for c, o in zip(coords, owner)]
+                    [c if o == i else 0 for c, o in zip(coords, owner)]
                 )
             )
             for i in range(len(self.eigenvalues))
@@ -239,22 +235,18 @@ class StrongNormalCertificate(Frozen):
         Every part is cut to the certificate precision, the only digits
         :meth:`verify` checks, so no unverified digit reaches a result.
         """
-        missing = [k for k in _FIELDS if k not in d]
-        if missing:
-            raise ValueError(f"certificate is missing field(s) {missing}")
-        matrix, basis, inverse = (
-            PadicMatrix.from_dict(d[k]) for k in ("matrix", "basis", "basis_inverse")
-        )
-        eigenvalues = [PadicInt.from_dict(e) for e in d["eigenvalues"]]
-        if not isinstance(d["multiplicities"], list):
-            raise ValueError("multiplicities must be a list")
+        matrix, eigenvalues, multiplicities, basis, inverse = cls._read(d, *_FIELDS)
+        if not (isinstance(eigenvalues, list) and isinstance(multiplicities, list)):
+            raise ValueError("eigenvalues and multiplicities must be lists")
+        matrix, basis, inverse = map(PadicMatrix.from_dict, (matrix, basis, inverse))
+        eigenvalues = [PadicInt.from_dict(e) for e in eigenvalues]
         prec = min(x.prec for x in (matrix, basis, inverse, *eigenvalues))
         cert = cls(
             matrix.truncate_to(prec),
             [e.truncate_to(prec) for e in eigenvalues],
             basis.truncate_to(prec),
             inverse.truncate_to(prec),
-            d["multiplicities"],
+            multiplicities,
         )
         try:
             cert.verify()

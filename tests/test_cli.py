@@ -242,6 +242,25 @@ def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
     assert "missing field" in captured.err and "'basis'" in captured.err
 
 
+def test_missing_field_is_input_error(tmp_path, group_file, capsys):
+    # the refusal names the object and the field, not a bare key
+    bundle = json.loads(open(group_file).read())
+    del bundle["budget"]
+    no_val = json.loads(open(group_file).read())
+    del no_val["certificate"]["eigenvalues"][0]["val"]
+    cases = [
+        ("certify", {"p": 5, "prec": 8, "n": 2}, "PadicMatrix is missing field(s) ['entries']"),
+        ("group-eval", bundle, "OneParamGroup is missing field(s) ['budget']"),
+        ("group-eval", {**bundle, "budget": {}}, "SeriesBudget is missing field(s) ['target']"),
+        ("group-eval", no_val, "PadicInt is missing field(s) ['val']"),
+    ]
+    for k, (command, doc, message) in enumerate(cases):
+        path = _write(tmp_path / f"missing{k}.json", doc)
+        code = main([command, path] + (["--s", "6"] if command == "group-eval" else []))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"input error: {message}\n")
+
+
 def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
     # a basis_inverse entry moved by 5^20 must not yield a wrong U(s)
     bundle = json.loads(open(group_file).read())

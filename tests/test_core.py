@@ -107,6 +107,7 @@ _SCALAR_SITES = {
     "additive-evaluate": lambda x: _GROUP5.additive_evaluate(x),
     "functional-calculus": lambda x: _CERT5.functional_calculus(lambda lam: x),
     "spectral-operator": lambda x: _CERT5.spectral_operator([x, 0]),
+    "orthogonality": lambda x: _CERT5.verify_orthogonality([x, 1]),
 }
 
 
@@ -160,6 +161,8 @@ _NOT_INTS = {
     "digit-limit-float": (lambda: _GROUP5.digit_limit_approxes(6, [1.0]), TypeError, "is not an int"),
     "digit-limit-negative": (lambda: _GROUP5.digit_limit_approxes(6, [0, -1]), ValueError, ">= 0"),
     "congruent-digits-float": (lambda: PadicInt(3, 5, 4).congruent(3, 2.0), TypeError, "is not an int"),
+    "spectral-index-float": (lambda: _CERT5.spectral_measure([1.0]), TypeError, "is not an int"),
+    "spectral-index-bool": (lambda: _CERT5.spectral_measure([0.0, True]), TypeError, "is not an int"),
     "int-file-prec": (
         lambda: PadicInt.from_dict({"p": 5, "prec": 4.9, "val": "3"}),
         ValueError,
@@ -198,6 +201,37 @@ def test_one_integer_rule(case):
     call, error, match = case
     with pytest.raises(error, match=match):
         call()
+
+
+# each reader of the file formats, a document it writes and the fields
+# taken out of it
+_MISSING = {
+    "int": (PadicInt, _LAM5.to_dict(), ["val"]),
+    "matrix": (PadicMatrix, _M5_DICT, ["entries"]),
+    "budget": (SeriesBudget, _B4.to_dict(), ["target"]),
+    "group": (OneParamGroup, _GROUP5.to_dict(), ["budget"]),
+    "certificate": (StrongNormalCertificate, _CERT5_DICT, ["eigenvalues", "basis_inverse"]),
+}
+
+
+@pytest.mark.parametrize("case", _MISSING.values(), ids=_MISSING.keys())
+def test_missing_field_is_refused_with_one_message(case):
+    # one refusal (Frozen._read) names the type and every field the
+    # document lacks, and a document that is no object is refused as such
+    cls, doc, missing = case
+    doc = {k: v for k, v in doc.items() if k not in missing}
+    with pytest.raises(ValueError) as refusal:
+        cls.from_dict(doc)
+    assert str(refusal.value) == f"{cls.__name__} is missing field(s) {missing}"
+    with pytest.raises(ValueError, match=f"^{cls.__name__} must be a JSON object$"):
+        cls.from_dict([])
+
+
+@pytest.mark.parametrize("field", ["eigenvalues", "multiplicities"])
+def test_certificate_lists_are_refused_as_such(field):
+    # a count where a list belongs is described, not iterated
+    with pytest.raises(ValueError, match="^eigenvalues and multiplicities must be lists$"):
+        StrongNormalCertificate.from_dict({**_CERT5_DICT, field: 5})
 
 
 @given(

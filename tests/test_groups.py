@@ -11,6 +11,7 @@ from padicspectral import (
     PadicInt,
     PadicMatrix,
     SeriesBudget,
+    Valuation,
     additive_reparam,
     certify_strongly_normal,
     digit_truncation_error,
@@ -18,7 +19,6 @@ from padicspectral import (
     make_unitary,
     pexp,
     plog,
-    principal_powers,
     stone_recover,
     zeta_of,
 )
@@ -550,11 +550,13 @@ def test_bundle_guard_field_is_ignored(p, seed, prec):
     close=st.none() | st.integers(1, 48),
 )
 def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, close):
-    # the checks on residue grids report what value objects report: U(s) as
-    # S diag(principal_powers) S^-1 by scale_columns and @, each power over
-    # the columns of its eigenvalue, then @, - and op_norm; s may track fewer
-    # digits than the target, s2 may agree with s1 to many digits, and the
-    # zero generator owns all its columns with one eigenvalue
+    # the checks report what plain integers give: U(s) = S diag(s^lam_i) S^-1
+    # by pow on each eigenvalue, over the columns it owns, and explicit sums
+    # over S and S^-1, then products, differences and the least entry
+    # valuation, at the least precision of the target, s, S, S^-1 and the
+    # eigenvalues; s may track fewer digits than the target, s2 may agree
+    # with s1 to many digits, and the zero generator owns all its columns
+    # with one eigenvalue
     rng = Random(seed)
     n = rng.randrange(2, min(p, 4) + 1)
     budget = SeriesBudget(target)
@@ -565,26 +567,39 @@ def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, clo
     s1, s2 = (sample_principal_unit(rng, p, k) for k in sprecs)
     if close is not None:
         s2 = PadicInt(s1.residue + p**close * rng.randrange(p), p, sprecs[1])
+    cert = g.cert
+    basis, inverse = cert.basis.rows(), cert.basis_inverse.rows()
+    lams = [lam for lam, m in zip(cert.eigenvalues, cert.multiplicities) for _ in range(m)]
+    least = min([target, cert.basis.prec, cert.basis_inverse.prec] + [x.prec for x in lams])
 
     def u(s):
-        powers = principal_powers(s - 1, g.cert.eigenvalues, budget)
-        owned = zip(powers, g.cert.multiplicities)
-        value = g.cert.basis.scale_columns([w for w, m in owned for _ in range(m)])
-        value = value @ g.cert.basis_inverse
-        assert g.evaluate(s).matrix == value
-        return value
+        prec = min(least, s.prec)
+        mod = p**prec
+        w = [pow(s.residue, lam.residue, mod) for lam in lams]
+        grid = [
+            [sum(basis[i][k] * w[k] * inverse[k][j] for k in range(n)) % mod for j in range(n)]
+            for i in range(n)
+        ]
+        assert g.evaluate(s).matrix == PadicMatrix(grid, p, prec)
+        return grid, prec
 
+    def norm(grid, prec):
+        return min(Valuation.of_residue(x % p**prec, p, prec) for row in grid for x in row)
+
+    (lhs, prec), (u1, prec1), (u2, prec2) = u(s1 * s2), u(s1), u(s2)
+    rhs = [[sum(u1[i][k] * u2[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    diff = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, rhs)]
     law = g.verify_group_law(s1, s2)
-    lhs, rhs = u(s1 * s2), u(s1) @ u(s2)
-    required = min(target, lhs.prec, rhs.prec)
-    assert (law.observed, law.required) == ((lhs - rhs).op_norm(), required)
-    assert law.ok and law.ok == (law.observed.value >= required)
+    required = min(prec, prec1, prec2)
+    assert (law.observed, law.required) == (norm(diff, required), required)
+    assert law.ok
 
     lip = g.lipschitz_check(s1, s2)
-    diff = u(s1) - u(s2)
-    required = min((s1 - s2).valuation().value, diff.prec)
+    diff = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(u1, u2)]
+    observed = norm(diff, min(prec1, prec2))
+    required = min((s1 - s2).valuation().value, prec1, prec2)
     assert (lip.observed, lip.required, lip.ok) == (
-        diff.op_norm(),
+        observed,
         required,
-        diff.op_norm().value >= required,
+        observed.value >= required,
     )

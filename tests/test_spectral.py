@@ -120,8 +120,9 @@ def test_spectral_measure():
             lhs = cert.spectral_measure(s1 | s2)
             rhs = cert.spectral_measure(s1) + cert.spectral_measure(s2)
             assert lhs.congruent(rhs, cert.precision)
-    with pytest.raises(IndexError):
-        cert.spectral_measure([3])
+    for out_of_range in ([3], [0, -1]):
+        with pytest.raises(IndexError):
+            cert.spectral_measure(out_of_range)
     assert cert.spectral_measure([0]) == cert.projectors[0]
 
 
@@ -133,12 +134,11 @@ def test_functional_calculus_basics():
     assert cert.functional_calculus(lambda lam: 1).congruent(ident, 32)
     assert cert.functional_calculus(lambda lam: lam * lam).congruent(a @ a, 32)
     assert cert.functional_calculus(lambda lam: lam + 1).congruent(a + ident, 32)
-    # spectral_grid owns the precision: the least of S, S^-1 and the values
+    # spectral_residues owns the precision: the least of S, S^-1 and the values
     lams = cert.eigenvalues
     low = cert.spectral_operator([lams[0].truncate_to(9), lams[1]])
     assert low.prec == 9 and low.congruent(a, 9)
-    grid, prec = cert.spectral_grid([(lams[0].residue, 9), (lams[1].residue, 32)])
-    assert prec == 9 and low == PadicMatrix(grid, 5, 9)
+    assert low == cert.spectral_residues([(lams[0].residue, 9), (lams[1].residue, 32)])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -202,6 +202,10 @@ def test_orthogonality_identity(p):
     assert cert.verify_orthogonality([PadicInt.zero(p, 24)] * 2)
     e1 = [PadicInt.one(p, 24), PadicInt.zero(p, 24)]
     assert cert.verify_orthogonality(e1)
+    # int entries are read at the basis precision, as PadicInts are
+    assert cert.verify_orthogonality([1, p]) == cert.verify_orthogonality(
+        [PadicInt(1, p, 24), PadicInt(p, p, 24)]
+    )
     with pytest.raises(DimensionMismatch):
         cert.verify_orthogonality([PadicInt.one(p, 24)])
 
