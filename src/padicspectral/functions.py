@@ -4,12 +4,12 @@ Everything here is driven by a :class:`SeriesBudget`, whose ``target``
 digits must come out right.  Every truncation rule of the package lives
 here, one home per series: _log_terms for the logarithm, which both
 log_series (on a PadicInt with operator.mul or a PadicMatrix with
-operator.matmul) and the scalar log on plain residues (_plog_terms)
-follow; binomials for the Mahler series, on either type as well; and
-_power_residues for the power series behind principal_powers and pexp.
-Each series bounds the division loss it is about to incur, so the target
-digits are a guarantee, not a hope, and no caller adds digits of its
-own except for the one that the division by log(1+p) costs.
+operator.matmul) and plog, the one scalar log, follow; binomials for the
+Mahler series, on either type as well; and _power_residues for the power
+series, entered only through principal_powers, which pexp and the groups
+call too.  Each series bounds the division loss it is about to incur, so
+the target digits are a guarantee, not a hope, and no caller adds digits
+of its own except for the one that the division by log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by exponent splitting (lam = a + p^k b: one short
@@ -99,7 +99,7 @@ def log_series(x, v: int, working: int, product):
     x is a PadicInt or PadicMatrix of valuation (sup norm) v >= 1, lifted
     by zero digits, and ``product`` its ring product.  The terms and their
     digits come from :func:`_log_terms`.  The scalar logarithm runs the
-    same rule on plain residues (:func:`_plog_terms`); this one is its
+    same rule on plain residues (:func:`plog`); this one is its
     reference and the operator log of :func:`generator_log_series`.
     """
     terms, w0 = _log_terms(x.p, v, working)
@@ -208,20 +208,15 @@ def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
     """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0).
 
     Each result is pow(1 + z, lam, p^N) on the canonical residues, N =
-    min(target, prec z, prec lam) (no prec lam for an int), and is exact
-    at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the
-    result depends only on lam mod p^(N - v(z)), which lam's tracked
+    min(target, prec z, prec lam + v(z)) (no prec lam for an int), and is
+    exact at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so
+    the result depends only on lam mod p^(N - v(z)), which lam's tracked
     digits fix, and moving z by p^(prec z) t moves it by p^(prec z) at
     most.  The result is a principal unit with valuation(result - 1) >=
     valuation(z).  The residues come from :func:`_power_residues`, which
     computes the same residues as those pows with far fewer products.
     """
-    return [PadicInt(r, z.p, m) for r, m in power_residues(z, lams, budget)]
-
-
-def power_residues(z: PadicInt, lams, budget: SeriesBudget) -> list[tuple[int, int]]:
-    """The residue and precision N of each power of :func:`principal_powers`,
-    with no PadicInt made, for callers that work on plain residues."""
+    v = z.valuation().value
     jobs = []  # (exponent, output precision)
     for lam in lams:
         if not isinstance(lam, PadicInt):
@@ -229,10 +224,11 @@ def power_residues(z: PadicInt, lams, budget: SeriesBudget) -> list[tuple[int, i
         elif lam.p != z.p:
             raise PrimeMismatch(f"p={z.p} vs p={lam.p}")
         else:
-            jobs.append((lam.residue, min(budget.target, z.prec, lam.prec)))
+            jobs.append((lam.residue, min(budget.target, z.prec, lam.prec + v)))
     if z.is_unit():
         raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
-    return list(zip(_power_residues(z.residue, z.p, jobs), (m for _, m in jobs)))
+    residues = _power_residues(z.residue, z.p, jobs)
+    return [PadicInt(r, z.p, m) for r, (_, m) in zip(residues, jobs)]
 
 
 def _a_part(p: int, n: int) -> tuple[float, bool]:
@@ -326,22 +322,27 @@ def _divide_index(c: int, j: int, p: int, mod: int) -> int:
     return (c - c * pow(mod, -1, j) % j * mod) // j
 
 
-def _plog_terms(x: PadicInt, working: int) -> PadicInt:
-    """log(1 + x) good to ``working`` = W digits, for v(x) >= 1.
+def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
+    """p-adic logarithm of a principal unit.
 
-    Argument reduction: with t = (1+x)^(p^k) - 1 mod p^(W+k), which has
-    v(t) = v(x) + k for odd p, log(1+x) = log(1+t) / p^k.  The series on
-    t runs to W + k digits by the rule of :func:`_log_terms` and the
-    exact division by p^k returns to W.  Since log is an isometry on
+    log is an isometry from 1 + pZ_p onto pZ_p for odd p, so no input
+    digits are lost: the result is good to min(target, prec(u)) digits
+    and has valuation >= 1 (exactly 1 at u = 1 + p).
+
+    With W = target, argument reduction: t = u^(p^k) - 1 mod p^(W+k), of
+    valuation v(u - 1) + k for odd p, gives log u = log(1+t) / p^k.  The
+    series on t runs to W + k digits by the rule of :func:`_log_terms` and
+    the exact division by p^k returns to W.  Since log is an isometry on
     pZ_p, cutting t mod p^(W+k) moves log(1+t) by p^(W+k) at most.  k
     comes from the cost model of :func:`_split_point` with no exponents.
     Everything runs on plain residues, each term t^j / j divided by
-    :func:`_divide_index`, so the result is the true log(1+x) mod p^W.
+    :func:`_divide_index`, so the result is the true log u mod p^W.
     """
-    p = x.p
-    k = _split_point(p, working, 0, Valuation.of_residue(x.residue, p, working).value)
+    _require_principal(u, "plog argument")
+    p, working = u.p, budget.target
+    k = _split_point(p, working, 0, Valuation.of_residue(u.residue - 1, p, working).value)
     w = working + k
-    t = pow(1 + x.residue, p**k, p**w) - 1
+    t = pow(u.residue, p**k, p**w) - 1
     terms, w0 = _log_terms(p, Valuation.of_residue(t, p, w).value, w)
     mod = p**w0
     acc = term_num = t
@@ -349,7 +350,7 @@ def _plog_terms(x: PadicInt, working: int) -> PadicInt:
         term_num = term_num * t % mod
         term = _divide_index(term_num, j, p, mod)
         acc = acc + term if j % 2 else acc - term
-    return PadicInt(acc % p**w // p**k, p, working)
+    return PadicInt(acc % p**w // p**k, p, min(working, u.prec))
 
 
 @lru_cache(maxsize=256)
@@ -360,19 +361,7 @@ def log_one_plus_p(p: int, working: int) -> PadicInt:
     pexp and the operator log divide by it, zeta_of once per eigenvalue,
     so it is computed once per pair.
     """
-    return _plog_terms(PadicInt(p, p, working), working)
-
-
-def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
-    """p-adic logarithm of a principal unit.
-
-    log is an isometry from 1 + pZ_p onto pZ_p for odd p, so no input
-    digits are lost: the result is good to min(target, prec(u)) digits
-    and has valuation >= 1 (exactly 1 at u = 1 + p).
-    """
-    _require_principal(u, "plog argument")
-    out_prec = min(budget.target, u.prec)
-    return _plog_terms(u - 1, budget.target).truncate_to(out_prec)
+    return plog(PadicInt(1 + p, p, working), SeriesBudget(working))
 
 
 def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -392,8 +381,7 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     if x.valuation().value < 1:
         raise OutOfConvergenceDomain("pexp needs valuation >= 1")
     exponent = x.divide_exact(log_one_plus_p(p, budget.target + 1))
-    [power] = _power_residues(p, p, [(exponent.residue, out_prec)])
-    return PadicInt(power, p, out_prec)
+    return principal_power(PadicInt(p, p, out_prec), exponent, budget)
 
 
 def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -407,9 +395,8 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     _require_principal(s, "zeta_of argument")
     if s.prec < 2:
         raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")
-    num = _plog_terms(s - 1, budget.target + 1)
-    zeta = num.divide_exact(log_one_plus_p(s.p, budget.target + 1))
-    return zeta.truncate_to(min(budget.target, s.prec - 1))
+    wide = budget.target + 1
+    return plog(s, SeriesBudget(wide)).divide_exact(log_one_plus_p(s.p, wide))
 
 
 def digit_truncation_error(n: int, p: int) -> int:

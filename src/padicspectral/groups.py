@@ -49,7 +49,7 @@ from .functions import (
     log_one_plus_p,
     log_series,
     pexp,
-    power_residues,
+    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -193,17 +193,17 @@ class OneParamGroup(Frozen):
         The n powers (1+z)^(lambda_i) are those of principal_powers: each
         exponent splits as a + p^k b, and all share (1+z)^(p^k), its series
         and, where the split's cost model (p, digits, n, v(z)) says so, one
-        table of small powers; values are built from residues once.  U(1) = I.
+        table of small powers.  V's eigenvalues are the powers less 1.
+        U(1) = I.
         """
         powers, u = self._value_at(self._coerce_unit(s))
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
-        eigenvalues = [PadicInt(r - 1, self.p, m) for r, m in powers]
-        return UnitaryOperator(u, self.cert.reuse_basis(v, eigenvalues))
+        return UnitaryOperator(u, self.cert.reuse_basis(v, [x - 1 for x in powers]))
 
-    def _value_at(self, s: PadicInt) -> tuple[list[tuple[int, int]], PadicMatrix]:
-        """U(s) for a coerced s, with each (1+z)^(lambda_i) as (residue, precision)."""
-        powers = power_residues(s - 1, self.cert.eigenvalues, self.budget)
-        return powers, self.cert.spectral_residues(powers)
+    def _value_at(self, s: PadicInt) -> tuple[list[PadicInt], PadicMatrix]:
+        """U(s) for a coerced s, with the powers (1+z)^(lambda_i)."""
+        powers = principal_powers(s - 1, self.cert.eigenvalues, self.budget)
+        return powers, self.cert.spectral_operator(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:
         """U(s) by the operator Mahler series sum_n z^n P_n(A).
@@ -295,9 +295,11 @@ class OneParamGroup(Frozen):
 
 
 def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
-    """s = e^(pz): the principal unit entered by the additive parameter z."""
-    pz = PadicInt(z.p, z.p, z.prec) * z
-    return pexp(pz, budget)
+    """s = e^(pz): the principal unit entered by the additive parameter z.
+
+    p z is fixed to one digit more than z, and pexp keeps every digit of it.
+    """
+    return pexp(PadicInt(z.p * z.residue, z.p, z.prec + 1), budget)
 
 
 def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:

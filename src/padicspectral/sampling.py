@@ -73,10 +73,10 @@ def sample_invertible_matrix(rng: Random, p: int, prec: int, n: int) -> PadicMat
 def sample_certifiable_matrix(rng: Random, p: int, prec: int, n: int) -> PadicMatrix:
     """A conjugated diagonal matrix with n distinct residue eigenvalues.
 
-    Requires 2 <= n <= p, since the residues must be distinct in F_p.
+    Requires 1 <= n <= p, since the residues must be distinct in F_p.
     """
-    if not 2 <= n <= p:
-        raise ValueError(f"need 2 <= n <= p for distinct residues, got n={n}, p={p}")
+    if not 1 <= n <= p:
+        raise ValueError(f"need 1 <= n <= p for distinct residues, got n={n}, p={p}")
     residues = rng.sample(range(p), n)
     diag = [r + p * rng.randrange(p ** (prec - 1)) for r in residues]
     s = sample_invertible_matrix(rng, p, prec, n)

@@ -17,10 +17,10 @@ They back the projection-valued measure E(S) = sum_{i in S} E_i and the
 functional calculus phi(A) = S diag(phi(lambda_i)) S^-1, with
 |phi(A)| <= max |phi(lambda_i)|.
 
-Reductions that are scalar, fail to split over F_p, or have repeated
-residue eigenvalues are refused with a specific exception: the repeated
-case would need an invariant-subspace lifting scheme that this package
-deliberately does not guess at.
+Reductions that are scalar (for n >= 2), fail to split over F_p, or
+have repeated residue eigenvalues are refused with a specific exception:
+the repeated case would need an invariant-subspace lifting scheme that
+this package deliberately does not guess at.
 """
 
 from __future__ import annotations
@@ -158,20 +158,13 @@ class StrongNormalCertificate(Frozen):
     def spectral_operator(self, values) -> PadicMatrix:
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
         the operator with the certified eigenbasis and spectrum ``values``, at
-        the precision :meth:`spectral_residues` gives it."""
+        the least precision of S, S^-1 and the values."""
         values = [as_padic(v, self.p, self.basis.prec) for v in values]
-        return self.spectral_residues([(v.residue, v.prec) for v in values])
-
-    def spectral_residues(self, values) -> PadicMatrix:
-        """S diag(residues) S^-1, at the least precision of S, S^-1 and the
-        values, for one (residue, precision) pair per eigenvalue."""
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
                 f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"
             )
-        prec = min([self.basis.prec] + [m for _, m in values])
-        xs = self._per_column([r for r, _ in values])
-        return self.basis.truncate_to(prec).scale_columns(xs) @ self.basis_inverse
+        return self.basis.scale_columns(self._per_column(values)) @ self.basis_inverse
 
     def spectral_measure(self, subset) -> PadicMatrix:
         """E(S) = sum_{i in S} E_i for a subset S of spectral indices.
@@ -334,14 +327,15 @@ def _add_shifted(a, b, ph: int) -> list[list[int]]:
 def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:
     """Certify a matrix whose reduction has n distinct residue eigenvalues.
 
-    Refuses scalar reductions (DegenerateReduction), characteristic
-    polynomials that do not split over F_p (ResidueEigenvalueDeficit),
-    and repeated residue eigenvalues (RepeatedResidueEigenvalue).  The
-    eigenvalues come out sorted by residue.  The certificate is verified
-    before it is returned.
+    Refuses scalar reductions for n >= 2 (DegenerateReduction; a 1 x 1
+    reduction is always scalar, and its one eigenvalue is distinct),
+    characteristic polynomials that do not split over F_p
+    (ResidueEigenvalueDeficit), and repeated residue eigenvalues
+    (RepeatedResidueEigenvalue).  The eigenvalues come out sorted by
+    residue.  The certificate is verified before it is returned.
     """
     ahat = a.reduction()
-    if ahat.is_scalar():
+    if a.n >= 2 and ahat.is_scalar():
         raise DegenerateReduction(
             "reduction mod p is a scalar matrix; the distinct-eigenvalue "
             "criterion cannot apply"

@@ -151,6 +151,14 @@ def test_stone_roundtrip_through_files(tmp_path, group_file, capsys):
     assert back.congruent(orig.truncate_to(back.prec), 26)
 
 
+def test_one_by_one_stone(tmp_path, capsys):
+    # a 1 x 1 U(1+p) is certified; A = [[3]], as generator_log_series gives
+    path = _write(tmp_path / "one.json", _matrix_doc([["216"]], prec=8))
+    code, out = _run(capsys, ["stone", path])
+    assert code == 0
+    assert json.loads(out)["certificate"]["matrix"] == PadicMatrix([[3]], 5, 7).to_dict()
+
+
 def test_stone_refusal(tmp_path, capsys):
     path = _write(tmp_path / "bad.json", PadicMatrix([[1, 1], [0, 6]], 5, 32).to_dict())
     code, out = _run(capsys, ["stone", path])

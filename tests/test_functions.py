@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicspectral import (
     PadicInt,
     SeriesBudget,
+    additive_reparam,
     digit_truncation_error,
     mahler_coeff,
     pexp,
@@ -27,7 +28,7 @@ from padicspectral.errors import (
     OutOfConvergenceDomain,
 )
 from padicspectral import functions
-from padicspectral.functions import _plog_terms, _power_residues, log_series
+from padicspectral.functions import _power_residues, log_series
 from oracle import oracle_power, oracle_series
 from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
 
@@ -148,17 +149,19 @@ def _exponents(p):
     data=st.data(),
 )
 def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
-    # each power against one builtin pow, in residue and in precision;
+    # each power against one builtin pow, in residue and in precision: an
+    # exponent's digits fix the power to v(z) more digits than they number;
     # v(z) runs past prec z, so z = 0 at its precision comes up too
     v = data.draw(st.integers(1, zprec + 2))
     z = PadicInt(p**v * data.draw(st.integers(0, p**zprec)), p, zprec)
+    vz = next(k for k in range(zprec + 1) if k == zprec or z.residue % p ** (k + 1))
     lams = data.draw(st.lists(_exponents(p), min_size=n, max_size=n))
     expected = []
     for lam in lams:
         if isinstance(lam, int):
             e, prec = lam, min(target, zprec)
         else:
-            e, prec = lam.residue, min(target, zprec, lam.prec)
+            e, prec = lam.residue, min(target, zprec, lam.prec + vz)
         expected.append(PadicInt(pow(1 + z.residue, e, p**prec), p, prec))
     assert principal_powers(z, lams, SeriesBudget(target)) == expected
 
@@ -389,14 +392,13 @@ def test_log_reduction_matches_unreduced_series(p, target):
         got = plog(u, b)
         x = u - 1
         direct = log_series(x, x.valuation().value, b.target, mul)
-        assert got == direct.truncate_to(got.prec)
-        assert _plog_terms(x, b.target).congruent(direct, b.target)
+        assert got == direct
 
 
 def _engine_log(x, working):
     """log(1 + x) to ``working`` digits by the series engine on PadicInt,
     with the argument reduced by p^isqrt(W): a route of its own, on
-    PadicInt arithmetic and with another split than _plog_terms."""
+    PadicInt arithmetic and with another split than plog."""
     p, k = x.p, isqrt(working)
     w = working + k
     t = PadicInt(pow(1 + x.residue, p**k, p**w) - 1, p, w)
@@ -475,13 +477,20 @@ def _perturb(x, t):
 @given(_lemma_inputs())
 # at target 1, log(1+p) taken to one digit would be 0
 @example((SeriesBudget(1), *(PadicInt(r, 3, 9) for r in (3, 1, 4, 3)), 1))
+# an exponent of 31 digits fixes (1+5)^lam to 32, and one of 10 digits
+# fixes (1+27)^lam to 13
+@example((SeriesBudget(32), *(PadicInt(r, 5, m) for r, m in ((5, 32), (7**30, 31), (6, 32), (5, 32))), 2))
+@example((SeriesBudget(40), *(PadicInt(r, 3, m) for r, m in ((27, 40), (2**15, 10), (4, 40), (3, 40))), 1))
 def test_precision_lemma_scalar_functions(case):
-    # moving any input beyond its tracked digits moves no returned digit
+    # moving any input beyond its tracked digits moves no returned digit;
+    # p z, and with it e^(pz), is fixed to one digit more than z
     b, z, lam, s, x, t = case
     got = principal_power(z, lam, b)
+    assert got.prec == min(b.target, z.prec, lam.prec + z.valuation().value)
     assert principal_power(_perturb(z, t), lam, b).congruent(got, got.prec)
     assert principal_power(z, _perturb(lam, t), b).congruent(got, got.prec)
-    for f, arg in ((plog, s), (zeta_of, s), (pexp, x)):
+    assert additive_reparam(lam, b).prec == min(b.target, lam.prec + 1)
+    for f, arg in ((plog, s), (zeta_of, s), (pexp, x), (additive_reparam, lam)):
         if f is zeta_of and arg.prec == 1:
             # zeta(s) costs one digit, so a one-digit s determines none
             with pytest.raises(InsufficientPrecision):
@@ -536,8 +545,8 @@ def test_zeta_matches_uncached_quotient(p):
         wide = b.target + 1
         for prec in (target, target + 3):
             s = sample_principal_unit(rng, p, prec)
-            num = _plog_terms(s - 1, wide)
-            den = _plog_terms(PadicInt(p, p, num.prec), wide)
+            num = plog(s, SeriesBudget(wide))
+            den = plog(PadicInt(1 + p, p, wide), SeriesBudget(wide))
             zeta = num.divide_exact(den)
             expected = zeta.truncate_to(min(target, prec - 1, zeta.prec))
             assert zeta_of(s, b) == expected

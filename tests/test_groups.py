@@ -384,6 +384,20 @@ def test_additivity(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_one_by_one_stone(p):
+    # U(1+p) = [1 + p u]: Stone and the log series give zeta(1 + p u)
+    b = BUDGETS[p]
+    u1p = PadicMatrix([[1 + p * 43]], p, 8)
+    g = stone_recover(u1p, b)
+    zeta = zeta_of(PadicInt(1 + p * 43, p, 8), b)
+    assert g.generator == PadicMatrix([[zeta]], p, 7) == generator_log_series(u1p, b)
+    # the basis I is kept at 7 digits, and the unit spectrum at all 8
+    u = g.evaluate(1 + p)
+    assert u.matrix == u1p.truncate_to(7)
+    assert u.unit_spectrum() == [PadicInt(1 + p * 43, p, 8)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_additive_reparam_is_principal(p):
     b = BUDGETS[p]
     rng = Random(2700 + p)
@@ -554,9 +568,10 @@ def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, clo
     # by pow on each eigenvalue, over the columns it owns, and explicit sums
     # over S and S^-1, then products, differences and the least entry
     # valuation, at the least precision of the target, s, S, S^-1 and the
-    # eigenvalues; s may track fewer digits than the target, s2 may agree
-    # with s1 to many digits, and the zero generator owns all its columns
-    # with one eigenvalue
+    # eigenvalues, each eigenvalue counting v(s - 1) digits more than it
+    # tracks; s may track fewer digits than the target, s2 may agree with s1
+    # to many digits, and the zero generator owns all its columns with one
+    # eigenvalue
     rng = Random(seed)
     n = rng.randrange(2, min(p, 4) + 1)
     budget = SeriesBudget(target)
@@ -570,10 +585,11 @@ def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, clo
     cert = g.cert
     basis, inverse = cert.basis.rows(), cert.basis_inverse.rows()
     lams = [lam for lam, m in zip(cert.eigenvalues, cert.multiplicities) for _ in range(m)]
-    least = min([target, cert.basis.prec, cert.basis_inverse.prec] + [x.prec for x in lams])
+    least = min(target, cert.basis.prec, cert.basis_inverse.prec)
 
     def u(s):
-        prec = min(least, s.prec)
+        v = next(k for k in range(s.prec + 1) if k == s.prec or (s.residue - 1) % p ** (k + 1))
+        prec = min([least, s.prec] + [x.prec + v for x in lams])
         mod = p**prec
         w = [pow(s.residue, lam.residue, mod) for lam in lams]
         grid = [

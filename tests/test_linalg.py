@@ -603,12 +603,13 @@ def test_correctness_guards_raise():
     # module but kernels binds the kernels by name, so a counter set on
     # kernels.grid_matmul sees every product; grids of residues live in
     # kernels, linalg and the eigenbasis lift, so only linalg and spectral
-    # import kernels; and every private function, method or module constant
-    # is used somewhere
+    # import kernels; every power series enters through principal_powers,
+    # the one caller of _power_residues; and every private function, method
+    # or module constant is used somewhere
     root = Path(padicspectral.__file__).resolve().parent
     precision_rules = {"truncate_to", "lift_to", "modulus"}
     kernel_names = {"grid_matmul", "grid_inverse"}
-    helpers, used, kernel_importers = {}, set(), set()
+    helpers, used, kernel_importers, power_callers = {}, set(), set(), set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -623,6 +624,14 @@ def test_correctness_guards_raise():
             for target in targets:
                 if isinstance(target, ast.Name) and _is_private(target.id):
                     helpers[target.id] = path.name
+        power_callers.update(
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_power_residues"
+        )
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} uses assert at lines {asserts}"
         private = [
@@ -655,6 +664,7 @@ def test_correctness_guards_raise():
             assert not defined, f"{path.name} defines {sorted(defined)}, owned by core"
     stray = kernel_importers - {"linalg.py", "spectral.py"}
     assert not stray, f"{sorted(stray)} import kernels"
+    assert power_callers == {("functions.py", "principal_powers")}, power_callers
     orphans = sorted((f, n) for n, f in helpers.items() if n not in used)
     assert not orphans, f"private names defined and never used: {orphans}"
 

@@ -75,6 +75,17 @@ def test_refusals():
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_one_by_one_is_certified(p):
+    # a 1 x 1 reduction is scalar, yet its one eigenvalue is distinct
+    rng = Random(1700 + p)
+    for a in (PadicMatrix([[0]], p, 8), sample_certifiable_matrix(rng, p, 8, 1)):
+        cert = certify_strongly_normal(a)
+        assert cert.eigenvalues == (PadicInt(a.rows()[0][0], p, 8),)
+        assert cert.basis == PadicMatrix.identity(1, p, 8)
+        assert cert.projectors == (cert.basis,)
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_idempotent_algebra_random(p):
     rng = Random(1500 + p)
     prec = 32
@@ -134,11 +145,14 @@ def test_functional_calculus_basics():
     assert cert.functional_calculus(lambda lam: 1).congruent(ident, 32)
     assert cert.functional_calculus(lambda lam: lam * lam).congruent(a @ a, 32)
     assert cert.functional_calculus(lambda lam: lam + 1).congruent(a + ident, 32)
-    # spectral_residues owns the precision: the least of S, S^-1 and the values
+    # spectral_operator owns the precision: the least of S, S^-1 and the
+    # values; it takes any iterable, one value per eigenvalue
     lams = cert.eigenvalues
     low = cert.spectral_operator([lams[0].truncate_to(9), lams[1]])
     assert low.prec == 9 and low.congruent(a, 9)
-    assert low == cert.spectral_residues([(lams[0].residue, 9), (lams[1].residue, 32)])
+    assert low == cert.spectral_operator(iter([lams[0].truncate_to(9), lams[1]]))
+    with pytest.raises(DimensionMismatch):
+        cert.spectral_operator(lams[:1])
 
 
 @pytest.mark.parametrize("p", PRIMES)
