@@ -107,13 +107,16 @@ class Frozen:
     """An immutable value: ``_set`` stores its fields once, in one call,
     and assignment afterwards raises AttributeError.  ``==`` and ``hash``
     compare ``_fields``: the values of the names in ``__slots__`` along
-    the MRO, a tuple, or the bare value for a single name."""
+    the MRO, a tuple, or the bare value for a single name.  A slot named
+    ``_memo`` is no field: it holds what the value derives from its
+    fields on first use, which ``_set`` may store later."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = [n for c in reversed(cls.__mro__) for n in vars(c).get("__slots__", ())]
+        slots = [n for c in reversed(cls.__mro__) for n in vars(c).get("__slots__", ())]
+        names = [n for n in slots if n != "_memo"]
         cls._fields = property(attrgetter(*names))
 
     def _set(self, **fields) -> None:

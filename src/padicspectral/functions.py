@@ -13,13 +13,20 @@ of its own except for the one that the division by log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by exponent splitting (lam = a + p^k b: one short
-pow for a, and a binomial series of about W / k terms in
-(1+z)^(p^k) - 1 for b, at W digits), the p-adic logarithm by p-power
-argument reduction (about sqrt(W log2 p) series terms at W working
-digits, k from the same cost model as the powers),
+pow or a table of small powers for a, and (1+t)^b = sum_j C(b, j) t^j,
+t = (1+z)^(p^k) - 1, for b, about W / k terms at W digits), the p-adic
+logarithm by p-power argument reduction (about sqrt(W log2 p) series
+terms at W working digits, k from the same cost model as the powers),
 the exponential as (1+p)^(x / log(1+p)) on the same power route, and
 the coordinate zeta(s) = log s / log(1+p) that writes any principal
 unit of Q_p as (1+p)^zeta.
+
+The binomial rows C(b, j) depend on the exponents alone, so a
+:class:`PowerPlan` builds them once, with one exact division per entry,
+and every call on the same exponents is a few shared products and one
+dot product per exponent, with no division.  A one-parameter group
+keeps the plan of its eigenvalues; nothing here is cached at module
+level but log(1+p).
 """
 
 from __future__ import annotations
@@ -207,6 +214,9 @@ def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
 def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
     """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0).
 
+    ``lams`` is the exponents, or a :class:`PowerPlan` of them built at this
+    budget over z's prime, which keeps what depends on them alone from one
+    call to the next; bare exponents get a plan for this call only.
     Each result is pow(1 + z, lam, p^N) on the canonical residues, N =
     min(target, prec z, prec lam + v(z)) (no prec lam for an int), and is
     exact at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so
@@ -216,27 +226,90 @@ def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
     valuation(z).  The residues come from :func:`_power_residues`, which
     computes the same residues as those pows with far fewer products.
     """
-    v = z.valuation().value
-    jobs = []  # (exponent, output precision)
-    for lam in lams:
-        if not isinstance(lam, PadicInt):
-            jobs.append((check_int(lam, 0, "exponent"), min(budget.target, z.prec)))
-        elif lam.p != z.p:
-            raise PrimeMismatch(f"p={z.p} vs p={lam.p}")
-        else:
-            jobs.append((lam.residue, min(budget.target, z.prec, lam.prec + v)))
+    plan = lams if isinstance(lams, PowerPlan) else PowerPlan(z.p, lams, budget)
+    if plan.p != z.p:
+        raise PrimeMismatch(f"p={z.p} vs p={plan.p}")
+    if plan.target != budget.target:
+        raise ValueError(f"a plan for target {plan.target} used at target {budget.target}")
     if z.is_unit():
         raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
-    residues = _power_residues(z.residue, z.p, jobs)
+    v, cap = z.valuation().value, min(budget.target, z.prec)
+    # (exponent, output precision)
+    jobs = [(e, cap if q is None else min(cap, q + v)) for e, q in plan.exponents]
+    residues = _power_residues(z.residue, z.p, jobs, plan)
     return [PadicInt(r, z.p, m) for r, (_, m) in zip(residues, jobs)]
+
+
+class PowerPlan:
+    """What :func:`principal_powers` needs of fixed exponents at a fixed
+    target T over p, built once: the exponents checked, the split point k
+    and, for each exponent e cut mod p^(T-1) and split as a + p^k b, the k
+    base-p digits of a and the binomial row of b (:func:`_binomial_row`).
+
+    k comes from (p, T, n) alone, at v(z) = 1, so one plan serves every z:
+    a larger v(z) reads a shorter prefix of each row.  A one-parameter
+    group builds one on its first evaluation and keeps it; it is no cache
+    of results, since every call still forms its own powers of z.
+    """
+
+    __slots__ = ("p", "target", "exponents", "k", "table", "parts")
+
+    def __init__(self, p: int, lams, budget: SeriesBudget):
+        target = budget.target
+        self.p, self.target, self.exponents = p, target, []  # exponents: (residue, prec or None)
+        for lam in lams:
+            if not isinstance(lam, PadicInt):
+                self.exponents.append((check_int(lam, 0, "exponent"), None))
+            elif lam.p != p:
+                raise PrimeMismatch(f"p={p} vs p={lam.p}")
+            else:
+                self.exponents.append((lam.residue, lam.prec))
+        self.k = k = _split_point(p, target, len(self.exponents), 1)
+        self.table = _a_part(p, len(self.exponents))[1]
+        # the rows' steps, shared by all rows: J = ceil(T / s), s = 1 + k,
+        # A_0 = T + v_p((J-1)!) and A_j = A_(j-1) - s - v_p(j)
+        terms, ps = -(-target // (1 + k)), p ** (1 + k)
+        mod, out, steps = p ** (target + _vp_factorial(terms - 1, p)), p**target, []
+        for j in range(1, terms):
+            divisor, out = _index_divisor(j, p, mod), out // ps
+            steps.append((divisor, out))
+            mod //= ps * divisor[1]
+        self.parts = []  # (a, digits of a, row of b)
+        for e, _ in self.exponents:
+            b, a = divmod(e % p ** (target - 1), p**k)
+            digits = [a // p**i % p for i in range(k)]
+            self.parts.append((a, digits, _binomial_row(b, p, steps[:b])))
+
+
+def _binomial_row(b: int, p: int, steps) -> list[int]:
+    """C(b, j) mod out_j for j <= len(steps), (divisor_j, out_j) = steps[j-1]:
+    with out_j = p^(T - j s), every digit that the term C(b, j) t^j keeps
+    mod p^T when v(t) >= s.
+
+    By C(b, j) = C(b, j-1) (b-j+1) / j, step j run mod p^A_(j-1), A_j =
+    T - j s + v_p((J-1)! / j!) for rows of J entries at most, and divided
+    by j through :func:`_divide_index` with divisor_j =
+    :func:`_index_divisor` (j, p, p^A_(j-1)): the division costs v_p(j)
+    digits and leaves A_j + s, more than step j + 1 and entry j need.  One
+    product and one exact division per entry, on numbers that shrink
+    along the row, and no big binomial.
+    """
+    c, row = 1, [1]
+    for j, (divisor, out) in enumerate(steps, 1):
+        b %= divisor[0]  # b mod p^A_(j-1): only those digits reach c
+        c = _divide_index(c * (b - j + 1) % divisor[0], divisor)
+        row.append(c % out)
+    return row
 
 
 def _a_part(p: int, n: int) -> tuple[float, bool]:
     """Products per digit k of the split for t = (1+z)^(p^k) - 1 and n powers
     (1+z)^a, a < p^k, and whether a table gives the fewest: pows take (1 +
     1.5 n) k log2 p; a table of (1+z)^(d p^i), i < k, 0 < d < p, k (p - 1)
-    and one per digit of each a, each weighing 1.25 products inside pow (on
-    CPython 3.11 at 128 digits and 4 exponents, it won up to p = 19)."""
+    and one per digit of each a, each weighing 1.25 products inside pow.
+    Per call with a plan on CPython 3.11, the table won up to p = 19 at
+    128 digits and 4 exponents and up to p = 67 at 16 (p = 131 went to
+    pows), and it took 57% of the pows' time at (67, 256, 64)."""
     table = 1.25 * (p - 1 + n)
     pows = (1 + 1.5 * n) * log2(p)
     return min(table, pows), table < pows
@@ -248,78 +321,92 @@ def _split_point(p: int, digits: int, n: int, v: int) -> int:
     Counted in products of numbers of ``digits`` digits, the powers
     (1+z)^a with a < p^k and t = (1+z)^(p^k) - 1 cost c k together, c
     from :func:`_a_part` (by pows or by a table, whichever is cheaper),
-    while the series in t takes digits / (v + k) products for each
-    exponent and once more for its coefficients.  c k + (1 + n) digits /
-    (v + k) is least at v + k = sqrt((1 + n) digits / c).  The logarithm
-    is the case n = 0: it forms t by one pow and sums one series.
+    while the series in t takes digits / (v + k) products for the powers
+    of t, and each exponent's dot product with its row half a product per
+    term (no reduction, and row entries that shrink along the row).  c k
+    + (1 + n/2) digits / (v + k) is least at v + k = sqrt((1 + n/2)
+    digits / c); a PowerPlan takes v = 1.  Per call with a plan on
+    CPython 3.11, against every k within 3 of this one, it was the
+    fastest or within 3% of the fastest at (p, digits, n) = (3, 128, 4),
+    (5, 128, 4), (7, 128, 4), (11, 128, 4), (5, 32, 3), (13, 64, 12),
+    (31, 128, 4), (31, 128, 16), (67, 256, 64) and (5, 4096, 1); at
+    (65521, 1024, 16), where a dot product term weighs less than half a
+    reduced product, k = 1 took 11% less.  The logarithm is the case n =
+    0: it forms t by one pow and sums one series.
     """
-    return max(0, round(sqrt((1 + n) * digits / _a_part(p, n)[0])) - v)
+    return max(0, round(sqrt((1 + n / 2) * digits / _a_part(p, n)[0])) - v)
 
 
-def _power_residues(z: int, p: int, jobs) -> list[int]:
+def _power_residues(z: int, p: int, jobs, plan: PowerPlan | None = None) -> list[int]:
     """pow(1 + z, e, p^d) for each (e, d) in ``jobs``: z = 0 mod p, e >= 0.
 
-    1 + z has order dividing p^(d-1) mod p^d for odd p, so e is cut mod
-    p^(d-1) and split as a + p^k b with a < p^k (k by _split_point).
-    With t = (1+z)^(p^k) - 1, of valuation v + k for v = v(z),
-    (1+z)^e = (1+z)^a (1+t)^b and (1+t)^b = sum_j b (b-1) ... (b-j+1)
-    c_j, c_j = t^j / j!, an identity of integers.  The terms j >= J =
-    ceil(m / (v + k)) vanish mod p^m, m the largest d, and so do those
-    with j > b; Horner's rule sums the rest as c_0 + b (c_1 + (b-1) (c_2
-    + ...)), one product per term.  c_j = c_(j-1) t / j runs mod p^m by
-    :func:`_divide_index`, whose division by the p-part of j costs v_p(j)
-    digits, so c_j is known mod p^(m - v_p(j!)); its error times b (b-1)
-    ... (b-j+1), which j! divides, vanishes mod p^m, and the residue
-    equals the pow's exactly.  (1+z)^a is one pow, or, where
-    :func:`_a_part` finds it cheaper, one product per nonzero digit of a
-    from a table shared by all exponents, which gives t too (E. Brickell
-    et al., *Fast exponentiation with precomputation*, EUROCRYPT '92).
+    ``plan`` is a PowerPlan of the jobs' exponents at a target T of at
+    least every d, or None for one built here at T = the largest d.  1 + z
+    has order dividing p^(T-1) mod p^T for odd p, so the plan cuts e mod
+    p^(T-1) and splits it as a + p^k b with a < p^k.  With t = (1+z)^(p^k)
+    - 1, of valuation v + k >= 1 + k for v = v(z), (1+z)^e = (1+z)^a
+    (1+t)^b = (1+z)^a sum_j C(b, j) t^j, an identity of integers.  The
+    terms j >= J = ceil(m / (v + k)) vanish mod p^m, m the largest d, and
+    so do those with j > b, and C(b, j) t^j mod p^T needs C(b, j) only mod
+    p^(T - j (1+k)), all that the plan's row keeps.  So each exponent takes
+    one dot product of its row with the J powers of t mod p^m, shared by
+    all exponents, and no division runs per call.  (1+z)^a is one pow, or,
+    where :func:`_a_part` finds it cheaper, one product per nonzero digit
+    of a from a table shared by all exponents, which gives t too (E.
+    Brickell et al., *Fast exponentiation with precomputation*, EUROCRYPT
+    '92).
     """
     if not jobs:
         return []
     m = max(d for _, d in jobs)
+    if plan is None:
+        plan = PowerPlan(p, [e for e, _ in jobs], SeriesBudget(m))
     mod_m = p**m
     if z % mod_m == 0:
         return [1] * len(jobs)
-    v = Valuation.of_residue(z, p, m).value
-    k = _split_point(p, m, len(jobs), v)
-    terms = -(-m // (v + k))
+    v, k = Valuation.of_residue(z, p, m).value, plan.k
     table, base = [], 1 + z  # table[i][d] = (1+z)^(d p^i), for this call only
-    for _ in range(k if _a_part(p, len(jobs))[1] else 0):
+    for _ in range(k if plan.table else 0):
         table.append([1, base])
         for _ in range(p - 1):
             table[-1].append(table[-1][-1] * base % mod_m)
         base = table[-1].pop()  # (1+z)^(p^(i+1)), the next row's base
     t = (base if table else pow(base, p**k, mod_m)) - 1
-    c, coeffs = 1, [1]
-    for j in range(1, terms):
-        c = _divide_index(c * t % mod_m, j, p, mod_m)
-        coeffs.append(c)
+    tpow = [1]
+    for _ in range(-(-m // (v + k)) - 1):
+        tpow.append(tpow[-1] * t % mod_m)
     out = []
-    for e, d in jobs:
+    for (_, d), (a, digits, row) in zip(jobs, plan.parts):
         mod = p**d
-        b, a = divmod(e % (mod // p), p**k)
-        acc = 0
-        for j in reversed(range(min(terms, b + 1))):
-            acc = (coeffs[j] + (b - j) * acc) % mod
-        for row in table:  # the table takes every digit of a, a pow what is left
-            a, digit = divmod(a, p)
+        acc = sum(map(mul, row, tpow)) % mod
+        if not table:
+            acc = pow(1 + z, a, mod) * acc % mod
+        for powers, digit in zip(table, digits):
             if digit:
-                acc = acc * row[digit] % mod
-        out.append(pow(1 + z, a, mod) * acc % mod)
+                acc = acc * powers[digit] % mod
+        out.append(acc)
     return out
 
 
-def _divide_index(c: int, j: int, p: int, mod: int) -> int:
-    """A series term c, known mod ``mod`` (a power of p), divided by j:
-    the p-part of j divides c exactly, and the unit part u divides c
-    after adding the multiple of ``mod`` that makes c divisible by u.  The
-    quotient is known mod mod / p^v_p(j) and is not reduced."""
+def _index_divisor(j: int, p: int, mod: int) -> tuple[int, int, int, int]:
+    """What :func:`_divide_index` needs to divide a term known mod ``mod``
+    (a power of p) by j = p^v u, p not dividing u: (mod, p^v, u, mod^-1 mod
+    u), computed once where many terms share j and mod."""
+    pv = 1
     while j % p == 0:
-        c, j = c // p, j // p
-    if j == 1:
-        return c
-    return (c - c * pow(mod, -1, j) % j * mod) // j
+        j, pv = j // p, pv * p
+    return mod, pv, j, pow(mod, -1, j)
+
+
+def _divide_index(c: int, divisor) -> int:
+    """A series term c, known mod ``mod``, divided by j, ``divisor`` being
+    :func:`_index_divisor`'s (mod, p^v, u, mod^-1 mod u) for j: p^v divides
+    c exactly, and u divides c after adding the multiple of mod that makes
+    c divisible by u.  The quotient is known mod mod / p^v and is not
+    reduced."""
+    mod, pv, u, inv = divisor
+    c //= pv
+    return (c - c % u * inv % u * mod) // u
 
 
 def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
@@ -348,7 +435,7 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     acc = term_num = t
     for j in range(2, terms + 1):
         term_num = term_num * t % mod
-        term = _divide_index(term_num, j, p, mod)
+        term = _divide_index(term_num, _index_divisor(j, p, mod))
         acc = acc + term if j % 2 else acc - term
     return PadicInt(acc % p**w // p**k, p, min(working, u.prec))
 

@@ -43,6 +43,7 @@ from .errors import (
     Refusal,
 )
 from .functions import (
+    PowerPlan,
     SeriesBudget,
     binomials,
     is_principal_unit,
@@ -166,10 +167,10 @@ class OneParamGroup(Frozen):
     the unitary operators for every principal s.
     """
 
-    __slots__ = ("cert", "budget")
+    __slots__ = ("cert", "budget", "_memo")  # _memo: the eigenvalues' PowerPlan
 
     def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
-        self._set(cert=cert, budget=budget)
+        self._set(cert=cert, budget=budget, _memo=None)
 
     @property
     def generator(self) -> PadicMatrix:
@@ -190,19 +191,24 @@ class OneParamGroup(Frozen):
     def evaluate(self, s) -> UnitaryOperator:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
-        The n powers (1+z)^(lambda_i) are those of principal_powers: each
-        exponent splits as a + p^k b, and all share (1+z)^(p^k), its series
-        and, where the split's cost model (p, digits, n, v(z)) says so, one
-        table of small powers.  V's eigenvalues are the powers less 1.
-        U(1) = I.
+        The n powers (1+z)^(lambda_i) are those of principal_powers, on the
+        PowerPlan of the eigenvalues that the group builds on its first
+        evaluation and keeps: each exponent splits as a + p^k b, k from (p,
+        target, n), its binomial row in b built once, and every evaluation
+        shares (1+z)^(p^k), its powers and, where the cost model says so,
+        one table of small powers, then takes one dot product per
+        eigenvalue.  V's eigenvalues are the powers less 1.  U(1) = I.
         """
         powers, u = self._value_at(self._coerce_unit(s))
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
         return UnitaryOperator(u, self.cert.reuse_basis(v, [x - 1 for x in powers]))
 
     def _value_at(self, s: PadicInt) -> tuple[list[PadicInt], PadicMatrix]:
-        """U(s) for a coerced s, with the powers (1+z)^(lambda_i)."""
-        powers = principal_powers(s - 1, self.cert.eigenvalues, self.budget)
+        """U(s) for a coerced s, with the powers (1+z)^(lambda_i), through
+        the eigenvalues' PowerPlan, built on the first call and kept."""
+        if self._memo is None:
+            self._set(_memo=PowerPlan(self.p, self.cert.eigenvalues, self.budget))
+        powers = principal_powers(s - 1, self._memo, self.budget)
         return powers, self.cert.spectral_operator(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:

@@ -9,9 +9,9 @@ computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
-otherwise.  The inverse takes the rows in the order forward elimination
-mod p gives, then runs Gauss-Jordan, or Schur complements whose n^3
-work is products, where those pay.  These live apart from linalg
+otherwise.  The inverse is one pivoting Gauss-Jordan pass, or, where
+Schur complements pay, blocks whose n^3 work is products, on the rows in
+the order forward elimination mod p gives.  These live apart from linalg
 because importing the package compiles every module, and its peak memory
 is set by the largest one.
 """
@@ -131,16 +131,31 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """M^-1 mod ``mod`` = p^N for a square grid M; DivisionByHigherValuation
     when M mod p is singular.
 
-    Forward elimination mod p first fixes a row order P, the pivot rows in
-    turn, so the leading principal minors of P M are units (P M = L U with
-    unit pivots).  Schur blocks where they pay (``_blocks_pay``), and
-    Gauss-Jordan elsewhere, invert P M with no pivoting, and
-    M^-1 = (P M)^-1 P puts the columns back.
+    Where Schur blocks do not pay (``_blocks_pay``), at N = 1 among others,
+    Gauss-Jordan with pivoting inverts M in one pass.  Elsewhere forward
+    elimination mod p first fixes a row order P, the pivot rows in turn, so
+    the leading principal minors of P M are units (P M = L U with unit
+    pivots); the blocks invert P M with no pivoting, and M^-1 = (P M)^-1 P
+    puts the columns back.
     """
+    if not _blocks_pay(len(m), p, mod):
+        return _gauss_jordan(m, p, mod)
     order = _row_order(m, p)
     grid = _block_inverse([m[i] for i in order], p, mod)
     cols = sorted(range(len(m)), key=order.__getitem__)
     return [[row[k] for k in cols] for row in grid]
+
+
+def _pivot(a, col: int, p: int) -> int:
+    """The first row from ``col`` down whose entry in column col is a unit,
+    in a grid eliminated below the diagonal up to col; when none is, M mod
+    p is singular, and the one refusal of the inverse is raised."""
+    piv = next((i for i in range(col, len(a)) if a[i][col] % p), None)
+    if piv is None:
+        raise DivisionByHigherValuation(
+            "matrix is not invertible over Z_p (determinant non-unit)"
+        )
+    return piv
 
 
 def _row_order(m, p: int) -> list[int]:
@@ -149,11 +164,7 @@ def _row_order(m, p: int) -> list[int]:
     a = [[x % p for x in r] for r in m]
     order = list(range(len(a)))
     for col in range(len(a)):
-        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
-        if piv is None:
-            raise DivisionByHigherValuation(
-                "matrix is not invertible over Z_p (determinant non-unit)"
-            )
+        piv = _pivot(a, col, p)
         a[col], a[piv] = a[piv], a[col]
         order[col], order[piv] = order[piv], order[col]
         inv = pow(a[col][col], -1, p)
@@ -165,12 +176,15 @@ def _row_order(m, p: int) -> list[int]:
 
 
 def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], for M with unit leading
-    principal minors, so that each pivot is the next diagonal entry; the
-    columns before it are 0 in its row, so each step starts at its column."""
+    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], each pivot taken by
+    :func:`_pivot`; the columns before it are 0 in its row, so each step
+    starts at its column.  For M with unit leading principal minors, as at
+    the leaves of the blocks, each pivot is the next diagonal entry."""
     n = len(rows)
     a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
     for col in range(n):
+        k = _pivot(a, col, p)
+        a[col], a[k] = a[k], a[col]
         inv = unit_inverse(a[col][col], p, mod)
         piv = a[col][col:] = [x * inv % mod for x in a[col][col:]]
         for i, row in enumerate(a):

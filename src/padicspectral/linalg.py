@@ -176,13 +176,18 @@ class PadicMatrix(PadicValue):
 
     def _vector(self, vec) -> tuple[list[int], int]:
         """Residues of n scalars (PadicInt or int) and their joint precision
-        with this matrix."""
+        with this matrix, not reduced: a PadicInt over p gives its residue
+        and precision in one step, anything else goes through _as_residue."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
-        p, mod = self.p, self.modulus
-        xs = [_as_residue(x, p, mod) for x in vec]
-        precs = [x.prec for x in vec if isinstance(x, PadicInt)]
-        return xs, min([self.prec] + precs)
+        p, mod, prec, xs = self.p, self.modulus, self.prec, []
+        for x in vec:
+            if isinstance(x, PadicInt) and x.p == p:
+                xs.append(x.residue)
+                prec = min(prec, x.prec)
+            else:
+                xs.append(_as_residue(x, p, mod))
+        return xs, prec
 
     def scale_columns(self, values) -> "PadicMatrix":
         """A diag(values): column j multiplied by values[j] (PadicInt or int).

@@ -159,7 +159,7 @@ class StrongNormalCertificate(Frozen):
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
         the operator with the certified eigenbasis and spectrum ``values``, at
         the least precision of S, S^-1 and the values."""
-        values = [as_padic(v, self.p, self.basis.prec) for v in values]
+        values = list(values)
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
                 f"{len(values)} values for {len(self.eigenvalues)} eigenvalues"

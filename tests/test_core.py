@@ -244,12 +244,22 @@ def test_certificate_lists_are_refused_as_such(field):
 @example(p=5, prec=4, n=3, shift=1, open_ended=False)
 def test_equal_values_hash_alike(p, prec, n, shift, open_ended):
     # Frozen's == and hash agree, so sets and dicts find equal values, and
-    # no int equals a PadicInt, not even its own residue
+    # no int equals a PadicInt, not even its own residue; a group's power
+    # plan, kept in its _memo slot after its first evaluation, is no field
     mod = p**prec
+    evaluated, fresh = (
+        OneParamGroup(
+            certify_strongly_normal(PadicMatrix([[m, 1], [0, n + 1]], p, prec)), SeriesBudget(prec)
+        )
+        for m in (n, n + shift * mod)
+    )
+    evaluated.evaluate(1 + p)
     pairs = [
         (PadicInt(n, p, prec), PadicInt(n + shift * mod, p, prec)),
         (PadicMatrix([[n, 1], [0, n]], p, prec), PadicMatrix([[n + shift * mod, 1], [0, n]], p, prec)),
         (Valuation(abs(n) % 50, open_ended), Valuation(abs(n) % 50, open_ended)),
+        (evaluated, fresh),
+        (fresh, evaluated),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)

@@ -164,6 +164,36 @@ def test_powers_pass_no_exponent_above_the_split(monkeypatch):
     assert k >= 1 and exponents and max(exponents) <= p**k
 
 
+def test_power_rows_are_built_once_per_group(monkeypatch):
+    # a group builds one binomial row per eigenvalue, on its first
+    # evaluation, and keeps them: later evaluations and checks build none
+    built = []
+    row = functions._binomial_row
+
+    def counted(b, p, steps):
+        built.append(b)
+        return row(b, p, steps)
+
+    monkeypatch.setattr(functions, "_binomial_row", counted)
+    rng = Random(7300)
+    for p, prec, n in ((31, 128, 16), (5, 64, 4)):
+        a = sample_certifiable_matrix(rng, p, prec, n)
+        g = OneParamGroup(certify_strongly_normal(a), SeriesBudget(prec))
+        s1, s2 = (sample_principal_unit(rng, p, prec) for _ in range(2))
+        built.clear()
+        g.evaluate(s1)
+        assert len(built) == n == len(g.cert.eigenvalues)
+        g.evaluate(s2)
+        g.verify_group_law(s1, s2)
+        g.lipschitz_check(s1, s2)
+        assert len(built) == n
+        # a group's first law check builds the rows once for its three values
+        fresh = OneParamGroup(g.cert, g.budget)
+        built.clear()
+        fresh.verify_group_law(s1, s2)
+        assert len(built) == n
+
+
 def test_certify_digit_weight(products):
     p, prec, n = 31, 128, 16
     a = sample_certifiable_matrix(Random(7000 + p), p, prec, n)

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicspectral import (
+    OneParamGroup,
     PadicInt,
     SeriesBudget,
     additive_reparam,
+    certify_strongly_normal,
     digit_truncation_error,
     mahler_coeff,
     pexp,
@@ -26,11 +28,17 @@ from padicspectral.errors import (
     InsufficientPrecision,
     NotPrincipal,
     OutOfConvergenceDomain,
+    PrimeMismatch,
 )
 from padicspectral import functions
 from padicspectral.functions import _power_residues, log_series
 from oracle import oracle_power, oracle_series
-from padicspectral.sampling import sample_in_pzp, sample_padic, sample_principal_unit
+from padicspectral.sampling import (
+    sample_certifiable_matrix,
+    sample_in_pzp,
+    sample_padic,
+    sample_principal_unit,
+)
 
 PRIMES = [3, 5, 7]
 BUDGETS = {p: SeriesBudget(32) for p in PRIMES}
@@ -223,6 +231,83 @@ def test_power_table_replaces_pows_where_cheaper(monkeypatch):
             assert positive == []
         else:
             assert p**k in positive and max(positive) == p**k
+
+
+def _valuation(z):
+    """v(z) at z's precision: prec z for z = 0 there."""
+    return next(k for k in range(z.prec + 1) if k == z.prec or z.residue % z.p ** (k + 1))
+
+
+def _pow_reference(z, lams, target):
+    """Each (1+z)^lam by one builtin pow, at principal_powers' precision."""
+    out = []
+    for lam in lams:
+        prec = min(target, z.prec)
+        if isinstance(lam, PadicInt):
+            prec = min(prec, lam.prec + _valuation(z))
+        e = lam.residue if isinstance(lam, PadicInt) else lam
+        out.append(PadicInt(pow(1 + z.residue, e, z.p**prec), z.p, prec))
+    return out
+
+
+@st.composite
+def _planned_powers(draw):
+    # the row divisors j are divisible by p for p <= 31, and p = 65521
+    # takes (1+z)^a by pows, not a table
+    p = draw(st.sampled_from([3, 5, 7, 11, 31, 65521]))
+    target = draw(st.integers(1, 140))
+    n = draw(st.sampled_from([1, 4, 16]))
+    k = functions._split_point(p, target, n, 1)
+    terms = -(-target // (1 + k))
+    # e = 0, b = e // p^k below the row length J, and e of any length
+    residue = st.one_of(
+        st.just(0), st.integers(0, p**k * terms), st.integers(0, p ** (target + 2))
+    )
+    lam = st.one_of(
+        residue, st.builds(lambda r, q: PadicInt(r, p, q), residue, st.integers(1, target + 2))
+    )
+    lams = draw(st.lists(lam, min_size=n, max_size=n))
+    # v(z) from 1 to 3, z at precisions below the target and above
+    zs = [
+        PadicInt(p**v * draw(st.integers(0, p**8)), p, draw(st.integers(1, target + 2)))
+        for v in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ]
+    return p, target, lams, zs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planned_powers())
+def test_power_plan_matches_pow(case):
+    # one plan serves every z: each planned power against one builtin pow,
+    # in residue and precision, and against a plan built for this call only
+    p, target, lams, zs = case
+    budget = SeriesBudget(target)
+    plan = functions.PowerPlan(p, lams, budget)
+    for z in zs:
+        expected = _pow_reference(z, lams, target)
+        assert principal_powers(z, plan, budget) == expected
+        assert principal_powers(z, lams, budget) == expected
+
+
+@pytest.mark.parametrize("p,prec,n", [(3, 40, 1), (5, 64, 4), (31, 128, 16)])
+def test_group_reuses_its_power_plan(p, prec, n):
+    # a group evaluated again (its kept plan) and a fresh equal group (a new
+    # plan) give identical U(s) and powers, which match one pow each
+    rng = Random(7400 + p)
+    a = sample_certifiable_matrix(rng, p, prec, n)
+    g = OneParamGroup(certify_strongly_normal(a), SeriesBudget(prec))
+    for v in (1, 2, 3):
+        s = PadicInt(1 + p**v * rng.randrange(p**prec), p, prec - v)
+        first, again = g.evaluate(s), g.evaluate(s)
+        assert first == again == OneParamGroup(g.cert, g.budget).evaluate(s)
+        z = s - 1
+        assert first.unit_spectrum() == _pow_reference(z, g.cert.eigenvalues, prec)
+    # a plan serves the budget it was built at, over its own prime
+    plan = functions.PowerPlan(p, g.cert.eigenvalues, g.budget)
+    with pytest.raises(ValueError, match="plan for target"):
+        principal_powers(PadicInt(p, p, prec), plan, SeriesBudget(prec - 1))
+    with pytest.raises(PrimeMismatch):
+        principal_powers(PadicInt(7, 7, prec), plan, g.budget)
 
 
 @pytest.mark.parametrize("p", PRIMES)

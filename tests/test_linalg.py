@@ -587,12 +587,45 @@ def test_scale_columns():
     assert a.scale_columns([2, 0]) == a @ PadicMatrix.diagonal([2, 0], 5, 8)
     scaled = a.scale_columns([PadicInt(3, 5, 6), 1])
     assert scaled == PadicMatrix([[3, 2], [9, 4]], 5, 6)
+    # a value tracked beyond the matrix is read as it is and cut to 8 digits
+    assert a.scale_columns([PadicInt(5**9 + 3, 5, 10), 1]) == PadicMatrix([[3, 2], [9, 4]], 5, 8)
     with pytest.raises(DimensionMismatch):
         a.scale_columns([1])
+    with pytest.raises(PrimeMismatch):
+        a.scale_columns([PadicInt(3, 7, 8), 1])
+    with pytest.raises(TypeError):
+        a.scale_columns([3.0, 1])
 
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call)
+
+
+def _kept_containers(tree) -> list:
+    """(line, name) of each place a module can keep values beyond one call:
+    a container or call assigned at module or class level (not __all__ or
+    __slots__), a container as a default argument, or a function under
+    lru_cache or cache."""
+    out = []
+    scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for node in (n for body in scopes for n in body):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names = [getattr(t, "id", None) for t in targets]
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and isinstance(value, _CONTAINERS):
+            out += [(node.lineno, name) for name in names if name not in ("__all__", "__slots__")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+            out += [(d.lineno, node.name) for d in defaults if isinstance(d, _CONTAINERS)]
+            for d in node.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                if getattr(f, "id", getattr(f, "attr", None)) in ("lru_cache", "cache"):
+                    out.append((node.lineno, node.name))
+    return sorted(out)
 
 
 def test_correctness_guards_raise():
@@ -604,9 +637,14 @@ def test_correctness_guards_raise():
     # kernels.grid_matmul sees every product; grids of residues live in
     # kernels, linalg and the eigenbasis lift, so only linalg and spectral
     # import kernels; every power series enters through principal_powers,
-    # the one caller of _power_residues; and every private function, method
-    # or module constant is used somewhere
+    # the one caller of _power_residues; the power plan (PowerPlan and its
+    # rows, _binomial_row) is defined in functions alone, which keeps no
+    # module-level cache but log_one_plus_p's, so a plan lives exactly as
+    # long as its owner; and every private function, method or module
+    # constant is used somewhere
     root = Path(padicspectral.__file__).resolve().parent
+    plan_names = {"PowerPlan", "_binomial_row"}
+    plan_homes = set()
     precision_rules = {"truncate_to", "lift_to", "modulus"}
     kernel_names = {"grid_matmul", "grid_inverse"}
     helpers, used, kernel_importers, power_callers = {}, set(), set(), set()
@@ -632,6 +670,14 @@ def test_correctness_guards_raise():
             if isinstance(call, ast.Call)
             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_power_residues"
         )
+        plan_homes.update(
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in plan_names
+        )
+        if path.name == "functions.py":
+            caches = _kept_containers(tree)
+            assert [name for _, name in caches] == ["log_one_plus_p"], caches
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} uses assert at lines {asserts}"
         private = [
@@ -665,6 +711,7 @@ def test_correctness_guards_raise():
     stray = kernel_importers - {"linalg.py", "spectral.py"}
     assert not stray, f"{sorted(stray)} import kernels"
     assert power_callers == {("functions.py", "principal_powers")}, power_callers
+    assert plan_homes == {("functions.py", name) for name in plan_names}, plan_homes
     orphans = sorted((f, n) for n, f in helpers.items() if n not in used)
     assert not orphans, f"private names defined and never used: {orphans}"
 
