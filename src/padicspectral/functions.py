@@ -6,10 +6,11 @@ here, one home per series: _log_terms for the logarithm, which both
 log_series (on a PadicInt with operator.mul or a PadicMatrix with
 operator.matmul) and plog, the one scalar log, follow; binomials for the
 Mahler series, on either type as well; and _power_residues for the power
-series, entered only through principal_powers, which pexp and the groups
-call too.  Each series bounds the division loss it is about to incur, so
-the target digits are a guarantee, not a hope, and no caller adds digits
-of its own except for the one that the division by log(1+p) costs.
+series, entered only through PowerPlan.powers, which principal_powers (so
+pexp) and the groups call.  Each series bounds the division loss it is
+about to incur, so the target digits are a guarantee, not a hope, and no
+caller adds digits of its own except for the one that the division by
+log(1+p) costs.
 
 Provided functions: binomial (Mahler) coefficients P_n(x), principal-unit
 powers (1+z)^lam by exponent splitting (lam = a + p^k b: one short
@@ -23,10 +24,9 @@ unit of Q_p as (1+p)^zeta.
 
 The binomial rows C(b, j) depend on the exponents alone, so a
 :class:`PowerPlan` builds them once, with one exact division per entry,
-and every call on the same exponents is a few shared products and one
-dot product per exponent, with no division.  A one-parameter group
-keeps the plan of its eigenvalues; nothing here is cached at module
-level but log(1+p).
+and each of its powers(z) is a few shared products and one dot product
+per exponent, with no division.  A one-parameter group keeps the plan of
+its eigenvalues; nothing here is cached at module level but log(1+p).
 """
 
 from __future__ import annotations
@@ -212,39 +212,16 @@ def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
 
 
 def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
-    """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0).
-
-    ``lams`` is the exponents, or a :class:`PowerPlan` of them built at this
-    budget over z's prime, which keeps what depends on them alone from one
-    call to the next; bare exponents get a plan for this call only.
-    Each result is pow(1 + z, lam, p^N) on the canonical residues, N =
-    min(target, prec z, prec lam + v(z)) (no prec lam for an int), and is
-    exact at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so
-    the result depends only on lam mod p^(N - v(z)), which lam's tracked
-    digits fix, and moving z by p^(prec z) t moves it by p^(prec z) at
-    most.  The result is a principal unit with valuation(result - 1) >=
-    valuation(z).  The residues come from :func:`_power_residues`, which
-    computes the same residues as those pows with far fewer products.
-    """
-    plan = lams if isinstance(lams, PowerPlan) else PowerPlan(z.p, lams, budget)
-    if plan.p != z.p:
-        raise PrimeMismatch(f"p={z.p} vs p={plan.p}")
-    if plan.target != budget.target:
-        raise ValueError(f"a plan for target {plan.target} used at target {budget.target}")
-    if z.is_unit():
-        raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
-    v, cap = z.valuation().value, min(budget.target, z.prec)
-    # (exponent, output precision)
-    jobs = [(e, cap if q is None else min(cap, q + v)) for e, q in plan.exponents]
-    residues = _power_residues(z.residue, z.p, jobs, plan)
-    return [PadicInt(r, z.p, m) for r, (_, m) in zip(residues, jobs)]
+    """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0):
+    the powers of a :class:`PowerPlan` of ``lams`` built for this call."""
+    return PowerPlan(z.p, lams, budget).powers(z)
 
 
 class PowerPlan:
-    """What :func:`principal_powers` needs of fixed exponents at a fixed
-    target T over p, built once: the exponents checked, the split point k
-    and, for each exponent e cut mod p^(T-1) and split as a + p^k b, the k
-    base-p digits of a and the binomial row of b (:func:`_binomial_row`).
+    """The powers (1+z)^e of fixed exponents at a fixed target T over p, for
+    any z: built once, the exponents checked, the split point k and, for
+    each exponent e cut mod p^(T-1) and split as a + p^k b, the k base-p
+    digits of a and the binomial row of b (:func:`_binomial_row`).
 
     k comes from (p, T, n) alone, at v(z) = 1, so one plan serves every z:
     a larger v(z) reads a shorter prefix of each row.  A one-parameter
@@ -279,6 +256,27 @@ class PowerPlan:
             b, a = divmod(e % p ** (target - 1), p**k)
             digits = [a // p**i % p for i in range(k)]
             self.parts.append((a, digits, _binomial_row(b, p, steps[:b])))
+
+    def powers(self, z: PadicInt) -> list[PadicInt]:
+        """(1 + z)^e for each exponent e, z over p with |z| < 1.
+
+        Each result is pow(1 + z, e, p^N) on the canonical residues, N =
+        min(T, prec z, prec e + v(z)) (no prec e for an int), and is exact
+        at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the
+        result depends only on e mod p^(N - v(z)), which e's tracked digits
+        fix, and moving z by p^(prec z) t moves it by p^(prec z) at most.
+        The result is a principal unit with valuation(result - 1) >=
+        valuation(z).  The residues come from :func:`_power_residues`, which
+        computes the same residues as those pows with far fewer products.
+        """
+        if z.p != self.p:
+            raise PrimeMismatch(f"p={z.p} vs p={self.p}")
+        if z.is_unit():
+            raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
+        v, cap = z.valuation().value, min(self.target, z.prec)
+        precisions = [cap if q is None else min(cap, q + v) for _, q in self.exponents]
+        residues = _power_residues(z.residue, self, precisions)
+        return [PadicInt(r, self.p, d) for r, d in zip(residues, precisions)]
 
 
 def _binomial_row(b: int, p: int, steps) -> list[int]:
@@ -337,33 +335,30 @@ def _split_point(p: int, digits: int, n: int, v: int) -> int:
     return max(0, round(sqrt((1 + n / 2) * digits / _a_part(p, n)[0])) - v)
 
 
-def _power_residues(z: int, p: int, jobs, plan: PowerPlan | None = None) -> list[int]:
-    """pow(1 + z, e, p^d) for each (e, d) in ``jobs``: z = 0 mod p, e >= 0.
+def _power_residues(z: int, plan: PowerPlan, precisions) -> list[int]:
+    """pow(1 + z, e, p^d) for each exponent e of ``plan`` and its d in
+    ``precisions``, every d at most the plan's target T: z = 0 mod p.
 
-    ``plan`` is a PowerPlan of the jobs' exponents at a target T of at
-    least every d, or None for one built here at T = the largest d.  1 + z
-    has order dividing p^(T-1) mod p^T for odd p, so the plan cuts e mod
-    p^(T-1) and splits it as a + p^k b with a < p^k.  With t = (1+z)^(p^k)
-    - 1, of valuation v + k >= 1 + k for v = v(z), (1+z)^e = (1+z)^a
-    (1+t)^b = (1+z)^a sum_j C(b, j) t^j, an identity of integers.  The
-    terms j >= J = ceil(m / (v + k)) vanish mod p^m, m the largest d, and
-    so do those with j > b, and C(b, j) t^j mod p^T needs C(b, j) only mod
-    p^(T - j (1+k)), all that the plan's row keeps.  So each exponent takes
-    one dot product of its row with the J powers of t mod p^m, shared by
-    all exponents, and no division runs per call.  (1+z)^a is one pow, or,
-    where :func:`_a_part` finds it cheaper, one product per nonzero digit
-    of a from a table shared by all exponents, which gives t too (E.
+    1 + z has order dividing p^(T-1) mod p^T for odd p, so the plan cuts e
+    mod p^(T-1) and splits it as a + p^k b with a < p^k.  With t =
+    (1+z)^(p^k) - 1, of valuation v + k >= 1 + k for v = v(z), (1+z)^e =
+    (1+z)^a (1+t)^b = (1+z)^a sum_j C(b, j) t^j, an identity of integers.
+    The terms j >= J = ceil(m / (v + k)) vanish mod p^m, m the largest d,
+    and so do those with j > b, and C(b, j) t^j mod p^T needs C(b, j) only
+    mod p^(T - j (1+k)), all that the plan's row keeps.  So each exponent
+    takes one dot product of its row with the J powers of t mod p^m, shared
+    by all exponents, and no division runs per call.  (1+z)^a is one pow,
+    or, where :func:`_a_part` finds it cheaper, one product per nonzero
+    digit of a from a table shared by all exponents, which gives t too (E.
     Brickell et al., *Fast exponentiation with precomputation*, EUROCRYPT
     '92).
     """
-    if not jobs:
+    if not precisions:
         return []
-    m = max(d for _, d in jobs)
-    if plan is None:
-        plan = PowerPlan(p, [e for e, _ in jobs], SeriesBudget(m))
+    p, m = plan.p, max(precisions)
     mod_m = p**m
     if z % mod_m == 0:
-        return [1] * len(jobs)
+        return [1] * len(precisions)
     v, k = Valuation.of_residue(z, p, m).value, plan.k
     table, base = [], 1 + z  # table[i][d] = (1+z)^(d p^i), for this call only
     for _ in range(k if plan.table else 0):
@@ -376,7 +371,7 @@ def _power_residues(z: int, p: int, jobs, plan: PowerPlan | None = None) -> list
     for _ in range(-(-m // (v + k)) - 1):
         tpow.append(tpow[-1] * t % mod_m)
     out = []
-    for (_, d), (a, digits, row) in zip(jobs, plan.parts):
+    for d, (a, digits, row) in zip(precisions, plan.parts):
         mod = p**d
         acc = sum(map(mul, row, tpow)) % mod
         if not table:

@@ -50,7 +50,6 @@ from .functions import (
     log_one_plus_p,
     log_series,
     pexp,
-    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -191,13 +190,13 @@ class OneParamGroup(Frozen):
     def evaluate(self, s) -> UnitaryOperator:
         """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
 
-        The n powers (1+z)^(lambda_i) are those of principal_powers, on the
-        PowerPlan of the eigenvalues that the group builds on its first
-        evaluation and keeps: each exponent splits as a + p^k b, k from (p,
-        target, n), its binomial row in b built once, and every evaluation
-        shares (1+z)^(p^k), its powers and, where the cost model says so,
-        one table of small powers, then takes one dot product per
-        eigenvalue.  V's eigenvalues are the powers less 1.  U(1) = I.
+        The n powers (1+z)^(lambda_i) come from the PowerPlan of the
+        eigenvalues that the group builds on its first evaluation and
+        keeps: each exponent splits as a + p^k b, k from (p, target, n),
+        its binomial row in b built once, and every evaluation shares
+        (1+z)^(p^k), its powers and, where the cost model says so, one
+        table of small powers, then takes one dot product per eigenvalue.
+        V's eigenvalues are the powers less 1.  U(1) = I.
         """
         powers, u = self._value_at(self._coerce_unit(s))
         v = u - PadicMatrix.identity(u.n, self.p, u.prec)
@@ -208,7 +207,7 @@ class OneParamGroup(Frozen):
         the eigenvalues' PowerPlan, built on the first call and kept."""
         if self._memo is None:
             self._set(_memo=PowerPlan(self.p, self.cert.eigenvalues, self.budget))
-        powers = principal_powers(s - 1, self._memo, self.budget)
+        powers = self._memo.powers(s - 1)
         return powers, self.cert.spectral_operator(powers)
 
     def evaluate_mahler(self, s) -> PadicMatrix:

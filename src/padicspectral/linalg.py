@@ -180,13 +180,13 @@ class PadicMatrix(PadicValue):
         and precision in one step, anything else goes through _as_residue."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.n}")
-        p, mod, prec, xs = self.p, self.modulus, self.prec, []
+        p, prec, xs = self.p, self.prec, []
         for x in vec:
             if isinstance(x, PadicInt) and x.p == p:
                 xs.append(x.residue)
                 prec = min(prec, x.prec)
             else:
-                xs.append(_as_residue(x, p, mod))
+                xs.append(_as_residue(x, p, self.modulus))
         return xs, prec
 
     def scale_columns(self, values) -> "PadicMatrix":

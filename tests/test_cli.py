@@ -17,7 +17,6 @@ from padicspectral import (
     certify_strongly_normal,
 )
 from padicspectral.cli import main
-from conftest import current_digit_limit
 
 
 def _write(path, payload):
@@ -318,7 +317,6 @@ def test_output_at_the_input_bounds(tmp_path, capsys, digit_limit):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ")
-    assert current_digit_limit() == digit_limit
 
 
 def test_long_parameters_read_and_echo(group_file, capsys, digit_limit):
@@ -333,7 +331,6 @@ def test_long_parameters_read_and_echo(group_file, capsys, digit_limit):
         short = str((10**5000 + last) % 5**32)
         code, out = _run(capsys, [command, group_file, f"--{key}", short])
         assert code == 0 and json.loads(out)["matrix"] == doc["matrix"]
-    assert current_digit_limit() == digit_limit
 
 
 def test_group_eval_at_the_prime_bound(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ring arithmetic, valuations, and precision tracking in Z_p."""
 
+from operator import mul
 from random import Random
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import padicspectral
-from conftest import current_digit_limit
 from padicspectral import (
     GroupCheck,
     OneParamGroup,
@@ -21,19 +21,26 @@ from padicspectral import (
     Valuation,
     certify_strongly_normal,
     digit_truncation_error,
+    generator_log_series,
     mahler_coeff,
     plog,
     principal_power,
+    principal_powers,
     truncation_length,
 )
-from padicspectral.core import from_decimal, to_decimal
+from padicspectral.core import MAX_WORKING_PREC, from_decimal, to_decimal
 from padicspectral.errors import (
+    DimensionMismatch,
     DivisionByHigherValuation,
     InsufficientPrecision,
     NotPrincipal,
+    NotPrincipalSpectrum,
+    OutOfConvergenceDomain,
     PrecisionExceeded,
     PrimeMismatch,
 )
+from padicspectral.functions import binomials, log_series
+from padicspectral.sampling import sample_certifiable_matrix
 
 PRIMES = [3, 5, 7]
 
@@ -201,6 +208,74 @@ def test_one_integer_rule(case):
     call, error, match = case
     with pytest.raises(error, match=match):
         call()
+
+
+# refusals that no other test reaches: a series outside its domain or past
+# the working-digit cap, an exponent or a certificate that does not fit
+_REFUSALS = {
+    "log-unit": (
+        lambda: log_series(PadicInt(1, 5, 4), 0, 4, mul),
+        OutOfConvergenceDomain,
+        "valuation >= 1",
+    ),
+    "log-working-cap": (
+        lambda: log_series(PadicInt(5, 5, 4), 1, MAX_WORKING_PREC, mul),
+        InsufficientPrecision,
+        r"^log series needs \d+ working digits$",
+    ),
+    "binomial-working-cap": (
+        lambda: next(binomials(_LAM5, MAX_WORKING_PREC, 5, mul)),
+        InsufficientPrecision,
+        r"^P_5 needs \d+ working digits$",
+    ),
+    "exponent-prime": (
+        lambda: principal_powers(_Z5, [_LAM5, _X7], _B4),
+        PrimeMismatch,
+        "^p=5 vs p=7$",
+    ),
+    "log-series-unit-entry": (
+        lambda: generator_log_series(PadicMatrix([[1, 1], [0, 1]], 5, 4), _B4),
+        NotPrincipalSpectrum,
+        "has norm 1",
+    ),
+    "empty-matrix": (lambda: PadicMatrix([], 5, 4), ValueError, "at least 1 x 1"),
+    "certifiable-above-p": (
+        lambda: sample_certifiable_matrix(Random(0), 5, 4, 6),
+        ValueError,
+        "n=6, p=5",
+    ),
+    "certificate-no-spectrum": (
+        lambda: StrongNormalCertificate(_M5, [], _CERT5.basis, _CERT5.basis_inverse),
+        ValueError,
+        "at least one spectral point",
+    ),
+    "certificate-basis-size": (
+        lambda: StrongNormalCertificate(
+            _M5, _CERT5.eigenvalues, PadicMatrix.identity(3, 5, 4), _CERT5.basis_inverse
+        ),
+        DimensionMismatch,
+        "^basis columns do not match the dimension 2$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_refusal_guards(case):
+    call, error, match = case
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_negation_identity_and_empty_requests(monkeypatch):
+    x = PadicInt(3, 5, 4)
+    assert -x == PadicInt(622, 5, 4) and x + -x == PadicInt(0, 5, 4)
+    assert -_M5 == PadicMatrix([[0, 624], [623, 624]], 5, 4)
+    assert _GROUP5.digit_limit_approxes(6, []) == []
+    # U(1) = I sums no Mahler series, which an s = 1 of one digit would
+    # otherwise run to the target
+    monkeypatch.setattr(padicspectral.groups, "binomials", None)
+    assert _GROUP5.evaluate_mahler(1) == PadicMatrix.identity(2, 5, 4)
+    assert _GROUP5.evaluate_mahler(PadicInt(6, 5, 1)) == PadicMatrix.identity(2, 5, 1)
 
 
 # each reader of the file formats, a document it writes and the fields
@@ -520,4 +595,3 @@ def test_decimals_beyond_the_interpreter_limit(digit_limit):
     # a refusal that shows a long value is still a refusal
     with pytest.raises(NotPrincipal):
         plog(PadicInt(2 + p**1000, p, prec), SeriesBudget(prec))
-    assert current_digit_limit() == digit_limit

@@ -206,7 +206,15 @@ def _power_jobs(draw):
 def test_power_residues_match_pow(case):
     # either route to (1+z)^a, the table or the pows, gives pow's residues
     p, z, jobs = case
-    assert _power_residues(z, p, jobs) == [pow(1 + z, e, p**d) for e, d in jobs]
+    assert _planned_residues(p, z, jobs) == [pow(1 + z, e, p**d) for e, d in jobs]
+
+
+def _planned_residues(p, z, jobs):
+    """_power_residues on a plan of the jobs' exponents at their largest
+    precision, each exponent e to its own d digits."""
+    target = SeriesBudget(max(d for _, d in jobs))
+    plan = functions.PowerPlan(p, [e for e, _ in jobs], target)
+    return _power_residues(z, plan, [d for _, d in jobs])
 
 
 def test_power_table_replaces_pows_where_cheaper(monkeypatch):
@@ -223,7 +231,7 @@ def test_power_table_replaces_pows_where_cheaper(monkeypatch):
     for p, m, table in ((7, 128, True), (65521, 1024, False)):
         _, z, jobs = _pinned_jobs(p, m, 4)
         exponents.clear()
-        _power_residues(z, p, jobs)
+        _planned_residues(p, z, jobs)
         positive = [e for e in exponents if e > 0]
         k = functions._split_point(p, m, 4, 1)
         assert k >= 1
@@ -285,7 +293,7 @@ def test_power_plan_matches_pow(case):
     plan = functions.PowerPlan(p, lams, budget)
     for z in zs:
         expected = _pow_reference(z, lams, target)
-        assert principal_powers(z, plan, budget) == expected
+        assert plan.powers(z) == expected
         assert principal_powers(z, lams, budget) == expected
 
 
@@ -302,12 +310,12 @@ def test_group_reuses_its_power_plan(p, prec, n):
         assert first == again == OneParamGroup(g.cert, g.budget).evaluate(s)
         z = s - 1
         assert first.unit_spectrum() == _pow_reference(z, g.cert.eigenvalues, prec)
-    # a plan serves the budget it was built at, over its own prime
-    plan = functions.PowerPlan(p, g.cert.eigenvalues, g.budget)
-    with pytest.raises(ValueError, match="plan for target"):
-        principal_powers(PadicInt(p, p, prec), plan, SeriesBudget(prec - 1))
-    with pytest.raises(PrimeMismatch):
-        principal_powers(PadicInt(7, 7, prec), plan, g.budget)
+    # a plan carries its target: one built at fewer digits gives them all,
+    # and it takes no z over another prime
+    plan = functions.PowerPlan(p, g.cert.eigenvalues, SeriesBudget(prec - 1))
+    assert plan.powers(z) == _pow_reference(z, g.cert.eigenvalues, prec - 1)
+    with pytest.raises(PrimeMismatch, match=f"^p=7 vs p={p}$"):
+        plan.powers(PadicInt(7, 7, prec))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -601,6 +601,18 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _functions(tree):
+    """(name, node) of each module-level function and each method, a
+    method named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call)
 
 
@@ -636,7 +648,7 @@ def test_correctness_guards_raise():
     # module but kernels binds the kernels by name, so a counter set on
     # kernels.grid_matmul sees every product; grids of residues live in
     # kernels, linalg and the eigenbasis lift, so only linalg and spectral
-    # import kernels; every power series enters through principal_powers,
+    # import kernels; every power series enters through PowerPlan.powers,
     # the one caller of _power_residues; the power plan (PowerPlan and its
     # rows, _binomial_row) is defined in functions alone, which keeps no
     # module-level cache but log_one_plus_p's, so a plan lives exactly as
@@ -663,9 +675,8 @@ def test_correctness_guards_raise():
                 if isinstance(target, ast.Name) and _is_private(target.id):
                     helpers[target.id] = path.name
         power_callers.update(
-            (path.name, node.name)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
+            (path.name, name)
+            for name, node in _functions(tree)
             for call in ast.walk(node)
             if isinstance(call, ast.Call)
             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_power_residues"
@@ -710,7 +721,7 @@ def test_correctness_guards_raise():
             assert not defined, f"{path.name} defines {sorted(defined)}, owned by core"
     stray = kernel_importers - {"linalg.py", "spectral.py"}
     assert not stray, f"{sorted(stray)} import kernels"
-    assert power_callers == {("functions.py", "principal_powers")}, power_callers
+    assert power_callers == {("functions.py", "PowerPlan.powers")}, power_callers
     assert plan_homes == {("functions.py", name) for name in plan_names}, plan_homes
     orphans = sorted((f, n) for n, f in helpers.items() if n not in used)
     assert not orphans, f"private names defined and never used: {orphans}"
