@@ -95,9 +95,7 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
     """Certify a matrix with |V| < 1 through the p^w V' factorization."""
     if v.is_zero():
         ident = PadicMatrix.identity(v.n, v.p, v.prec)
-        return StrongNormalCertificate(
-            v, [PadicInt.zero(v.p, v.prec)], ident, ident, [v.n]
-        )
+        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident, [v.n])
     w = v.op_norm().value
     if w < 1:
         rows = enumerate(v.rows())

@@ -2,15 +2,11 @@
 
 A matrix A over Z_p whose reduction mod p has n distinct eigenvalues in
 F_p diagonalizes over Z_p: A S = S D with D = diag(lambda_i) and S
-invertible.  The certificate stores S, S^-1 and the eigenvalues.  They
-are found by taking eigenvectors of the reduction over F_p and lifting
-them by Newton's method, which doubles the number of correct digits per
-step (X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794).
-A step from h to 2h digits divides the residuals A S - S D and I - S T,
-which vanish mod p^h, by p^h, so it needs S and T only mod p^h there.
-Every divisor in the lift is a difference of two distinct residue
-eigenvalues, hence a unit, so the construction costs no precision; each
-is inverted once mod p and lifted alongside the basis.
+invertible.  The certificate stores A, S and the eigenvalues; S^-1 is
+S's own inverse, found once.  S comes from eigenvectors of the reduction
+over F_p, lifted by Newton's method, which doubles the correct digits
+per step and costs no precision (X. Caruso, *Computations with p-adic
+numbers*, arXiv:1701.06794; see :func:`_lift_eigenbasis`).
 
 The spectral idempotents are E_i = S e_i e_i^T S^-1, built on demand.
 They back the projection-valued measure E(S) = sum_{i in S} E_i and the
@@ -31,6 +27,7 @@ from .errors import (
     CertificationFailed,
     DegenerateReduction,
     DimensionMismatch,
+    DivisionByHigherValuation,
     PrimeMismatch,
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
@@ -39,32 +36,26 @@ from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 
-_FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis", "basis_inverse")
+_FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis")
 
 
 class StrongNormalCertificate(Frozen):
     """A verified eigenbasis A S = S D, so that A = sum lambda_i E_i.
 
-    ``basis`` is S and ``basis_inverse`` is S^-1.  Eigenvalue i owns
+    ``basis`` is S, and ``basis_inverse`` is S^-1, S's own inverse, found
+    on first use and kept in the ``_memo`` slot.  Eigenvalue i owns
     ``multiplicities[i]`` consecutive columns of S; the count is 1 except
     in the trivial certificate of the zero matrix (eigenvalue 0 owning
     every column, E = I).  D repeats each eigenvalue that many times.
-    The certificate precision is the minimum precision over the matrix
-    and all certificate data, and the stored identities hold as exact
-    congruences at that precision (see :meth:`verify`), checked where a
-    certificate is made or read, not where :meth:`reuse_basis` derives one.
+    The certificate precision is the minimum precision over the matrix,
+    S and the eigenvalues, and A S = S D holds as an exact congruence at
+    that precision (see :meth:`verify`), checked where a certificate is
+    made or read, not where :meth:`reuse_basis` derives one.
     """
 
-    __slots__ = _FIELDS
+    __slots__ = (*_FIELDS, "_memo")  # _memo: S^-1
 
-    def __init__(
-        self,
-        matrix: PadicMatrix,
-        eigenvalues,
-        basis: PadicMatrix,
-        basis_inverse: PadicMatrix,
-        multiplicities=None,
-    ):
+    def __init__(self, matrix: PadicMatrix, eigenvalues, basis: PadicMatrix, multiplicities=None):
         eigenvalues = tuple(eigenvalues)
         if not eigenvalues:
             raise ValueError("certificate needs at least one spectral point")
@@ -73,18 +64,16 @@ class StrongNormalCertificate(Frozen):
         multiplicities = tuple(check_int(m, 1, "multiplicity") for m in multiplicities)
         if len(multiplicities) != len(eigenvalues):
             raise DimensionMismatch("one multiplicity per eigenvalue required")
-        if sum(multiplicities) != matrix.n or {basis.n, basis_inverse.n} != {matrix.n}:
-            raise DimensionMismatch(
-                f"basis columns do not match the dimension {matrix.n}"
-            )
-        if any(x.p != matrix.p for x in (basis, basis_inverse, *eigenvalues)):
+        if sum(multiplicities) != matrix.n or basis.n != matrix.n:
+            raise DimensionMismatch(f"basis columns do not match the dimension {matrix.n}")
+        if any(x.p != matrix.p for x in (basis, *eigenvalues)):
             raise PrimeMismatch("certificate data must share the matrix prime")
         self._set(
             matrix=matrix,
             eigenvalues=eigenvalues,
             multiplicities=multiplicities,
             basis=basis,
-            basis_inverse=basis_inverse,
+            _memo=None,
         )
 
     @property
@@ -97,10 +86,16 @@ class StrongNormalCertificate(Frozen):
 
     @property
     def precision(self) -> int:
-        return min(
-            [self.matrix.prec, self.basis.prec, self.basis_inverse.prec]
-            + [e.prec for e in self.eigenvalues]
-        )
+        """The least precision of A, S and the eigenvalues; S^-1 has S's."""
+        return min([self.matrix.prec, self.basis.prec] + [e.prec for e in self.eigenvalues])
+
+    @property
+    def basis_inverse(self) -> PadicMatrix:
+        """S^-1, inverted from S on first use and kept; DivisionByHigherValuation
+        when S mod p is singular, which :meth:`verify` refuses first."""
+        if self._memo is None:
+            self._set(_memo=self.basis.inverse())
+        return self._memo
 
     @property
     def projectors(self) -> tuple[PadicMatrix, ...]:
@@ -111,23 +106,25 @@ class StrongNormalCertificate(Frozen):
         )
 
     def reuse_basis(self, matrix: PadicMatrix, eigenvalues) -> "StrongNormalCertificate":
-        """A certificate for another matrix diagonal in the same basis.
+        """A certificate for another matrix diagonal in the same basis, which
+        takes this one's S^-1 along, so that it never inverts S again.
 
         Not verified again: it holds when ``matrix`` S = S D by construction
         and its precision is at most this certificate's.
         """
-        return StrongNormalCertificate(
-            matrix, eigenvalues, self.basis, self.basis_inverse, self.multiplicities
-        )
+        cert = StrongNormalCertificate(matrix, eigenvalues, self.basis, self.multiplicities)
+        cert._set(_memo=self.basis_inverse)
+        return cert
 
     def verify(self) -> None:
         """Re-check the certificate; raise CertificationFailed.
 
-        Two exact congruences at certificate precision d: A S = S D and
-        S S^-1 = I.  The decomposition's identities follow.  Over the
-        commutative ring Z/p^d, S S^-1 = I makes det S a unit, so
-        S^-1 S = I too.  With P_i the diagonal 0/1 matrix selecting the
-        columns of eigenvalue i, E_i = S P_i S^-1, and so:
+        One product checks A S = S D as an exact congruence at certificate
+        precision d, and inverting S checks that S mod p is invertible.
+        Over Z/p^d, S is invertible exactly when S mod p is, and then its
+        inverse S^-1 is unique, with S S^-1 = S^-1 S = I; so A = S D S^-1
+        exactly.  With P_i the diagonal 0/1 matrix selecting the columns of
+        eigenvalue i, E_i = S P_i S^-1, and so:
 
         - E_i E_j = S P_i (S^-1 S) P_j S^-1 = S P_i P_j S^-1, which is
           E_i for i = j and 0 otherwise;
@@ -136,18 +133,17 @@ class StrongNormalCertificate(Frozen):
         - |E_i| = 1: S is invertible mod p, so E_i mod p has rank
           multiplicities[i] >= 1 over F_p and some entry is a unit.
         """
-        d = self.precision
         s = self.basis
         diag = s.scale_columns(self._per_column(self.eigenvalues))
-        if not (self.matrix @ s).congruent(diag, d):
+        if not (self.matrix @ s).congruent(diag, self.precision):
             raise CertificationFailed(
                 "A S != S D: the basis columns are not eigenvectors for the "
                 "stored eigenvalues"
             )
-        if not (s @ self.basis_inverse).congruent(
-            PadicMatrix.identity(self.n, self.p, d), d
-        ):
-            raise CertificationFailed("S S^-1 != I: the stored inverse is wrong")
+        try:
+            self.basis_inverse
+        except DivisionByHigherValuation as e:
+            raise CertificationFailed("S mod p is singular: its columns are no basis") from e
 
     # -- spectral operations ------------------------------------------
 
@@ -158,7 +154,7 @@ class StrongNormalCertificate(Frozen):
     def spectral_operator(self, values) -> PadicMatrix:
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
         the operator with the certified eigenbasis and spectrum ``values``, at
-        the least precision of S, S^-1 and the values."""
+        the least precision of S and the values."""
         values = list(values)
         if len(values) != len(self.eigenvalues):
             raise DimensionMismatch(
@@ -218,7 +214,6 @@ class StrongNormalCertificate(Frozen):
             "eigenvalues": [e.to_dict() for e in self.eigenvalues],
             "multiplicities": list(self.multiplicities),
             "basis": self.basis.to_dict(),
-            "basis_inverse": self.basis_inverse.to_dict(),
         }
 
     @classmethod
@@ -227,18 +222,19 @@ class StrongNormalCertificate(Frozen):
 
         Every part is cut to the certificate precision, the only digits
         :meth:`verify` checks, so no unverified digit reaches a result.
+        S^-1 is S's own inverse: the ``basis_inverse`` of an older file is
+        ignored, so no stored inverse reaches a result either.
         """
-        matrix, eigenvalues, multiplicities, basis, inverse = cls._read(d, *_FIELDS)
+        matrix, eigenvalues, multiplicities, basis = cls._read(d, *_FIELDS)
         if not (isinstance(eigenvalues, list) and isinstance(multiplicities, list)):
             raise ValueError("eigenvalues and multiplicities must be lists")
-        matrix, basis, inverse = map(PadicMatrix.from_dict, (matrix, basis, inverse))
+        matrix, basis = map(PadicMatrix.from_dict, (matrix, basis))
         eigenvalues = [PadicInt.from_dict(e) for e in eigenvalues]
-        prec = min(x.prec for x in (matrix, basis, inverse, *eigenvalues))
+        prec = min(x.prec for x in (matrix, basis, *eigenvalues))
         cert = cls(
             matrix.truncate_to(prec),
             [e.truncate_to(prec) for e in eigenvalues],
             basis.truncate_to(prec),
-            inverse.truncate_to(prec),
             multiplicities,
         )
         try:
@@ -268,10 +264,11 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     is the old one mod p^h, so Y' = (I - S T) / p^h is exact and
     T += p^h T Y' inverts S mod p^e.  Only A S and S T multiply e-digit
     entries.  G is inverted once mod p; G <- G (2 - (d_j - d_i) G) mod p^e
-    keeps it exact, as d moves by multiples of p^h; the last step leaves
-    it, as nothing reads it after.  A division with a remainder raises
-    CertificationFailed.  Works on grids of residues; returns (S, S^-1,
-    eigenvalues) at A's precision.
+    keeps it exact, as d moves by multiples of p^h.  The last step runs
+    only A S, T R' and S X': nothing reads G or T after it, and the
+    certificate inverts the final S itself.  A division with a remainder
+    raises CertificationFailed.  Works on grids of residues; returns
+    (S, eigenvalues) at A's precision.
     """
     p, target = a.p, a.prec
     s = list(zip(*ahat.eigenvectors(residues)))
@@ -289,18 +286,17 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
         c = kernels.grid_matmul(tk, _divide_residual(r, ph), modk)
         x = [[cij * gij % modk for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
         d = [(di + ph * c[i][i]) % mod for i, di in enumerate(d)]
+        s = _add_shifted(s, kernels.grid_matmul(sk, x, modk), ph)
         if e < target:
             g = [
                 [gij * (2 - (dj - di) * gij) % mod for dj, gij in zip(d, gi)]
                 for di, gi in zip(d, g)
             ]
-        s = _add_shifted(s, kernels.grid_matmul(sk, x, modk), ph)
-        st = kernels.grid_matmul(s, t, mod)
-        y = [[((i == j) - v) % mod for j, v in enumerate(row)] for i, row in enumerate(st)]
-        t = _add_shifted(t, kernels.grid_matmul(tk, _divide_residual(y, ph), modk), ph)
+            st = kernels.grid_matmul(s, t, mod)
+            y = [[((i == j) - v) % mod for j, v in enumerate(row)] for i, row in enumerate(st)]
+            t = _add_shifted(t, kernels.grid_matmul(tk, _divide_residual(y, ph), modk), ph)
         h = e
-    eigenvalues = [PadicInt(di, p, target) for di in d]
-    return PadicMatrix(s, p, target), PadicMatrix(t, p, target), eigenvalues
+    return PadicMatrix(s, p, target), [PadicInt(di, p, target) for di in d]
 
 
 def _divide_residual(grid, ph: int) -> list[list[int]]:
@@ -354,8 +350,8 @@ def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:
             "invariant subspace is unsupported"
         )
     residues = sorted(r for r, _ in residue_roots)
-    basis, inverse, eigenvalues = _lift_eigenbasis(a, ahat, residues)
-    cert = StrongNormalCertificate(a, eigenvalues, basis, inverse)
+    basis, eigenvalues = _lift_eigenbasis(a, ahat, residues)
+    cert = StrongNormalCertificate(a, eigenvalues, basis)
     cert.verify()
     return cert
 

@@ -17,6 +17,7 @@ from padicspectral import (
     certify_strongly_normal,
 )
 from padicspectral.cli import main
+from padicspectral.errors import CertificationFailed
 
 
 def _write(path, payload):
@@ -239,7 +240,7 @@ def test_invalid_prime_flag_is_input_error(tmp_path, capsys):
 def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
     bundle = json.loads(open(group_file).read())
     cert = bundle["certificate"]
-    for key in ("basis", "basis_inverse", "multiplicities"):
+    for key in ("basis", "multiplicities"):
         del cert[key]
     cert["projectors"] = [cert["matrix"], cert["matrix"]]
     path = _write(tmp_path / "old.json", bundle)
@@ -268,18 +269,55 @@ def test_missing_field_is_input_error(tmp_path, group_file, capsys):
         assert (code, captured.out, captured.err) == (1, "", f"input error: {message}\n")
 
 
-def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
-    # a basis_inverse entry moved by 5^20 must not yield a wrong U(s)
-    bundle = json.loads(open(group_file).read())
-    entries = bundle["certificate"]["basis_inverse"]["entries"]
-    entries[0][0] = str((int(entries[0][0]) + 5**20) % 5**32)
-    path = _write(tmp_path / "corrupt.json", bundle)
+def _refused_as_unverified(capsys, path, reason):
     code = main(["group-eval", path, "--s", "36"])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("input error: certificate does not verify: ")
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"input error: certificate does not verify: {reason}")
     assert "Traceback" not in captured.err
+
+
+def _moved(entries, i, j, by):
+    entries[i][j] = str((int(entries[i][j]) + by) % 5**32)
+
+
+def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
+    # an older bundle's basis_inverse is ignored: correct, or with one entry
+    # moved by 5^20, it prints the U(s) of the same bundle without it
+    bundle = json.loads(open(group_file).read())
+    cert = bundle["certificate"]
+    assert "basis_inverse" not in cert
+    want = _run(capsys, ["group-eval", group_file, "--s", "36"])
+    assert want[0] == 0
+    inverse = PadicMatrix.from_dict(cert["basis"]).inverse().to_dict()
+    moved = json.loads(json.dumps(inverse))
+    _moved(moved["entries"], 0, 0, 5**20)
+    for k, stored in enumerate((inverse, moved)):
+        old = {**bundle, "certificate": {**cert, "basis_inverse": stored}}
+        path = _write(tmp_path / f"old{k}.json", old)
+        assert _run(capsys, ["group-eval", path, "--s", "36"]) == want
+    # a basis entry moved by 5^20 must not yield a wrong U(s)
+    _moved(cert["basis"]["entries"], 0, 0, 5**20)
+    _refused_as_unverified(capsys, _write(tmp_path / "corrupt.json", bundle), "A S != S D")
+
+
+def test_singular_basis_is_input_error(tmp_path, group_file, capsys):
+    # S with a column times p keeps A S = S D, but S mod p is singular: an
+    # input error (exit 1), not a refusal of the input's mathematics (exit 2)
+    bundle = json.loads(open(group_file).read())
+    cert = bundle["certificate"]
+    for row in cert["basis"]["entries"]:
+        row[0] = str(5 * int(row[0]) % 5**32)
+    _refused_as_unverified(
+        capsys, _write(tmp_path / "singular.json", bundle), "S mod p is singular"
+    )
+    with pytest.raises(ValueError) as refusal:
+        StrongNormalCertificate.from_dict(cert)
+    assert isinstance(refusal.value.__cause__, CertificationFailed)
+    basis = PadicMatrix.from_dict(cert["basis"])
+    c = certify_strongly_normal(PadicMatrix.from_dict(cert["matrix"]))
+    with pytest.raises(CertificationFailed, match="S mod p is singular"):
+        StrongNormalCertificate(c.matrix, c.eigenvalues, basis).verify()
 
 
 def test_prime_flag_must_match_input(matrix_file, group_file, capsys):

@@ -19,6 +19,8 @@ sys.path.insert(0, str(FIXTURES))
 
 from make_golden import run_cli  # noqa: E402
 
+from padicspectral import OneParamGroup, StrongNormalCertificate  # noqa: E402
+
 MANIFEST = json.loads((FIXTURES / "manifest.json").read_text())["commands"]
 
 
@@ -30,6 +32,20 @@ def test_cli_output_matches_golden(entry):
     code, stdout = run_cli(entry["argv"], case_dir)
     assert code == entry["exit"]
     assert stdout == (case_dir / entry["stdout"]).read_text()
+
+
+@pytest.mark.parametrize("case", sorted({e["case"] for e in MANIFEST} - {"refusals"}))
+def test_certificates_reserialize_byte_for_byte(case):
+    # each golden certificate and bundle reads back through from_dict and
+    # writes the same bytes through to_dict
+    for name in ("certify.out", "bundle.json", "stone.out"):
+        text = (FIXTURES / case / name).read_text()
+        doc = json.loads(text)
+        if "budget" in doc:
+            doc.update(OneParamGroup.from_dict(doc).to_dict())
+        else:
+            doc["certificate"] = StrongNormalCertificate.from_dict(doc["certificate"]).to_dict()
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 FUZZ_CASE = FIXTURES / "p7_prec24_n2"

@@ -6,18 +6,21 @@ point, kernels.grid_matmul, reached by that one binding, whichever of its
 algorithms it picks, and counts of its calls are exact on any host,
 so they can gate where timings cannot.
 Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
-of 5 products each, and verifying a certificate takes 2 more.
+of 5 products each, except the last, which runs 3.  Verifying a
+certificate takes 1 more, and inverting its basis S, once per basis,
+takes the inverse's Schur products where blocks pay (none below n = 8).
 Certificates derived from a verified one (evaluate, make_unitary, stone)
-are not verified again.  The lift inverts each difference of residue
-eigenvalues once, mod p, and no divisor after that.  Principal powers
-pass no pow an exponent above p^k, k from the split's cost model, so a
-full-length pow per eigenvalue cannot come back.
+are not verified again, and take its S^-1 along.  The lift inverts each
+difference of residue eigenvalues once, mod p, and no divisor after that.
+Principal powers pass no pow an exponent above p^k, k from the split's
+cost model, so a full-length pow per eigenvalue cannot come back.
 
 A product's digit weight is n^3 digits(a) digits(b), with digits the
 base-p length of the largest entry.  A lift step from h to 2h digits
 weighs 7 h^2 n^3: A S and S T multiply 2h by h digits, and the
 corrections T R', S X' and T Y' only h by h, where a full-precision
-step would weigh 10 h^2 n^3.
+step would weigh 10 h^2 n^3.  The last step, without S T and T Y',
+weighs 4 h^2 n^3.
 """
 
 from random import Random
@@ -45,6 +48,20 @@ from padicspectral.sampling import (
 
 def _steps(digits):
     return (digits - 1).bit_length()
+
+
+def _inverse_products(n, p, prec):
+    """The Schur products of an n x n inverse mod p^prec: six per level
+    where blocks pay, and none at a Gauss-Jordan leaf."""
+    if not kernels._blocks_pay(n, p, p**prec):
+        return 0
+    k = n // 2
+    return 6 + _inverse_products(k, p, prec) + _inverse_products(n - k, p, prec)
+
+
+def _certify(n, p, prec):
+    """Products to certify at prec digits: the lift, verify and S^-1."""
+    return 5 * _steps(prec) - 2 + 1 + _inverse_products(n, p, prec)
 
 
 def _length(x, p):
@@ -86,7 +103,7 @@ def matmuls(products):
 @pytest.mark.parametrize(
     "p,prec,n,w,pinned",
     [
-        (31, 128, 16, 1, (37, 1, 4, 2, 37, 38)),
+        (31, 128, 16, 1, (52, 1, 4, 19, 52, 53)),
         (7, 64, 5, 2, None),
         (5, 33, 3, 1, None),
     ],
@@ -111,12 +128,12 @@ def test_matmul_counts(matmuls, p, prec, n, w, pinned):
         matmuls(lambda: stone_recover(u1p, budget)),
     )
     assert counts == (
-        5 * _steps(prec) + 2,
+        _certify(n, p, prec),
         1,
         4,
-        2,
-        5 * _steps(prec - w) + 2,
-        5 * _steps(u1p.prec - w_stone) + 3,
+        1 + _inverse_products(n, p, prec),
+        _certify(n, p, prec - w),
+        _certify(n, p, u1p.prec - w_stone) + 1,
     )
     if pinned is not None:
         assert counts == pinned
@@ -194,6 +211,43 @@ def test_power_rows_are_built_once_per_group(monkeypatch):
         assert len(built) == n
 
 
+def test_basis_is_inverted_once(monkeypatch):
+    # S^-1 has one source, the inverse of S, found where the certificate is
+    # made or read; evaluate, the checks and stone's derived group invert
+    # nothing after that
+    inverted = []
+    inverse = kernels.grid_inverse
+
+    def counted(m, p, mod):
+        inverted.append(mod)
+        return inverse(m, p, mod)
+
+    monkeypatch.setattr(kernels, "grid_inverse", counted)
+
+    def inversions(f):
+        inverted.clear()
+        f()
+        return len(inverted)
+
+    p, prec, n = 31, 128, 16
+    rng = Random(7400)
+    a = sample_certifiable_matrix(rng, p, prec, n)
+    budget = SeriesBudget(prec)
+    s1, s2 = (sample_principal_unit(rng, p, prec) for _ in range(2))
+    # the lift's start inverts S mod p, and verify inverts the final S
+    assert inversions(lambda: certify_strongly_normal(a)) == 2
+    groups = [OneParamGroup(certify_strongly_normal(a), budget)]
+    data = groups[0].to_dict()
+    assert inversions(lambda: groups.append(OneParamGroup.from_dict(data))) == 1
+    u1p = groups[0].evaluate(1 + p).matrix
+    assert inversions(lambda: groups.append(stone_recover(u1p, budget))) == 2
+    for g in groups:
+        assert inversions(lambda: g.evaluate(s1)) == 0
+        assert inversions(lambda: g.verify_group_law(s1, s2)) == 0
+        assert inversions(lambda: g.lipschitz_check(s1, s2)) == 0
+        assert inversions(lambda: g.cert.projectors) == 0
+
+
 def test_certify_digit_weight(products):
     p, prec, n = 31, 128, 16
     a = sample_certifiable_matrix(Random(7000 + p), p, prec, n)
@@ -201,10 +255,13 @@ def test_certify_digit_weight(products):
         m**3 * _length(x, p) * _length(y, p)
         for m, x, y in products(lambda: certify_strongly_normal(a))
     )
-    # the lift's steps h = 1, 2, ..., 64 at 7 h^2 each, and verify's two
-    # products of 128-digit entries
-    assert weight == n**3 * (7 * sum(4**i for i in range(7)) + 2 * prec**2)
-    assert weight == 290_795_520
+    # the lift's steps h = 1, 2, ..., 32 at 7 h^2 each and h = 64 at 4 h^2,
+    # verify's product of 128-digit entries, and the inverse's Schur
+    # products of 128-digit entries: six of 8 x 8 blocks, twelve of 4 x 4
+    lift = 7 * sum(4**i for i in range(6)) + 4 * 4**6
+    inverse = 6 * (n // 2) ** 3 + 12 * (n // 4) ** 3
+    assert weight == n**3 * (lift + prec**2) + inverse * prec**2
+    assert weight == 236_269_568
 
 
 def test_converge_products_grow_linearly(matmuls):

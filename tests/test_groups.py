@@ -427,8 +427,8 @@ def test_read_certificate_keeps_only_verified_digits():
     )
     doc = g.to_dict()
     doc["certificate"]["matrix"] = g.generator.truncate_to(20).to_dict()
-    inverse = doc["certificate"]["basis_inverse"]["entries"]
-    inverse[0][0] = str(int(inverse[0][0]) + 5**25)
+    basis = doc["certificate"]["basis"]["entries"]
+    basis[0][0] = str(int(basis[0][0]) + 5**25)
     u = OneParamGroup.from_dict(doc).evaluate(6)
     assert u.matrix.prec <= 20
     assert u.matrix == g.evaluate(6).matrix.truncate_to(u.matrix.prec)

@@ -317,11 +317,12 @@ def test_product_kernels_agree(n, seed, bits, kinds, extra):
 
 
 def test_kernel_choice(monkeypatch):
-    # Winograd runs only where both factors have long entries: verify's two
-    # products and the spectral operator at (31,128,16), not the lift's
-    # products, n = 4, (13,64,12) or a product with a diagonal factor.
-    # Packed rows run only in the lift, on its products of short entries at
-    # n >= 12: 28 of 35 at (31,128,16) and all 30 at (13,64,12)
+    # Winograd runs only where both factors have long entries: verify's one
+    # product, the inverse's six 8 x 8 Schur products and the spectral
+    # operator at (31,128,16), not the lift's products, n = 4, (13,64,12)
+    # or a product with a diagonal factor.  Packed rows run only in the
+    # lift, on its products of short entries at n >= 12: 28 of 33 at
+    # (31,128,16) and all 28 at (13,64,12)
     calls = Counter()
 
     def counted(name):
@@ -344,14 +345,14 @@ def test_kernel_choice(monkeypatch):
     p, prec, n = 31, 128, 16
     a = sample_certifiable_matrix(Random(4200), p, prec, n)
     cert = certify_strongly_normal(a)
-    assert kernel_calls(cert.verify) == (2, 0)
-    assert kernel_calls(lambda: certify_strongly_normal(a)) == (2, 28)
+    assert kernel_calls(cert.verify) == (1, 0)
+    assert kernel_calls(lambda: certify_strongly_normal(a)) == (7, 28)
     assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (1, 0)
     diag = PadicMatrix.diagonal([e.residue for e in cert.eigenvalues], p, prec)
     assert kernel_calls(lambda: cert.basis @ diag) == (0, 0)
     small = sample_certifiable_matrix(Random(4312), 13, 64, 12)
     cert = certify_strongly_normal(small)
-    assert kernel_calls(lambda: certify_strongly_normal(small)) == (0, 30)
+    assert kernel_calls(lambda: certify_strongly_normal(small)) == (0, 28)
     assert kernel_calls(cert.verify) == (0, 0)
     assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (0, 0)
     small = sample_certifiable_matrix(Random(4304), 31, 128, 4)
@@ -444,7 +445,8 @@ def test_unit_inverse_matches_pow(p, prec, seed):
 def test_inverse_runs_the_product_kernel(monkeypatch):
     # at (31,128,16) the inverse is 18 products (6 at n = 16, 6 in each of
     # its two 8 x 8 blocks); Gauss-Jordan alone at precision 1 and below
-    # n = 8, so the lift's start keeps certification at 37 products
+    # n = 8, so the lift's start adds none: certification is the lift's 33
+    # products, verify's one and the inverse of S
     log = []
     kernel = kernels.grid_matmul
 
@@ -465,7 +467,7 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
     assert products(s.truncate_to(1).inverse) == 0
     assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 0
     a = sample_certifiable_matrix(Random(4402), p, prec, n)
-    assert products(lambda: certify_strongly_normal(a)) == 37
+    assert products(lambda: certify_strongly_normal(a)) == 33 + 1 + 18
     # a singular reduction is refused before any product runs
     rows = [list(r) for r in s.rows()]
     rows[-1] = [(x + y + p * 7) % p**prec for x, y in zip(rows[0], rows[1])]

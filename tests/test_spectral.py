@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicspectral import (
+    OneParamGroup,
     PadicInt,
     PadicMatrix,
+    SeriesBudget,
     StrongNormalCertificate,
     Valuation,
     certify_strongly_normal,
     make_unitary,
+    stone_recover,
 )
 from padicspectral import kernels, spectral
 from padicspectral.errors import (
@@ -28,6 +31,7 @@ from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_invertible_matrix,
     sample_padic,
+    sample_principal_unit,
 )
 
 PRIMES = [3, 5, 7]
@@ -227,19 +231,23 @@ def test_orthogonality_identity(p):
 def test_verify_catches_corruption():
     a = PadicMatrix([[0, 1], [2, 1]], 5, 32)
     cert = certify_strongly_normal(a)
-    s, t = cert.basis, cert.basis_inverse
+    s = cert.basis
     col0 = [row[0] for row in s.rows()]
     repeated = PadicMatrix([[c, c] for c in col0], 5, s.prec)
-    bad = StrongNormalCertificate(a, cert.eigenvalues, repeated, t)
-    with pytest.raises(CertificationFailed):
+    bad = StrongNormalCertificate(a, cert.eigenvalues, repeated)
+    with pytest.raises(CertificationFailed, match="A S != S D"):
         bad.verify()
-    swapped = StrongNormalCertificate(a, tuple(reversed(cert.eigenvalues)), s, t)
-    with pytest.raises(CertificationFailed):
+    swapped = StrongNormalCertificate(a, tuple(reversed(cert.eigenvalues)), s)
+    with pytest.raises(CertificationFailed, match="A S != S D"):
         swapped.verify()
-    nudged = t + PadicMatrix([[0, 0], [5**31, 0]], 5, t.prec)
-    perturbed = StrongNormalCertificate(a, cert.eigenvalues, s, nudged)
-    with pytest.raises(CertificationFailed):
-        perturbed.verify()
+    nudged = s + PadicMatrix([[0, 0], [5**31, 0]], 5, s.prec)
+    with pytest.raises(CertificationFailed, match="A S != S D"):
+        StrongNormalCertificate(a, cert.eigenvalues, nudged).verify()
+    # a column times p keeps A S = S D but leaves S singular mod p
+    scaled = s.scale_columns([5, 1])
+    assert (a @ scaled).congruent(scaled.scale_columns(cert.eigenvalues), s.prec)
+    with pytest.raises(CertificationFailed, match="S mod p is singular"):
+        StrongNormalCertificate(a, cert.eigenvalues, scaled).verify()
 
 
 def test_certificate_serialization():
@@ -255,6 +263,40 @@ def test_certificate_serialization():
     doc["eigenvalues"][0]["val"] = str(int(doc["eigenvalues"][0]["val"]) + 5**30)
     with pytest.raises(ValueError, match="certificate does not verify"):
         StrongNormalCertificate.from_dict(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 31]),
+    prec=st.integers(2, 64),
+    n=st.integers(1, 8),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_certificate_round_trip(p, prec, n, zero, seed):
+    # a certificate file holds no S^-1: the read-back certificate equals the
+    # written one, inverts its S exactly, and gives the same group values
+    rng = Random(seed)
+    n = min(n, p)
+    if zero:
+        cert = make_unitary(PadicMatrix.zeros(n, p, prec)).cert
+    elif n == 1:
+        cert = certify_strongly_normal(PadicMatrix([[rng.randrange(p**prec)]], p, prec))
+    else:
+        cert = certify_strongly_normal(sample_certifiable_matrix(rng, p, prec, n))
+    doc = cert.to_dict()
+    assert "basis_inverse" not in doc
+    back = StrongNormalCertificate.from_dict(doc)
+    assert back == cert
+    s, t, ident = back.basis, back.basis_inverse, PadicMatrix.identity(n, p, prec)
+    assert s @ t == ident and t @ s == ident
+    budget = SeriesBudget(prec)
+    g, g_back = OneParamGroup(cert, budget), OneParamGroup(back, budget)
+    s1 = sample_principal_unit(rng, p, prec)
+    assert g_back.evaluate(s1) == g.evaluate(s1)
+    u1p, u1p_back = (x.evaluate(1 + p).matrix for x in (g, g_back))
+    assert u1p_back == u1p
+    assert stone_recover(u1p_back, budget) == stone_recover(u1p, budget)
 
 
 def _eval(coeffs, x):
@@ -377,21 +419,23 @@ def test_verify_rejects_corruptions_random(p):
     for _ in range(4):
         a = sample_certifiable_matrix(rng, p, prec, 3)
         cert = certify_strongly_normal(a)
-        s, t = cert.basis, cert.basis_inverse
+        s = cert.basis
         rows = [list(r) for r in s.rows()]
         for r in rows:
             r[1] = r[0]
         cases = [
-            (cert.eigenvalues, PadicMatrix(rows, p, prec), t),
-            ((cert.eigenvalues[1], cert.eigenvalues[0], cert.eigenvalues[2]), s, t),
+            (cert.eigenvalues, PadicMatrix(rows, p, prec)),
+            ((cert.eigenvalues[1], cert.eigenvalues[0], cert.eigenvalues[2]), s),
         ]
         for i in range(3):
             bump = [[p ** (prec - 1) if (r, c) == (i, 2 - i) else 0 for c in range(3)]
                     for r in range(3)]
-            cases.append((cert.eigenvalues, s, t + PadicMatrix(bump, p, prec)))
-        for eigenvalues, basis, inverse in cases:
+            cases.append((cert.eigenvalues, s + PadicMatrix(bump, p, prec)))
+            # column i times p: A S = S D, S singular mod p
+            cases.append((cert.eigenvalues, s.scale_columns([p if j == i else 1 for j in range(3)])))
+        for eigenvalues, basis in cases:
             with pytest.raises(CertificationFailed):
-                StrongNormalCertificate(a, eigenvalues, basis, inverse).verify()
+                StrongNormalCertificate(a, eigenvalues, basis).verify()
 
 
 def test_zero_matrix_certificate_keeps_one_spectral_point():
@@ -405,13 +449,13 @@ def test_zero_matrix_certificate_keeps_one_spectral_point():
 def test_certificate_shape_checks():
     a = PadicMatrix([[0, 1], [2, 1]], 5, 32)
     cert = certify_strongly_normal(a)
-    s, t = cert.basis, cert.basis_inverse
+    s = cert.basis
     with pytest.raises(DimensionMismatch):
-        StrongNormalCertificate(a, cert.eigenvalues, s, t, [1])
+        StrongNormalCertificate(a, cert.eigenvalues, s, [1])
     with pytest.raises(DimensionMismatch):
-        StrongNormalCertificate(a, cert.eigenvalues, s, t, [2, 1])
+        StrongNormalCertificate(a, cert.eigenvalues, s, [2, 1])
     with pytest.raises(ValueError):
-        StrongNormalCertificate(a, cert.eigenvalues[:1] * 2, s, t, [2, 0])
+        StrongNormalCertificate(a, cert.eigenvalues[:1] * 2, s, [2, 0])
     with pytest.raises(ValueError):
         StrongNormalCertificate.from_dict({"matrix": a.to_dict()})
 
@@ -442,10 +486,15 @@ def _reference_lift(a, ahat, residues):
     return s, t, [PadicInt(di, p, target) for di in d]
 
 
-def _lifted(a):
+def _check_lift(a):
+    """The lift's S and eigenvalues, and the certificate's S^-1, equal the
+    reference's S, eigenvalues and T."""
     ahat = a.reduction()
     residues = sorted(r for r, _ in ahat.eigenvalues())
-    return spectral._lift_eigenbasis(a, ahat, residues), _reference_lift(a, ahat, residues)
+    s, t, eigenvalues = _reference_lift(a, ahat, residues)
+    assert spectral._lift_eigenbasis(a, ahat, residues) == (s, eigenvalues)
+    cert = certify_strongly_normal(a)
+    assert (cert.basis, list(cert.eigenvalues), cert.basis_inverse) == (s, eigenvalues, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -462,14 +511,11 @@ def test_lift_matches_full_precision_reference(p, prec, n, seed):
         a = PadicMatrix([[rng.randrange(p**prec)]], p, prec)
     else:
         a = sample_certifiable_matrix(rng, p, prec, n)
-    got, want = _lifted(a)
-    assert got == want
+    _check_lift(a)
 
 
 def test_lift_matches_full_precision_reference_p31_n16():
-    a = sample_certifiable_matrix(Random(2100), 31, 128, 16)
-    got, want = _lifted(a)
-    assert got == want
+    _check_lift(sample_certifiable_matrix(Random(2100), 31, 128, 16))
 
 
 def _certify_with_a_moved_product(monkeypatch, a, call):
@@ -477,8 +523,8 @@ def _certify_with_a_moved_product(monkeypatch, a, call):
     by p, expecting a refusal; return the products run and those packed.
 
     Products 6 to 10 are the step from h = 2 to 4 digits: A S, T R', S X',
-    S T and T Y'.  Moving an entry of A S or S T by p^(h-1) leaves A S - S D
-    or I - S T nonzero mod p^h.
+    S T and T Y'; only the last step stops after S X'.  Moving an entry of
+    A S or S T by p^(h-1) leaves A S - S D or I - S T nonzero mod p^h.
     """
     calls, packed = [0], []
     kernel, pack = kernels.grid_matmul, kernels._packed
