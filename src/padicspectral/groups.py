@@ -25,8 +25,9 @@ Certification of V with |V| < 1: V's reduction is the zero matrix, so
 the distinct-residue criterion cannot apply directly.  V is factored as
 p^w V' with w the minimal entry valuation; V' has a unit entry, is
 certified the usual way, and the eigenvalues are scaled back while the
-eigenbasis S is shared.  V = 0 gets the trivial certificate (eigenvalue
-0 owning the whole basis S = I, projector I).  Anything else is refused.
+eigenbasis S is shared.  V = 0 gets the trivial certificate: one
+eigenvalue 0, owning every column of S = I, and projector I.  Anything
+else is refused.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCer
     """Certify a matrix with |V| < 1 through the p^w V' factorization."""
     if v.is_zero():
         ident = PadicMatrix.identity(v.n, v.p, v.prec)
-        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident, [v.n])
+        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident)
     w = v.op_norm().value
     if w < 1:
         rows = enumerate(v.rows())

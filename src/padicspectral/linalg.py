@@ -258,11 +258,11 @@ class ResidueMatrix(PadicMatrix):
     """The reduction mod p over F_p = Z_p / pZ_p: a precision-1 PadicMatrix
     with residue eigenanalysis; its arithmetic returns PadicMatrix objects."""
 
-    __slots__ = ("_hess",)
+    __slots__ = ("_memo",)  # _memo: the Hessenberg form (H, M), found at construction
 
     def __init__(self, rows, p: int):
         super().__init__(rows, p, 1)
-        self._set(_hess=_hessenberg(self._e, self.p))
+        self._set(_memo=_hessenberg(self._e, self.p))
 
     def is_scalar(self) -> bool:
         """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""
@@ -282,7 +282,7 @@ class ResidueMatrix(PadicMatrix):
         Alg. 2.2.9).  O(n^3) operations on integers below p.
         """
         p, n = self.p, self.n
-        h, _ = self._hess
+        h, _ = self._memo
         polys = [[1]]
         for m in range(n):
             nxt = [0] + polys[m]
@@ -336,7 +336,7 @@ class ResidueMatrix(PadicMatrix):
         root, or a root of several blocks.
         """
         p, n = self.p, self.n
-        h, m = self._hess
+        h, m = self._memo
         out = []
         for r in roots:
             t = [list(row) for row in h]

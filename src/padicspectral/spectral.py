@@ -36,45 +36,36 @@ from .linalg import PadicMatrix, ResidueMatrix, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 
-_FIELDS = ("matrix", "eigenvalues", "multiplicities", "basis")
+_FIELDS = ("matrix", "eigenvalues", "basis")
 
 
 class StrongNormalCertificate(Frozen):
     """A verified eigenbasis A S = S D, so that A = sum lambda_i E_i.
 
     ``basis`` is S, and ``basis_inverse`` is S^-1, S's own inverse, found
-    on first use and kept in the ``_memo`` slot.  Eigenvalue i owns
-    ``multiplicities[i]`` consecutive columns of S; the count is 1 except
-    in the trivial certificate of the zero matrix (eigenvalue 0 owning
-    every column, E = I).  D repeats each eigenvalue that many times.
-    The certificate precision is the minimum precision over the matrix,
-    S and the eigenvalues, and A S = S D holds as an exact congruence at
-    that precision (see :meth:`verify`), checked where a certificate is
-    made or read, not where :meth:`reuse_basis` derives one.
+    on first use and kept in the ``_memo`` slot.  Eigenvalue i owns column
+    i of S, or a lone eigenvalue owns every column (A = lambda I, E = I:
+    the trivial certificate of the zero matrix); so there are 1 or n
+    eigenvalues, and D repeats each over the columns it owns.  The
+    certificate precision is the minimum precision over the matrix, S and
+    the eigenvalues, and A S = S D holds as an exact congruence at that
+    precision (see :meth:`verify`), checked where a certificate is made or
+    read, not where :meth:`reuse_basis` derives one.
     """
 
     __slots__ = (*_FIELDS, "_memo")  # _memo: S^-1
 
-    def __init__(self, matrix: PadicMatrix, eigenvalues, basis: PadicMatrix, multiplicities=None):
+    def __init__(self, matrix: PadicMatrix, eigenvalues, basis: PadicMatrix):
         eigenvalues = tuple(eigenvalues)
         if not eigenvalues:
             raise ValueError("certificate needs at least one spectral point")
-        if multiplicities is None:
-            multiplicities = (1,) * len(eigenvalues)
-        multiplicities = tuple(check_int(m, 1, "multiplicity") for m in multiplicities)
-        if len(multiplicities) != len(eigenvalues):
-            raise DimensionMismatch("one multiplicity per eigenvalue required")
-        if sum(multiplicities) != matrix.n or basis.n != matrix.n:
+        if len(eigenvalues) not in (1, matrix.n):
+            raise DimensionMismatch(f"{len(eigenvalues)} eigenvalues in dimension {matrix.n}")
+        if basis.n != matrix.n:
             raise DimensionMismatch(f"basis columns do not match the dimension {matrix.n}")
         if any(x.p != matrix.p for x in (basis, *eigenvalues)):
             raise PrimeMismatch("certificate data must share the matrix prime")
-        self._set(
-            matrix=matrix,
-            eigenvalues=eigenvalues,
-            multiplicities=multiplicities,
-            basis=basis,
-            _memo=None,
-        )
+        self._set(matrix=matrix, eigenvalues=eigenvalues, basis=basis, _memo=None)
 
     @property
     def p(self) -> int:
@@ -112,7 +103,7 @@ class StrongNormalCertificate(Frozen):
         Not verified again: it holds when ``matrix`` S = S D by construction
         and its precision is at most this certificate's.
         """
-        cert = StrongNormalCertificate(matrix, eigenvalues, self.basis, self.multiplicities)
+        cert = StrongNormalCertificate(matrix, eigenvalues, self.basis)
         cert._set(_memo=self.basis_inverse)
         return cert
 
@@ -130,8 +121,8 @@ class StrongNormalCertificate(Frozen):
           E_i for i = j and 0 otherwise;
         - sum E_i = S S^-1 = I;
         - sum lambda_i E_i = S D S^-1 = A S S^-1 = A;
-        - |E_i| = 1: S is invertible mod p, so E_i mod p has rank
-          multiplicities[i] >= 1 over F_p and some entry is a unit.
+        - |E_i| = 1: S is invertible mod p, so E_i mod p has rank >= 1 over
+          F_p, the columns eigenvalue i owns, and some entry is a unit.
         """
         s = self.basis
         diag = s.scale_columns(self._per_column(self.eigenvalues))
@@ -148,8 +139,9 @@ class StrongNormalCertificate(Frozen):
     # -- spectral operations ------------------------------------------
 
     def _per_column(self, values) -> list:
-        """One value per eigenvalue, repeated over the columns it owns."""
-        return [v for v, m in zip(values, self.multiplicities) for _ in range(m)]
+        """One value per eigenvalue, over the columns it owns: value i on
+        column i, or a lone value on all n."""
+        return list(values) * (self.n // len(values))
 
     def spectral_operator(self, values) -> PadicMatrix:
         """S diag(values) S^-1, for one value (PadicInt or int) per eigenvalue:
@@ -212,7 +204,6 @@ class StrongNormalCertificate(Frozen):
         return {
             "matrix": self.matrix.to_dict(),
             "eigenvalues": [e.to_dict() for e in self.eigenvalues],
-            "multiplicities": list(self.multiplicities),
             "basis": self.basis.to_dict(),
         }
 
@@ -222,12 +213,13 @@ class StrongNormalCertificate(Frozen):
 
         Every part is cut to the certificate precision, the only digits
         :meth:`verify` checks, so no unverified digit reaches a result.
-        S^-1 is S's own inverse: the ``basis_inverse`` of an older file is
-        ignored, so no stored inverse reaches a result either.
+        S^-1 is S's own inverse, and which columns an eigenvalue owns
+        follows from the eigenvalue count: an older file's ``basis_inverse``
+        and ``multiplicities`` are ignored, so neither reaches a result.
         """
-        matrix, eigenvalues, multiplicities, basis = cls._read(d, *_FIELDS)
-        if not (isinstance(eigenvalues, list) and isinstance(multiplicities, list)):
-            raise ValueError("eigenvalues and multiplicities must be lists")
+        matrix, eigenvalues, basis = cls._read(d, *_FIELDS)
+        if not isinstance(eigenvalues, list):
+            raise ValueError("eigenvalues must be a list")
         matrix, basis = map(PadicMatrix.from_dict, (matrix, basis))
         eigenvalues = [PadicInt.from_dict(e) for e in eigenvalues]
         prec = min(x.prec for x in (matrix, basis, *eigenvalues))
@@ -235,7 +227,6 @@ class StrongNormalCertificate(Frozen):
             matrix.truncate_to(prec),
             [e.truncate_to(prec) for e in eigenvalues],
             basis.truncate_to(prec),
-            multiplicities,
         )
         try:
             cert.verify()

@@ -6,10 +6,14 @@ Run from the repository root with the package importable:
 
 Each case is a certifiable matrix A from ``sample_certifiable_matrix``
 with a fixed seed, its group bundle under the budget of target prec, and
-U(1+p) as the input of ``stone``.  The ``refusals`` case holds one
-small matrix for each refusal that residue eigenanalysis decides: a
-scalar reduction, a residue characteristic polynomial that does not
-split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
+U(1+p) as the input of ``stone``.  The zero case runs ``stone`` on the
+identity, whose V = 0 gets the zero certificate: one eigenvalue that owns
+every column of S.  Its ``bundle.json`` is written as versions before the
+three-field certificate wrote it, with ``"multiplicities": [n]``, so that
+``group-eval`` and ``check-law`` read an older file.  The ``refusals``
+case holds one small matrix for each refusal that residue eigenanalysis
+decides: a scalar reduction, a residue characteristic polynomial that
+does not split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
 lists every command line with the exit code and the stdout file it must
 reproduce byte for byte.  Regenerate only when a change of output is
 intended, and say so in the change log: ``tests/test_cli_golden.py``
@@ -29,6 +33,7 @@ from padicspectral import (
     PadicMatrix,
     SeriesBudget,
     certify_strongly_normal,
+    stone_recover,
 )
 from padicspectral.cli import main
 from padicspectral.sampling import sample_certifiable_matrix
@@ -37,6 +42,12 @@ HERE = Path(__file__).resolve().parent
 
 # (p, prec, n, seed)
 CASES = [(5, 32, 3, 11), (13, 64, 6, 12), (7, 24, 2, 13)]
+
+# (p, prec, n) of the zero case: stone on I_n
+ZERO = (5, 32, 3)
+
+SAMPLED_CASES = [f"p{p}_prec{prec}_n{n}" for p, prec, n, _ in CASES]
+ZERO_CASE = "zero_p{}_prec{}_n{}".format(*ZERO)
 
 # (name, entries, p): certify must refuse each one with exit 2
 REFUSALS = [
@@ -75,10 +86,18 @@ def run_cli(argv: list[str], case_dir: Path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _record(manifest: list, case: str, commands: dict) -> None:
+    """Run each command line on the files of ``case``, write its stdout to
+    ``<command>.out`` there and list it in the manifest."""
+    for command, argv in commands.items():
+        code, stdout = run_cli(argv, HERE / case)
+        (HERE / case / f"{command}.out").write_text(stdout)
+        manifest.append({"case": case, "argv": argv, "exit": code, "stdout": f"{command}.out"})
+
+
 def main_generate() -> None:
     manifest = []
-    for p, prec, n, seed in CASES:
-        name = f"p{p}_prec{prec}_n{n}"
+    for name, (p, prec, n, seed) in zip(SAMPLED_CASES, CASES):
         case_dir = HERE / name
         case_dir.mkdir(exist_ok=True)
         a = sample_certifiable_matrix(Random(seed), p, prec, n)
@@ -86,22 +105,29 @@ def main_generate() -> None:
         _dump(case_dir / "matrix.json", a.to_dict())
         _dump(case_dir / "bundle.json", group.to_dict())
         _dump(case_dir / "unitary.json", group.evaluate(1 + p).matrix.to_dict())
-        for command, argv in _commands(p, prec).items():
-            code, stdout = run_cli(argv, case_dir)
-            (case_dir / f"{command}.out").write_text(stdout)
-            manifest.append(
-                {"case": name, "argv": argv, "exit": code, "stdout": f"{command}.out"}
-            )
-    case_dir = HERE / "refusals"
+        _record(manifest, name, _commands(p, prec))
+    p, prec, n = ZERO
+    case_dir = HERE / ZERO_CASE
     case_dir.mkdir(exist_ok=True)
+    ident = PadicMatrix.identity(n, p, prec)
+    bundle = stone_recover(ident, SeriesBudget(prec)).to_dict()
+    bundle["certificate"]["multiplicities"] = [n]
+    _dump(case_dir / "unitary.json", ident.to_dict())
+    _dump(case_dir / "bundle.json", bundle)
+    flags = ["--prec", str(prec)]
+    zero_commands = {
+        "stone": flags + ["stone", "unitary.json"],
+        "group-eval-bundle": flags + ["group-eval", "bundle.json", "--s", "6"],
+        "check-law": flags + ["check-law", "bundle.json", "--samples", "2"],
+    }
+    _record(manifest, ZERO_CASE, zero_commands)
+    (HERE / "refusals").mkdir(exist_ok=True)
+    refusal_commands = {}
     for name, entries, p in REFUSALS:
-        _dump(case_dir / f"{name}.json", PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
+        _dump(HERE / "refusals" / f"{name}.json", PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
         argv = ["--prec", str(REFUSAL_PREC), "certify", f"{name}.json"]
-        code, stdout = run_cli(argv, case_dir)
-        (case_dir / f"certify-{name}.out").write_text(stdout)
-        manifest.append(
-            {"case": "refusals", "argv": argv, "exit": code, "stdout": f"certify-{name}.out"}
-        )
+        refusal_commands[f"certify-{name}"] = argv
+    _record(manifest, "refusals", refusal_commands)
     _dump(HERE / "manifest.json", {"commands": manifest})
 
 

@@ -11,6 +11,7 @@ import pytest
 import padicspectral
 from padicspectral import (
     OneParamGroup,
+    PadicInt,
     PadicMatrix,
     SeriesBudget,
     StrongNormalCertificate,
@@ -240,8 +241,7 @@ def test_invalid_prime_flag_is_input_error(tmp_path, capsys):
 def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
     bundle = json.loads(open(group_file).read())
     cert = bundle["certificate"]
-    for key in ("basis", "multiplicities"):
-        del cert[key]
+    del cert["basis"]
     cert["projectors"] = [cert["matrix"], cert["matrix"]]
     path = _write(tmp_path / "old.json", bundle)
     code = main(["group-eval", path, "--s", "6"])
@@ -448,13 +448,6 @@ MALFORMED = [
     # a string where a list belongs is malformed, though it iterates
     ("row-strings", ["certify"], {"p": 5, "prec": 8, "n": 2, "entries": ["01", "21"]}),
     (
-        "multiplicities-string",
-        ["group-eval", "--s", "6"],
-        lambda g: _bundle_with(
-            g, lambda b: b["certificate"].update(multiplicities="11")
-        ),
-    ),
-    (
         "budget-list",
         ["group-eval", "--s", "6"],
         lambda g: _bundle_with(g, lambda b: b.update(budget=[32, 5])),
@@ -509,6 +502,27 @@ MALFORMED = [
             g, lambda b: b["certificate"].update(multiplicities=[True, 1])
         ),
     ),
+    (
+        "eigenvalue-of-another-prime",
+        ["group-eval", "--s", "6"],
+        lambda g: _bundle_with(g, lambda b: b["certificate"]["eigenvalues"][0].update(p=7)),
+    ),
+    # diag(1, 1, 2) S = S D holds for S = I with eigenvalue 1 owning two
+    # columns, as older versions read "multiplicities": [2, 1]; but a
+    # certificate has one eigenvalue per column, or one for all of them
+    (
+        "two-eigenvalues-in-dimension-3",
+        ["group-eval", "--s", "6"],
+        {
+            "certificate": {
+                "matrix": PadicMatrix.diagonal([1, 1, 2], 5, 8).to_dict(),
+                "eigenvalues": [PadicInt(x, 5, 8).to_dict() for x in (1, 2)],
+                "multiplicities": [2, 1],
+                "basis": PadicMatrix.identity(3, 5, 8).to_dict(),
+            },
+            "budget": {"target": 8},
+        },
+    ),
 ]
 
 
@@ -529,6 +543,19 @@ def test_malformed_input_is_input_error(tmp_path, group_file, capsys, argv, payl
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("multiplicities", ["11", [1, 1], [2]], ids=["string", "ones", "lone"])
+def test_older_multiplicities_key_is_ignored(tmp_path, group_file, capsys, multiplicities):
+    # eigenvalue i owns column i of S: the key older versions wrote, or any
+    # value under it, changes no output
+    older = _bundle_with(
+        group_file, lambda b: b["certificate"].update(multiplicities=multiplicities)
+    )
+    path = _write(tmp_path / "older.json", older)
+    assert _run(capsys, ["group-eval", path, "--s", "6"]) == _run(
+        capsys, ["group-eval", group_file, "--s", "6"]
+    )
 
 
 def test_cli_import_loads_no_heavy_stdlib():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "cli"
 sys.path.insert(0, str(FIXTURES))
 
-from make_golden import run_cli  # noqa: E402
+from make_golden import SAMPLED_CASES, ZERO_CASE, run_cli  # noqa: E402
 
 from padicspectral import OneParamGroup, StrongNormalCertificate  # noqa: E402
 
@@ -34,18 +34,69 @@ def test_cli_output_matches_golden(entry):
     assert stdout == (case_dir / entry["stdout"]).read_text()
 
 
-@pytest.mark.parametrize("case", sorted({e["case"] for e in MANIFEST} - {"refusals"}))
+def _certificate_files(case):
+    """The golden files of ``case`` that hold a certificate: its own or its
+    bundle's; the zero case has no certify.out."""
+    names = ["bundle.json", "stone.out"] + ([] if case == ZERO_CASE else ["certify.out"])
+    return [FIXTURES / case / name for name in names]
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
 def test_certificates_reserialize_byte_for_byte(case):
     # each golden certificate and bundle reads back through from_dict and
     # writes the same bytes through to_dict
-    for name in ("certify.out", "bundle.json", "stone.out"):
-        text = (FIXTURES / case / name).read_text()
+    for path in _certificate_files(case):
+        text = path.read_text()
         doc = json.loads(text)
         if "budget" in doc:
             doc.update(OneParamGroup.from_dict(doc).to_dict())
         else:
             doc["certificate"] = StrongNormalCertificate.from_dict(doc["certificate"]).to_dict()
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+def _older(cert_doc):
+    """A certificate document as versions before the three-field certificate
+    wrote it: eigenvalue i owning ``multiplicities[i]`` columns, 1 each, or
+    all n for a lone eigenvalue."""
+    k, n = len(cert_doc["eigenvalues"]), cert_doc["matrix"]["n"]
+    return {**cert_doc, "multiplicities": [1] * k if k == n else [n]}
+
+
+def _plain(cert_doc):
+    """A certificate document without the key of older versions."""
+    return {k: v for k, v in cert_doc.items() if k != "multiplicities"}
+
+
+def test_zero_bundle_is_stones_own_in_the_older_schema():
+    # the zero case's bundle.json is the bundle stone prints for I_3, with
+    # the "multiplicities": [3] that older versions wrote, and stone's own
+    # certificate has no such key
+    stone = json.loads((FIXTURES / ZERO_CASE / "stone.out").read_text())
+    bundle = json.loads((FIXTURES / ZERO_CASE / "bundle.json").read_text())
+    assert "multiplicities" not in stone["certificate"]
+    assert bundle["certificate"]["multiplicities"] == [3]
+    assert bundle == {"budget": stone["budget"], "certificate": _older(stone["certificate"])}
+
+
+@pytest.mark.parametrize("case", [*SAMPLED_CASES, ZERO_CASE])
+def test_older_certificate_files_read_the_same(case, tmp_path):
+    # with or without the "multiplicities" key of older versions, each
+    # golden certificate reads to the same certificate, and group-eval
+    # prints the golden bytes from the bundle either way
+    for path in _certificate_files(case):
+        plain = _plain(json.loads(path.read_text())["certificate"])
+        read = StrongNormalCertificate.from_dict(plain)
+        assert StrongNormalCertificate.from_dict(_older(plain)) == read
+    entry = next(
+        e for e in MANIFEST if e["case"] == case and e["stdout"] == "group-eval-bundle.out"
+    )
+    golden = (FIXTURES / case / entry["stdout"]).read_text()
+    bundle = json.loads((FIXTURES / case / "bundle.json").read_text())
+    plain = _plain(bundle["certificate"])
+    for cert in (plain, _older(plain)):
+        (tmp_path / "bundle.json").write_text(json.dumps({**bundle, "certificate": cert}))
+        assert run_cli(entry["argv"], tmp_path) == (0, golden)
 
 
 FUZZ_CASE = FIXTURES / "p7_prec24_n2"

@@ -195,11 +195,6 @@ _NOT_INTS = {
         ValueError,
         "not a decimal integer",
     ),
-    "certificate-multiplicities": (
-        lambda: StrongNormalCertificate.from_dict({**_CERT5_DICT, "multiplicities": [True, 1.0]}),
-        TypeError,
-        "is not an int",
-    ),
 }
 
 
@@ -254,6 +249,18 @@ _REFUSALS = {
         DimensionMismatch,
         "^basis columns do not match the dimension 2$",
     ),
+    "certificate-eigenvalue-count": (
+        lambda: StrongNormalCertificate(
+            PadicMatrix.identity(3, 5, 4), _CERT5.eigenvalues, PadicMatrix.identity(3, 5, 4)
+        ),
+        DimensionMismatch,
+        "^2 eigenvalues in dimension 3$",
+    ),
+    "certificate-prime": (
+        lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),
+        PrimeMismatch,
+        "^certificate data must share the matrix prime$",
+    ),
 }
 
 
@@ -300,11 +307,32 @@ def test_missing_field_is_refused_with_one_message(case):
         cls.from_dict([])
 
 
-@pytest.mark.parametrize("field", ["eigenvalues", "multiplicities"])
+@pytest.mark.parametrize("field", ["eigenvalues"])
 def test_certificate_lists_are_refused_as_such(field):
     # a count where a list belongs is described, not iterated
-    with pytest.raises(ValueError, match="^eigenvalues and multiplicities must be lists$"):
+    with pytest.raises(ValueError, match="^eigenvalues must be a list$"):
         StrongNormalCertificate.from_dict({**_CERT5_DICT, field: 5})
+
+
+def test_foreign_operands_are_left_to_python():
+    # a comparison, a sum or a product with a value of no supported type
+    # returns NotImplemented, so Python raises TypeError
+    v = Valuation(3)
+    assert v.__lt__(3) is NotImplemented and v.__add__(1) is NotImplemented
+    assert _M5.__mul__(2.5) is NotImplemented
+    for call in (lambda: v < 3, lambda: v + 1, lambda: _M5 * 2.5):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_value_reprs():
+    assert [repr(Valuation(3)), repr(Valuation.at_least(4))] == ["v=3", "v>=4"]
+    assert repr(_CERT5) == "StrongNormalCertificate(n=2, p=5, prec=4, eigenvalues=[2, 624])"
+    assert repr(_GROUP5) == (
+        "OneParamGroup(generator=PadicMatrix([[0, 1], [2, 1]], p=5, prec=4), "
+        "budget=SeriesBudget(target=4))"
+    )
+    assert repr(_GROUP5.evaluate(6)) == "UnitaryOperator(n=2, p=5, spectrum=[36, 521])"
 
 
 @given(

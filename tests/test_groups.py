@@ -584,7 +584,7 @@ def test_group_checks_match_value_level(p, seed, prec, target, zero, sprecs, clo
         s2 = PadicInt(s1.residue + p**close * rng.randrange(p), p, sprecs[1])
     cert = g.cert
     basis, inverse = cert.basis.rows(), cert.basis_inverse.rows()
-    lams = [lam for lam, m in zip(cert.eigenvalues, cert.multiplicities) for _ in range(m)]
+    lams = list(cert.eigenvalues) * (n // len(cert.eigenvalues))
     least = min(target, cert.basis.prec, cert.basis_inverse.prec)
 
     def u(s):

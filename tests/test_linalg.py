@@ -106,12 +106,14 @@ def test_nondegeneracy():
 
 
 def test_residue_matrix_is_a_hashable_value():
-    # Frozen compares and hashes every matrix by its fields, the Hessenberg
-    # form included, and a ResidueMatrix equals only a ResidueMatrix
+    # Frozen compares and hashes every matrix by its fields: p, prec, n and
+    # the residues, not the Hessenberg form kept in _memo; a ResidueMatrix
+    # equals only a ResidueMatrix
     a = PadicMatrix([[6, 1, 3], [0, 7, 2], [4, 4, 9]], 5, 8)
     ahat = a.reduction()
     rebuilt = ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 4]], 5)
     assert ahat == rebuilt and hash(ahat) == hash(rebuilt) and rebuilt in {ahat}
+    assert ahat._fields == PadicMatrix(ahat.rows(), 5, 1)._fields
     assert ahat != ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 3]], 5)
     assert ahat != PadicMatrix(ahat.rows(), 5, 1)
     assert PadicMatrix(ahat.rows(), 5, 1) in {PadicMatrix(rebuilt.rows(), 5, 1)}

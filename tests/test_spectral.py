@@ -438,24 +438,80 @@ def test_verify_rejects_corruptions_random(p):
                 StrongNormalCertificate(a, eigenvalues, basis).verify()
 
 
+def _sourced_certificate(source, rng, p, prec, n):
+    """A certificate that ``source`` makes: certify, make_unitary of p A or
+    of 0, stone_recover of I, or the certificate of U(1)."""
+    if n == 1:
+        a = PadicMatrix([[rng.randrange(p**prec)]], p, prec)
+    else:
+        a = sample_certifiable_matrix(rng, p, prec, n)
+    budget = SeriesBudget(prec)
+    if source == "certify":
+        return certify_strongly_normal(a)
+    if source == "unitary":
+        return make_unitary(PadicMatrix([[p * x for x in r] for r in a.rows()], p, prec)).cert
+    if source == "zero":
+        return make_unitary(PadicMatrix.zeros(n, p, prec)).cert
+    if source == "stone-identity":
+        return stone_recover(PadicMatrix.identity(n, p, prec), budget).cert
+    return OneParamGroup(certify_strongly_normal(a), budget).evaluate(1).cert
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 31]),
+    prec=st.integers(2, 48),
+    n=st.integers(1, 6),
+    source=st.sampled_from(["certify", "unitary", "zero", "stone-identity", "evaluate-one"]),
+    older=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_certificate_file_holds_three_fields(p, prec, n, source, older, seed):
+    # a certificate file is A, S and the eigenvalues; read back, with or
+    # without the "multiplicities" key older versions wrote, it is the
+    # certificate cut to its precision, which is the certificate itself
+    # when its parts share one precision
+    rng = Random(seed)
+    n = min(n, p)
+    cert = _sourced_certificate(source, rng, p, prec, n)
+    doc = cert.to_dict()
+    assert sorted(doc) == ["basis", "eigenvalues", "matrix"]
+    if older:
+        k = len(cert.eigenvalues)
+        doc["multiplicities"] = [1] * k if k == n else [n]
+    back = StrongNormalCertificate.from_dict(doc)
+    d = cert.precision
+    cut = StrongNormalCertificate(
+        cert.matrix.truncate_to(d),
+        [e.truncate_to(d) for e in cert.eigenvalues],
+        cert.basis.truncate_to(d),
+    )
+    assert back == cut
+    if len({x.prec for x in (cert.matrix, cert.basis, *cert.eigenvalues)}) == 1:
+        assert back == cert
+    assert StrongNormalCertificate.from_dict(back.to_dict()) == back
+
+
 def test_zero_matrix_certificate_keeps_one_spectral_point():
+    # the lone eigenvalue 0 owns all three columns of S = I
     u = make_unitary(PadicMatrix.zeros(3, 5, 16))
     assert [x.residue for x in u.unit_spectrum()] == [1]
-    assert u.cert.multiplicities == (3,)
+    assert len(u.cert.eigenvalues) == 1
     assert u.cert.projectors == (PadicMatrix.identity(3, 5, 16),)
     u.cert.verify()
 
 
 def test_certificate_shape_checks():
-    a = PadicMatrix([[0, 1], [2, 1]], 5, 32)
+    # 1 or n eigenvalues, and an n x n basis
+    a = PadicMatrix([[0, 1, 0], [2, 1, 0], [0, 0, 3]], 5, 32)
     cert = certify_strongly_normal(a)
     s = cert.basis
     with pytest.raises(DimensionMismatch):
-        StrongNormalCertificate(a, cert.eigenvalues, s, [1])
+        StrongNormalCertificate(a, cert.eigenvalues[:2], s)
     with pytest.raises(DimensionMismatch):
-        StrongNormalCertificate(a, cert.eigenvalues, s, [2, 1])
-    with pytest.raises(ValueError):
-        StrongNormalCertificate(a, cert.eigenvalues[:1] * 2, s, [2, 0])
+        StrongNormalCertificate(a, cert.eigenvalues * 2, s)
+    with pytest.raises(DimensionMismatch):
+        StrongNormalCertificate(a, cert.eigenvalues, PadicMatrix.identity(2, 5, 32))
     with pytest.raises(ValueError):
         StrongNormalCertificate.from_dict({"matrix": a.to_dict()})
 
