@@ -40,6 +40,7 @@ from .core import (
     Frozen,
     PadicInt,
     Valuation,
+    as_padic,
     check_int,
     validate_prec,
     validate_prime,
@@ -172,7 +173,8 @@ def is_principal_unit(x: PadicInt) -> bool:
     return x.reduce_mod_p() == 1
 
 
-def _require_principal(x: PadicInt, what: str) -> None:
+def require_principal(x: PadicInt, what: str) -> None:
+    """The one refusal of a non-principal unit, ``what`` naming it."""
     if not is_principal_unit(x):
         raise NotPrincipal(f"{what} must be congruent to 1 mod p, got {x!r}")
 
@@ -219,7 +221,8 @@ def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
 
 class PowerPlan:
     """The powers (1+z)^e of fixed exponents at a fixed target T over p, for
-    any z: built once, the exponents checked, the split point k and, for
+    any z: built once, the exponents checked and held as PadicInts over p
+    (an int e >= 0 as PadicInt(e, p, T)), the split point k and, for
     each exponent e cut mod p^(T-1) and split as a + p^k b, the k base-p
     digits of a and the binomial row of b (:func:`_binomial_row`).
 
@@ -233,14 +236,10 @@ class PowerPlan:
 
     def __init__(self, p: int, lams, budget: SeriesBudget):
         target = budget.target
-        self.p, self.target, self.exponents = p, target, []  # exponents: (residue, prec or None)
+        self.p, self.target, self.exponents = p, target, []
         for lam in lams:
-            if not isinstance(lam, PadicInt):
-                self.exponents.append((check_int(lam, 0, "exponent"), None))
-            elif lam.p != p:
-                raise PrimeMismatch(f"p={p} vs p={lam.p}")
-            else:
-                self.exponents.append((lam.residue, lam.prec))
+            lam = lam if isinstance(lam, PadicInt) else check_int(lam, 0, "exponent")
+            self.exponents.append(as_padic(lam, p, target))
         self.k = k = _split_point(p, target, len(self.exponents), 1)
         self.table = _a_part(p, len(self.exponents))[1]
         # the rows' steps, shared by all rows: J = ceil(T / s), s = 1 + k,
@@ -252,8 +251,8 @@ class PowerPlan:
             steps.append((divisor, out))
             mod //= ps * divisor[1]
         self.parts = []  # (a, digits of a, row of b)
-        for e, _ in self.exponents:
-            b, a = divmod(e % p ** (target - 1), p**k)
+        for e in self.exponents:
+            b, a = divmod(e.residue % p ** (target - 1), p**k)
             digits = [a // p**i % p for i in range(k)]
             self.parts.append((a, digits, _binomial_row(b, p, steps[:b])))
 
@@ -261,7 +260,7 @@ class PowerPlan:
         """(1 + z)^e for each exponent e, z over p with |z| < 1.
 
         Each result is pow(1 + z, e, p^N) on the canonical residues, N =
-        min(T, prec z, prec e + v(z)) (no prec e for an int), and is exact
+        min(T, prec z, prec e + v(z)), and is exact
         at N digits: for odd p, (1+z)^(p^k) = 1 mod p^(k + v(z)), so the
         result depends only on e mod p^(N - v(z)), which e's tracked digits
         fix, and moving z by p^(prec z) t moves it by p^(prec z) at most.
@@ -274,7 +273,7 @@ class PowerPlan:
         if z.is_unit():
             raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
         v, cap = z.valuation().value, min(self.target, z.prec)
-        precisions = [cap if q is None else min(cap, q + v) for _, q in self.exponents]
+        precisions = [min(cap, e.prec + v) for e in self.exponents]
         residues = _power_residues(z.residue, self, precisions)
         return [PadicInt(r, self.p, d) for r, d in zip(residues, precisions)]
 
@@ -420,7 +419,7 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     Everything runs on plain residues, each term t^j / j divided by
     :func:`_divide_index`, so the result is the true log u mod p^W.
     """
-    _require_principal(u, "plog argument")
+    require_principal(u, "plog argument")
     p, working = u.p, budget.target
     k = _split_point(p, working, 0, Valuation.of_residue(u.residue - 1, p, working).value)
     w = working + k
@@ -474,7 +473,7 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     one digit, so the result carries min(target, prec(s) - 1) digits, and
     InsufficientPrecision is raised for a one-digit s.
     """
-    _require_principal(s, "zeta_of argument")
+    require_principal(s, "zeta_of argument")
     if s.prec < 2:
         raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")
     wide = budget.target + 1

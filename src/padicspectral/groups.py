@@ -39,7 +39,6 @@ from .errors import (
     CertificationFailed,
     InsufficientPrecision,
     NormTooLarge,
-    NotPrincipal,
     NotPrincipalSpectrum,
     Refusal,
 )
@@ -47,10 +46,10 @@ from .functions import (
     PowerPlan,
     SeriesBudget,
     binomials,
-    is_principal_unit,
     log_one_plus_p,
     log_series,
     pexp,
+    require_principal,
     truncation_length,
     zeta_of,
 )
@@ -92,16 +91,23 @@ class UnitaryOperator(Frozen):
         )
 
 
-def _small_norm_certificate(v: PadicMatrix, err=NormTooLarge) -> StrongNormalCertificate:
-    """Certify a matrix with |V| < 1 through the p^w V' factorization."""
-    if v.is_zero():
-        ident = PadicMatrix.identity(v.n, v.p, v.prec)
-        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident)
+def _small_norm(v: PadicMatrix, err) -> int:
+    """The one |V| < 1 rule: w = v(V) >= 1 (prec V for V = 0), or ``err``
+    naming the first unit entry of V."""
     w = v.op_norm().value
     if w < 1:
         rows = enumerate(v.rows())
         unit = next((i, j) for i, r in rows for j, x in enumerate(r) if x % v.p)
         raise err(f"|V| = 1: entry {unit} is a unit")
+    return w
+
+
+def _small_norm_certificate(v: PadicMatrix, err) -> StrongNormalCertificate:
+    """Certify a matrix with |V| < 1 through the p^w V' factorization."""
+    if v.is_zero():
+        ident = PadicMatrix.identity(v.n, v.p, v.prec)
+        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident)
+    w = _small_norm(v, err)
     pw = v.p**w
     v1 = v.divide_exact(pw)
     try:
@@ -148,15 +154,6 @@ class GroupCheck(Frozen):
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "observed_valuation": self.observed.value,
-            "observed_exact": self.observed.is_finite,
-            "required_valuation": self.required,
-            "pass": self.ok,
-        }
-
 
 class OneParamGroup(Frozen):
     """A certified generator A, evaluable at any principal unit s.
@@ -180,8 +177,7 @@ class OneParamGroup(Frozen):
 
     def _coerce_unit(self, s) -> PadicInt:
         s = as_padic(s, self.p, self.budget.target)
-        if not is_principal_unit(s):
-            raise NotPrincipal(f"s = {s!r} is not congruent to 1 mod p")
+        require_principal(s, "s")
         return s
 
     # -- the group -------------------------------------------------------
@@ -338,9 +334,7 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     p = u1p.p
     n = u1p.n
     v = u1p - PadicMatrix.identity(n, p, u1p.prec)
-    norm = v.op_norm().value
-    if norm < 1:
-        raise NotPrincipalSpectrum("U(1+p) - I has norm 1")
+    norm = _small_norm(v, NotPrincipalSpectrum)
     out_prec = min(budget.target, u1p.prec - 1)
     if out_prec < 1:
         raise InsufficientPrecision("one digit of U(1+p) fixes no digit of A")

@@ -9,8 +9,8 @@ computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
-otherwise.  The inverse is one pivoting Gauss-Jordan pass, or, where
-Schur complements pay, blocks whose n^3 work is products, on the rows in
+otherwise.  The inverse is one pivoting Gauss-Jordan pass, or, from n = 8
+and two digits on, Schur blocks whose n^3 work is products, on the rows in
 the order forward elimination mod p gives.  These live apart from linalg
 because importing the package compiles every module, and its peak memory
 is set by the largest one.
@@ -26,15 +26,13 @@ from .errors import DivisionByHigherValuation
 
 # Winograd's inner product pays once n >= 8 and every entry of both
 # factors has at least 400 bits; packing rows pays once n >= 12 and the
-# entries of the two factors have at most 400 bits together; Schur blocks
-# pay once n >= 8 and n^2 bits(p^N) >= 36000 (measured on CPython 3.11
-# big integers).
+# entries of the two factors have at most 400 bits together (measured on
+# CPython 3.11 big integers); Schur blocks run once n >= 8 and N >= 2.
 _WINOGRAD_MIN_N = 8
 _WINOGRAD_MIN_BITS = 400
 _PACKED_MIN_N = 12
 _PACKED_MAX_BITS = 400
 _BLOCK_MIN_N = 8
-_BLOCK_MIN_WEIGHT = 36000
 
 
 def grid_matmul(a, b, mod: int) -> list[list[int]]:
@@ -131,7 +129,7 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """M^-1 mod ``mod`` = p^N for a square grid M; DivisionByHigherValuation
     when M mod p is singular.
 
-    Where Schur blocks do not pay (``_blocks_pay``), at N = 1 among others,
+    Where Schur blocks do not run (``_blocks_pay``), at N = 1 among others,
     Gauss-Jordan with pivoting inverts M in one pass.  Elsewhere forward
     elimination mod p first fixes a row order P, the pivot rows in turn, so
     the leading principal minors of P M are units (P M = L U with unit
@@ -195,10 +193,10 @@ def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
 
 
 def _blocks_pay(n: int, p: int, mod: int) -> bool:
-    """Whether Schur blocks beat Gauss-Jordan on an n x n grid mod p^N: once
-    n >= 8 and n^2 bits(p^N) >= 36000, and never at N = 1, where every
-    entry is a single digit."""
-    return mod > p and n >= _BLOCK_MIN_N and n * n * mod.bit_length() >= _BLOCK_MIN_WEIGHT
+    """Whether Schur blocks run on an n x n grid mod p^N: n >= 8 and N >= 2.
+    They beat Gauss-Jordan from (13,64,12) up, and lose at most 0.1 ms below
+    n^2 bits(p^N) of about 10,000, which no workload inverts at n >= 8."""
+    return mod > p and n >= _BLOCK_MIN_N
 
 
 def _block_inverse(m, p: int, mod: int) -> list[list[int]]:

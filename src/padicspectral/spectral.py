@@ -263,7 +263,7 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     """
     p, target = a.p, a.prec
     s = list(zip(*ahat.eigenvectors(residues)))
-    t = PadicMatrix(s, p, 1).inverse().rows()
+    t = kernels.grid_inverse(s, p, p)
     d = list(residues)
     g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
     h = 1

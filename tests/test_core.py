@@ -231,7 +231,7 @@ _REFUSALS = {
     "log-series-unit-entry": (
         lambda: generator_log_series(PadicMatrix([[1, 1], [0, 1]], 5, 4), _B4),
         NotPrincipalSpectrum,
-        "has norm 1",
+        r"^\|V\| = 1: entry \(0, 1\) is a unit$",
     ),
     "empty-matrix": (lambda: PadicMatrix([], 5, 4), ValueError, "at least 1 x 1"),
     "certifiable-above-p": (

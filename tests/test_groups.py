@@ -99,6 +99,25 @@ def test_evaluate_rejects_non_principal():
         g.evaluate(2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.evaluate(2),
+        lambda g: g.evaluate_mahler(2),
+        lambda g: g.verify_group_law(6, 2),
+        lambda g: g.lipschitz_check(2, 6),
+        lambda g: g.digit_limit_approxes(2, [1]),
+    ],
+    ids=["evaluate", "evaluate_mahler", "verify_group_law", "lipschitz_check", "digit_limit"],
+)
+def test_non_principal_s_has_one_refusal(call):
+    # every entry point of s refuses by functions.require_principal's rule
+    g = OneParamGroup(certify_strongly_normal(PadicMatrix.diagonal([0, 1], 5, 32)), BUDGETS[5])
+    match = r"^s must be congruent to 1 mod p, got PadicInt\(2, p=5, prec=32\)$"
+    with pytest.raises(NotPrincipal, match=match):
+        call(g)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_dual_path_agreement(p):
     b = BUDGETS[p]
@@ -198,6 +217,18 @@ def test_stone_one_digit_eigenvalue():
 def test_stone_refuses_norm_one():
     with pytest.raises(NotPrincipalSpectrum):
         stone_recover(PadicMatrix([[1, 1], [0, 6]], 5, 32), BUDGETS[5])
+
+
+def test_norm_one_has_one_refusal():
+    # |V| = 1 names the same unit entry of V = U(1+p) - I on every route
+    v = PadicMatrix([[0, 1], [0, 5]], 5, 32)
+    u = PadicMatrix.identity(2, 5, 32) + v
+    match = r"^\|V\| = 1: entry \(0, 1\) is a unit$"
+    with pytest.raises(NormTooLarge, match=match):
+        make_unitary(v)
+    for route in (stone_recover, generator_log_series):
+        with pytest.raises(NotPrincipalSpectrum, match=match):
+            route(u, BUDGETS[5])
 
 
 def test_stone_refuses_uncertifiable_principal_part():
@@ -440,10 +471,9 @@ def test_group_check_reporting():
         certify_strongly_normal(PadicMatrix([[0, 1], [2, 1]], 5, 32)), BUDGETS[5]
     )
     chk = g.verify_group_law(6, 26)
-    d = chk.to_dict()
-    assert d["pass"] is True
-    assert d["check"] == "group-law"
-    assert d["observed_valuation"] >= d["required_valuation"]
+    assert chk.check == "group-law"
+    assert chk.ok
+    assert chk.observed.value >= chk.required
     assert bool(chk) is chk.ok
 
 

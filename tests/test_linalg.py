@@ -413,6 +413,12 @@ def _inverse_input(rng, p, prec, n, shape):
 @example(p=5, prec=128, n=13, seed=3, shape="reversed")
 @example(p=3, prec=128, n=15, seed=2, shape="random")
 @example(p=3, prec=128, n=15, seed=4, shape="random")
+# blocks at the CLI's size (13,64,12) and down to n^2 bits(p^N) of 1,008
+@example(p=13, prec=64, n=12, seed=6, shape="sampled")
+@example(p=5, prec=32, n=12, seed=7, shape="reversed")
+@example(p=31, prec=8, n=16, seed=8, shape="random")
+@example(p=5, prec=8, n=8, seed=9, shape="sampled")
+@example(p=3, prec=4, n=12, seed=10, shape="reversed")
 # Gauss-Jordan alone at precision 1
 @example(p=31, prec=1, n=20, seed=5, shape="reversed")
 def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
@@ -436,6 +442,9 @@ def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
 @given(p=st.sampled_from([3, 5, 31, 65521]), prec=st.integers(1, 300), seed=st.integers(0, 2**32))
 @example(p=31, prec=128, seed=0)
 @example(p=3, prec=2, seed=1)
+@example(p=65521, prec=2, seed=2)
+@example(p=5, prec=10, seed=3)
+@example(p=3, prec=1, seed=4)
 def test_unit_inverse_matches_pow(p, prec, seed):
     # core.unit_inverse (the pivots, exact division, PadicInt.inverse) by
     # Newton's iteration gives pow's inverse at every precision
