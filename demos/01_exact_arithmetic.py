@@ -8,10 +8,11 @@ precision loss visible instead of hiding it.
 Run:  python3 demos/01_exact_arithmetic.py
 """
 
-from padicspectral import PadicInt, Prime, Valuation
+from padicspectral import PadicInt, Valuation
+from padicspectral.core import validate_prime
 from padicspectral.errors import DivisionByHigherValuation
 
-p = Prime(5)
+p = validate_prime(5)
 N = 8
 
 print("=== construction and canonical residues ===")

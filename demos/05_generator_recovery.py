@@ -66,8 +66,9 @@ s = sample_principal_unit(rng, p, N)
 reference = group.evaluate(s).matrix
 print("cutting zeta(s) after its p^n digit; proven error bound is n+2 digits:")
 print(f"{'n':>3} {'observed':>9} {'bound':>6}")
-for n in range(0, 13, 2):
-    err = (group.digit_limit_approx(s, n) - reference).op_norm()
+ns = range(0, 13, 2)
+for n, approx in zip(ns, group.digit_limit_approxes(s, ns)):
+    err = (approx - reference).op_norm()
     print(f"{n:>3} {err.value:>9} {digit_truncation_error(n, p):>6}")
 
 print()

@@ -48,9 +48,8 @@ def _add_global_flags(parser, suppress: bool) -> None:
     # copies use SUPPRESS so an absent flag never clobbers the root value
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--p", type=int, default=d(None), help="the input's prime")
-    parser.add_argument(
-        "--prec", type=int, default=d(32), help="target digits (default 32)"
-    )
+    prec_help = "target digits of a bare matrix (default 32); a group bundle keeps its own"
+    parser.add_argument("--prec", type=int, default=d(32), help=prec_help)
     parser.add_argument("--seed", type=int, default=d(42), help="sampling seed")
 
 

@@ -24,7 +24,7 @@ from .errors import (
     PrimeMismatch,
 )
 
-__all__ = ["Prime", "Valuation", "PadicInt"]
+__all__ = ["Valuation", "PadicInt"]
 
 # Desk-scale bounds on input; the residue eigenvalue scan walks all of F_p.
 MAX_PRIME = 2**16
@@ -94,13 +94,6 @@ def from_decimal(s) -> int:
     for i in range(first, len(digits), _DIGITS):
         n = n * _CHUNK + int(digits[i : i + _DIGITS])
     return -n if s[0] == "-" else n
-
-
-class Prime(int):
-    """An odd prime, validated at construction."""
-
-    def __new__(cls, p: int) -> "Prime":
-        return super().__new__(cls, validate_prime(p))
 
 
 class Frozen:
@@ -195,12 +188,6 @@ class Valuation(Frozen):
             v += 1
         return cls.exact(v)
 
-    def cap(self, prec: int) -> "Valuation":
-        """Clamp to what precision ``prec`` can distinguish."""
-        if self.value >= prec:
-            return Valuation.at_least(prec)
-        return self
-
     def __repr__(self):
         return f"v>={self.value}" if self.open_ended else f"v={self.value}"
 
@@ -234,19 +221,9 @@ class PadicValue(Frozen):
             )
         return self.at_prec(prec)
 
-    def lift_to(self, prec: int):
-        """Reinterpret at higher precision with zero digits appended.
-
-        This is the canonical lift: the new digits are a choice, so the
-        result represents *some* preimage of the value.  Series code uses
-        it internally and accounts for the ambiguity in its error bounds.
-        """
-        if prec < self.prec:
-            raise ValueError("lift_to cannot lower precision; use truncate_to")
-        return self.at_prec(prec)
-
     def at_prec(self, prec: int):
-        """This value at exactly ``prec`` digits: the zero-digit lift or the truncation."""
+        """This value at exactly ``prec`` digits: the truncation, or the lift by
+        zero digits; the new digits are a choice, so a lift is *some* preimage."""
         return self if prec == self.prec else self._at(prec)
 
     def _congruence_modulus(self, prec: int, digits: int) -> int:

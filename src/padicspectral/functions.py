@@ -6,7 +6,7 @@ here, one home per series: _log_terms for the logarithm, which both
 log_series (on a PadicInt with operator.mul or a PadicMatrix with
 operator.matmul) and plog, the one scalar log, follow; binomials for the
 Mahler series, on either type as well; and _power_residues for the power
-series, entered only through PowerPlan.powers, which principal_powers (so
+series, entered only through PowerPlan.powers, which principal_power (so
 pexp) and the groups call.  Each series bounds the division loss it is
 about to incur, so the target digits are a guarantee, not a hope, and no
 caller adds digits of its own except for the one that the division by
@@ -57,7 +57,7 @@ __all__ = [
     "is_principal_unit",
     "mahler_coeff",
     "principal_power",
-    "principal_powers",
+    "PowerPlan",
     "plog",
     "pexp",
     "zeta_of",
@@ -209,14 +209,9 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
 
 
 def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
-    """(1 + z)^lam: the one-exponent case of :func:`principal_powers`."""
-    return principal_powers(z, [lam], budget)[0]
-
-
-def principal_powers(z: PadicInt, lams, budget: SeriesBudget) -> list[PadicInt]:
-    """(1 + z)^lam for |z| < 1 and each lam in Z_p (a PadicInt or an int >= 0):
-    the powers of a :class:`PowerPlan` of ``lams`` built for this call."""
-    return PowerPlan(z.p, lams, budget).powers(z)
+    """(1 + z)^lam for |z| < 1 and lam in Z_p (a PadicInt or an int >= 0):
+    the one power of a :class:`PowerPlan` of lam built for this call."""
+    return PowerPlan(z.p, [lam], budget).powers(z)[0]
 
 
 class PowerPlan:

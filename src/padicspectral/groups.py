@@ -241,10 +241,6 @@ class OneParamGroup(Frozen):
         required = min((s1 - s2).valuation().value, diff.prec)
         return GroupCheck("lipschitz", diff.op_norm(), required)
 
-    def digit_limit_approx(self, s, n: int) -> PadicMatrix:
-        """The one-n case of :meth:`digit_limit_approxes`."""
-        return self.digit_limit_approxes(s, [n])[0]
-
     def digit_limit_approxes(self, s, ns) -> list[PadicMatrix]:
         """For each n in ns, U(1+p) raised to the first n+1 base-p digits of
         zeta(s), with zeta(s) and U(1+p) computed once (not at all for no n).

@@ -64,10 +64,9 @@ def _matrix(grid, p: int, prec: int) -> "PadicMatrix":
 class PadicMatrix(PadicValue):
     """An n x n matrix of p-adic integers sharing one prime and precision.
 
-    Entries are stored as canonical integer residues; ``entry(i, j)``
-    wraps one as a :class:`PadicInt`.  Binary operations require equal
-    primes and dimensions and combine precision by minimum, matching the
-    scalar rules.
+    Entries are stored as canonical integer residues, read by ``rows()``.
+    Binary operations require equal primes and dimensions and combine
+    precision by minimum, matching the scalar rules.
     """
 
     __slots__ = ("n", "_e")
@@ -98,10 +97,6 @@ class PadicMatrix(PadicValue):
         return cls.diagonal([1] * n, p, prec)
 
     @classmethod
-    def zeros(cls, n: int, p: int, prec: int) -> "PadicMatrix":
-        return cls.diagonal([0] * n, p, prec)
-
-    @classmethod
     def diagonal(cls, diag, p: int, prec: int) -> "PadicMatrix":
         n = len(diag)
         return cls(
@@ -111,9 +106,6 @@ class PadicMatrix(PadicValue):
         )
 
     # -- queries -------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> PadicInt:
-        return PadicInt(self._e[i][j], self.p, self.prec)
 
     def rows(self):
         return self._e

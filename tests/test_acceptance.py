@@ -111,7 +111,7 @@ def test_criterion_04_spectral_algebra():
             cert = certify_strongly_normal(a)
             d = cert.precision
             ident = PadicMatrix.identity(n, p, d)
-            zero = PadicMatrix.zeros(n, p, d)
+            zero = PadicMatrix.diagonal([0] * n, p, d)
             total, recon = zero, zero
             for i, (lam, e) in enumerate(zip(cert.eigenvalues, cert.projectors)):
                 ok = ok and (e @ e).congruent(e, d)
@@ -188,8 +188,8 @@ def test_criterion_08_digit_convergence():
         g = sample_group(rng, p, PREC, n_dim, b)
         s = sample_principal_unit(rng, p, PREC)
         reference = g.evaluate(s).matrix
-        for n in range(26):
-            err = (g.digit_limit_approx(s, n) - reference).op_norm()
+        for n, approx in enumerate(g.digit_limit_approxes(s, range(26))):
+            err = (approx - reference).op_norm()
             ok = ok and err.value >= digit_truncation_error(n, p)
     _report(8, "digit-truncation convergence, p=5, error >= n+2 for n <= 25", ok)
 

@@ -19,7 +19,6 @@ from padicspectral import (
     pexp,
     plog,
     principal_power,
-    principal_powers,
     truncation_length,
     zeta_of,
 )
@@ -156,7 +155,7 @@ def _exponents(p):
     n=st.sampled_from([0, 1, 4, 16]),
     data=st.data(),
 )
-def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
+def test_planned_powers_match_one_at_a_time(p, zprec, target, n, data):
     # each power against one builtin pow, in residue and in precision: an
     # exponent's digits fix the power to v(z) more digits than they number;
     # v(z) runs past prec z, so z = 0 at its precision comes up too
@@ -171,7 +170,7 @@ def test_principal_powers_match_one_at_a_time(p, zprec, target, n, data):
         else:
             e, prec = lam.residue, min(target, zprec, lam.prec + vz)
         expected.append(PadicInt(pow(1 + z.residue, e, p**prec), p, prec))
-    assert principal_powers(z, lams, SeriesBudget(target)) == expected
+    assert functions.PowerPlan(p, lams, SeriesBudget(target)).powers(z) == expected
 
 
 def _pinned_jobs(p, m, n):
@@ -247,7 +246,7 @@ def _valuation(z):
 
 
 def _pow_reference(z, lams, target):
-    """Each (1+z)^lam by one builtin pow, at principal_powers' precision."""
+    """Each (1+z)^lam by one builtin pow, at PowerPlan.powers' precision."""
     out = []
     for lam in lams:
         prec = min(target, z.prec)
@@ -294,7 +293,7 @@ def test_power_plan_matches_pow(case):
     for z in zs:
         expected = _pow_reference(z, lams, target)
         assert plan.powers(z) == expected
-        assert principal_powers(z, lams, budget) == expected
+        assert functions.PowerPlan(p, lams, budget).powers(z) == expected
 
 
 @pytest.mark.parametrize("p,prec,n", [(3, 40, 1), (5, 64, 4), (31, 128, 16)])

@@ -66,7 +66,7 @@ def test_refusals():
     with pytest.raises(DegenerateReduction):
         certify_strongly_normal(PadicMatrix.identity(2, 5, 32))
     with pytest.raises(DegenerateReduction):
-        certify_strongly_normal(PadicMatrix.zeros(2, 5, 32))
+        certify_strongly_normal(PadicMatrix.diagonal([0] * 2, 5, 32))
     with pytest.raises(DegenerateReduction):
         # scalar residue with non-scalar deeper digits is still degenerate
         certify_strongly_normal(PadicMatrix([[1, 5], [0, 1]], 5, 32))
@@ -99,7 +99,7 @@ def test_idempotent_algebra_random(p):
         cert = certify_strongly_normal(a)
         d = cert.precision
         ident = PadicMatrix.identity(n, p, d)
-        zero = PadicMatrix.zeros(n, p, d)
+        zero = PadicMatrix.diagonal([0] * n, p, d)
         total = zero
         recon = zero
         for lam, e in zip(cert.eigenvalues, cert.projectors):
@@ -279,7 +279,7 @@ def test_certificate_round_trip(p, prec, n, zero, seed):
     rng = Random(seed)
     n = min(n, p)
     if zero:
-        cert = make_unitary(PadicMatrix.zeros(n, p, prec)).cert
+        cert = make_unitary(PadicMatrix.diagonal([0] * n, p, prec)).cert
     elif n == 1:
         cert = certify_strongly_normal(PadicMatrix([[rng.randrange(p**prec)]], p, prec))
     else:
@@ -451,7 +451,7 @@ def _sourced_certificate(source, rng, p, prec, n):
     if source == "unitary":
         return make_unitary(PadicMatrix([[p * x for x in r] for r in a.rows()], p, prec)).cert
     if source == "zero":
-        return make_unitary(PadicMatrix.zeros(n, p, prec)).cert
+        return make_unitary(PadicMatrix.diagonal([0] * n, p, prec)).cert
     if source == "stone-identity":
         return stone_recover(PadicMatrix.identity(n, p, prec), budget).cert
     return OneParamGroup(certify_strongly_normal(a), budget).evaluate(1).cert
@@ -494,7 +494,7 @@ def test_certificate_file_holds_three_fields(p, prec, n, source, older, seed):
 
 def test_zero_matrix_certificate_keeps_one_spectral_point():
     # the lone eigenvalue 0 owns all three columns of S = I
-    u = make_unitary(PadicMatrix.zeros(3, 5, 16))
+    u = make_unitary(PadicMatrix.diagonal([0] * 3, 5, 16))
     assert [x.residue for x in u.unit_spectrum()] == [1]
     assert len(u.cert.eigenvalues) == 1
     assert u.cert.projectors == (PadicMatrix.identity(3, 5, 16),)
@@ -529,7 +529,7 @@ def _reference_lift(a, ahat, residues):
     while e < target:
         e = min(2 * e, target)
         mod = p**e
-        s, t = s.lift_to(e), t.lift_to(e)
+        s, t = s.at_prec(e), t.at_prec(e)
         c = (t @ (a.truncate_to(e) @ s - s.scale_columns(d))).rows()
         x = [[cij * gij for cij, gij in zip(ci, gi)] for ci, gi in zip(c, g)]
         d = [(di + c[i][i]) % mod for i, di in enumerate(d)]
