@@ -1,9 +1,9 @@
 """Algorithms on plain grids of integers mod p^N: the product kernel and
 the inverse.
 
-``PadicMatrix`` (linalg) and the eigenbasis lift (spectral), the only
-importers, call these on canonical residues, each as ``kernels.grid_matmul``
-or ``kernels.grid_inverse``, so a counter set there sees every call.
+``PadicMatrix`` (linalg) and spectral's lift and rank check, the only
+importers, call these on canonical residues, each as ``kernels.grid_matmul``,
+``kernels.grid_inverse`` or ``kernels.row_order``, so a counter sees every call.
 Each picks its algorithm from the operands alone, and every choice
 computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
@@ -138,7 +138,7 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """
     if not _blocks_pay(len(m), p, mod):
         return _gauss_jordan(m, p, mod)
-    order = _row_order(m, p)
+    order = row_order(m, p)
     grid = _block_inverse([m[i] for i in order], p, mod)
     cols = sorted(range(len(m)), key=order.__getitem__)
     return [[row[k] for k in cols] for row in grid]
@@ -156,9 +156,9 @@ def _pivot(a, col: int, p: int) -> int:
     return piv
 
 
-def _row_order(m, p: int) -> list[int]:
-    """The pivot rows of forward elimination on M mod p, in turn: M's rows
-    taken in that order have unit leading principal minors."""
+def row_order(m, p: int) -> list[int]:
+    """The pivot rows of forward elimination on M mod p, in turn, so P M has
+    unit leading principal minors: M's rank check, refusing as the inverse does."""
     a = [[x % p for x in r] for r in m]
     order = list(range(len(a)))
     for col in range(len(a)):

@@ -3,10 +3,10 @@
 A matrix A over Z_p whose reduction mod p has n distinct eigenvalues in
 F_p diagonalizes over Z_p: A S = S D with D = diag(lambda_i) and S
 invertible.  The certificate stores A, S and the eigenvalues; S^-1 is
-S's own inverse, found once.  S comes from eigenvectors of the reduction
-over F_p, lifted by Newton's method, which doubles the correct digits
-per step and costs no precision (X. Caruso, *Computations with p-adic
-numbers*, arXiv:1701.06794; see :func:`_lift_eigenbasis`).
+S's own inverse, found where a result reads it.  S comes from eigenvectors
+of the reduction over F_p, lifted by Newton's method, which doubles the
+correct digits per step and costs no precision (X. Caruso, *Computations
+with p-adic numbers*, arXiv:1701.06794; see :func:`_lift_eigenbasis`).
 
 The spectral idempotents are E_i = S e_i e_i^T S^-1, built on demand.
 They back the projection-valued measure E(S) = sum_{i in S} E_i and the
@@ -43,7 +43,7 @@ class StrongNormalCertificate(Frozen):
     """A verified eigenbasis A S = S D, so that A = sum lambda_i E_i.
 
     ``basis`` is S, and ``basis_inverse`` is S^-1, S's own inverse, found
-    on first use and kept in the ``_memo`` slot.  Eigenvalue i owns column
+    on first read and kept in the ``_memo`` slot.  Eigenvalue i owns column
     i of S, or a lone eigenvalue owns every column (A = lambda I, E = I:
     the trivial certificate of the zero matrix); so there are 1 or n
     eigenvalues, and D repeats each over the columns it owns.  The
@@ -57,6 +57,9 @@ class StrongNormalCertificate(Frozen):
 
     def __init__(self, matrix: PadicMatrix, eigenvalues, basis: PadicMatrix):
         eigenvalues = tuple(eigenvalues)
+        kinds = [PadicMatrix, PadicMatrix] + [PadicInt] * len(eigenvalues)
+        if not all(map(isinstance, (matrix, basis, *eigenvalues), kinds)):
+            raise TypeError("certificate takes PadicMatrix A and S and PadicInt eigenvalues")
         if not eigenvalues:
             raise ValueError("certificate needs at least one spectral point")
         if len(eigenvalues) not in (1, matrix.n):
@@ -82,8 +85,8 @@ class StrongNormalCertificate(Frozen):
 
     @property
     def basis_inverse(self) -> PadicMatrix:
-        """S^-1, inverted from S on first use and kept; DivisionByHigherValuation
-        when S mod p is singular, which :meth:`verify` refuses first."""
+        """S^-1, inverted from S on first read and kept: S's one inversion.
+        DivisionByHigherValuation for S singular mod p, which verify refuses."""
         if self._memo is None:
             self._set(_memo=self.basis.inverse())
         return self._memo
@@ -98,20 +101,20 @@ class StrongNormalCertificate(Frozen):
 
     def reuse_basis(self, matrix: PadicMatrix, eigenvalues) -> "StrongNormalCertificate":
         """A certificate for another matrix diagonal in the same basis, which
-        takes this one's S^-1 along, so that it never inverts S again.
+        takes this one's S^-1 along if it was read, and never inverts S.
 
         Not verified again: it holds when ``matrix`` S = S D by construction
         and its precision is at most this certificate's.
         """
         cert = StrongNormalCertificate(matrix, eigenvalues, self.basis)
-        cert._set(_memo=self.basis_inverse)
+        cert._set(_memo=self._memo)
         return cert
 
     def verify(self) -> None:
         """Re-check the certificate; raise CertificationFailed.
 
         One product checks A S = S D as an exact congruence at certificate
-        precision d, and inverting S checks that S mod p is invertible.
+        precision d, and forward elimination mod p that S mod p has full rank.
         Over Z/p^d, S is invertible exactly when S mod p is, and then its
         inverse S^-1 is unique, with S S^-1 = S^-1 S = I; so A = S D S^-1
         exactly.  With P_i the diagonal 0/1 matrix selecting the columns of
@@ -132,7 +135,7 @@ class StrongNormalCertificate(Frozen):
                 "stored eigenvalues"
             )
         try:
-            self.basis_inverse
+            kernels.row_order(s.rows(), self.p)
         except DivisionByHigherValuation as e:
             raise CertificationFailed("S mod p is singular: its columns are no basis") from e
 
@@ -256,8 +259,8 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     T += p^h T Y' inverts S mod p^e.  Only A S and S T multiply e-digit
     entries.  G is inverted once mod p; G <- G (2 - (d_j - d_i) G) mod p^e
     keeps it exact, as d moves by multiples of p^h.  The last step runs
-    only A S, T R' and S X': nothing reads G or T after it, and the
-    certificate inverts the final S itself.  A division with a remainder
+    only A S, T R' and S X': nothing reads G or T after it, and the final
+    S is inverted only where a result reads S^-1.  A division with a remainder
     raises CertificationFailed.  Works on grids of residues; returns
     (S, eigenvalues) at A's precision.
     """

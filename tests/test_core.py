@@ -255,6 +255,16 @@ _REFUSALS = {
         DimensionMismatch,
         "^2 eigenvalues in dimension 3$",
     ),
+    "certificate-types": (
+        lambda: StrongNormalCertificate(_M5, [1, 2], _CERT5.basis),
+        TypeError,
+        "^certificate takes PadicMatrix A and S and PadicInt eigenvalues$",
+    ),
+    "certificate-list-basis": (
+        lambda: StrongNormalCertificate(_M5, _CERT5.eigenvalues, [[1, 0], [0, 1]]),
+        TypeError,
+        "^certificate takes PadicMatrix A and S and PadicInt eigenvalues$",
+    ),
     "certificate-prime": (
         lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),
         PrimeMismatch,

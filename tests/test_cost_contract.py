@@ -7,11 +7,14 @@ algorithms it picks, and counts of its calls are exact on any host,
 so they can gate where timings cannot.
 Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
 of 5 products each, except the last, which runs 3.  Verifying a
-certificate takes 1 more, and inverting its basis S, once per basis,
-takes the inverse's Schur products where blocks pay (none below n = 8).
-Certificates derived from a verified one (evaluate, make_unitary, stone)
-are not verified again, and take its S^-1 along.  The lift inverts each
-difference of residue eigenvalues once, mod p, and no divisor after that.
+certificate takes 1 more, A S = S D, and checks that S mod p has full
+rank by forward elimination mod p, which runs no product.  Inverting S,
+once per basis and only where a result reads S^-1 (evaluate, stone's
+generator, the projectors), takes the inverse's Schur products where
+blocks pay (none below n = 8).  Certificates derived from a verified one
+(evaluate, make_unitary, stone) are not verified again, and take its
+S^-1 along when it has been read.  The lift inverts each difference of
+residue eigenvalues once, mod p, and no divisor after that.
 Principal powers pass no pow an exponent above p^k, k from the split's
 cost model, so a full-length pow per eigenvalue cannot come back.
 
@@ -60,8 +63,8 @@ def _inverse_products(n, p, prec):
 
 
 def _certify(n, p, prec):
-    """Products to certify at prec digits: the lift, verify and S^-1."""
-    return 5 * _steps(prec) - 2 + 1 + _inverse_products(n, p, prec)
+    """Products to certify at prec digits: the lift and verify's A S."""
+    return 5 * _steps(prec) - 2 + 1
 
 
 def _length(x, p):
@@ -103,7 +106,7 @@ def matmuls(products):
 @pytest.mark.parametrize(
     "p,prec,n,w,pinned",
     [
-        (31, 128, 16, 1, (52, 1, 4, 19, 52, 53)),
+        (31, 128, 16, 1, (34, 1, 4, 1, 34, 53)),
         (7, 64, 5, 2, None),
         (5, 33, 3, 1, None),
     ],
@@ -127,13 +130,17 @@ def test_matmul_counts(matmuls, p, prec, n, w, pinned):
         matmuls(lambda: make_unitary(v)),
         matmuls(lambda: stone_recover(u1p, budget)),
     )
+    # from_dict verifies and inverts nothing; make_unitary reads no S^-1;
+    # stone certifies V' = V / p^w, inverts its S for A = S diag S^-1, and
+    # multiplies once for that A
+    prec_v = u1p.prec - w_stone
     assert counts == (
         _certify(n, p, prec),
         1,
         4,
-        1 + _inverse_products(n, p, prec),
+        1,
         _certify(n, p, prec - w),
-        _certify(n, p, u1p.prec - w_stone) + 1,
+        _certify(n, p, prec_v) + _inverse_products(n, p, prec_v) + 1,
     )
     if pinned is not None:
         assert counts == pinned
@@ -212,9 +219,10 @@ def test_power_rows_are_built_once_per_group(monkeypatch):
 
 
 def test_basis_is_inverted_once(monkeypatch):
-    # S^-1 has one source, the inverse of S, found where the certificate is
-    # made or read; evaluate, the checks and stone's derived group invert
-    # nothing after that
+    # S^-1 has one source, the inverse of S, found where a result first
+    # reads it: neither certify's nor from_dict's verify inverts S, a group
+    # inverts it on its first evaluation, and evaluate, the checks and
+    # stone's derived group invert nothing after that
     inverted = []
     inverse = kernels.grid_inverse
 
@@ -234,15 +242,18 @@ def test_basis_is_inverted_once(monkeypatch):
     a = sample_certifiable_matrix(rng, p, prec, n)
     budget = SeriesBudget(prec)
     s1, s2 = (sample_principal_unit(rng, p, prec) for _ in range(2))
-    # the lift's start inverts S mod p, and verify inverts the final S
-    assert inversions(lambda: certify_strongly_normal(a)) == 2
+    # the lift's start inverts S mod p, and verify checks S's rank mod p
+    assert inversions(lambda: certify_strongly_normal(a)) == 1
     groups = [OneParamGroup(certify_strongly_normal(a), budget)]
     data = groups[0].to_dict()
-    assert inversions(lambda: groups.append(OneParamGroup.from_dict(data))) == 1
+    assert inversions(lambda: groups.append(OneParamGroup.from_dict(data))) == 0
+    assert inversions(lambda: groups[0].evaluate(1 + p)) == 1
     u1p = groups[0].evaluate(1 + p).matrix
+    # the lift's start for V's basis, and that S, read for A = S diag S^-1
     assert inversions(lambda: groups.append(stone_recover(u1p, budget))) == 2
-    for g in groups:
-        assert inversions(lambda: g.evaluate(s1)) == 0
+    # the read group inverts S on its first evaluation and never again
+    for g, first in zip(groups, (0, 1, 0)):
+        assert inversions(lambda: g.evaluate(s1)) == first
         assert inversions(lambda: g.verify_group_law(s1, s2)) == 0
         assert inversions(lambda: g.lipschitz_check(s1, s2)) == 0
         assert inversions(lambda: g.cert.projectors) == 0
@@ -256,12 +267,11 @@ def test_certify_digit_weight(products):
         for m, x, y in products(lambda: certify_strongly_normal(a))
     )
     # the lift's steps h = 1, 2, ..., 32 at 7 h^2 each and h = 64 at 4 h^2,
-    # verify's product of 128-digit entries, and the inverse's Schur
-    # products of 128-digit entries: six of 8 x 8 blocks, twelve of 4 x 4
+    # and verify's product of 128-digit entries; the rank check multiplies
+    # nothing, and S is not inverted
     lift = 7 * sum(4**i for i in range(6)) + 4 * 4**6
-    inverse = 6 * (n // 2) ** 3 + 12 * (n // 4) ** 3
-    assert weight == n**3 * (lift + prec**2) + inverse * prec**2
-    assert weight == 236_269_568
+    assert weight == n**3 * (lift + prec**2)
+    assert weight == 173_355_008
 
 
 def test_converge_products_grow_linearly(matmuls):

@@ -1,6 +1,7 @@
 """Matrix norm, reduction, residue characteristic polynomials and eigenvectors."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -320,11 +321,11 @@ def test_product_kernels_agree(n, seed, bits, kinds, extra):
 
 def test_kernel_choice(monkeypatch):
     # Winograd runs only where both factors have long entries: verify's one
-    # product, the inverse's six 8 x 8 Schur products and the spectral
-    # operator at (31,128,16), not the lift's products, n = 4, (13,64,12)
-    # or a product with a diagonal factor.  Packed rows run only in the
-    # lift, on its products of short entries at n >= 12: 28 of 33 at
-    # (31,128,16) and all 28 at (13,64,12)
+    # product, the inverse's six 8 x 8 Schur products on S^-1's first read
+    # and the spectral operator at (31,128,16), not the lift's products,
+    # n = 4, (13,64,12) or a product with a diagonal factor.  Packed rows
+    # run only in the lift, on its products of short entries at n >= 12:
+    # 28 of 33 at (31,128,16) and all 28 at (13,64,12)
     calls = Counter()
 
     def counted(name):
@@ -348,7 +349,8 @@ def test_kernel_choice(monkeypatch):
     a = sample_certifiable_matrix(Random(4200), p, prec, n)
     cert = certify_strongly_normal(a)
     assert kernel_calls(cert.verify) == (1, 0)
-    assert kernel_calls(lambda: certify_strongly_normal(a)) == (7, 28)
+    assert kernel_calls(lambda: certify_strongly_normal(a)) == (1, 28)
+    assert kernel_calls(lambda: cert.basis_inverse) == (6, 0)
     assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (1, 0)
     diag = PadicMatrix.diagonal([e.residue for e in cert.eigenvalues], p, prec)
     assert kernel_calls(lambda: cert.basis @ diag) == (0, 0)
@@ -433,7 +435,7 @@ def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
             m.inverse()
         return
     inv = m.inverse()
-    order = kernels._row_order(rows, p)
+    order = kernels.row_order(rows, p)
     leaf = kernels._gauss_jordan([rows[i] for i in order], p, p**prec)
     assert [[r[i] for i in order] for r in inv.rows()] == leaf
     assert m @ inv == inv @ m == PadicMatrix.identity(n, p, prec)
@@ -457,7 +459,7 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
     # at (31,128,16) the inverse is 18 products (6 at n = 16, 6 in each of
     # its two 8 x 8 blocks); Gauss-Jordan alone at precision 1 and below
     # n = 8, so the lift's start adds none: certification is the lift's 33
-    # products, verify's one and the inverse of S
+    # products and verify's one, whose rank check mod p multiplies nothing
     log = []
     kernel = kernels.grid_matmul
 
@@ -478,7 +480,7 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
     assert products(s.truncate_to(1).inverse) == 0
     assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 0
     a = sample_certifiable_matrix(Random(4402), p, prec, n)
-    assert products(lambda: certify_strongly_normal(a)) == 33 + 1 + 18
+    assert products(lambda: certify_strongly_normal(a)) == 33 + 1
     # a singular reduction is refused before any product runs
     rows = [list(r) for r in s.rows()]
     rows[-1] = [(x + y + p * 7) % p**prec for x, y in zip(rows[0], rows[1])]
@@ -614,6 +616,34 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _newer_syntax(source: str, tree) -> list[int]:
+    """Lines of Python 3.11 syntax that ast.parse with feature_version
+    (3, 10) still accepts: a starred element in a subscript not wrapped in
+    parentheses (a[*b]; a[(*b,)] is 3.10 and parses the same, so the source
+    decides), and a starred *args annotation (def f(*a: *T))."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            segment = ast.get_source_segment(source, node.slice)
+            bare = not (segment.startswith("(") and segment.endswith(")"))
+            if bare and any(isinstance(e, ast.Starred) for e in node.slice.elts):
+                out.append(node.lineno)
+        elif isinstance(node, ast.arguments) and node.vararg is not None:
+            if isinstance(node.vararg.annotation, ast.Starred):
+                out.append(node.vararg.lineno)
+    return out
+
+
+def _parse_310(path: Path):
+    """The module at ``path``, parsed as Python 3.10; AssertionError on
+    3.11 syntax that the parser's feature_version lets through."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path), feature_version=(3, 10))
+    newer = _newer_syntax(source, tree)
+    assert not newer, f"{path.name} uses syntax newer than 3.10 at lines {newer}"
+    return tree
+
+
 def _functions(tree):
     """(name, node) of each module-level function and each method, a
     method named Class.method."""
@@ -655,28 +685,30 @@ def _kept_containers(tree) -> list:
 
 def test_correctness_guards_raise():
     # correctness checks are exceptions, not asserts, so they survive python -O;
-    # no module reaches into another's private names, so each rule
+    # no module imports or reads another's private names, so each rule
     # (a truncation length, a working precision) has one owning module;
     # the precision rules of scalars and matrices live in core alone; no
     # module but kernels binds the kernels by name, so a counter set on
     # kernels.grid_matmul sees every product; grids of residues live in
-    # kernels, linalg and the eigenbasis lift, so only linalg and spectral
-    # import kernels; every power series enters through PowerPlan.powers,
-    # the one caller of _power_residues; the power plan (PowerPlan and its
-    # rows, _binomial_row) is defined in functions alone, which keeps no
-    # module-level cache but log_one_plus_p's, so a plan lives exactly as
-    # long as its owner; every private function, method or module
-    # constant is used somewhere; and every module, test, demo and
-    # benchmark script parses as Python 3.10, the oldest supported version
-    # (syntax only: a newer stdlib API would still pass)
+    # kernels, linalg, the eigenbasis lift and the rank check, so only
+    # linalg and spectral import kernels; every power series enters through
+    # PowerPlan.powers, the one caller of _power_residues; the power plan
+    # (PowerPlan and its rows, _binomial_row) is defined in functions
+    # alone, which keeps no module-level cache but log_one_plus_p's, so a
+    # plan lives exactly as long as its owner; every private function,
+    # method or module constant is used somewhere; and every module, test,
+    # demo and benchmark script parses as Python 3.10, the oldest supported
+    # version, with the two 3.11 forms the parser's feature_version misses
+    # found by _newer_syntax (syntax only: a newer stdlib API would pass)
     root = Path(padicspectral.__file__).resolve().parent
+    modules = {path.stem for path in root.glob("*.py")}
     plan_names = {"PowerPlan", "_binomial_row"}
     plan_homes = set()
     precision_rules = {"truncate_to", "modulus"}
-    kernel_names = {"grid_matmul", "grid_inverse"}
+    kernel_names = {"grid_matmul", "grid_inverse", "row_order"}
     helpers, used, kernel_importers, power_callers = {}, set(), set(), set()
     for path in sorted(root.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        tree = _parse_310(path)
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and _is_private(node.name):
                 helpers[node.name] = path.name
@@ -714,6 +746,15 @@ def test_correctness_guards_raise():
             if _is_private(alias.name)
         ]
         assert not private, f"{path.name} imports private names {private}"
+        reached = [
+            (node.lineno, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ]
+        assert not reached, f"{path.name} reads private names {reached}"
         bound = [
             (node.lineno, alias.name)
             for node in ast.walk(tree)
@@ -742,7 +783,18 @@ def test_correctness_guards_raise():
     assert not orphans, f"private names defined and never used: {orphans}"
     top = Path(__file__).resolve().parent.parent
     for path in sorted(p for d in ("tests", "demos", "bench") for p in (top / d).rglob("*.py")):
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        _parse_310(path)
+
+
+def test_newer_syntax_is_found():
+    # the 3.10 parser refuses a[*b] and def f(*a: *T) itself; a newer one
+    # parses both, and the guard above finds them, but not a[(*b,)]
+    source = "x = a[*b]\ny = a[(*b,)]\ndef f(*a: *T): pass\n"
+    if sys.version_info < (3, 11):
+        with pytest.raises(SyntaxError):
+            ast.parse(source)
+        return
+    assert _newer_syntax(source, ast.parse(source)) == [1, 3]
 
 
 def _moved(x, t):

@@ -22,6 +22,7 @@ from padicspectral import kernels, spectral
 from padicspectral.errors import (
     CertificationFailed,
     DegenerateReduction,
+    DivisionByHigherValuation,
     DimensionMismatch,
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
@@ -436,6 +437,50 @@ def test_verify_rejects_corruptions_random(p):
         for eigenvalues, basis in cases:
             with pytest.raises(CertificationFailed):
                 StrongNormalCertificate(a, eigenvalues, basis).verify()
+
+
+def _refuses(f, error) -> bool:
+    try:
+        f()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    prec=st.integers(2, 12),
+    n=st.integers(1, 9),
+    shape=st.sampled_from(["random", "invertible", "column-plus-p", "column-times-p"]),
+    seed=st.integers(0, 2**32),
+)
+def test_verify_refuses_exactly_the_singular_bases(p, prec, n, shape, seed):
+    # A = lam I gives A S = S D for every S, so S's rank mod p alone decides:
+    # verify and from_dict refuse exactly the S whose inverse is refused.
+    # Column j = column i + p t is singular mod p with no zero column, which
+    # a check of each column alone would pass
+    rng = Random(seed)
+    mod = p**prec
+    if shape == "invertible":
+        rows = [list(r) for r in sample_invertible_matrix(rng, p, prec, n).rows()]
+    else:
+        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+    i, j = rng.randrange(n), rng.randrange(n)
+    planted = shape == "column-times-p" or (shape == "column-plus-p" and i != j)
+    for r in rows:
+        if shape == "column-plus-p" and i != j:
+            r[j] = (r[i] + p * rng.randrange(mod)) % mod
+        elif shape == "column-times-p":
+            r[j] = p * r[j] % mod
+    s = PadicMatrix(rows, p, prec)
+    lam = PadicInt(rng.randrange(mod), p, prec)
+    cert = StrongNormalCertificate(PadicMatrix.diagonal([lam] * n, p, prec), [lam], s)
+    singular = _refuses(s.inverse, DivisionByHigherValuation)
+    assert singular or not planted
+    assert _refuses(cert.verify, CertificationFailed) == singular
+    doc = cert.to_dict()
+    assert _refuses(lambda: StrongNormalCertificate.from_dict(doc), ValueError) == singular
 
 
 def _sourced_certificate(source, rng, p, prec, n):
