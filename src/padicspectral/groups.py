@@ -77,6 +77,8 @@ class UnitaryOperator(Frozen):
     __slots__ = ("matrix", "cert")
 
     def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
+        if not (isinstance(matrix, PadicMatrix) and isinstance(cert, StrongNormalCertificate)):
+            raise TypeError("UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate")
         self._set(matrix=matrix, cert=cert)
 
     def unit_spectrum(self) -> list[PadicInt]:
@@ -165,6 +167,8 @@ class OneParamGroup(Frozen):
     __slots__ = ("cert", "budget", "_memo")  # _memo: the eigenvalues' PowerPlan
 
     def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
+        if not (isinstance(cert, StrongNormalCertificate) and isinstance(budget, SeriesBudget)):
+            raise TypeError("OneParamGroup takes a StrongNormalCertificate and a SeriesBudget")
         self._set(cert=cert, budget=budget, _memo=None)
 
     @property

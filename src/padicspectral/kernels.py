@@ -9,11 +9,11 @@ computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
-otherwise.  The inverse is one pivoting Gauss-Jordan pass, or, from n = 8
-and two digits on, Schur blocks whose n^3 work is products, on the rows in
-the order forward elimination mod p gives.  These live apart from linalg
-because importing the package compiles every module, and its peak memory
-is set by the largest one.
+otherwise.  The inverse is one route: forward elimination mod p orders the
+rows or refuses a singular M, then Schur blocks, whose n^3 work is
+products, run from n = 8 and Gauss-Jordan without pivoting below.  These
+live apart from linalg because importing the package compiles every
+module, and its peak memory is set by the largest one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from .errors import DivisionByHigherValuation
 # Winograd's inner product pays once n >= 8 and every entry of both
 # factors has at least 400 bits; packing rows pays once n >= 12 and the
 # entries of the two factors have at most 400 bits together (measured on
-# CPython 3.11 big integers); Schur blocks run once n >= 8 and N >= 2.
+# CPython 3.11 big integers); Schur blocks run once n >= 8, at every N: on
+# ordered rows at one digit they tie with Gauss-Jordan at n = 8 (0.15 ms)
+# and win from n = 16, 14 ms against 34 ms at (67,1,64).
 _WINOGRAD_MIN_N = 8
 _WINOGRAD_MIN_BITS = 400
 _PACKED_MIN_N = 12
@@ -129,40 +131,29 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """M^-1 mod ``mod`` = p^N for a square grid M; DivisionByHigherValuation
     when M mod p is singular.
 
-    Where Schur blocks do not run (``_blocks_pay``), at N = 1 among others,
-    Gauss-Jordan with pivoting inverts M in one pass.  Elsewhere forward
-    elimination mod p first fixes a row order P, the pivot rows in turn, so
+    One route at every n and N: :func:`row_order` fixes a row order P, so
     the leading principal minors of P M are units (P M = L U with unit
-    pivots); the blocks invert P M with no pivoting, and M^-1 = (P M)^-1 P
-    puts the columns back.
+    pivots), :func:`_block_inverse` inverts P M with no pivoting, and
+    M^-1 = (P M)^-1 P puts the columns back.
     """
-    if not _blocks_pay(len(m), p, mod):
-        return _gauss_jordan(m, p, mod)
     order = row_order(m, p)
     grid = _block_inverse([m[i] for i in order], p, mod)
     cols = sorted(range(len(m)), key=order.__getitem__)
     return [[row[k] for k in cols] for row in grid]
 
 
-def _pivot(a, col: int, p: int) -> int:
-    """The first row from ``col`` down whose entry in column col is a unit,
-    in a grid eliminated below the diagonal up to col; when none is, M mod
-    p is singular, and the one refusal of the inverse is raised."""
-    piv = next((i for i in range(col, len(a)) if a[i][col] % p), None)
-    if piv is None:
-        raise DivisionByHigherValuation(
-            "matrix is not invertible over Z_p (determinant non-unit)"
-        )
-    return piv
-
-
 def row_order(m, p: int) -> list[int]:
     """The pivot rows of forward elimination on M mod p, in turn, so P M has
-    unit leading principal minors: M's rank check, refusing as the inverse does."""
+    unit leading principal minors: M's rank check and the inverse's row
+    order, and the one place a singular reduction is refused."""
     a = [[x % p for x in r] for r in m]
     order = list(range(len(a)))
     for col in range(len(a)):
-        piv = _pivot(a, col, p)
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            raise DivisionByHigherValuation(
+                "matrix is not invertible over Z_p (determinant non-unit)"
+            )
         a[col], a[piv] = a[piv], a[col]
         order[col], order[piv] = order[piv], order[col]
         inv = pow(a[col][col], -1, p)
@@ -174,15 +165,13 @@ def row_order(m, p: int) -> list[int]:
 
 
 def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], each pivot taken by
-    :func:`_pivot`; the columns before it are 0 in its row, so each step
-    starts at its column.  For M with unit leading principal minors, as at
-    the leaves of the blocks, each pivot is the next diagonal entry."""
+    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], for M with unit leading
+    principal minors, as at the leaves of the blocks: each pivot is the next
+    diagonal entry, so no row moves, and the columns before it are 0 in its
+    row, so each step starts at its column."""
     n = len(rows)
     a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
     for col in range(n):
-        k = _pivot(a, col, p)
-        a[col], a[k] = a[k], a[col]
         inv = unit_inverse(a[col][col], p, mod)
         piv = a[col][col:] = [x * inv % mod for x in a[col][col:]]
         for i, row in enumerate(a):
@@ -192,15 +181,9 @@ def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
     return [row[n:] for row in a]
 
 
-def _blocks_pay(n: int, p: int, mod: int) -> bool:
-    """Whether Schur blocks run on an n x n grid mod p^N: n >= 8 and N >= 2.
-    They beat Gauss-Jordan from (13,64,12) up, and lose at most 0.1 ms below
-    n^2 bits(p^N) of about 10,000, which no workload inverts at n >= 8."""
-    return mod > p and n >= _BLOCK_MIN_N
-
-
 def _block_inverse(m, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` for a grid M with unit leading principal minors.
+    """M^-1 mod ``mod`` for a grid M with unit leading principal minors:
+    Gauss-Jordan below n = 8, and Schur blocks from n = 8 at every N.
 
     With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
     complement S = D - C X,
@@ -212,7 +195,7 @@ def _block_inverse(m, p: int, mod: int) -> list[list[int]]:
     (k + j)-th of M over det A, so all are units and nothing pivots.
     """
     n = len(m)
-    if not _blocks_pay(n, p, mod):
+    if n < _BLOCK_MIN_N:
         return _gauss_jordan(m, p, mod)
     k = n // 2
     c = [r[:k] for r in m[k:]]

@@ -205,7 +205,8 @@ def test_one_integer_rule(case):
 
 
 # refusals that no other test reaches: a series outside its domain or past
-# the working-digit cap, an exponent or a certificate that does not fit
+# the working-digit cap, an exponent, a certificate or a group that does
+# not fit
 _REFUSALS = {
     "log-unit": (
         lambda: log_series(PadicInt(1, 5, 4), 0, 4, mul),
@@ -264,6 +265,26 @@ _REFUSALS = {
         lambda: StrongNormalCertificate(_M5, _CERT5.eigenvalues, [[1, 0], [0, 1]]),
         TypeError,
         "^certificate takes PadicMatrix A and S and PadicInt eigenvalues$",
+    ),
+    "group-int-budget": (
+        lambda: OneParamGroup(_CERT5, 16),
+        TypeError,
+        "^OneParamGroup takes a StrongNormalCertificate and a SeriesBudget$",
+    ),
+    "group-matrix-certificate": (
+        lambda: OneParamGroup(_M5, SeriesBudget(16)),
+        TypeError,
+        "^OneParamGroup takes a StrongNormalCertificate and a SeriesBudget$",
+    ),
+    "unitary-list-matrix": (
+        lambda: UnitaryOperator([[1, 0], [0, 1]], _CERT5),
+        TypeError,
+        "^UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate$",
+    ),
+    "unitary-matrix-certificate": (
+        lambda: UnitaryOperator(_M5, _M5),
+        TypeError,
+        "^UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate$",
     ),
     "certificate-prime": (
         lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),

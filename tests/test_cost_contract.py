@@ -8,10 +8,12 @@ so they can gate where timings cannot.
 Lifting an eigenbasis to N digits takes e(N) = ceil(log2 N) Newton steps
 of 5 products each, except the last, which runs 3.  Verifying a
 certificate takes 1 more, A S = S D, and checks that S mod p has full
-rank by forward elimination mod p, which runs no product.  Inverting S,
-once per basis and only where a result reads S^-1 (evaluate, stone's
-generator, the projectors), takes the inverse's Schur products where
-blocks pay (none below n = 8).  Certificates derived from a verified one
+rank by forward elimination mod p, which runs no product.  Every inverse
+orders its rows by that elimination and runs the Schur products from
+n = 8 at every precision, none below: the lift's start, which inverts
+the residue eigenbasis mod p, and S itself, once per basis and only
+where a result reads S^-1 (evaluate, stone's generator, the
+projectors).  Certificates derived from a verified one
 (evaluate, make_unitary, stone) are not verified again, and take its
 S^-1 along when it has been read.  The lift inverts each difference of
 residue eigenvalues once, mod p, and no divisor after that.
@@ -53,18 +55,19 @@ def _steps(digits):
     return (digits - 1).bit_length()
 
 
-def _inverse_products(n, p, prec):
-    """The Schur products of an n x n inverse mod p^prec: six per level
-    where blocks pay, and none at a Gauss-Jordan leaf."""
-    if not kernels._blocks_pay(n, p, p**prec):
+def _inverse_products(n):
+    """The Schur products of an n x n inverse at any precision: six per
+    level from n = 8, and none at a Gauss-Jordan leaf."""
+    if n < kernels._BLOCK_MIN_N:
         return 0
     k = n // 2
-    return 6 + _inverse_products(k, p, prec) + _inverse_products(n - k, p, prec)
+    return 6 + _inverse_products(k) + _inverse_products(n - k)
 
 
-def _certify(n, p, prec):
-    """Products to certify at prec digits: the lift and verify's A S."""
-    return 5 * _steps(prec) - 2 + 1
+def _certify(n, prec):
+    """Products to certify at prec digits: the lift's start inverse mod p,
+    its steps and verify's A S."""
+    return _inverse_products(n) + 5 * _steps(prec) - 2 + 1
 
 
 def _length(x, p):
@@ -106,7 +109,7 @@ def matmuls(products):
 @pytest.mark.parametrize(
     "p,prec,n,w,pinned",
     [
-        (31, 128, 16, 1, (34, 1, 4, 1, 34, 53)),
+        (31, 128, 16, 1, (52, 1, 4, 1, 52, 71)),
         (7, 64, 5, 2, None),
         (5, 33, 3, 1, None),
     ],
@@ -130,17 +133,17 @@ def test_matmul_counts(matmuls, p, prec, n, w, pinned):
         matmuls(lambda: make_unitary(v)),
         matmuls(lambda: stone_recover(u1p, budget)),
     )
-    # from_dict verifies and inverts nothing; make_unitary reads no S^-1;
-    # stone certifies V' = V / p^w, inverts its S for A = S diag S^-1, and
+    # certify inverts the residue basis mod p at the lift's start; from_dict
+    # verifies and inverts nothing; make_unitary reads no S^-1; stone
+    # certifies V' = V / p^w, inverts its S for A = S diag S^-1, and
     # multiplies once for that A
-    prec_v = u1p.prec - w_stone
     assert counts == (
-        _certify(n, p, prec),
+        _certify(n, prec),
         1,
         4,
         1,
-        _certify(n, p, prec - w),
-        _certify(n, p, prec_v) + _inverse_products(n, p, prec_v) + 1,
+        _certify(n, prec - w),
+        _certify(n, u1p.prec - w_stone) + _inverse_products(n) + 1,
     )
     if pinned is not None:
         assert counts == pinned
@@ -266,12 +269,14 @@ def test_certify_digit_weight(products):
         m**3 * _length(x, p) * _length(y, p)
         for m, x, y in products(lambda: certify_strongly_normal(a))
     )
-    # the lift's steps h = 1, 2, ..., 32 at 7 h^2 each and h = 64 at 4 h^2,
-    # and verify's product of 128-digit entries; the rank check multiplies
-    # nothing, and S is not inverted
+    # the start inverse's Schur products of one-digit entries, 6 at n = 8
+    # and 12 at n = 4, the lift's steps h = 1, 2, ..., 32 at 7 h^2 each and
+    # h = 64 at 4 h^2, and verify's product of 128-digit entries; the rank
+    # check multiplies nothing, and S is not inverted
+    start = 6 * 8**3 + 12 * 4**3
     lift = 7 * sum(4**i for i in range(6)) + 4 * 4**6
-    assert weight == n**3 * (lift + prec**2)
-    assert weight == 173_355_008
+    assert weight == start + n**3 * (lift + prec**2)
+    assert weight == 173_358_848
 
 
 def test_converge_products_grow_linearly(matmuls):

@@ -1,8 +1,11 @@
 """Matrix norm, reduction, residue characteristic polynomials and eigenvectors."""
 
 import ast
+import io
 import sys
+import tokenize
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -421,8 +424,13 @@ def _inverse_input(rng, p, prec, n, shape):
 @example(p=31, prec=8, n=16, seed=8, shape="random")
 @example(p=5, prec=8, n=8, seed=9, shape="sampled")
 @example(p=3, prec=4, n=12, seed=10, shape="reversed")
-# Gauss-Jordan alone at precision 1
+# blocks at one digit too, from n = 8, and a singular one-digit grid refused
 @example(p=31, prec=1, n=20, seed=5, shape="reversed")
+@example(p=31, prec=1, n=8, seed=11, shape="sampled")
+@example(p=31, prec=1, n=16, seed=12, shape="reversed")
+@example(p=3, prec=1, n=12, seed=1, shape="random")
+# the ordered Gauss-Jordan leaf alone below n = 8, rows reordered
+@example(p=5, prec=2, n=7, seed=13, shape="reversed")
 def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
     # the Schur blocks, where they run, give the Gauss-Jordan leaf's residues
     # on the rows in the forward-elimination order P, as columns of
@@ -456,10 +464,11 @@ def test_unit_inverse_matches_pow(p, prec, seed):
 
 
 def test_inverse_runs_the_product_kernel(monkeypatch):
-    # at (31,128,16) the inverse is 18 products (6 at n = 16, 6 in each of
-    # its two 8 x 8 blocks); Gauss-Jordan alone at precision 1 and below
-    # n = 8, so the lift's start adds none: certification is the lift's 33
-    # products and verify's one, whose rank check mod p multiplies nothing
+    # at n = 16 the inverse is 18 products (6 at n = 16, 6 in each of its
+    # two 8 x 8 blocks) at every precision, one digit too; Gauss-Jordan
+    # alone below n = 8.  Certification is the lift's start inverse mod p,
+    # its 33 products and verify's one, whose rank check mod p multiplies
+    # nothing
     log = []
     kernel = kernels.grid_matmul
 
@@ -477,10 +486,10 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
     p, prec, n = 31, 128, 16
     s = sample_invertible_matrix(Random(4400), p, prec, n)
     assert products(s.inverse) == 18
-    assert products(s.truncate_to(1).inverse) == 0
+    assert products(s.truncate_to(1).inverse) == 18
     assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 0
     a = sample_certifiable_matrix(Random(4402), p, prec, n)
-    assert products(lambda: certify_strongly_normal(a)) == 33 + 1
+    assert products(lambda: certify_strongly_normal(a)) == 18 + 33 + 1
     # a singular reduction is refused before any product runs
     rows = [list(r) for r in s.rows()]
     rows[-1] = [(x + y + p * 7) % p**prec for x, y in zip(rows[0], rows[1])]
@@ -616,6 +625,16 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _wrapped(segment: str) -> bool:
+    """Whether the parenthesis at the first character of ``segment`` closes
+    at its last: a depth scan over its tokens, read inside brackets so that
+    a line break in the segment ends no statement."""
+    tokens = tokenize.generate_tokens(io.StringIO(f"[{segment}]").readline)
+    ops = [t.string for t in tokens if t.type == tokenize.OP][1:-1]
+    depths = list(accumulate((s in {"(", "[", "{"}) - (s in {")", "]", "}"}) for s in ops))
+    return segment[:1] + segment[-1:] == "()" and 0 not in depths[:-1]
+
+
 def _newer_syntax(source: str, tree) -> list[int]:
     """Lines of Python 3.11 syntax that ast.parse with feature_version
     (3, 10) still accepts: a starred element in a subscript not wrapped in
@@ -624,8 +643,7 @@ def _newer_syntax(source: str, tree) -> list[int]:
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
-            segment = ast.get_source_segment(source, node.slice)
-            bare = not (segment.startswith("(") and segment.endswith(")"))
+            bare = not _wrapped(ast.get_source_segment(source, node.slice))
             if bare and any(isinstance(e, ast.Starred) for e in node.slice.elts):
                 out.append(node.lineno)
         elif isinstance(node, ast.arguments) and node.vararg is not None:
@@ -788,13 +806,18 @@ def test_correctness_guards_raise():
 
 def test_newer_syntax_is_found():
     # the 3.10 parser refuses a[*b] and def f(*a: *T) itself; a newer one
-    # parses both, and the guard above finds them, but not a[(*b,)]
-    source = "x = a[*b]\ny = a[(*b,)]\ndef f(*a: *T): pass\n"
+    # parses both, and the guard above finds them, also where the slice
+    # starts and ends with a parenthesis that closes before its end, but
+    # not a[(*b,)]
+    source = (
+        "x = a[*b]\ny = a[(*b,)]\ndef f(*a: *T): pass\n"
+        "x = a[(x), *b, (y)]\nx = a[(x)(y), *b, (z)]\n"
+    )
     if sys.version_info < (3, 11):
         with pytest.raises(SyntaxError):
             ast.parse(source)
         return
-    assert _newer_syntax(source, ast.parse(source)) == [1, 3]
+    assert _newer_syntax(source, ast.parse(source)) == [1, 3, 4, 5]
 
 
 def _moved(x, t):

@@ -619,46 +619,52 @@ def test_lift_matches_full_precision_reference_p31_n16():
     _check_lift(sample_certifiable_matrix(Random(2100), 31, 128, 16))
 
 
-def _certify_with_a_moved_product(monkeypatch, a, call):
-    """Certify A with one entry of the lift's product number ``call`` moved
-    by p, expecting a refusal; return the products run and those packed.
+def _certify_with_a_moved_product(monkeypatch, a, which):
+    """Certify A with one entry of the ``which``-th product run mod p^4
+    moved by p, expecting a refusal; return, for each product from the
+    moved one on, whether it packed its rows.
 
-    Products 6 to 10 are the step from h = 2 to 4 digits: A S, T R', S X',
-    S T and T Y'; only the last step stops after S X'.  Moving an entry of
-    A S or S T by p^(h-1) leaves A S - S D or I - S T nonzero mod p^h.
+    The products mod p^4 are those of the step from h = 2 to 4 digits that
+    multiply 4-digit entries: first A S, then S T (T R', S X' and T Y' run
+    mod p^2), whatever ran before the lift.  Moving an entry of A S or S T
+    by p^(h-1) leaves A S - S D or I - S T nonzero mod p^h.
     """
-    calls, packed = [0], []
+    step, seen, run, packs = a.p**4, [0], [], [0]
     kernel, pack = kernels.grid_matmul, kernels._packed
 
     def corrupted(x, y, mod):
+        packed = packs[0]
         out = kernel(x, y, mod)
-        calls[0] += 1
-        if calls[0] == call:
+        seen[0] += mod == step
+        moving = not run and mod == step and seen[0] == which
+        if moving:
             out[0][0] += a.p
+        if run or moving:
+            run.append(packs[0] > packed)
         return out
 
     def counted(*args):
-        packed.append(calls[0] + 1)
+        packs[0] += 1
         return pack(*args)
 
     monkeypatch.setattr(kernels, "grid_matmul", corrupted)
     monkeypatch.setattr(kernels, "_packed", counted)
     with pytest.raises(CertificationFailed, match="not divisible by p\\^h"):
         certify_strongly_normal(a)
-    return calls[0], packed
+    return run
 
 
 def test_lift_refuses_a_residual_it_cannot_divide(monkeypatch):
-    # the 6th product is A S in the step from h = 2 to 4 digits
+    # the first product mod p^4 is A S in the step from h = 2 to 4 digits,
+    # and the refusal comes before the next product
     a = sample_certifiable_matrix(Random(2200), 7, 16, 3)
-    assert _certify_with_a_moved_product(monkeypatch, a, 6)[0] == 6
+    assert _certify_with_a_moved_product(monkeypatch, a, 1) == [False]
 
 
 @pytest.mark.parametrize("p, prec, n", [(7, 16, 3), (31, 128, 16)])
 def test_lift_refuses_an_inverse_residual_it_cannot_divide(monkeypatch, p, prec, n):
-    # the 9th product is S T in the step from h = 2 to 4 digits; at n = 16
-    # it packs its rows
+    # the second product mod p^4 is S T in the step from h = 2 to 4 digits,
+    # the refusal comes before the next product, and at n = 16 S T packs
+    # its rows
     a = sample_certifiable_matrix(Random(2200), p, prec, n)
-    calls, packed = _certify_with_a_moved_product(monkeypatch, a, 9)
-    assert calls == 9
-    assert (9 in packed) == (n >= 12)
+    assert _certify_with_a_moved_product(monkeypatch, a, 2) == [n >= 12]
