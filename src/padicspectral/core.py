@@ -288,8 +288,9 @@ def check_int(k, least: int, what: str) -> int:
 def unit_inverse(u: int, p: int, mod: int) -> int:
     """u^-1 mod ``mod`` = p^N for a unit u, by Newton's iteration
     x <- x (2 - u x) from u^-1 mod p: each step doubles the digits that
-    are right.  At 128 digits of 31 it takes 12 us where pow(u, -1, mod)
-    takes 75; at N = 1 it is that one pow."""
+    are right.  It inverts exact divisors and the matrix inverse's 1 x 1
+    and 2 x 2 leaves.  At 128 digits of 31 it takes 12 us where
+    pow(u, -1, mod) takes 75; at N = 1 it is that one pow."""
     x, q = pow(u, -1, p), p
     while q < mod:
         q = min(q * q, mod)

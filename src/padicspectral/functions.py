@@ -337,9 +337,10 @@ def _power_residues(z: int, plan: PowerPlan, precisions) -> list[int]:
     mod p^(T-1) and splits it as a + p^k b with a < p^k.  With t =
     (1+z)^(p^k) - 1, of valuation v + k >= 1 + k for v = v(z), (1+z)^e =
     (1+z)^a (1+t)^b = (1+z)^a sum_j C(b, j) t^j, an identity of integers.
-    The terms j >= J = ceil(m / (v + k)) vanish mod p^m, m the largest d,
-    and so do those with j > b, and C(b, j) t^j mod p^T needs C(b, j) only
-    mod p^(T - j (1+k)), all that the plan's row keeps.  So each exponent
+    The terms j >= J = ceil(m / (v + k)) vanish mod p^m, m the largest d
+    (all but j = 0 once v >= m), and so do those with j > b, and C(b, j)
+    t^j mod p^T needs C(b, j) only mod p^(T - j (1+k)), all that the
+    plan's row keeps.  So each exponent
     takes one dot product of its row with the J powers of t mod p^m, shared
     by all exponents, and no division runs per call.  (1+z)^a is one pow,
     or, where :func:`_a_part` finds it cheaper, one product per nonzero
@@ -351,8 +352,6 @@ def _power_residues(z: int, plan: PowerPlan, precisions) -> list[int]:
         return []
     p, m = plan.p, max(precisions)
     mod_m = p**m
-    if z % mod_m == 0:
-        return [1] * len(precisions)
     v, k = Valuation.of_residue(z, p, m).value, plan.k
     table, base = [], 1 + z  # table[i][d] = (1+z)^(d p^i), for this call only
     for _ in range(k if plan.table else 0):

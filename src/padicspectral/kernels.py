@@ -9,9 +9,9 @@ computes the same integers, so no result depends on it.
 The product picks one of three algorithms: Winograd's inner product when
 every entry is long, rows packed into one big integer when the entries
 are short and n is not small, and one sum of products per entry
-otherwise.  The inverse is one route: forward elimination mod p orders the
-rows or refuses a singular M, then Schur blocks, whose n^3 work is
-products, run from n = 8 and Gauss-Jordan without pivoting below.  These
+otherwise.  The inverse is one algorithm: forward elimination mod p
+orders the rows or refuses a singular M, then Schur blocks, whose n^3
+work is products, halve it down to 1 x 1 and 2 x 2 leaves.  These
 live apart from linalg because importing the package compiles every
 module, and its peak memory is set by the largest one.
 """
@@ -24,17 +24,15 @@ from .core import unit_inverse
 from .errors import DivisionByHigherValuation
 
 
-# Winograd's inner product pays once n >= 8 and every entry of both
-# factors has at least 400 bits; packing rows pays once n >= 12 and the
-# entries of the two factors have at most 400 bits together (measured on
-# CPython 3.11 big integers); Schur blocks run once n >= 8, at every N: on
-# ordered rows at one digit they tie with Gauss-Jordan at n = 8 (0.15 ms)
-# and win from n = 16, 14 ms against 34 ms at (67,1,64).
-_WINOGRAD_MIN_N = 8
-_WINOGRAD_MIN_BITS = 400
-_PACKED_MIN_N = 12
-_PACKED_MAX_BITS = 400
-_BLOCK_MIN_N = 8
+# A product of n >= _MIN_N rows leaves the plain kernel: for Winograd's
+# inner product when every entry of both factors is long, for packed rows
+# when the two factors' entries are short together (CPython 3.11 big
+# integers, entries of 3-17 bits: packed over plain time 0.83-1.06 at
+# n = 8, 0.71-0.91 at n = 10, 0.60-0.82 at n = 12).  The inverse has no
+# threshold: below n = 8 its leaves took 0.58-0.80 of Gauss-Jordan's time
+# at 64-4096 digits, 0.99-1.04 at one digit and 1.21 at (31,2,6).
+_MIN_N = 8
+_LONG_BITS = 400
 
 
 def grid_matmul(a, b, mod: int) -> list[list[int]]:
@@ -42,11 +40,11 @@ def grid_matmul(a, b, mod: int) -> list[list[int]]:
     ``mod``: the one matrix-product kernel, behind ``@``, the eigenbasis
     lift and the inverse's blocks.
 
-    It picks one of three algorithms from the operands alone.  Winograd's
-    inner product runs when n >= 8 and the smallest entry of each factor
-    has 400 bits or more; packed rows run when n >= 12, no entry is
-    negative and the largest entries of the two factors have 400 bits or
-    fewer together; one sum of products per entry runs otherwise.  All
+    It picks one of three algorithms from the operands alone.  From n = 8
+    rows, Winograd's inner product runs when the smallest entry of each
+    factor has 400 bits or more, and packed rows when no entry is negative
+    and the largest entries of the two factors have 400 bits or fewer
+    together; one sum of products per entry runs otherwise.  All
     three compute the same integers, so the result does not depend on the
     choice.  Winograd adds entries of one factor to the other's before it
     multiplies, so it halves the products only where both are long: a
@@ -54,14 +52,13 @@ def grid_matmul(a, b, mod: int) -> list[list[int]]:
     factor) rules it out.  Packing pays where the plain kernel's cost is
     the interpreter's, not the integers': the lift's early steps.
     """
-    n = len(a)
-    if n >= _WINOGRAD_MIN_N:
+    if len(a) >= _MIN_N:
         low_a, low_b = min(map(min, a)), min(map(min, b))
-        if min(low_a.bit_length(), low_b.bit_length()) >= _WINOGRAD_MIN_BITS:
+        if min(low_a.bit_length(), low_b.bit_length()) >= _LONG_BITS:
             return _winograd(a, b, mod)
-        if n >= _PACKED_MIN_N and min(low_a, low_b) >= 0:
+        if min(low_a, low_b) >= 0:
             bits_a, bits_b = (max(map(max, x)).bit_length() for x in (a, b))
-            if bits_a + bits_b <= _PACKED_MAX_BITS:
+            if bits_a + bits_b <= _LONG_BITS:
                 return _packed(a, b, mod, bits_a, bits_b)
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
@@ -131,9 +128,10 @@ def grid_inverse(m, p: int, mod: int) -> list[list[int]]:
     """M^-1 mod ``mod`` = p^N for a square grid M; DivisionByHigherValuation
     when M mod p is singular.
 
-    One route at every n and N: :func:`row_order` fixes a row order P, so
-    the leading principal minors of P M are units (P M = L U with unit
-    pivots), :func:`_block_inverse` inverts P M with no pivoting, and
+    One algorithm at every n and N: :func:`row_order` fixes a row order P,
+    so the leading principal minors of P M are units (P M = L U with unit
+    pivots), :func:`_block_inverse` inverts P M by Schur blocks down to
+    1 x 1 and 2 x 2 leaves, with no pivoting, and
     M^-1 = (P M)^-1 P puts the columns back.
     """
     order = row_order(m, p)
@@ -164,39 +162,29 @@ def row_order(m, p: int) -> list[int]:
     return order
 
 
-def _gauss_jordan(rows, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` by Gauss-Jordan on [M | I], for M with unit leading
-    principal minors, as at the leaves of the blocks: each pivot is the next
-    diagonal entry, so no row moves, and the columns before it are 0 in its
-    row, so each step starts at its column."""
-    n = len(rows)
-    a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
-    for col in range(n):
-        inv = unit_inverse(a[col][col], p, mod)
-        piv = a[col][col:] = [x * inv % mod for x in a[col][col:]]
-        for i, row in enumerate(a):
-            f = row[col]
-            if f and i != col:
-                row[col:] = [(x - f * y) % mod for x, y in zip(row[col:], piv)]
-    return [row[n:] for row in a]
-
-
 def _block_inverse(m, p: int, mod: int) -> list[list[int]]:
-    """M^-1 mod ``mod`` for a grid M with unit leading principal minors:
-    Gauss-Jordan below n = 8, and Schur blocks from n = 8 at every N.
+    """M^-1 mod ``mod`` for a grid M with unit leading principal minors, by
+    Schur blocks at every n >= 3 and N.
 
-    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
-    complement S = D - C X,
+    With M = [[A, B], [C, D]], A of k = n // 2 rows, X = A^-1 B,
+    Y = C A^-1 and the Schur complement S = D - C X,
 
         M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]],
 
     six half-size products and the inverses of A and S, found the same
     way.  The leading minors of A are M's, and the j-th of S is the
-    (k + j)-th of M over det A, so all are units and nothing pivots.
+    (k + j)-th of M over det A, so all are units and nothing pivots.  The
+    leaves are [[m]]^-1 = [[1 / m]] and [[a, b], [c, d]]^-1 =
+    [[d, -b], [-c, a]] / (a d - b c), whose divisor is a leading minor of
+    the leaf, so a unit, inverted by :func:`core.unit_inverse`.
     """
     n = len(m)
-    if n < _BLOCK_MIN_N:
-        return _gauss_jordan(m, p, mod)
+    if n == 1:
+        return [[unit_inverse(m[0][0], p, mod)]]
+    if n == 2:
+        (a, b), (c, d) = m
+        u = unit_inverse((a * d - b * c) % mod, p, mod)
+        return [[d * u % mod, -b * u % mod], [-c * u % mod, a * u % mod]]
     k = n // 2
     c = [r[:k] for r in m[k:]]
     a_inv = _block_inverse([r[:k] for r in m[:k]], p, mod)

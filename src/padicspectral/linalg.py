@@ -209,7 +209,7 @@ class PadicMatrix(PadicValue):
     def inverse(self) -> "PadicMatrix":
         """The inverse, which exists iff the reduction mod p is invertible:
         :func:`kernels.grid_inverse`, which orders the rows mod p, then runs
-        Schur blocks from n = 8 and Gauss-Jordan below."""
+        Schur blocks down to 1 x 1 and 2 x 2 leaves."""
         return _matrix(kernels.grid_inverse(self._e, self.p, self.modulus), self.p, self.prec)
 
     # -- comparisons and io ------------------------------------------------

@@ -17,7 +17,8 @@ does not split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
 lists every command line with the exit code and the stdout file it must
 reproduce byte for byte.  Regenerate only when a change of output is
 intended, and say so in the change log: ``tests/test_cli_golden.py``
-exists to catch any other change.
+exists to catch any other change, and checks that :func:`input_files`
+still gives the committed inputs.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _commands(p: int, prec: int) -> dict:
     }
 
 
-def _dump(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def run_cli(argv: list[str], case_dir: Path) -> tuple[int, str]:
@@ -95,40 +96,48 @@ def _record(manifest: list, case: str, commands: dict) -> None:
         manifest.append({"case": case, "argv": argv, "exit": code, "stdout": f"{command}.out"})
 
 
-def main_generate() -> None:
-    manifest = []
+def input_files() -> dict[str, str]:
+    """The text of every input file, by its path under this directory:
+    each sampled case's matrix, bundle and U(1+p), the zero case's identity
+    and older-schema bundle, and the refusal inputs."""
+    files = {}
     for name, (p, prec, n, seed) in zip(SAMPLED_CASES, CASES):
-        case_dir = HERE / name
-        case_dir.mkdir(exist_ok=True)
         a = sample_certifiable_matrix(Random(seed), p, prec, n)
         group = OneParamGroup(certify_strongly_normal(a), SeriesBudget(prec))
-        _dump(case_dir / "matrix.json", a.to_dict())
-        _dump(case_dir / "bundle.json", group.to_dict())
-        _dump(case_dir / "unitary.json", group.evaluate(1 + p).matrix.to_dict())
-        _record(manifest, name, _commands(p, prec))
+        files[f"{name}/matrix.json"] = _text(a.to_dict())
+        files[f"{name}/bundle.json"] = _text(group.to_dict())
+        files[f"{name}/unitary.json"] = _text(group.evaluate(1 + p).matrix.to_dict())
     p, prec, n = ZERO
-    case_dir = HERE / ZERO_CASE
-    case_dir.mkdir(exist_ok=True)
     ident = PadicMatrix.identity(n, p, prec)
     bundle = stone_recover(ident, SeriesBudget(prec)).to_dict()
     bundle["certificate"]["multiplicities"] = [n]
-    _dump(case_dir / "unitary.json", ident.to_dict())
-    _dump(case_dir / "bundle.json", bundle)
-    flags = ["--prec", str(prec)]
+    files[f"{ZERO_CASE}/unitary.json"] = _text(ident.to_dict())
+    files[f"{ZERO_CASE}/bundle.json"] = _text(bundle)
+    for name, entries, p in REFUSALS:
+        files[f"refusals/{name}.json"] = _text(PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
+    return files
+
+
+def main_generate() -> None:
+    for name, text in input_files().items():
+        (HERE / name).parent.mkdir(exist_ok=True)
+        (HERE / name).write_text(text)
+    manifest = []
+    for name, (p, prec, _, _) in zip(SAMPLED_CASES, CASES):
+        _record(manifest, name, _commands(p, prec))
+    flags = ["--prec", str(ZERO[1])]
     zero_commands = {
         "stone": flags + ["stone", "unitary.json"],
         "group-eval-bundle": flags + ["group-eval", "bundle.json", "--s", "6"],
         "check-law": flags + ["check-law", "bundle.json", "--samples", "2"],
     }
     _record(manifest, ZERO_CASE, zero_commands)
-    (HERE / "refusals").mkdir(exist_ok=True)
-    refusal_commands = {}
-    for name, entries, p in REFUSALS:
-        _dump(HERE / "refusals" / f"{name}.json", PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
-        argv = ["--prec", str(REFUSAL_PREC), "certify", f"{name}.json"]
-        refusal_commands[f"certify-{name}"] = argv
+    refusal_commands = {
+        f"certify-{name}": ["--prec", str(REFUSAL_PREC), "certify", f"{name}.json"]
+        for name, _, _ in REFUSALS
+    }
     _record(manifest, "refusals", refusal_commands)
-    _dump(HERE / "manifest.json", {"commands": manifest})
+    (HERE / "manifest.json").write_text(_text({"commands": manifest}))
 
 
 if __name__ == "__main__":

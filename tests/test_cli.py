@@ -239,7 +239,7 @@ def test_invalid_prime_flag_is_input_error(tmp_path, capsys):
 
 
 def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     cert = bundle["certificate"]
     del cert["basis"]
     cert["projectors"] = [cert["matrix"], cert["matrix"]]
@@ -252,9 +252,9 @@ def test_old_projector_schema_is_input_error(tmp_path, group_file, capsys):
 
 def test_missing_field_is_input_error(tmp_path, group_file, capsys):
     # the refusal names the object and the field, not a bare key
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     del bundle["budget"]
-    no_val = json.loads(open(group_file).read())
+    no_val = json.loads(Path(group_file).read_text())
     del no_val["certificate"]["eigenvalues"][0]["val"]
     cases = [
         ("certify", {"p": 5, "prec": 8, "n": 2}, "PadicMatrix is missing field(s) ['entries']"),
@@ -284,7 +284,7 @@ def _moved(entries, i, j, by):
 def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
     # an older bundle's basis_inverse is ignored: correct, or with one entry
     # moved by 5^20, it prints the U(s) of the same bundle without it
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     cert = bundle["certificate"]
     assert "basis_inverse" not in cert
     want = _run(capsys, ["group-eval", group_file, "--s", "36"])
@@ -304,7 +304,7 @@ def test_corrupted_bundle_is_input_error(tmp_path, group_file, capsys):
 def test_singular_basis_is_input_error(tmp_path, group_file, capsys):
     # S with a column times p keeps A S = S D, but S mod p is singular: an
     # input error (exit 1), not a refusal of the input's mathematics (exit 2)
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     cert = bundle["certificate"]
     for row in cert["basis"]["entries"]:
         row[0] = str(5 * int(row[0]) % 5**32)
@@ -402,7 +402,7 @@ def test_budget_beyond_the_bound_is_input_error(
 ):
     # every modulus grows with the target, so a budget read from a bundle
     # or a flag is bounded like any other precision, not computed with
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     bundle["budget"]["target"] = 10**12
     path = _write(tmp_path / "budget.json", bundle)
     huge = str(10**12)
@@ -422,7 +422,7 @@ def _matrix_doc(entries, p=5, prec=8):
 
 
 def _bundle_with(group_file, edit):
-    bundle = json.loads(open(group_file).read())
+    bundle = json.loads(Path(group_file).read_text())
     edit(bundle)
     return bundle
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "cli"
 sys.path.insert(0, str(FIXTURES))
 
-from make_golden import SAMPLED_CASES, ZERO_CASE, run_cli  # noqa: E402
+from make_golden import SAMPLED_CASES, ZERO_CASE, input_files, run_cli  # noqa: E402
 
 from padicspectral import OneParamGroup, StrongNormalCertificate  # noqa: E402
 
@@ -32,6 +32,16 @@ def test_cli_output_matches_golden(entry):
     code, stdout = run_cli(entry["argv"], case_dir)
     assert code == entry["exit"]
     assert stdout == (case_dir / entry["stdout"]).read_text()
+
+
+def test_input_files_regenerate_byte_for_byte():
+    # make_golden.py still writes every committed input file: three per
+    # sampled case, the zero case's two and the three refusal inputs; the
+    # sampling inverts at n = 2, 3 and 6, and U(1+p) reads S^-1
+    files = input_files()
+    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 3
+    for name, text in files.items():
+        assert (FIXTURES / name).read_text() == text, name
 
 
 def _certificate_files(case):

@@ -10,10 +10,10 @@ of 5 products each, except the last, which runs 3.  Verifying a
 certificate takes 1 more, A S = S D, and checks that S mod p has full
 rank by forward elimination mod p, which runs no product.  Every inverse
 orders its rows by that elimination and runs the Schur products from
-n = 8 at every precision, none below: the lift's start, which inverts
-the residue eigenbasis mod p, and S itself, once per basis and only
-where a result reads S^-1 (evaluate, stone's generator, the
-projectors).  Certificates derived from a verified one
+n = 3 at every precision, none at a 1 x 1 or 2 x 2 leaf: the lift's
+start, which inverts the residue eigenbasis mod p, and S itself, once
+per basis and only where a result reads S^-1 (evaluate, stone's
+generator, the projectors).  Certificates derived from a verified one
 (evaluate, make_unitary, stone) are not verified again, and take its
 S^-1 along when it has been read.  The lift inverts each difference of
 residue eigenvalues once, mod p, and no divisor after that.
@@ -57,8 +57,8 @@ def _steps(digits):
 
 def _inverse_products(n):
     """The Schur products of an n x n inverse at any precision: six per
-    level from n = 8, and none at a Gauss-Jordan leaf."""
-    if n < kernels._BLOCK_MIN_N:
+    level from n = 3, and none at a 1 x 1 or 2 x 2 leaf."""
+    if n <= 2:
         return 0
     k = n // 2
     return 6 + _inverse_products(k) + _inverse_products(n - k)
@@ -109,7 +109,7 @@ def matmuls(products):
 @pytest.mark.parametrize(
     "p,prec,n,w,pinned",
     [
-        (31, 128, 16, 1, (52, 1, 4, 1, 52, 71)),
+        (31, 128, 16, 1, (76, 1, 4, 1, 76, 119)),
         (7, 64, 5, 2, None),
         (5, 33, 3, 1, None),
     ],
@@ -269,14 +269,14 @@ def test_certify_digit_weight(products):
         m**3 * _length(x, p) * _length(y, p)
         for m, x, y in products(lambda: certify_strongly_normal(a))
     )
-    # the start inverse's Schur products of one-digit entries, 6 at n = 8
-    # and 12 at n = 4, the lift's steps h = 1, 2, ..., 32 at 7 h^2 each and
-    # h = 64 at 4 h^2, and verify's product of 128-digit entries; the rank
-    # check multiplies nothing, and S is not inverted
-    start = 6 * 8**3 + 12 * 4**3
+    # the start inverse's Schur products of one-digit entries, 6 at n = 8,
+    # 12 at n = 4 and 24 at n = 2, the lift's steps h = 1, 2, ..., 32 at
+    # 7 h^2 each and h = 64 at 4 h^2, and verify's product of 128-digit
+    # entries; the rank check multiplies nothing, and S is not inverted
+    start = 6 * 8**3 + 12 * 4**3 + 24 * 2**3
     lift = 7 * sum(4**i for i in range(6)) + 4 * 4**6
     assert weight == start + n**3 * (lift + prec**2)
-    assert weight == 173_358_848
+    assert weight == 173_359_040
 
 
 def test_converge_products_grow_linearly(matmuls):

@@ -202,6 +202,8 @@ def _power_jobs(draw):
 @example(_pinned_jobs(7, 128, 4))  # a table of small powers
 @example(_pinned_jobs(31, 128, 4))  # one pow per exponent
 @example(_pinned_jobs(31, 128, 16))  # a table at a larger p, for more exponents
+@example((7, 0, _pinned_jobs(7, 128, 4)[2]))  # z = 0 on the table's route
+@example((31, 0, _pinned_jobs(31, 128, 4)[2]))  # and on the pows'
 def test_power_residues_match_pow(case):
     # either route to (1+z)^a, the table or the pows, gives pow's residues
     p, z, jobs = case

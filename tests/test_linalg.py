@@ -297,6 +297,9 @@ def _factor(rng, shape, kind, bits, p):
 @example(n=20, seed=4, bits=(100, 300), kinds=("diagonal", "dense"), extra=(0, 0, 0))
 @example(n=16, seed=5, bits=(100, 301), kinds=("dense", "dense"), extra=(0, 0, 0))
 @example(n=16, seed=6, bits=(80, 80), kinds=("zero", "dense"), extra=(0, 0, 0))
+# short entries from n = 8, packed, at the threshold and at odd n
+@example(n=8, seed=12, bits=(5, 5), kinds=("dense", "dense"), extra=(0, 0, 0))
+@example(n=11, seed=13, bits=(17, 3), kinds=("dense", "unreduced"), extra=(0, 0, 0))
 # short entries at n >= 12 with negative ones among them: never packed
 @example(n=12, seed=7, bits=(40, 40), kinds=("negative", "dense"), extra=(0, 0, 0))
 @example(n=16, seed=8, bits=(40, 40), kinds=("dense", "negative"), extra=(0, 0, 0))
@@ -327,8 +330,9 @@ def test_kernel_choice(monkeypatch):
     # product, the inverse's six 8 x 8 Schur products on S^-1's first read
     # and the spectral operator at (31,128,16), not the lift's products,
     # n = 4, (13,64,12) or a product with a diagonal factor.  Packed rows
-    # run only in the lift, on its products of short entries at n >= 12:
-    # 28 of 33 at (31,128,16) and all 28 at (13,64,12)
+    # run on products of short entries at n >= 8: 28 of the lift's 33 at
+    # (31,128,16) and the start inverse's six 8 x 8 products mod p, all 28
+    # of the lift's at (13,64,12), and 28 at (31,128,8)
     calls = Counter()
 
     def counted(name):
@@ -352,7 +356,7 @@ def test_kernel_choice(monkeypatch):
     a = sample_certifiable_matrix(Random(4200), p, prec, n)
     cert = certify_strongly_normal(a)
     assert kernel_calls(cert.verify) == (1, 0)
-    assert kernel_calls(lambda: certify_strongly_normal(a)) == (1, 28)
+    assert kernel_calls(lambda: certify_strongly_normal(a)) == (1, 34)
     assert kernel_calls(lambda: cert.basis_inverse) == (6, 0)
     assert kernel_calls(lambda: cert.spectral_operator(cert.eigenvalues)) == (1, 0)
     diag = PadicMatrix.diagonal([e.residue for e in cert.eigenvalues], p, prec)
@@ -365,7 +369,7 @@ def test_kernel_choice(monkeypatch):
     small = sample_certifiable_matrix(Random(4304), 31, 128, 4)
     assert kernel_calls(lambda: certify_strongly_normal(small)) == (0, 0)
     small = sample_certifiable_matrix(Random(4308), 31, 128, 8)
-    assert kernel_calls(lambda: certify_strongly_normal(small))[1] == 0
+    assert kernel_calls(lambda: certify_strongly_normal(small))[1] == 28
 
 
 def test_scalar_division():
@@ -429,13 +433,19 @@ def _inverse_input(rng, p, prec, n, shape):
 @example(p=31, prec=1, n=8, seed=11, shape="sampled")
 @example(p=31, prec=1, n=16, seed=12, shape="reversed")
 @example(p=3, prec=1, n=12, seed=1, shape="random")
-# the ordered Gauss-Jordan leaf alone below n = 8, rows reordered
-@example(p=5, prec=2, n=7, seed=13, shape="reversed")
-def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
-    # the Schur blocks, where they run, give the Gauss-Jordan leaf's residues
-    # on the rows in the forward-elimination order P, as columns of
-    # (P M)^-1 = M^-1 P^-1, and an exact two-sided inverse; a reduction with
-    # determinant 0 mod p (the char poly's constant term) is refused
+# the 1 x 1 and 2 x 2 leaves alone and a 3 = 1 + 2 split, rows reordered
+# where the leading 1 x 1 minor vanishes mod p, at one digit and at 128
+@example(p=5, prec=1, n=1, seed=13, shape="reversed")
+@example(p=5, prec=1, n=2, seed=14, shape="reversed")
+@example(p=5, prec=1, n=3, seed=15, shape="reversed")
+@example(p=31, prec=128, n=1, seed=16, shape="reversed")
+@example(p=31, prec=128, n=2, seed=17, shape="reversed")
+@example(p=31, prec=128, n=3, seed=18, shape="reversed")
+def test_inverse_is_two_sided(p, prec, n, seed, shape):
+    # the inverse, Schur blocks down to 1 x 1 and 2 x 2 leaves on the rows
+    # in the forward-elimination order, is an exact two-sided inverse, so
+    # the one inverse mod p^N; a reduction with determinant 0 mod p (the
+    # char poly's constant term) is refused
     rows = _inverse_input(Random(seed), p, prec, n, shape)
     m = PadicMatrix(rows, p, prec)
     if m.reduction().char_poly()[0] == 0:
@@ -443,9 +453,6 @@ def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
             m.inverse()
         return
     inv = m.inverse()
-    order = kernels.row_order(rows, p)
-    leaf = kernels._gauss_jordan([rows[i] for i in order], p, p**prec)
-    assert [[r[i] for i in order] for r in inv.rows()] == leaf
     assert m @ inv == inv @ m == PadicMatrix.identity(n, p, prec)
 
 
@@ -456,19 +463,21 @@ def test_inverse_matches_gauss_jordan(p, prec, n, seed, shape):
 @example(p=5, prec=10, seed=3)
 @example(p=3, prec=1, seed=4)
 def test_unit_inverse_matches_pow(p, prec, seed):
-    # core.unit_inverse (the pivots, exact division, PadicInt.inverse) by
-    # Newton's iteration gives pow's inverse at every precision
+    # core.unit_inverse (the inverse's leaves, exact division,
+    # PadicInt.inverse) by Newton's iteration gives pow's inverse at every
+    # precision
     mod = p**prec
     u = Random(seed).randrange(mod // p) * p + 1 + seed % (p - 1)
     assert unit_inverse(u, p, mod) == pow(u, -1, mod)
 
 
 def test_inverse_runs_the_product_kernel(monkeypatch):
-    # at n = 16 the inverse is 18 products (6 at n = 16, 6 in each of its
-    # two 8 x 8 blocks) at every precision, one digit too; Gauss-Jordan
-    # alone below n = 8.  Certification is the lift's start inverse mod p,
-    # its 33 products and verify's one, whose rank check mod p multiplies
-    # nothing
+    # at n = 16 the inverse is 42 products (6 at n = 16, 6 in each of its
+    # two 8 x 8 blocks, 6 in each of their four 4 x 4 blocks) at every
+    # precision, one digit too, and none at the 2 x 2 leaves; at n = 7,
+    # 6 + 6 (n = 4) + 6 (n = 3) = 18.  Certification is the lift's start
+    # inverse mod p, its 33 products and verify's one, whose rank check
+    # mod p multiplies nothing
     log = []
     kernel = kernels.grid_matmul
 
@@ -485,11 +494,11 @@ def test_inverse_runs_the_product_kernel(monkeypatch):
 
     p, prec, n = 31, 128, 16
     s = sample_invertible_matrix(Random(4400), p, prec, n)
-    assert products(s.inverse) == 18
-    assert products(s.truncate_to(1).inverse) == 18
-    assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 0
+    assert products(s.inverse) == 42
+    assert products(s.truncate_to(1).inverse) == 42
+    assert products(sample_invertible_matrix(Random(4401), p, prec, 7).inverse) == 18
     a = sample_certifiable_matrix(Random(4402), p, prec, n)
-    assert products(lambda: certify_strongly_normal(a)) == 18 + 33 + 1
+    assert products(lambda: certify_strongly_normal(a)) == 42 + 33 + 1
     # a singular reduction is refused before any product runs
     rows = [list(r) for r in s.rows()]
     rows[-1] = [(x + y + p * 7) % p**prec for x, y in zip(rows[0], rows[1])]
