@@ -62,28 +62,35 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     c = sub.add_parser("certify", help="spectral certificate for a matrix")
+    c.set_defaults(run=_cmd_certify)
     c.add_argument("matrix_file")
 
     c = sub.add_parser("group-eval", help="evaluate U(s) for a group")
+    c.set_defaults(run=_cmd_group_eval)
     c.add_argument("group_file")
     c.add_argument("--s", required=True, help="principal unit as a decimal integer")
 
     c = sub.add_parser("check-law", help="sampled group-law verification")
+    c.set_defaults(run=_sampled_check, check="group-law")
     c.add_argument("group_file")
     c.add_argument("--samples", type=int, default=100)
 
     c = sub.add_parser("lipschitz", help="sampled continuity-bound verification")
+    c.set_defaults(run=_sampled_check, check="lipschitz")
     c.add_argument("group_file")
     c.add_argument("--samples", type=int, default=100)
 
     c = sub.add_parser("stone", help="recover the generator from U(1+p)")
+    c.set_defaults(run=_cmd_stone)
     c.add_argument("matrix_file")
 
     c = sub.add_parser("additive", help="evaluate W(z) = U(e^(pz))")
+    c.set_defaults(run=_cmd_additive)
     c.add_argument("group_file")
     c.add_argument("--z", required=True, help="additive parameter, decimal integer")
 
     c = sub.add_parser("converge", help="digit-truncation convergence table")
+    c.set_defaults(run=_cmd_converge)
     c.add_argument("group_file")
     c.add_argument("--s", required=True, help="principal unit as a decimal integer")
     c.add_argument("--max-n", type=int, default=10)
@@ -122,49 +129,42 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _record_input(args, inputs: dict, p: int, budget: SeriesBudget) -> None:
-    """Record the input's prime and budget; an explicit --p must agree."""
-    inputs["p"], inputs["budget"] = p, budget
+def _record_input(args, p: int, budget: SeriesBudget) -> None:
+    """Record the input's budget and config on ``args``; an explicit --p
+    must agree with its prime."""
+    args.budget = budget
+    args.config = {"p": p, "precision": budget.target, "seed": args.seed, "version": __version__}
     if args.p is not None and validate_prime(args.p) != p:
         raise ValueError(f"--p {args.p} but the input has p = {p}")
 
 
-def _read_matrix(data: dict, args, inputs: dict) -> PadicMatrix:
-    """Parse a matrix and record its prime and budget in ``inputs``."""
+def _read_matrix(data: dict, args) -> PadicMatrix:
+    """Parse a matrix and record its prime and budget on ``args``."""
     matrix = PadicMatrix.from_dict(data)
-    _record_input(args, inputs, matrix.p, SeriesBudget(validate_prec(args.prec)))
+    _record_input(args, matrix.p, SeriesBudget(validate_prec(args.prec)))
     return matrix
 
 
-def _load_group(path: str, args, inputs: dict) -> OneParamGroup:
+def _load_group(path: str, args) -> OneParamGroup:
     data = _load_json(path)
     if "certificate" in data:
         group = OneParamGroup.from_dict(data)
-        _record_input(args, inputs, group.p, group.budget)
+        _record_input(args, group.p, group.budget)
         return group
-    matrix = _read_matrix(data, args, inputs)
-    return OneParamGroup(certify_strongly_normal(matrix), inputs["budget"])
+    matrix = _read_matrix(data, args)
+    return OneParamGroup(certify_strongly_normal(matrix), args.budget)
 
 
-def _config(args, p: int, budget: SeriesBudget) -> dict:
-    return {
-        "p": p,
-        "precision": budget.target,
-        "seed": args.seed,
-        "version": __version__,
-    }
+# Each handler returns (body, exit code); main adds the recorded config.
 
 
-# Each handler returns (body, exit code); main adds the config to the body.
-
-
-def _cmd_certify(args, inputs: dict):
-    matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
+def _cmd_certify(args):
+    matrix = _read_matrix(_load_json(args.matrix_file), args)
     return {"certificate": certify_strongly_normal(matrix).to_dict()}, EXIT_OK
 
 
-def _cmd_group_eval(args, inputs: dict):
-    group = _load_group(args.group_file, args, inputs)
+def _cmd_group_eval(args):
+    group = _load_group(args.group_file, args)
     s = from_decimal(args.s)
     u = group.evaluate(s)
     return {
@@ -174,21 +174,21 @@ def _cmd_group_eval(args, inputs: dict):
     }, EXIT_OK
 
 
-def _sampled_check(args, inputs: dict, check: str):
+def _sampled_check(args):
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples} checks nothing; it must be >= 1")
-    group = _load_group(args.group_file, args, inputs)
+    group = _load_group(args.group_file, args)
     rng = Random(args.seed)
     prec = group.budget.target
-    run = group.verify_group_law if check == "group-law" else group.lipschitz_check
+    verify = group.verify_group_law if args.check == "group-law" else group.lipschitz_check
     results = []
     for _ in range(args.samples):
         s1 = sample_principal_unit(rng, group.p, prec)
         s2 = sample_principal_unit(rng, group.p, prec)
-        results.append(run(s1, s2))
+        results.append(verify(s1, s2))
     ok = all(r.ok for r in results)
     return {
-        "check": check,
+        "check": args.check,
         "samples": args.samples,
         "seed": args.seed,
         "min_margin_valuation": min(r.margin for r in results),
@@ -196,22 +196,22 @@ def _sampled_check(args, inputs: dict, check: str):
     }, EXIT_OK if ok else EXIT_REFUSAL
 
 
-def _cmd_stone(args, inputs: dict):
-    matrix = _read_matrix(_load_json(args.matrix_file), args, inputs)
-    return stone_recover(matrix, inputs["budget"]).to_dict(), EXIT_OK
+def _cmd_stone(args):
+    matrix = _read_matrix(_load_json(args.matrix_file), args)
+    return stone_recover(matrix, args.budget).to_dict(), EXIT_OK
 
 
-def _cmd_additive(args, inputs: dict):
-    group = _load_group(args.group_file, args, inputs)
+def _cmd_additive(args):
+    group = _load_group(args.group_file, args)
     z = from_decimal(args.z)
     matrix = group.additive_evaluate(z).matrix
     return {"z": to_decimal(z), "matrix": matrix.to_dict()}, EXIT_OK
 
 
-def _cmd_converge(args, inputs: dict):
+def _cmd_converge(args):
     if not 0 <= args.max_n <= MAX_PREC:
         raise ValueError(f"--max-n {args.max_n} is outside [0, {MAX_PREC}]")
-    group = _load_group(args.group_file, args, inputs)
+    group = _load_group(args.group_file, args)
     s = from_decimal(args.s)
     reference = group.evaluate(s).matrix
     rows = []
@@ -231,28 +231,18 @@ def _cmd_converge(args, inputs: dict):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "certify": _cmd_certify,
-        "group-eval": _cmd_group_eval,
-        "check-law": lambda a, i: _sampled_check(a, i, "group-law"),
-        "lipschitz": lambda a, i: _sampled_check(a, i, "lipschitz"),
-        "stone": _cmd_stone,
-        "additive": _cmd_additive,
-        "converge": _cmd_converge,
-    }
-    inputs = {}  # the input's prime and budget, recorded once it is parsed
     try:
-        body, code = handlers[args.command](args, inputs)
+        body, code = args.run(args)
     except Refusal as e:
         body = {"refusal": {"type": type(e).__name__, "message": str(e)}}
         code = EXIT_REFUSAL
     except PrecisionFailure as e:
         body = {"error": {"type": type(e).__name__, "message": str(e)}}
         code = EXIT_PRECISION
-    except (OSError, ValueError, KeyError, TypeError, PadicError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, PadicError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
-    payload = {"config": _config(args, **inputs), **body}
+    payload = {"config": args.config, **body}
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return code
 

@@ -172,11 +172,6 @@ class Valuation(Frozen):
     def is_finite(self) -> bool:
         return not self.open_ended
 
-    def __add__(self, other: "Valuation") -> "Valuation":
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return Valuation(self.value + other.value, self.open_ended or other.open_ended)
-
     @classmethod
     def of_residue(cls, r: int, p: int, prec: int) -> "Valuation":
         """Valuation of a residue r in [0, p^prec): exact, or at_least(prec) for 0."""

@@ -252,7 +252,9 @@ class ResidueMatrix(PadicMatrix):
 
     __slots__ = ("_memo",)  # _memo: the Hessenberg form (H, M), found at construction
 
-    def __init__(self, rows, p: int):
+    def __init__(self, rows, p: int, prec: int = 1):
+        if prec != 1:
+            raise ValueError(f"a ResidueMatrix has one digit, not prec={prec}")
         super().__init__(rows, p, 1)
         self._set(_memo=_hessenberg(self._e, self.p))
 

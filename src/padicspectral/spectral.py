@@ -212,7 +212,8 @@ class StrongNormalCertificate(Frozen):
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrongNormalCertificate":
-        """Read a certificate and verify it; a corrupted one is a ValueError.
+        """Read a certificate and verify it.  A corrupted one is a ValueError,
+        or a PrimeMismatch or DimensionMismatch where its parts disagree.
 
         Every part is cut to the certificate precision, the only digits
         :meth:`verify` checks, so no unverified digit reaches a result.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,32 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert main(["certify", str(missing)]) == 1
     schema = _write(tmp_path / "schema.json", {"p": 5})
     assert main(["certify", schema]) == 1
+
+
+_HELP_FLAGS = [
+    ([], []),
+    (["certify"], []),
+    (["group-eval"], ["--s"]),
+    (["check-law"], ["--samples"]),
+    (["lipschitz"], ["--samples"]),
+    (["stone"], []),
+    (["additive"], ["--z"]),
+    (["converge"], ["--s", "--max-n"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags", _HELP_FLAGS, ids=[c[0] if c else "root" for c, _ in _HELP_FLAGS]
+)
+def test_help_names_every_flag(command, flags, capsys):
+    # --help exits 0, and its usage names the global flags, which every
+    # parser takes, and the subcommand's own
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(" ".join(["usage: padic-spectral", *command]))
+    assert set(re.findall(r"--[a-z-]+", usage)) == {"--p", "--prec", "--seed", *flags}
 
 
 def test_usage_error_exit_1(capsys):

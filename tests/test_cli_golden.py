@@ -34,6 +34,32 @@ def test_cli_output_matches_golden(entry):
     assert stdout == (case_dir / entry["stdout"]).read_text()
 
 
+P5_ENTRIES = [e for e in MANIFEST if e["case"] == "p5_prec32_n3"]
+
+
+def _placements(argv):
+    """A golden command line with its global flags moved: --prec after the
+    subcommand, and an explicit --p 5 --seed 42 before it or after it."""
+    prec, rest = argv[:2], argv[2:]
+    assert prec == ["--prec", "32"]
+    explicit = ["--p", "5", "--seed", "42"]
+    return [rest + prec, explicit + argv, argv + explicit]
+
+
+@pytest.mark.parametrize("entry", P5_ENTRIES, ids=[e["stdout"][:-4] for e in P5_ENTRIES])
+def test_global_flags_work_on_either_side(entry, capsys):
+    # each golden command prints its golden bytes wherever its global flags
+    # stand, and a --p that disagrees with the input is refused on either side
+    case_dir = FIXTURES / entry["case"]
+    golden = (case_dir / entry["stdout"]).read_text()
+    argv = entry["argv"]
+    for moved in _placements(argv):
+        assert run_cli(moved, case_dir) == (entry["exit"], golden), moved
+    for wrong in (["--p", "7", *argv], [*argv, "--p", "7"]):
+        assert run_cli(wrong, case_dir) == (1, ""), wrong
+        assert capsys.readouterr().err == "input error: --p 7 but the input has p = 5\n"
+
+
 def test_input_files_regenerate_byte_for_byte():
     # make_golden.py still writes every committed input file: three per
     # sampled case, the zero case's two and the three refusal inputs; the

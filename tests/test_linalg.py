@@ -78,7 +78,8 @@ def test_norm_ultrametric(p):
             [[rng.randrange(p**prec) for _ in range(3)] for _ in range(3)], p, prec
         )
         # submultiplicative: v(AB) >= v(A) + v(B)
-        assert (a @ b).op_norm() >= min(a.op_norm() + b.op_norm(), Valuation.at_least(prec))
+        v = a.op_norm().value + b.op_norm().value
+        assert (a @ b).op_norm() >= (Valuation.exact(v) if v < prec else Valuation.at_least(prec))
         # ultrametric additive bound
         assert (a + b).op_norm() >= min(a.op_norm(), b.op_norm())
 
@@ -121,6 +122,20 @@ def test_residue_matrix_is_a_hashable_value():
     assert ahat != ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 3]], 5)
     assert ahat != PadicMatrix(ahat.rows(), 5, 1)
     assert PadicMatrix(ahat.rows(), 5, 1) in {PadicMatrix(rebuilt.rows(), 5, 1)}
+
+
+def test_residue_matrix_inherits_the_constructors():
+    # the classmethods PadicMatrix hands down build a ResidueMatrix at one
+    # digit, equal to the reduction of the same PadicMatrix
+    a = PadicMatrix([[0, 1], [2, 1]], 5, 1)
+    built = [
+        (ResidueMatrix.identity(2, 5, 1), PadicMatrix.identity(2, 5, 1)),
+        (ResidueMatrix.diagonal([1, 2], 5, 1), PadicMatrix.diagonal([1, 2], 5, 1)),
+        (ResidueMatrix.from_dict(a.to_dict()), a),
+    ]
+    for residue, matrix in built:
+        assert type(residue) is ResidueMatrix and residue == matrix.reduction()
+    assert ResidueMatrix.from_dict(a.to_dict()).char_poly() == a.reduction().char_poly()
 
 
 def test_residue_char_poly_and_roots():

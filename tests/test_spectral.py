@@ -1,6 +1,8 @@
 """Certificates, projection-valued measure, functional calculus."""
 
+import json
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -24,6 +26,7 @@ from padicspectral.errors import (
     DegenerateReduction,
     DivisionByHigherValuation,
     DimensionMismatch,
+    PrimeMismatch,
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
@@ -264,6 +267,39 @@ def test_certificate_serialization():
     doc["eigenvalues"][0]["val"] = str(int(doc["eigenvalues"][0]["val"]) + 5**30)
     with pytest.raises(ValueError, match="certificate does not verify"):
         StrongNormalCertificate.from_dict(doc)
+
+
+_BUNDLE = Path(__file__).resolve().parent / "fixtures" / "cli" / "p5_prec32_n3" / "bundle.json"
+
+
+_DISAGREEING_PARTS = {
+    "eigenvalue-over-7": (
+        lambda cert: cert["eigenvalues"][0].update(p=7),
+        PrimeMismatch,
+        "^certificate data must share the matrix prime$",
+    ),
+    "basis-2x2": (
+        lambda cert: cert.update(basis=PadicMatrix.identity(2, 5, 32).to_dict()),
+        DimensionMismatch,
+        "^basis columns do not match the dimension 3$",
+    ),
+    "two-eigenvalues": (
+        lambda cert: cert["eigenvalues"].pop(),
+        DimensionMismatch,
+        "^2 eigenvalues in dimension 3$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _DISAGREEING_PARTS.values(), ids=_DISAGREEING_PARTS.keys())
+def test_certificate_parts_that_disagree(case):
+    # a certificate whose parts disagree in prime or dimension is refused by
+    # the constructor's own check, as a PrimeMismatch or DimensionMismatch
+    corrupt, error, match = case
+    cert = json.loads(_BUNDLE.read_text())["certificate"]
+    corrupt(cert)
+    with pytest.raises(error, match=match):
+        StrongNormalCertificate.from_dict(cert)
 
 
 @settings(max_examples=40, deadline=None)
