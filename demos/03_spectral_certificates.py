@@ -9,7 +9,7 @@ not approximations.
 Run:  python3 demos/03_spectral_certificates.py
 """
 
-from padicspectral import PadicInt, PadicMatrix, certify_strongly_normal
+from padicspectral import PadicInt, PadicMatrix, certify_strongly_normal, kernels
 from padicspectral.errors import (
     DegenerateReduction,
     RepeatedResidueEigenvalue,
@@ -19,7 +19,8 @@ from padicspectral.errors import (
 p, N = 5, 32
 A = PadicMatrix([[0, 1], [2, 1]], p, N)
 print("A =", [list(r) for r in A.rows()], f"over Z_{p} at {N} digits")
-print("residue char poly:", list(A.reduction().char_poly()),
+H, _ = kernels.hessenberg(A.truncate_to(1).rows(), p)
+print("residue char poly:", list(kernels.char_poly(H, p)),
       "(x^2 - x - 2, ascending)")
 
 cert = certify_strongly_normal(A)

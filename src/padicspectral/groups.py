@@ -93,6 +93,12 @@ class UnitaryOperator(Frozen):
         )
 
 
+def _require_matrix(x, caller: str) -> None:
+    """A matrix argument's type check, a TypeError as the constructors raise."""
+    if not isinstance(x, PadicMatrix):
+        raise TypeError(f"{caller} takes a PadicMatrix")
+
+
 def _small_norm(v: PadicMatrix, err) -> int:
     """The one |V| < 1 rule: w = v(V) >= 1 (prec V for V = 0), or ``err``
     naming the first unit entry of V."""
@@ -127,6 +133,7 @@ def _small_norm_certificate(v: PadicMatrix, err) -> StrongNormalCertificate:
 
 def make_unitary(v: PadicMatrix) -> UnitaryOperator:
     """Wrap I + V as a unitary operator; requires |V| < 1 and V certifiable."""
+    _require_matrix(v, "make_unitary")
     cert = _small_norm_certificate(v, err=NormTooLarge)
     u = PadicMatrix.identity(v.n, v.p, v.prec) + v
     return UnitaryOperator(u, cert)
@@ -316,6 +323,7 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     evaluate(A, 1+p) reproduces U(1+p), since
     (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
     """
+    _require_matrix(u1p, "stone_recover")
     v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
     cert_v = _small_norm_certificate(v, err=NotPrincipalSpectrum)
     a_eigen = [zeta_of(lam + 1, budget) for lam in cert_v.eigenvalues]
@@ -331,6 +339,7 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     by :func:`log_series` with matmul, sharing with the eigenvalue route
     in stone_recover only the scalar log(1+p).
     """
+    _require_matrix(u1p, "generator_log_series")
     p = u1p.p
     n = u1p.n
     v = u1p - PadicMatrix.identity(n, p, u1p.prec)

@@ -2,14 +2,10 @@
 
 The operator norm of a matrix acting on (Z_p)^n with the max norm is
 max |a_ij|, so norms are just entry valuations.  This module supplies
-the ring operations, the inverse, and reduction to the residue field
-F_p: the precision-1 PadicMatrix, where residue eigenanalysis runs.  One
-Hessenberg reduction H = M^-1 A M mod p gives the char poly and the
-eigenvector of each simple eigenvalue r: eliminating each row of H - rI
-against the row above it alone triangularizes it, and r leaves one column
-without a pivot, where back-substitution starts; other roots raise
-ValueError.  Eigenvalues come from a root scan of F_p.  The spectral
-module lifts the residue eigenbasis p-adically, by Newton's method.
+the ring operations and the inverse.  The reduction mod p is
+``truncate_to(1)``: F_p is Z_p at one digit.  Analysis over F_p (the
+Hessenberg form, char poly, roots and eigenvectors) runs on plain grids
+of residues in the kernels module.
 
 Products and inverses run on the residues, through the kernels module:
 ``kernels.grid_matmul`` and ``kernels.grid_inverse``, by that one binding.
@@ -18,7 +14,7 @@ Products and inverses run on the residues, through the kernels module:
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import kernels
 from .core import (
@@ -39,7 +35,7 @@ from .errors import (
     PrimeMismatch,
 )
 
-__all__ = ["PadicMatrix", "ResidueMatrix", "vector_norm"]
+__all__ = ["PadicMatrix", "vector_norm"]
 
 
 def _as_residue(x, p: int, mod: int, prec: int = 0) -> int:
@@ -117,9 +113,6 @@ class PadicMatrix(PadicValue):
         """Sup norm as a valuation: min entry valuation (at_least for 0),
         which is the valuation of the gcd of the entries."""
         return Valuation.of_residue(gcd(*(x for row in self._e for x in row)), self.p, self.prec)
-
-    def reduction(self) -> "ResidueMatrix":
-        return ResidueMatrix(self._e, self.p)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -244,153 +237,6 @@ class PadicMatrix(PadicValue):
     def __repr__(self):
         rows = ", ".join(f"[{', '.join(map(to_decimal, r))}]" for r in self._e)
         return f"PadicMatrix([{rows}], p={self.p}, prec={self.prec})"
-
-
-class ResidueMatrix(PadicMatrix):
-    """The reduction mod p over F_p = Z_p / pZ_p: a precision-1 PadicMatrix
-    with residue eigenanalysis; its arithmetic returns PadicMatrix objects."""
-
-    __slots__ = ("_memo",)  # _memo: the Hessenberg form (H, M), found at construction
-
-    def __init__(self, rows, p: int, prec: int = 1):
-        if prec != 1:
-            raise ValueError(f"a ResidueMatrix has one digit, not prec={prec}")
-        super().__init__(rows, p, 1)
-        self._set(_memo=_hessenberg(self._e, self.p))
-
-    def is_scalar(self) -> bool:
-        """True iff this equals nu * I for some nu in F_p (nu = 0 included)."""
-        c, rows = self._e[0][0], enumerate(self._e)
-        return all(x == (c if i == j else 0) for i, r in rows for j, x in enumerate(r))
-
-    def char_poly(self) -> tuple[int, ...]:
-        """det(xI - A) over F_p: ascending coefficients in [0, p).
-
-        det(xI - H) of the Hessenberg form H is expanded along its last
-        column: with P_0 = 1,
-
-            P_{m+1} = (x - h_mm) P_m
-                      - sum_{i=1..m} h_{m-i,m} h_{m,m-1} ... h_{m-i+1,m-i} P_{m-i}
-
-        (H. Cohen, *A Course in Computational Algebraic Number Theory*,
-        Alg. 2.2.9).  O(n^3) operations on integers below p.
-        """
-        p, n = self.p, self.n
-        h, _ = self._memo
-        polys = [[1]]
-        for m in range(n):
-            nxt = [0] + polys[m]
-            for k, c in enumerate(polys[m]):
-                nxt[k] -= h[m][m] * c
-            t = 1
-            for i in range(1, m + 1):
-                t = t * h[m - i + 1][m - i] % p
-                if not t:
-                    break  # every later term carries this zero subdiagonal entry
-                f = t * h[m - i][m]
-                for k, c in enumerate(polys[m - i]):
-                    nxt[k] -= f * c
-            polys.append([c % p for c in nxt])
-        return tuple(polys[n])
-
-    def eigenvalues(self) -> list[tuple[int, int]]:
-        """Residue eigenvalues as (root, multiplicity), scanning all of F_p.
-
-        Roots missing from F_p show up as a total multiplicity below n.
-        """
-        p, out = self.p, []
-        f = list(self.char_poly())
-        for r in range(p):
-            mult = 0
-            while len(f) > 1:
-                quotient, remainder = _synth_div(f, r, p)
-                if remainder:
-                    break
-                f = quotient
-                mult += 1
-            if mult:
-                out.append((r, mult))
-        return out
-
-    def eigenvectors(self, roots) -> list[list[int]]:
-        """For each simple root r, the v over F_p with A v = r v whose last
-        nonzero entry is 1, from the Hessenberg form H = M^-1 A M.
-
-        H - rI is made upper triangular by eliminating each row against the
-        row above it only: H has one subdiagonal, so only row j + 1 can give
-        column j a pivot, and rows j and j + 1 swap when row j has none
-        there but row j + 1 does.  Inside an unreduced diagonal block of H
-        each column but the last takes its pivot from the block's nonzero
-        subdiagonal; the last has none exactly when r is a root of the
-        block's char poly.  A simple root is a root of one block alone, so
-        it leaves one column j without a pivot: w_j = 1, w is 0 after j and
-        back-substitution fills it above j.  The kernel is a line, so M w
-        scaled to 1 at its last nonzero entry is v.  O(n^2) per root.
-        Raises ValueError unless exactly one pivot is zero: r is not a
-        root, or a root of several blocks.
-        """
-        p, n = self.p, self.n
-        h, m = self._memo
-        out = []
-        for r in roots:
-            t = [list(row) for row in h]
-            for j in range(n):
-                t[j][j] = (t[j][j] - r) % p
-            for j in range(n - 1):
-                a, b = t[j][j], t[j + 1][j]
-                if b and not a:
-                    t[j], t[j + 1] = t[j + 1], t[j]
-                elif b:
-                    f = b * pow(a, -1, p)
-                    pairs = zip(t[j + 1][j:], t[j][j:])
-                    t[j + 1][j:] = [(x - f * y) % p for x, y in pairs]
-            free = [j for j in range(n) if not t[j][j]]
-            if len(free) != 1:
-                raise ValueError(f"{r} is not a simple eigenvalue mod {p}")
-            w = [0] * n
-            w[free[0]] = 1
-            for i in reversed(range(free[0])):
-                acc = sum(map(mul, t[i][i + 1 :], w[i + 1 :]))
-                w[i] = -acc * pow(t[i][i], -1, p) % p
-            v = [sum(map(mul, row, w)) % p for row in m]
-            inv = pow(next(x for x in reversed(v) if x), -1, p)
-            out.append([x * inv % p for x in v])
-        return out
-
-
-def _hessenberg(rows, p: int):
-    """(H, M), H = M^-1 A M upper Hessenberg over F_p, as tuples of rows:
-    each row operation on H is undone on its columns, as on M = I."""
-    n = len(rows)
-    h = [list(row) for row in rows]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if piv is None:
-            continue  # column k - 1 is already zero below the subdiagonal
-        if piv != k:
-            h[k], h[piv] = h[piv], h[k]
-            for row in h + m:
-                row[k], row[piv] = row[piv], row[k]
-        inv = pow(h[k][k - 1], -1, p)
-        for i in range(k + 1, n):
-            u = h[i][k - 1] * inv % p
-            if u:
-                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[k])]
-                for row in h + m:
-                    row[k] = (row[k] + u * row[i]) % p
-    return tuple(map(tuple, h)), tuple(map(tuple, m))
-
-
-def _synth_div(coeffs, r: int, mod: int) -> tuple[list[int], int]:
-    """Divide a polynomial (ascending coefficients) by x - r mod a prime
-    modulus: the quotient and the remainder, which is the value at r."""
-    horner = []
-    carry = 0
-    for c in reversed(coeffs):
-        carry = (c + carry * r) % mod
-        horner.append(carry)
-    return horner[-2::-1], horner[-1]
 
 
 def vector_norm(vec) -> Valuation:

@@ -4,7 +4,7 @@ A matrix A over Z_p whose reduction mod p has n distinct eigenvalues in
 F_p diagonalizes over Z_p: A S = S D with D = diag(lambda_i) and S
 invertible.  The certificate stores A, S and the eigenvalues; S^-1 is
 S's own inverse, found where a result reads it.  S comes from eigenvectors
-of the reduction over F_p, lifted by Newton's method, which doubles the
+of the reduction over F_p (``kernels.eigenvectors``), lifted by Newton's method, which doubles the
 correct digits per step and costs no precision (X. Caruso, *Computations
 with p-adic numbers*, arXiv:1701.06794; see :func:`_lift_eigenbasis`).
 
@@ -32,7 +32,7 @@ from .errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from .linalg import PadicMatrix, ResidueMatrix, vector_norm
+from .linalg import PadicMatrix, vector_norm
 
 __all__ = ["StrongNormalCertificate", "certify_strongly_normal"]
 
@@ -246,10 +246,11 @@ class StrongNormalCertificate(Frozen):
         )
 
 
-def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
+def _lift_eigenbasis(a: PadicMatrix, s, residues):
     """Newton-lift the residue eigenbasis of A to A's precision.
 
-    Start from S whose columns are eigenvectors of the reduction, with
+    Start from the grid S, ``s``, whose columns are eigenvectors of the
+    reduction mod p for the ``residues``, with
     T = S^-1 mod p and d the residue eigenvalues, so A S = S D mod p^h
     for h = 1.  A step works mod p^e, e = min(2h, N), k = e - h <= h.
     R = A S - S D vanishes mod p^h, so R' = R / p^h and C' = T R' need T
@@ -266,7 +267,6 @@ def _lift_eigenbasis(a: PadicMatrix, ahat: ResidueMatrix, residues):
     (S, eigenvalues) at A's precision.
     """
     p, target = a.p, a.prec
-    s = list(zip(*ahat.eigenvectors(residues)))
     t = kernels.grid_inverse(s, p, p)
     d = list(residues)
     g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
@@ -323,29 +323,38 @@ def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:
     characteristic polynomials that do not split over F_p
     (ResidueEigenvalueDeficit), and repeated residue eigenvalues
     (RepeatedResidueEigenvalue).  The eigenvalues come out sorted by
-    residue.  The certificate is verified before it is returned.
+    residue.  The certificate is verified before it is returned.  The
+    reduction is ``truncate_to(1)``, and its one Hessenberg form gives both
+    the char poly and the residue eigenvectors.  Anything but a PadicMatrix
+    raises TypeError.
     """
-    ahat = a.reduction()
-    if a.n >= 2 and ahat.is_scalar():
+    if not isinstance(a, PadicMatrix):
+        raise TypeError("certify_strongly_normal takes a PadicMatrix")
+    p, rows = a.p, a.truncate_to(1).rows()
+    c = rows[0][0]
+    scalar = all(x == (c if i == j else 0) for i, r in enumerate(rows) for j, x in enumerate(r))
+    if a.n >= 2 and scalar:
         raise DegenerateReduction(
             "reduction mod p is a scalar matrix; the distinct-eigenvalue "
             "criterion cannot apply"
         )
-    residue_roots = ahat.eigenvalues()
-    total = sum(m for _, m in residue_roots)
+    h, m = kernels.hessenberg(rows, p)
+    residue_roots = kernels.roots(kernels.char_poly(h, p), p)
+    total = sum(mult for _, mult in residue_roots)
     if total < a.n:
         raise ResidueEigenvalueDeficit(
             f"residue characteristic polynomial has only {total} roots in "
-            f"F_{a.p} counted with multiplicity, needs {a.n}"
+            f"F_{p} counted with multiplicity, needs {a.n}"
         )
-    repeated = [r for r, m in residue_roots if m > 1]
+    repeated = [r for r, mult in residue_roots if mult > 1]
     if repeated:
         raise RepeatedResidueEigenvalue(
             f"residue eigenvalues {repeated} are repeated; lifting an "
             "invariant subspace is unsupported"
         )
     residues = sorted(r for r, _ in residue_roots)
-    basis, eigenvalues = _lift_eigenbasis(a, ahat, residues)
+    start = list(zip(*kernels.eigenvectors(h, m, residues, p)))
+    basis, eigenvalues = _lift_eigenbasis(a, start, residues)
     cert = StrongNormalCertificate(a, eigenvalues, basis)
     cert.verify()
     return cert

@@ -3,7 +3,8 @@
 Everything here recomputes results by a route the library never takes:
 exact binomial sums over Z and exact rational partial sums, each reduced
 mod p^N in one final step, and characteristic polynomials by cofactor
-expansion over Z[x].  No code is shared with the series or linear
+expansion over Z[x]; a certificate A S = S D is checked by one product
+over Z and a rank by elimination mod p.  No code is shared with the series or linear
 algebra modules, and nothing is imported from the package; that
 independence is the point.  Nothing here tracks precision or aims to be
 fast.
@@ -20,6 +21,7 @@ __all__ = [
     "oracle_power",
     "oracle_series",
     "oracle_char_poly",
+    "oracle_certificate_holds",
     "reduce_fraction",
 ]
 
@@ -147,3 +149,31 @@ def oracle_char_poly(rows) -> list[int]:
     ]
     det = _poly_det(m)
     return _poly_add(det, [0] * (n + 1))[: n + 1]
+
+
+def oracle_certificate_holds(a, s, eigenvalues, p: int, prec: int) -> bool:
+    """True iff A S = S D mod p^prec, D = diag(eigenvalues), one per column
+    of S, and S has rank n mod p: integer grids, a product over Z and
+    Gaussian elimination over F_p, row by row."""
+    n, mod = len(a), p**prec
+    if len(eigenvalues) != n:
+        return False
+    for i in range(n):
+        for j in range(n):
+            lhs = sum(a[i][k] * s[k][j] for k in range(n))
+            if (lhs - s[i][j] * eigenvalues[j]) % mod:
+                return False
+    rows = [[x % p for x in row] for row in s]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for i in range(n):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == n

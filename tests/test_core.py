@@ -14,7 +14,6 @@ from padicspectral import (
     PadicInt,
     PadicMatrix,
     PowerPlan,
-    ResidueMatrix,
     SeriesBudget,
     StrongNormalCertificate,
     UnitaryOperator,
@@ -23,8 +22,10 @@ from padicspectral import (
     digit_truncation_error,
     generator_log_series,
     mahler_coeff,
+    make_unitary,
     plog,
     principal_power,
+    stone_recover,
     truncation_length,
 )
 from padicspectral.core import MAX_WORKING_PREC, from_decimal, to_decimal, validate_prime
@@ -286,10 +287,25 @@ _REFUSALS = {
         TypeError,
         "^UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate$",
     ),
-    "residue-prec": (
-        lambda: ResidueMatrix([[1, 0], [0, 1]], 5, 2),
-        ValueError,
-        "^a ResidueMatrix has one digit, not prec=2$",
+    "certify-list": (
+        lambda: certify_strongly_normal([[1, 2], [3, 4]]),
+        TypeError,
+        "^certify_strongly_normal takes a PadicMatrix$",
+    ),
+    "make-unitary-list": (
+        lambda: make_unitary([[5, 0], [0, 10]]),
+        TypeError,
+        "^make_unitary takes a PadicMatrix$",
+    ),
+    "stone-list": (
+        lambda: stone_recover([[6, 0], [0, 11]], _B4),
+        TypeError,
+        "^stone_recover takes a PadicMatrix$",
+    ),
+    "log-series-list": (
+        lambda: generator_log_series([[6, 0], [0, 11]], _B4),
+        TypeError,
+        "^generator_log_series takes a PadicMatrix$",
     ),
     "certificate-prime": (
         lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),
@@ -430,7 +446,6 @@ def test_package_exports():
             "truncation_length",
             "zeta_of",
             "PadicMatrix",
-            "ResidueMatrix",
             "vector_norm",
             "StrongNormalCertificate",
             "certify_strongly_normal",
@@ -582,7 +597,6 @@ def test_immutability():
     values = [  # (value, a field, the rebuilt copy, the changed copy)
         (PadicInt(1, 5, 4), "residue", PadicInt(1, 5, 4), PadicInt(2, 5, 4)),
         (a, "prec", PadicMatrix(a.rows(), 5, 4), PadicMatrix(a.rows(), 5, 3)),
-        (a.reduction(), "p", ResidueMatrix(a.rows(), 5), ResidueMatrix(a.rows(), 7)),
         (Valuation.exact(2), "value", Valuation(2), Valuation(2, True)),
         (SeriesBudget(4), "target", SeriesBudget(4), SeriesBudget(5)),
         (

@@ -1,4 +1,7 @@
-"""Matrix norm, reduction, residue characteristic polynomials and eigenvectors."""
+"""Matrices over Z_p: norm, ring operations, the product kernels, the
+inverse and the reduction mod p (``truncate_to(1)``); and analysis over
+F_p on grids of residues in ``kernels``: Hessenberg form, char poly,
+roots and eigenvectors."""
 
 import ast
 import io
@@ -17,7 +20,6 @@ import padicspectral
 from padicspectral import (
     PadicInt,
     PadicMatrix,
-    ResidueMatrix,
     Valuation,
     certify_strongly_normal,
     vector_norm,
@@ -25,10 +27,12 @@ from padicspectral import (
 from padicspectral import kernels
 from padicspectral.core import unit_inverse
 from padicspectral.errors import (
+    DegenerateReduction,
     DimensionMismatch,
     DivisionByHigherValuation,
     PrecisionExceeded,
     PrimeMismatch,
+    RepeatedResidueEigenvalue,
 )
 from oracle import oracle_char_poly
 from padicspectral.sampling import (
@@ -84,77 +88,54 @@ def test_norm_ultrametric(p):
         assert (a + b).op_norm() >= min(a.op_norm(), b.op_norm())
 
 
+def _hessenberg(grid, p):
+    """(H, M) of an integer grid's reduction mod p."""
+    return kernels.hessenberg([[x % p for x in row] for row in grid], p)
+
+
+def _char_poly(grid, p):
+    return kernels.char_poly(_hessenberg(grid, p)[0], p)
+
+
 def test_reduction_examples():
-    assert PadicMatrix([[6, 1], [0, 7]], 5, 8).reduction() == ResidueMatrix(
-        [[1, 1], [0, 2]], 5
-    )
+    # the reduction mod p is the matrix at one digit
+    assert PadicMatrix([[6, 1], [0, 7]], 5, 8).truncate_to(1) == PadicMatrix([[1, 1], [0, 2]], 5, 1)
     a = PadicMatrix([[0, 1], [2, 1]], 5, 8)
-    assert (5 * a).reduction() == ResidueMatrix([[0, 0], [0, 0]], 5)
+    assert (5 * a).truncate_to(1) == PadicMatrix([[0, 0], [0, 0]], 5, 1)
     b = PadicMatrix([[3, 4], [9, 11]], 5, 8)
-    lhs = (a + b).reduction()
-    rhs = ResidueMatrix(
-        [
-            [x + y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(a.reduction().rows(), b.reduction().rows())
-        ],
-        5,
-    )
-    assert lhs == rhs
+    assert (a + b).truncate_to(1) == a.truncate_to(1) + b.truncate_to(1)
+    assert (a @ b).truncate_to(1) == a.truncate_to(1) @ b.truncate_to(1)
 
 
 def test_nondegeneracy():
-    assert PadicMatrix.identity(2, 5, 4).reduction().is_scalar()
-    assert not ResidueMatrix([[1, 1], [0, 1]], 5).is_scalar()
-    assert not ResidueMatrix([[3, 0], [1, 3]], 5).is_scalar()
-    assert ResidueMatrix([[0, 0], [0, 0]], 5).is_scalar()
-    assert ResidueMatrix([[3, 0], [0, 3]], 5).is_scalar()
-
-
-def test_residue_matrix_is_a_hashable_value():
-    # Frozen compares and hashes every matrix by its fields: p, prec, n and
-    # the residues, not the Hessenberg form kept in _memo; a ResidueMatrix
-    # equals only a ResidueMatrix
-    a = PadicMatrix([[6, 1, 3], [0, 7, 2], [4, 4, 9]], 5, 8)
-    ahat = a.reduction()
-    rebuilt = ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 4]], 5)
-    assert ahat == rebuilt and hash(ahat) == hash(rebuilt) and rebuilt in {ahat}
-    assert ahat._fields == PadicMatrix(ahat.rows(), 5, 1)._fields
-    assert ahat != ResidueMatrix([[1, 1, 3], [0, 2, 2], [4, 4, 3]], 5)
-    assert ahat != PadicMatrix(ahat.rows(), 5, 1)
-    assert PadicMatrix(ahat.rows(), 5, 1) in {PadicMatrix(rebuilt.rows(), 5, 1)}
-
-
-def test_residue_matrix_inherits_the_constructors():
-    # the classmethods PadicMatrix hands down build a ResidueMatrix at one
-    # digit, equal to the reduction of the same PadicMatrix
-    a = PadicMatrix([[0, 1], [2, 1]], 5, 1)
-    built = [
-        (ResidueMatrix.identity(2, 5, 1), PadicMatrix.identity(2, 5, 1)),
-        (ResidueMatrix.diagonal([1, 2], 5, 1), PadicMatrix.diagonal([1, 2], 5, 1)),
-        (ResidueMatrix.from_dict(a.to_dict()), a),
-    ]
-    for residue, matrix in built:
-        assert type(residue) is ResidueMatrix and residue == matrix.reduction()
-    assert ResidueMatrix.from_dict(a.to_dict()).char_poly() == a.reduction().char_poly()
+    # a scalar reduction at n >= 2 is refused as degenerate, a non-scalar
+    # one with one repeated eigenvalue as repeated, and a 1 x 1 matrix is
+    # never degenerate
+    for rows in ([[0, 0], [0, 0]], [[3, 0], [0, 3]]):
+        with pytest.raises(DegenerateReduction):
+            certify_strongly_normal(PadicMatrix(rows, 5, 4))
+    for rows in ([[1, 1], [0, 1]], [[3, 0], [1, 3]]):
+        with pytest.raises(RepeatedResidueEigenvalue):
+            certify_strongly_normal(PadicMatrix(rows, 5, 4))
+    for x in (0, 3, 5):
+        assert certify_strongly_normal(PadicMatrix([[x]], 5, 4)).eigenvalues == (PadicInt(x, 5, 4),)
 
 
 def test_residue_char_poly_and_roots():
-    ahat = PadicMatrix([[0, 1], [2, 1]], 5, 8).reduction()
     # x^2 - x - 2 = (x - 2)(x + 1)
-    assert ahat.char_poly() == (3, 4, 1)
-    assert ahat.eigenvalues() == [(2, 1), (4, 1)]
+    f = _char_poly([[0, 1], [2, 1]], 5)
+    assert f == (3, 4, 1)
+    assert kernels.roots(f, 5) == [(2, 1), (4, 1)]
 
-    ident_hat = PadicMatrix.identity(2, 5, 8).reduction()
-    assert ident_hat.eigenvalues() == [(1, 2)]
+    assert kernels.roots(_char_poly([[1, 0], [0, 1]], 5), 5) == [(1, 2)]
 
     # x^2 - x - 1 = (x - 3)^2 mod 5
-    fib = PadicMatrix([[0, 1], [1, 1]], 5, 8).reduction()
-    assert fib.char_poly() == (4, 4, 1)
-    assert fib.eigenvalues() == [(3, 2)]
+    fib = _char_poly([[0, 1], [1, 1]], 5)
+    assert fib == (4, 4, 1)
+    assert kernels.roots(fib, 5) == [(3, 2)]
 
     # irreducible residue polynomial: no roots at all
-    comp = ResidueMatrix([[0, 4], [1, 4]], 5)  # companion of x^2 + x + 1
-    assert comp.eigenvalues() == []
+    assert kernels.roots(_char_poly([[0, 4], [1, 4]], 5), 5) == []  # x^2 + x + 1
 
 
 def _structured_grids(rng, p, n):
@@ -190,7 +171,7 @@ def test_char_poly_against_cofactor_oracle(p):
             density = rng.choice([1.0, 0.5, 0.2]) if n < 8 else 0.4
             grids.append(_random_grid(rng, p, n, density))
         for grid in grids:
-            mine = ResidueMatrix(grid, p).char_poly()
+            mine = _char_poly(grid, p)
             assert mine == tuple(c % p for c in oracle_char_poly(grid)), grid
 
 
@@ -463,7 +444,7 @@ def test_inverse_is_two_sided(p, prec, n, seed, shape):
     # char poly's constant term) is refused
     rows = _inverse_input(Random(seed), p, prec, n, shape)
     m = PadicMatrix(rows, p, prec)
-    if m.reduction().char_poly()[0] == 0:
+    if _char_poly(m.rows(), p)[0] == 0:
         with pytest.raises(DivisionByHigherValuation, match="^matrix is not invertible"):
             m.inverse()
         return
@@ -587,20 +568,24 @@ def test_residue_eigenvectors(p):
         n = rng.randrange(2, p + 1)
         grids.append(sample_certifiable_matrix(rng, p, 4, n).rows())
     for grid in grids:
-        ahat = ResidueMatrix(grid, p)
-        for r, mult in ahat.eigenvalues():
+        h, m = _hessenberg(grid, p)
+        for r, mult in kernels.roots(kernels.char_poly(h, p), p):
             try:
-                (v,) = ahat.eigenvectors([r])
+                (v,) = kernels.eigenvectors(h, m, [r], p)
             except ValueError:
                 assert mult > 1, grid
                 continue
             assert next(x for x in reversed(v) if x) == 1, grid
-            av = [sum(x * y for x, y in zip(row, v)) % p for row in ahat.rows()]
+            av = [sum(x * y for x, y in zip(row, v)) % p for row in grid]
             assert av == [r * x % p for x in v], grid
     with pytest.raises(ValueError):
-        ResidueMatrix([[1, 0], [0, 2]], 5).eigenvectors([3])
+        _eigenvectors([[1, 0], [0, 2]], 5, [3])
     with pytest.raises(ValueError):
-        ResidueMatrix([[0, 1], [2, 1]], 7).eigenvectors([3])
+        _eigenvectors([[0, 1], [2, 1]], 7, [3])
+
+
+def _eigenvectors(grid, p, roots):
+    return kernels.eigenvectors(*_hessenberg(grid, p), roots, p)
 
 
 def test_residue_eigenvectors_reduced_hessenberg():
@@ -608,26 +593,26 @@ def test_residue_eigenvectors_reduced_hessenberg():
     # a block diagonal matrix and coupled blocks keep the vectors of the
     # per-root row reduction this solver replaced; a root of two blocks
     # (a two-dimensional kernel) is not simple and raises
-    diag = ResidueMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5)
-    assert diag.eigenvectors([1, 2, 3]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    block = ResidueMatrix([[0, 1, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 5]], 7)
-    roots = [r for r, _ in block.eigenvalues()]
+    diag = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    assert _eigenvectors(diag, 5, [1, 2, 3]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    block = [[0, 1, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 5]]
+    roots = [r for r, _ in kernels.roots(_char_poly(block, 7), 7)]
     assert roots == [2, 3, 5, 6]
-    assert block.eigenvectors(roots) == [
+    assert _eigenvectors(block, 7, roots) == [
         [4, 1, 0, 0],
         [0, 0, 1, 0],
         [0, 0, 4, 1],
         [6, 1, 0, 0],
     ]
     # coupled blocks: the root 4 of the lower block needs the upper one too
-    coupled = ResidueMatrix([[1, 2, 3], [0, 2, 1], [0, 0, 4]], 5)
-    assert coupled.eigenvectors([1, 2, 4]) == [[1, 0, 0], [2, 1, 0], [3, 3, 1]]
-    repeated = ResidueMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 5)
-    assert repeated.eigenvectors([2]) == [[0, 0, 1]]
+    coupled = [[1, 2, 3], [0, 2, 1], [0, 0, 4]]
+    assert _eigenvectors(coupled, 5, [1, 2, 4]) == [[1, 0, 0], [2, 1, 0], [3, 3, 1]]
+    repeated = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    assert _eigenvectors(repeated, 5, [2]) == [[0, 0, 1]]
     with pytest.raises(ValueError):
-        repeated.eigenvectors([1])
+        _eigenvectors(repeated, 5, [1])
     with pytest.raises(ValueError):
-        repeated.eigenvectors([3])
+        _eigenvectors(repeated, 5, [3])
 
 
 def test_scale_columns():
@@ -732,8 +717,8 @@ def test_correctness_guards_raise():
     # the precision rules of scalars and matrices live in core alone; no
     # module but kernels binds the kernels by name, so a counter set on
     # kernels.grid_matmul sees every product; grids of residues live in
-    # kernels, linalg, the eigenbasis lift and the rank check, so only
-    # linalg and spectral import kernels; every power series enters through
+    # kernels, linalg, the eigenbasis lift, the rank check and certify's
+    # analysis mod p, so only linalg and spectral import kernels; every power series enters through
     # PowerPlan.powers, the one caller of _power_residues; the power plan
     # (PowerPlan and its rows, _binomial_row) is defined in functions
     # alone, which keeps no module-level cache but log_one_plus_p's, so a
@@ -747,7 +732,9 @@ def test_correctness_guards_raise():
     plan_names = {"PowerPlan", "_binomial_row"}
     plan_homes = set()
     precision_rules = {"truncate_to", "modulus"}
-    kernel_names = {"grid_matmul", "grid_inverse", "row_order"}
+    kernel_names = {
+        "grid_matmul", "grid_inverse", "row_order", "hessenberg", "char_poly", "roots", "eigenvectors"
+    }
     helpers, used, kernel_importers, power_callers = {}, set(), set(), set()
     for path in sorted(root.glob("*.py")):
         tree = _parse_310(path)

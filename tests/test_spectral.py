@@ -1,7 +1,8 @@
 """Certificates, projection-valued measure, functional calculus."""
 
 import json
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, prod
 from pathlib import Path
 from random import Random
 
@@ -30,7 +31,7 @@ from padicspectral.errors import (
     RepeatedResidueEigenvalue,
     ResidueEigenvalueDeficit,
 )
-from oracle import oracle_char_poly
+from oracle import oracle_certificate_holds, oracle_char_poly
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_invertible_matrix,
@@ -80,6 +81,68 @@ def test_refusals():
     with pytest.raises(RepeatedResidueEigenvalue):
         # companion matrix of x^2 - x - 1, double root 3 mod 5
         certify_strongly_normal(PadicMatrix([[0, 1], [1, 1]], 5, 32))
+
+
+def _oracle_refusal(rows, p):
+    """The refusal certify owes a matrix, by the oracle char poly of its
+    reduction and a scan of F_p for roots, each divided out as often as it
+    divides: None when it is certifiable."""
+    n = len(rows)
+    reduced = [[x % p for x in row] for row in rows]
+    scalar = [[reduced[0][0] if i == j else 0 for j in range(n)] for i in range(n)]
+    if n >= 2 and reduced == scalar:
+        return DegenerateReduction
+    f = [c % p for c in oracle_char_poly(reduced)]
+    mults = []
+    for r in range(p):
+        m = 0
+        while len(f) > 1 and sum(c * r**k for k, c in enumerate(f)) % p == 0:
+            quotient, carry = [], 0
+            for c in reversed(f[1:]):
+                carry = (c + carry * r) % p
+                quotient.append(carry)
+            f, m = quotient[::-1], m + 1
+        mults.append(m)
+    if sum(mults) < n:
+        return ResidueEigenvalueDeficit
+    return RepeatedResidueEigenvalue if max(mults) > 1 else None
+
+
+@pytest.mark.parametrize(
+    "p, prec, n, refused",
+    [
+        (3, 2, 2, {
+            DegenerateReduction: 243, RepeatedResidueEigenvalue: 1944, ResidueEigenvalueDeficit: 1458
+        }),
+        (3, 1, 3, {
+            DegenerateReduction: 3, RepeatedResidueEigenvalue: 8502, ResidueEigenvalueDeficit: 9774
+        }),
+    ],
+    ids=["Z9-n2", "F3-n3"],
+)
+def test_certify_every_matrix_of_a_small_ring(p, prec, n, refused):
+    # every A over Z/p^prec of size n: certify refuses exactly the class the
+    # oracle finds, accepts C(p, n) |GL_n(F_p)| / (p-1)^n p^(n^2 (prec-1))
+    # matrices (n distinct residue eigenvalues, an eigenbasis mod p up to
+    # column scales, any higher digits), and every accepted certificate
+    # passes the oracle's A S = S D and rank check
+    counts = dict.fromkeys([None, *refused], 0)
+    for entries in product(range(p**prec), repeat=n * n):
+        rows = [list(entries[i : i + n]) for i in range(0, n * n, n)]
+        expected = _oracle_refusal(rows, p)
+        counts[expected] += 1
+        if expected is not None:
+            with pytest.raises(expected):
+                certify_strongly_normal(PadicMatrix(rows, p, prec))
+            continue
+        cert = certify_strongly_normal(PadicMatrix(rows, p, prec))
+        assert cert.precision == prec
+        eigenvalues = [e.residue for e in cert.eigenvalues]
+        assert oracle_certificate_holds(rows, cert.basis.rows(), eigenvalues, p, prec), rows
+    gl = prod(p**n - p**k for k in range(n))
+    accepted = comb(p, n) * gl // (p - 1) ** n * p ** (n * n * (prec - 1))
+    assert counts == {None: accepted, **refused}
+    assert sum(counts.values()) == p ** (prec * n * n)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -597,12 +660,12 @@ def test_certificate_shape_checks():
         StrongNormalCertificate.from_dict({"matrix": a.to_dict()})
 
 
-def _reference_lift(a, ahat, residues):
+def _reference_lift(a, start, residues):
     """The eigenbasis lift on PadicMatrix objects at full precision: each
     step multiplies e-digit matrices, as before the half-precision
     corrections, so it shares no grid arithmetic with the code under test."""
     p, n, target = a.p, a.n, a.prec
-    s = PadicMatrix(list(zip(*ahat.eigenvectors(residues))), p, 1)
+    s = PadicMatrix(start, p, 1)
     t = s.inverse()
     d = list(residues)
     g = [[pow(dj - di, -1, p) if dj != di else 0 for dj in d] for di in d]
@@ -626,10 +689,11 @@ def _reference_lift(a, ahat, residues):
 def _check_lift(a):
     """The lift's S and eigenvalues, and the certificate's S^-1, equal the
     reference's S, eigenvalues and T."""
-    ahat = a.reduction()
-    residues = sorted(r for r, _ in ahat.eigenvalues())
-    s, t, eigenvalues = _reference_lift(a, ahat, residues)
-    assert spectral._lift_eigenbasis(a, ahat, residues) == (s, eigenvalues)
+    h, m = kernels.hessenberg(a.truncate_to(1).rows(), a.p)
+    residues = sorted(r for r, _ in kernels.roots(kernels.char_poly(h, a.p), a.p))
+    start = list(zip(*kernels.eigenvectors(h, m, residues, a.p)))
+    s, t, eigenvalues = _reference_lift(a, start, residues)
+    assert spectral._lift_eigenbasis(a, start, residues) == (s, eigenvalues)
     cert = certify_strongly_normal(a)
     assert (cert.basis, list(cert.eigenvalues), cert.basis_inverse) == (s, eigenvalues, t)
 
