@@ -1,8 +1,8 @@
 """One-parameter groups of unitary operators U(s) = s^A.
 
-A unitary operator here is I + V with |V| < 1 and V certified; the
-principal units s act through the functional calculus, eigenvalue by
-eigenvalue.  The group law holds on the nose, the map s -> U(s) is
+A unitary operator here is I + V with |V| < 1, held as its own
+certificate U S = S diag(mu); the principal units s act through the
+functional calculus, eigenvalue by eigenvalue.  The group law holds on the nose, the map s -> U(s) is
 1-Lipschitz, and the spectral route agrees with summing the operator
 Mahler series directly.
 
@@ -27,7 +27,7 @@ rng = Random(2024)
 print("=== wrapping I + V as a unitary operator ===")
 V = PadicMatrix([[0, 5], [10, 5]], p, N)   # = 5 * [[0,1],[2,1]], norm 1/5
 u_op = make_unitary(V)
-spectrum = sorted(x.residue % 5**4 for x in u_op.unit_spectrum())
+spectrum = sorted(x.residue % 5**4 for x in u_op.eigenvalues)
 print(f"|V| = 5^-{V.op_norm().value}, sigma(I+V) mod 5^4 = {spectrum}")
 print("(the principal units 1 + 5*2 = 11 and 1 - 5 = -4)")
 
@@ -42,7 +42,7 @@ print("U(6) mod 5^4:", [[x % 5**4 for x in row] for row in u6.matrix.rows()])
 print("U(1) = I exactly:",
       group.evaluate(1).matrix == PadicMatrix.identity(2, p, N))
 print("sigma(U(6)) mod 5^4:",
-      sorted(x.residue % 5**4 for x in u6.unit_spectrum()),
+      sorted(x.residue % 5**4 for x in u6.eigenvalues),
       "= {6^2, 6^-1} for the eigenvalues 2 and -1")
 
 print()
@@ -79,6 +79,6 @@ print()
 print("=== unitarity is preserved: |U(s) - I| = |s - 1| < 1 ===")
 for _ in range(3):
     s = sample_principal_unit(rng, p, N)
-    u = group.evaluate(s)
+    u = group.evaluate(s).matrix
     print(f"v(s-1) = {(s-1).valuation().value}, "
-          f"v(U(s)-I) = {u.cert.matrix.op_norm().value}")
+          f"v(U(s)-I) = {(u - PadicMatrix.identity(2, p, u.prec)).op_norm().value}")

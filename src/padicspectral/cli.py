@@ -170,7 +170,7 @@ def _cmd_group_eval(args):
     return {
         "s": to_decimal(s),
         "matrix": u.matrix.to_dict(),
-        "unit_spectrum": [x.to_dict() for x in u.unit_spectrum()],
+        "unit_spectrum": [x.to_dict() for x in u.eigenvalues],
     }, EXIT_OK
 
 

@@ -280,6 +280,13 @@ def check_int(k, least: int, what: str) -> int:
     return k
 
 
+def require_type(x, cls: type, caller: str) -> None:
+    """The one type check of an argument: TypeError naming ``caller`` and
+    ``cls`` for anything that is not a ``cls``."""
+    if not isinstance(x, cls):
+        raise TypeError(f"{caller} takes a {cls.__name__}")
+
+
 def unit_inverse(u: int, p: int, mod: int) -> int:
     """u^-1 mod ``mod`` = p^N for a unit u, by Newton's iteration
     x <- x (2 - u x) from u^-1 mod p: each step doubles the digits that

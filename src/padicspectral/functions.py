@@ -42,6 +42,7 @@ from .core import (
     Valuation,
     as_padic,
     check_int,
+    require_type,
     validate_prec,
     validate_prime,
 )
@@ -185,6 +186,7 @@ def truncation_length(v_z: int, budget: SeriesBudget) -> int:
     Dropped Mahler terms z^n P_n(lam) for n > M then all have valuation
     above target, since |P_n(lam)| <= 1 on Z_p.
     """
+    require_type(budget, SeriesBudget, "truncation_length")
     check_int(v_z, 1, "argument valuation")
     return -(-budget.target // v_z)
 
@@ -211,6 +213,7 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
 def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
     """(1 + z)^lam for |z| < 1 and lam in Z_p (a PadicInt or an int >= 0):
     the one power of a :class:`PowerPlan` of lam built for this call."""
+    require_type(budget, SeriesBudget, "principal_power")
     return PowerPlan(z.p, [lam], budget).powers(z)[0]
 
 
@@ -230,6 +233,7 @@ class PowerPlan:
     __slots__ = ("p", "target", "exponents", "k", "table", "parts")
 
     def __init__(self, p: int, lams, budget: SeriesBudget):
+        require_type(budget, SeriesBudget, "PowerPlan")
         target = budget.target
         self.p, self.target, self.exponents = p, target, []
         for lam in lams:
@@ -413,6 +417,7 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     Everything runs on plain residues, each term t^j / j divided by
     :func:`_divide_index`, so the result is the true log u mod p^W.
     """
+    require_type(budget, SeriesBudget, "plog")
     require_principal(u, "plog argument")
     p, working = u.p, budget.target
     k = _split_point(p, working, 0, Valuation.of_residue(u.residue - 1, p, working).value)
@@ -449,6 +454,7 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     m = min(prec x, W), and an exponent error of p^(m-1) moves the power
     by p^m at most.  The extra digit keeps log(1+p) nonzero at target 1.
     """
+    require_type(budget, SeriesBudget, "pexp")
     p = x.p
     out_prec = min(budget.target, x.prec)
     if x.is_zero():
@@ -467,6 +473,7 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     one digit, so the result carries min(target, prec(s) - 1) digits, and
     InsufficientPrecision is raised for a one-digit s.
     """
+    require_type(budget, SeriesBudget, "zeta_of")
     require_principal(s, "zeta_of argument")
     if s.prec < 2:
         raise InsufficientPrecision(f"s = {s} has one digit, and zeta(s) costs one")

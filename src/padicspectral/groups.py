@@ -1,40 +1,42 @@
 """One-parameter unitary groups over the principal units of Q_p.
 
-A unitary operator is U = I + V with |V| < 1 and V spectrally
-certified.  A certified generator A with spectrum in Z_p and |A| <= 1
-produces the group
+A unitary operator is U = I + V with |V| < 1 and V normal.  Its spectrum
+is 1 + sigma(V), principal units, and its eigenbasis is V's, so the one
+object that stands for it here is its own spectral certificate
+U S = S diag(mu).  A certified generator A with spectrum in Z_p and
+|A| <= 1 produces the group
 
     U(s) = (1+z)^A = S diag((1+z)^(lambda_i)) S^-1,   s = 1 + z,
 
 which satisfies U(s1 s2) = U(s1) U(s2) and the Lipschitz bound
-|U(s1) - U(s2)| <= |s1 - s2|.  The converse direction recovers the
-generator from the single value U(1+p):
+|U(s1) - U(s2)| <= |s1 - s2|; each value comes as the certificate of
+U(s) on A's basis S.  The converse direction recovers the generator from
+the single value U(1+p):
 
-    A = log(I + V) / log(1+p),   V = U(1+p) - I,
+    A = log U(1+p) / log(1+p) = S diag(zeta(mu_i)) S^-1,
 
-implemented on V's certificate as S diag(zeta(1+lambda_i)) S^-1 with
-zeta(s) = log s / log(1+p), which provably loses exactly one digit to
-the final division, and with the operator log series kept as an
-independent cross-check path.  The two operator series, Mahler and log,
+read off the certificate of U(1+p), with zeta(s) = log s / log(1+p),
+which provably loses exactly one digit to the final division, and with
+the operator log series of V = U(1+p) - I kept as an independent
+cross-check path.  The two operator series, Mahler and log,
 are the engine functions of the functions module run with matmul; this
 module sums them but fixes no truncation itself, and adds to the target
 only the one digit that the division by log(1+p) costs.  The group checks
 are PadicMatrix's own @, - and op_norm: no grid of residues is formed here.
 
-Certification of V with |V| < 1: V's reduction is the zero matrix, so
-the distinct-residue criterion cannot apply directly.  V is factored as
-p^w V' with w the minimal entry valuation; V' has a unit entry, is
-certified the usual way, and the eigenvalues are scaled back while the
-eigenbasis S is shared.  V = 0 gets the trivial certificate: one
-eigenvalue 0, owning every column of S = I, and projector I.  Anything
-else is refused.
+Certification of U = I + V with |V| < 1: U's reduction is the identity,
+so the distinct-residue criterion cannot apply directly.  V is factored
+as p^w V' with w the minimal entry valuation; V' has a unit entry, is
+certified the usual way, and U's eigenvalues are 1 + p^w lambda' on the
+eigenbasis S of V'.  U = I gets the trivial certificate: one eigenvalue 1,
+owning every column of S = I, and projector I.  Anything else is refused.
 """
 
 from __future__ import annotations
 
 from operator import matmul
 
-from .core import Frozen, PadicInt, Valuation, as_padic, check_int, to_decimal
+from .core import Frozen, PadicInt, Valuation, as_padic, check_int, require_type
 from .errors import (
     CertificationFailed,
     InsufficientPrecision,
@@ -57,7 +59,6 @@ from .linalg import PadicMatrix
 from .spectral import StrongNormalCertificate, certify_strongly_normal
 
 __all__ = [
-    "UnitaryOperator",
     "OneParamGroup",
     "GroupCheck",
     "make_unitary",
@@ -65,38 +66,6 @@ __all__ = [
     "generator_log_series",
     "additive_reparam",
 ]
-
-
-class UnitaryOperator(Frozen):
-    """U = I + V together with the spectral certificate of V.
-
-    V is ``cert.matrix``.  The spectrum of U is the pushforward of V's
-    under phi(x) = 1 + x and consists of principal units.
-    """
-
-    __slots__ = ("matrix", "cert")
-
-    def __init__(self, matrix: PadicMatrix, cert: StrongNormalCertificate):
-        if not (isinstance(matrix, PadicMatrix) and isinstance(cert, StrongNormalCertificate)):
-            raise TypeError("UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate")
-        self._set(matrix=matrix, cert=cert)
-
-    def unit_spectrum(self) -> list[PadicInt]:
-        """sigma(U) = {1 + lambda : lambda in sigma(V)}."""
-        return [lam + 1 for lam in self.cert.eigenvalues]
-
-    def __repr__(self):
-        spectrum = ", ".join(to_decimal(u.residue) for u in self.unit_spectrum())
-        return (
-            f"UnitaryOperator(n={self.matrix.n}, p={self.matrix.p}, "
-            f"spectrum=[{spectrum}])"
-        )
-
-
-def _require_matrix(x, caller: str) -> None:
-    """A matrix argument's type check, a TypeError as the constructors raise."""
-    if not isinstance(x, PadicMatrix):
-        raise TypeError(f"{caller} takes a PadicMatrix")
 
 
 def _small_norm(v: PadicMatrix, err) -> int:
@@ -110,33 +79,32 @@ def _small_norm(v: PadicMatrix, err) -> int:
     return w
 
 
-def _small_norm_certificate(v: PadicMatrix, err) -> StrongNormalCertificate:
-    """Certify a matrix with |V| < 1 through the p^w V' factorization."""
+def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
+    """Certify U = I + V with |V| < 1 through V = p^w V': U's eigenvalues
+    are 1 + p^w lam' on the eigenbasis of V'."""
+    ident = PadicMatrix.identity(u.n, u.p, u.prec)
+    v = u - ident
     if v.is_zero():
-        ident = PadicMatrix.identity(v.n, v.p, v.prec)
-        return StrongNormalCertificate(v, [PadicInt.zero(v.p, v.prec)], ident)
+        return StrongNormalCertificate(u, [PadicInt.one(u.p, u.prec)], ident)
     w = _small_norm(v, err)
-    pw = v.p**w
-    v1 = v.divide_exact(pw)
+    pw = u.p**w
     try:
-        cert1 = certify_strongly_normal(v1)
+        cert1 = certify_strongly_normal(v.divide_exact(pw))
     except Refusal as e:
-        raise CertificationFailed(
-            f"scaled part V/p^{w} is not certifiable: {e}"
-        ) from e
-    # V = p^w V' holds exactly at prec V - w, so V S = p^w S D' = S D there;
-    # an eigenvalue lam' of V' known to m digits fixes p^w lam' to m + w
+        raise CertificationFailed(f"scaled part V/p^{w} is not certifiable: {e}") from e
+    # V = p^w V' holds exactly at prec U - w, so U S = S (I + p^w D') there;
+    # an eigenvalue lam' of V' known to m digits fixes 1 + p^w lam' to m + w
     return cert1.reuse_basis(
-        v, [PadicInt(pw * lam.residue, v.p, lam.prec + w) for lam in cert1.eigenvalues]
+        u, [PadicInt(1 + pw * lam.residue, u.p, lam.prec + w) for lam in cert1.eigenvalues]
     )
 
 
-def make_unitary(v: PadicMatrix) -> UnitaryOperator:
-    """Wrap I + V as a unitary operator; requires |V| < 1 and V certifiable."""
-    _require_matrix(v, "make_unitary")
-    cert = _small_norm_certificate(v, err=NormTooLarge)
-    u = PadicMatrix.identity(v.n, v.p, v.prec) + v
-    return UnitaryOperator(u, cert)
+def make_unitary(v: PadicMatrix) -> StrongNormalCertificate:
+    """The unitary operator U = I + V as its certificate: U, its spectrum
+    1 + sigma(V) of principal units, and V's eigenbasis.  Requires |V| < 1
+    (else NormTooLarge) and V/p^v(V) certifiable."""
+    require_type(v, PadicMatrix, "make_unitary")
+    return _unitary_certificate(PadicMatrix.identity(v.n, v.p, v.prec) + v, NormTooLarge)
 
 
 class GroupCheck(Frozen):
@@ -193,8 +161,9 @@ class OneParamGroup(Frozen):
 
     # -- the group -------------------------------------------------------
 
-    def evaluate(self, s) -> UnitaryOperator:
-        """U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1 on the eigenbasis.
+    def evaluate(self, s) -> StrongNormalCertificate:
+        """The certificate of U(s) = s^A = S diag((1+z)^(lambda_i)) S^-1:
+        U(s) on A's eigenbasis S, its eigenvalues the powers (1+z)^(lambda_i).
 
         The n powers (1+z)^(lambda_i) come from the PowerPlan of the
         eigenvalues that the group builds on its first evaluation and
@@ -202,11 +171,10 @@ class OneParamGroup(Frozen):
         its binomial row in b built once, and every evaluation shares
         (1+z)^(p^k), its powers and, where the cost model says so, one
         table of small powers, then takes one dot product per eigenvalue.
-        V's eigenvalues are the powers less 1.  U(1) = I.
+        U(1) = I.
         """
         powers, u = self._value_at(self._coerce_unit(s))
-        v = u - PadicMatrix.identity(u.n, self.p, u.prec)
-        return UnitaryOperator(u, self.cert.reuse_basis(v, [x - 1 for x in powers]))
+        return self.cert.reuse_basis(u, powers)
 
     def _value_at(self, s: PadicInt) -> tuple[list[PadicInt], PadicMatrix]:
         """U(s) for a coerced s, with the powers (1+z)^(lambda_i), through
@@ -275,7 +243,7 @@ class OneParamGroup(Frozen):
             prefixes.append(one if acc is None else acc)
         return [prefixes[min(n, len(prefixes) - 1)] for n in ns]
 
-    def additive_evaluate(self, z) -> UnitaryOperator:
+    def additive_evaluate(self, z) -> StrongNormalCertificate:
         """W(z) = e^(pzA) via the reparametrization s = e^(pz), z in Z_p.
 
         Additivity W(z1 + z2) = W(z1) W(z2) follows from the group law.
@@ -306,6 +274,7 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 
     p z is fixed to one digit more than z, and pexp keeps every digit of it.
     """
+    require_type(budget, SeriesBudget, "additive_reparam")
     return pexp(PadicInt(z.p * z.residue, z.p, z.prec + 1), budget)
 
 
@@ -313,23 +282,24 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """Recover the generator A from the single group value U(1+p).
 
     Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum; then
-    V = p^w V' with w >= 1 puts the spectrum of V in pZ_p.  The generator is
+    V = p^w V' with w >= 1 puts the spectrum of U(1+p) in 1 + pZ_p.  The
+    generator is
 
-        A = log(I + V) / log(1+p) = S diag(log(1+lambda_i)/log(1+p)) S^-1,
+        A = log U(1+p) / log(1+p) = S diag(log(mu_i)/log(1+p)) S^-1,
 
-    computed on V's certificate, whose eigenvalues keep every digit of
-    U(1+p); the division by log(1+p), a valuation-1 scalar, costs exactly
-    one digit, so a one-digit U(1+p) raises InsufficientPrecision.  Then
-    evaluate(A, 1+p) reproduces U(1+p), since
-    (1+p)^(log(1+lam)/log(1+p)) = 1 + lam.
+    computed on the certificate of U(1+p), whose eigenvalues keep every
+    digit of U(1+p); the division by log(1+p), a valuation-1 scalar, costs
+    exactly one digit, so a one-digit U(1+p) raises InsufficientPrecision.
+    Then evaluate(A, 1+p) reproduces U(1+p), since
+    (1+p)^(log(mu)/log(1+p)) = mu.
     """
-    _require_matrix(u1p, "stone_recover")
-    v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
-    cert_v = _small_norm_certificate(v, err=NotPrincipalSpectrum)
-    a_eigen = [zeta_of(lam + 1, budget) for lam in cert_v.eigenvalues]
+    require_type(u1p, PadicMatrix, "stone_recover")
+    require_type(budget, SeriesBudget, "stone_recover")
+    cert_u = _unitary_certificate(u1p, NotPrincipalSpectrum)
+    a_eigen = [zeta_of(mu, budget) for mu in cert_u.eigenvalues]
     # A = S diag(a) S^-1 and S^-1 S = I give A S = S D at A's precision
-    a = cert_v.spectral_operator(a_eigen)
-    return OneParamGroup(cert_v.reuse_basis(a, a_eigen), budget)
+    a = cert_u.spectral_operator(a_eigen)
+    return OneParamGroup(cert_u.reuse_basis(a, a_eigen), budget)
 
 
 def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
@@ -339,7 +309,8 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
     by :func:`log_series` with matmul, sharing with the eigenvalue route
     in stone_recover only the scalar log(1+p).
     """
-    _require_matrix(u1p, "generator_log_series")
+    require_type(u1p, PadicMatrix, "generator_log_series")
+    require_type(budget, SeriesBudget, "generator_log_series")
     p = u1p.p
     n = u1p.n
     v = u1p - PadicMatrix.identity(n, p, u1p.prec)

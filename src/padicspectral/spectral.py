@@ -22,7 +22,7 @@ this package deliberately does not guess at.
 from __future__ import annotations
 
 from . import kernels
-from .core import Frozen, PadicInt, as_padic, check_int, to_decimal
+from .core import Frozen, PadicInt, as_padic, check_int, require_type, to_decimal
 from .errors import (
     CertificationFailed,
     DegenerateReduction,
@@ -328,8 +328,7 @@ def certify_strongly_normal(a: PadicMatrix) -> StrongNormalCertificate:
     the char poly and the residue eigenvectors.  Anything but a PadicMatrix
     raises TypeError.
     """
-    if not isinstance(a, PadicMatrix):
-        raise TypeError("certify_strongly_normal takes a PadicMatrix")
+    require_type(a, PadicMatrix, "certify_strongly_normal")
     p, rows = a.p, a.truncate_to(1).rows()
     c = rows[0][0]
     scalar = all(x == (c if i == j else 0) for i, r in enumerate(rows) for j, x in enumerate(r))

@@ -4,7 +4,9 @@ Everything here recomputes results by a route the library never takes:
 exact binomial sums over Z and exact rational partial sums, each reduced
 mod p^N in one final step, and characteristic polynomials by cofactor
 expansion over Z[x]; a certificate A S = S D is checked by one product
-over Z and a rank by elimination mod p.  No code is shared with the series or linear
+over Z and a rank by elimination mod p, and a group value U = (1+z)^A on
+A's eigenbasis by the same check with pow over Z on each eigenvalue.  No
+code is shared with the series or linear
 algebra modules, and nothing is imported from the package; that
 independence is the point.  Nothing here tracks precision or aims to be
 fast.
@@ -22,6 +24,8 @@ __all__ = [
     "oracle_series",
     "oracle_char_poly",
     "oracle_certificate_holds",
+    "oracle_group_value_holds",
+    "oracle_stone_holds",
     "reduce_fraction",
 ]
 
@@ -177,3 +181,28 @@ def oracle_certificate_holds(a, s, eigenvalues, p: int, prec: int) -> bool:
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank == n
+
+
+def _per_column(values, n: int) -> list:
+    """A lone eigenvalue owns every column of S; else one per column."""
+    return list(values) * (n // len(values))
+
+
+def oracle_group_value_holds(u, mu, s, lams, z: int, p: int, prec: int) -> bool:
+    """True iff U = (1+z)^A mod p^prec for A S = S diag(lams): each mu_i is
+    pow(1 + z, lam_i, p^prec) over Z, lam_i a residue >= 0, and U S =
+    S diag(mu) with S of rank n mod p.  There is one lam per column of S
+    or a lone one for all of them, and one mu per lam."""
+    mod = p**prec
+    if len(mu) != len(lams) or any((m - pow(1 + z, lam, mod)) % mod for m, lam in zip(mu, lams)):
+        return False
+    return oracle_certificate_holds(u, s, _per_column(mu, len(u)), p, prec)
+
+
+def oracle_stone_holds(a, s, lams, u1p, p: int, prec: int) -> bool:
+    """True iff a recovered generator is certified, A S = S diag(lams), and
+    generates the given U(1+p): U(1+p) S = S diag(pow(1 + p, lam_i)), all
+    mod p^prec."""
+    mu = [pow(1 + p, lam, p**prec) for lam in lams]
+    certified = oracle_certificate_holds(a, s, _per_column(lams, len(a)), p, prec)
+    return certified and oracle_group_value_holds(u1p, mu, s, lams, p, p, prec)

@@ -18,6 +18,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "cli"
 sys.path.insert(0, str(FIXTURES))
 
 from make_golden import SAMPLED_CASES, ZERO_CASE, input_files, run_cli  # noqa: E402
+from oracle import oracle_group_value_holds, oracle_stone_holds  # noqa: E402
 
 from padicspectral import OneParamGroup, StrongNormalCertificate  # noqa: E402
 
@@ -58,6 +59,54 @@ def test_global_flags_work_on_either_side(entry, capsys):
     for wrong in (["--p", "7", *argv], [*argv, "--p", "7"]):
         assert run_cli(wrong, case_dir) == (1, ""), wrong
         assert capsys.readouterr().err == "input error: --p 7 but the input has p = 5\n"
+
+
+def _grid(doc):
+    return [[int(x) for x in row] for row in doc["entries"]]
+
+
+def _residues(docs):
+    return [int(d["val"]) for d in docs]
+
+
+def _oracle_check(entry, corrupt=False):
+    """The oracle's verdict on a golden group-eval or stone output: its U and
+    unit spectrum against the bundle's certificate, or its certificate
+    against its U(1+p), at the least precision of the parts it reads;
+    ``corrupt`` adds p^(prec-1) to U's first entry first."""
+    case_dir = FIXTURES / entry["case"]
+    out = json.loads((case_dir / entry["stdout"]).read_text())
+    p = out["config"]["p"]
+    if entry["argv"][2] == "stone":
+        cert = out["certificate"]
+        u = json.loads((case_dir / "unitary.json").read_text())
+        parts = [u, cert["matrix"], cert["basis"], *cert["eigenvalues"]]
+    else:
+        cert = json.loads((case_dir / "bundle.json").read_text())["certificate"]
+        u = out["matrix"]
+        parts = [u, cert["basis"], *out["unit_spectrum"]]
+    prec = min(x["prec"] for x in parts)
+    u_rows, basis, lams = _grid(u), _grid(cert["basis"]), _residues(cert["eigenvalues"])
+    if corrupt:
+        u_rows[0][0] += p ** (prec - 1)
+    if entry["argv"][2] == "stone":
+        return oracle_stone_holds(_grid(cert["matrix"]), basis, lams, u_rows, p, prec)
+    mu, z = _residues(out["unit_spectrum"]), int(out["s"]) - 1
+    return oracle_group_value_holds(u_rows, mu, basis, lams, z, p, prec)
+
+
+GROUP_VALUES = [e for e in MANIFEST if e["argv"][2] in ("group-eval", "stone")]
+
+
+@pytest.mark.parametrize(
+    "entry", GROUP_VALUES, ids=[f"{e['case']}-{e['stdout'][:-4]}" for e in GROUP_VALUES]
+)
+def test_golden_group_values_hold_against_the_oracle(entry):
+    # U(s) S = S diag(mu) with mu_i = (1+z)^lam_i on the bundle's S, and a
+    # recovered generator's certificate that gives back U(1+p), by integer
+    # products and pow over Z; one digit off in U fails the check
+    assert _oracle_check(entry)
+    assert not _oracle_check(entry, corrupt=True)
 
 
 def test_input_files_regenerate_byte_for_byte():

@@ -16,17 +16,19 @@ from padicspectral import (
     PowerPlan,
     SeriesBudget,
     StrongNormalCertificate,
-    UnitaryOperator,
     Valuation,
+    additive_reparam,
     certify_strongly_normal,
     digit_truncation_error,
     generator_log_series,
     mahler_coeff,
     make_unitary,
+    pexp,
     plog,
     principal_power,
     stone_recover,
     truncation_length,
+    zeta_of,
 )
 from padicspectral.core import MAX_WORKING_PREC, from_decimal, to_decimal, validate_prime
 from padicspectral.errors import (
@@ -277,16 +279,6 @@ _REFUSALS = {
         TypeError,
         "^OneParamGroup takes a StrongNormalCertificate and a SeriesBudget$",
     ),
-    "unitary-list-matrix": (
-        lambda: UnitaryOperator([[1, 0], [0, 1]], _CERT5),
-        TypeError,
-        "^UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate$",
-    ),
-    "unitary-matrix-certificate": (
-        lambda: UnitaryOperator(_M5, _M5),
-        TypeError,
-        "^UnitaryOperator takes a PadicMatrix and a StrongNormalCertificate$",
-    ),
     "certify-list": (
         lambda: certify_strongly_normal([[1, 2], [3, 4]]),
         TypeError,
@@ -307,6 +299,24 @@ _REFUSALS = {
         TypeError,
         "^generator_log_series takes a PadicMatrix$",
     ),
+    # an int where a SeriesBudget belongs: one TypeError naming the function
+    **{
+        f"{name}-int-budget": (call, TypeError, f"^{name} takes a SeriesBudget$")
+        for name, call in [
+            ("stone_recover", lambda: stone_recover(PadicMatrix([[6, 0], [0, 11]], 5, 8), 8)),
+            (
+                "generator_log_series",
+                lambda: generator_log_series(PadicMatrix([[6, 0], [0, 11]], 5, 8), 8),
+            ),
+            ("principal_power", lambda: principal_power(_Z5, _LAM5, 4)),
+            ("PowerPlan", lambda: PowerPlan(5, [_LAM5], 4)),
+            ("plog", lambda: plog(PadicInt(6, 5, 4), 4)),
+            ("pexp", lambda: pexp(_Z5, 4)),
+            ("zeta_of", lambda: zeta_of(PadicInt(6, 5, 4), 4)),
+            ("additive_reparam", lambda: additive_reparam(_LAM5, 4)),
+            ("truncation_length", lambda: truncation_length(1, 4)),
+        ]
+    },
     "certificate-prime": (
         lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),
         PrimeMismatch,
@@ -383,7 +393,10 @@ def test_value_reprs():
         "OneParamGroup(generator=PadicMatrix([[0, 1], [2, 1]], p=5, prec=4), "
         "budget=SeriesBudget(target=4))"
     )
-    assert repr(_GROUP5.evaluate(6)) == "UnitaryOperator(n=2, p=5, spectrum=[36, 521])"
+    # a group value is the certificate of U(6), its spectrum {6^2, 6^-1}
+    assert repr(_GROUP5.evaluate(6)) == (
+        "StrongNormalCertificate(n=2, p=5, prec=4, eigenvalues=[36, 521])"
+    )
 
 
 @given(
@@ -451,7 +464,6 @@ def test_package_exports():
             "certify_strongly_normal",
             "GroupCheck",
             "OneParamGroup",
-            "UnitaryOperator",
             "additive_reparam",
             "generator_log_series",
             "make_unitary",
@@ -589,7 +601,6 @@ def test_immutability():
     a = PadicMatrix([[0, 1], [2, 1]], 5, 4)
     cert = certify_strongly_normal(a)
     group = OneParamGroup(cert, SeriesBudget(4))
-    u = group.evaluate(6)
     check = group.verify_group_law(6, 11)
     # the verified certificate keeps S^-1 in its _memo slot, which is no
     # field: it equals a copy built from its fields that has inverted nothing
@@ -611,7 +622,6 @@ def test_immutability():
             StrongNormalCertificate(a, *parts),
             StrongNormalCertificate(a.truncate_to(3), *parts),
         ),
-        (u, "matrix", UnitaryOperator(u.matrix, u.cert), UnitaryOperator(u.matrix, cert)),
         (
             check,
             "required",

@@ -49,16 +49,16 @@ def _tol(budget, *mats):
 def test_make_unitary_examples():
     u0 = make_unitary(PadicMatrix.diagonal([0] * 2, 5, 32))
     assert u0.matrix == PadicMatrix.identity(2, 5, 32)
-    assert [x.residue for x in u0.unit_spectrum()] == [1]
+    assert [x.residue for x in u0.eigenvalues] == [1]
 
     u1 = make_unitary(PadicMatrix.diagonal([5, 10], 5, 32))
-    assert sorted(x.residue % 125 for x in u1.unit_spectrum()) == [6, 11]
+    assert sorted(x.residue % 125 for x in u1.eigenvalues) == [6, 11]
 
     # V = 5 * [[0,1],[2,1]]: sigma(U) = {1 + 5*2, 1 - 5} = {11, -4}
     u2 = make_unitary(PadicMatrix([[0, 5], [10, 5]], 5, 32))
-    got = sorted(x.residue % 5**4 for x in u2.unit_spectrum())
+    got = sorted(x.residue % 5**4 for x in u2.eigenvalues)
     assert got == sorted(x % 5**4 for x in (11, -4))
-    u2.cert.verify()
+    u2.verify()
 
 
 def test_make_unitary_refusals():
@@ -80,7 +80,7 @@ def test_evaluate_diagonal_example():
     u = g.evaluate(6)
     assert u.matrix.congruent(PadicMatrix.diagonal([1, 6], 5, 32), u.matrix.prec)
     # eigenvalue exponents 0 and 1 push the spectrum to {1, 6}
-    assert sorted(x.residue % 25 for x in u.unit_spectrum()) == [1, 6]
+    assert sorted(x.residue % 25 for x in u.eigenvalues) == [1, 6]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -181,7 +181,8 @@ def test_unitarity_closure(p):
     g = sample_group(rng, p, 32, 2, b)
     for _ in range(10):
         s = sample_principal_unit(rng, p, 32)
-        v = g.evaluate(s).cert.matrix
+        u = g.evaluate(s).matrix
+        v = u - PadicMatrix.identity(2, p, u.prec)
         assert v.op_norm() >= min((s - 1).valuation(), Valuation.at_least(v.prec))
 
 
@@ -440,7 +441,7 @@ def test_one_by_one_stone(p):
     # the basis I is kept at 7 digits, and the unit spectrum at all 8
     u = g.evaluate(1 + p)
     assert u.matrix == u1p.truncate_to(7)
-    assert u.unit_spectrum() == [PadicInt(1 + p * 43, p, 8)]
+    assert u.eigenvalues == (PadicInt(1 + p * 43, p, 8),)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -478,7 +479,7 @@ def test_read_certificate_keeps_only_verified_digits():
     u = OneParamGroup.from_dict(doc).evaluate(6)
     assert u.matrix.prec <= 20
     assert u.matrix == g.evaluate(6).matrix.truncate_to(u.matrix.prec)
-    u.cert.verify()
+    u.verify()
 
 
 def test_group_check_reporting():
@@ -494,19 +495,20 @@ def test_group_check_reporting():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_pushforward_certificate_of_evaluate(p):
-    # sigma(U(s)) = {(1+z)^lambda_i}; V(s) certificate data stays coherent
+    # sigma(U(s)) = {(1+z)^lambda_i}; U(s)'s certificate data stays coherent,
+    # and its calculus at mu - 1 gives V(s) = U(s) - I
     b = BUDGETS[p]
     rng = Random(2800 + p)
     g = sample_group(rng, p, 32, 2, b)
     s = sample_principal_unit(rng, p, 32)
     u = g.evaluate(s)
-    v = u.cert.matrix
+    v = u.functional_calculus(lambda mu: mu - 1)
     assert u.matrix.congruent(PadicMatrix.identity(2, p, v.prec) + v, v.prec)
-    recon = u.cert.functional_calculus(lambda lam: lam)
-    assert recon.congruent(v.truncate_to(recon.prec), recon.prec)
-    u.cert.verify()
+    recon = u.functional_calculus(lambda mu: mu)
+    assert recon.congruent(u.matrix.truncate_to(recon.prec), recon.prec)
+    u.verify()
     # the spectrum of a unitary operator consists of principal units
-    assert all(x.reduce_mod_p() == 1 for x in u.unit_spectrum())
+    assert all(x.reduce_mod_p() == 1 for x in u.eigenvalues)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 31])
@@ -525,9 +527,9 @@ def test_derived_certificates_verify(p):
         v = u1p - PadicMatrix.identity(n, p, u1p.prec)
         w = v.op_norm().value
         scaled = certify_strongly_normal(v.divide_exact(p**w))
-        unitary = make_unitary(v).cert
+        unitary = make_unitary(v)
         derived = [
-            (g.evaluate(sample_principal_unit(rng, p, prec)).cert, cert),
+            (g.evaluate(sample_principal_unit(rng, p, prec)), cert),
             (unitary, scaled),
             (stone_recover(u1p, b).cert, unitary),
         ]

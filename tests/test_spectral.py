@@ -378,8 +378,9 @@ def test_certificate_round_trip(p, prec, n, zero, seed):
     # written one, inverts its S exactly, and gives the same group values
     rng = Random(seed)
     n = min(n, p)
-    if zero:
-        cert = make_unitary(PadicMatrix.diagonal([0] * n, p, prec)).cert
+    if zero:  # the zero matrix's: a lone eigenvalue 0 owns every column of S = I
+        ident = PadicMatrix.identity(n, p, prec)
+        cert = StrongNormalCertificate(ident - ident, [PadicInt.zero(p, prec)], ident)
     elif n == 1:
         cert = certify_strongly_normal(PadicMatrix([[rng.randrange(p**prec)]], p, prec))
     else:
@@ -593,12 +594,12 @@ def _sourced_certificate(source, rng, p, prec, n):
     if source == "certify":
         return certify_strongly_normal(a)
     if source == "unitary":
-        return make_unitary(PadicMatrix([[p * x for x in r] for r in a.rows()], p, prec)).cert
+        return make_unitary(PadicMatrix([[p * x for x in r] for r in a.rows()], p, prec))
     if source == "zero":
-        return make_unitary(PadicMatrix.diagonal([0] * n, p, prec)).cert
+        return make_unitary(PadicMatrix.diagonal([0] * n, p, prec))
     if source == "stone-identity":
         return stone_recover(PadicMatrix.identity(n, p, prec), budget).cert
-    return OneParamGroup(certify_strongly_normal(a), budget).evaluate(1).cert
+    return OneParamGroup(certify_strongly_normal(a), budget).evaluate(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,12 +638,11 @@ def test_certificate_file_holds_three_fields(p, prec, n, source, older, seed):
 
 
 def test_zero_matrix_certificate_keeps_one_spectral_point():
-    # the lone eigenvalue 0 owns all three columns of S = I
+    # the lone eigenvalue 1 of U = I owns all three columns of S = I
     u = make_unitary(PadicMatrix.diagonal([0] * 3, 5, 16))
-    assert [x.residue for x in u.unit_spectrum()] == [1]
-    assert len(u.cert.eigenvalues) == 1
-    assert u.cert.projectors == (PadicMatrix.identity(3, 5, 16),)
-    u.cert.verify()
+    assert u.eigenvalues == (PadicInt(1, 5, 16),)
+    assert u.projectors == (PadicMatrix.identity(3, 5, 16),)
+    u.verify()
 
 
 def test_certificate_shape_checks():
