@@ -25,11 +25,10 @@ only the one digit that the division by log(1+p) costs.  The group checks
 are PadicMatrix's own @, - and op_norm: no grid of residues is formed here.
 
 Certification of U = I + V with |V| < 1: U's reduction is the identity,
-so the distinct-residue criterion cannot apply directly.  V is factored
-as p^w V' with w the minimal entry valuation; V' has a unit entry, is
-certified the usual way, and U's eigenvalues are 1 + p^w lambda' on the
-eigenbasis S of V'.  U = I gets the trivial certificate: one eigenvalue 1,
-owning every column of S = I, and projector I.  Anything else is refused.
+so the distinct-residue criterion cannot apply directly.  A scalar U = mu I
+is its own certificate, one eigenvalue mu owning every column of S = I;
+any other V = p^w V', w the minimal entry valuation, has V' certified the
+usual way and U's eigenvalues 1 + p^w lambda' on V''s eigenbasis S.
 """
 
 from __future__ import annotations
@@ -80,13 +79,14 @@ def _small_norm(v: PadicMatrix, err) -> int:
 
 
 def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
-    """Certify U = I + V with |V| < 1 through V = p^w V': U's eigenvalues
-    are 1 + p^w lam' on the eigenbasis of V'."""
+    """Certify U = I + V, |V| < 1: U = mu I as a lone eigenvalue mu on S = I,
+    any other U through V = p^w V', as 1 + p^w lam' on the eigenbasis of V'."""
     ident = PadicMatrix.identity(u.n, u.p, u.prec)
     v = u - ident
-    if v.is_zero():
-        return StrongNormalCertificate(u, [PadicInt.one(u.p, u.prec)], ident)
     w = _small_norm(v, err)
+    mu = PadicInt(u.rows()[0][0], u.p, u.prec)
+    if u == mu * ident:
+        return StrongNormalCertificate(u, [mu], ident)
     pw = u.p**w
     try:
         cert1 = certify_strongly_normal(v.divide_exact(pw))
@@ -102,7 +102,7 @@ def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
 def make_unitary(v: PadicMatrix) -> StrongNormalCertificate:
     """The unitary operator U = I + V as its certificate: U, its spectrum
     1 + sigma(V) of principal units, and V's eigenbasis.  Requires |V| < 1
-    (else NormTooLarge) and V/p^v(V) certifiable."""
+    (else NormTooLarge), and V scalar or V/p^v(V) certifiable."""
     require_type(v, PadicMatrix, "make_unitary")
     return _unitary_certificate(PadicMatrix.identity(v.n, v.p, v.prec) + v, NormTooLarge)
 
@@ -281,9 +281,9 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """Recover the generator A from the single group value U(1+p).
 
-    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum; then
-    V = p^w V' with w >= 1 puts the spectrum of U(1+p) in 1 + pZ_p.  The
-    generator is
+    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum, so its
+    spectrum lies in 1 + pZ_p; a scalar U(1+p) = mu I gives A = zeta(mu) I
+    on S = I, and any other needs V/p^v(V) certifiable.  The generator is
 
         A = log U(1+p) / log(1+p) = S diag(log(mu_i)/log(1+p)) S^-1,
 

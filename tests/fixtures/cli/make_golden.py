@@ -10,7 +10,10 @@ U(1+p) as the input of ``stone``.  The zero case runs ``stone`` on the
 identity, whose V = 0 gets the zero certificate: one eigenvalue that owns
 every column of S.  Its ``bundle.json`` is written as versions before the
 three-field certificate wrote it, with ``"multiplicities": [n]``, so that
-``group-eval`` and ``check-law`` read an older file.  The ``refusals``
+``group-eval`` and ``check-law`` read an older file.  The scalar case runs
+``stone`` on (1 + 7p) I, another scalar U that is its own certificate,
+and ``group-eval`` and ``check-law`` on the bundle ``stone`` prints for
+it.  The ``refusals``
 case holds one small matrix for each refusal that residue eigenanalysis
 decides: a scalar reduction, a residue characteristic polynomial that
 does not split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
@@ -44,11 +47,14 @@ HERE = Path(__file__).resolve().parent
 # (p, prec, n, seed)
 CASES = [(5, 32, 3, 11), (13, 64, 6, 12), (7, 24, 2, 13)]
 
-# (p, prec, n) of the zero case: stone on I_n
+# (p, prec, n) of the zero case: stone on I_n, and of the scalar case:
+# stone on (1 + 7p) I_n
 ZERO = (5, 32, 3)
+SCALAR = (5, 32, 3)
 
 SAMPLED_CASES = [f"p{p}_prec{prec}_n{n}" for p, prec, n, _ in CASES]
 ZERO_CASE = "zero_p{}_prec{}_n{}".format(*ZERO)
+SCALAR_CASE = "scalar_p{}_prec{}_n{}".format(*SCALAR)
 
 # (name, entries, p): certify must refuse each one with exit 2
 REFUSALS = [
@@ -99,7 +105,8 @@ def _record(manifest: list, case: str, commands: dict) -> None:
 def input_files() -> dict[str, str]:
     """The text of every input file, by its path under this directory:
     each sampled case's matrix, bundle and U(1+p), the zero case's identity
-    and older-schema bundle, and the refusal inputs."""
+    and older-schema bundle, the scalar case's U and the bundle stone
+    recovers from it, and the refusal inputs."""
     files = {}
     for name, (p, prec, n, seed) in zip(SAMPLED_CASES, CASES):
         a = sample_certifiable_matrix(Random(seed), p, prec, n)
@@ -113,6 +120,11 @@ def input_files() -> dict[str, str]:
     bundle["certificate"]["multiplicities"] = [n]
     files[f"{ZERO_CASE}/unitary.json"] = _text(ident.to_dict())
     files[f"{ZERO_CASE}/bundle.json"] = _text(bundle)
+    p, prec, n = SCALAR
+    scalar = PadicMatrix.diagonal([1 + 7 * p] * n, p, prec)
+    bundle = stone_recover(scalar, SeriesBudget(prec)).to_dict()
+    files[f"{SCALAR_CASE}/unitary.json"] = _text(scalar.to_dict())
+    files[f"{SCALAR_CASE}/bundle.json"] = _text(bundle)
     for name, entries, p in REFUSALS:
         files[f"refusals/{name}.json"] = _text(PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
     return files
@@ -125,13 +137,14 @@ def main_generate() -> None:
     manifest = []
     for name, (p, prec, _, _) in zip(SAMPLED_CASES, CASES):
         _record(manifest, name, _commands(p, prec))
-    flags = ["--prec", str(ZERO[1])]
-    zero_commands = {
-        "stone": flags + ["stone", "unitary.json"],
-        "group-eval-bundle": flags + ["group-eval", "bundle.json", "--s", "6"],
-        "check-law": flags + ["check-law", "bundle.json", "--samples", "2"],
-    }
-    _record(manifest, ZERO_CASE, zero_commands)
+    for case, (_, prec, _) in ((ZERO_CASE, ZERO), (SCALAR_CASE, SCALAR)):
+        flags = ["--prec", str(prec)]
+        stone_commands = {
+            "stone": flags + ["stone", "unitary.json"],
+            "group-eval-bundle": flags + ["group-eval", "bundle.json", "--s", "6"],
+            "check-law": flags + ["check-law", "bundle.json", "--samples", "2"],
+        }
+        _record(manifest, case, stone_commands)
     refusal_commands = {
         f"certify-{name}": ["--prec", str(REFUSAL_PREC), "certify", f"{name}.json"]
         for name, _, _ in REFUSALS

@@ -17,8 +17,12 @@ from hypothesis import strategies as st
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "cli"
 sys.path.insert(0, str(FIXTURES))
 
-from make_golden import SAMPLED_CASES, ZERO_CASE, input_files, run_cli  # noqa: E402
-from oracle import oracle_group_value_holds, oracle_stone_holds  # noqa: E402
+from make_golden import SAMPLED_CASES, SCALAR_CASE, ZERO_CASE, input_files, run_cli  # noqa: E402
+from oracle import (  # noqa: E402
+    oracle_certificate_holds,
+    oracle_group_value_holds,
+    oracle_stone_holds,
+)
 
 from padicspectral import OneParamGroup, StrongNormalCertificate  # noqa: E402
 
@@ -111,12 +115,56 @@ def test_golden_group_values_hold_against_the_oracle(entry):
 
 def test_input_files_regenerate_byte_for_byte():
     # make_golden.py still writes every committed input file: three per
-    # sampled case, the zero case's two and the three refusal inputs; the
-    # sampling inverts at n = 2, 3 and 6, and U(1+p) reads S^-1
+    # sampled case, two each for the zero and scalar cases and the three
+    # refusal inputs; the sampling inverts at n = 2, 3 and 6, and U(1+p)
+    # reads S^-1
     files = input_files()
-    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 3
+    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 2 + 3
     for name, text in files.items():
         assert (FIXTURES / name).read_text() == text, name
+
+
+def _change_digit(x, k, p):
+    """x with its base-p digit k raised by one mod p, and no other digit moved."""
+    d = x // p**k % p
+    return x + ((d + 1) % p - d) * p**k
+
+
+def _first_entry_changed(grid, k, p):
+    """A copy of the grid with digit k of its first entry changed."""
+    return [[_change_digit(grid[0][0], k, p), *grid[0][1:]], *grid[1:]]
+
+
+CERTIFICATES = [
+    FIXTURES / case / name
+    for case in [*SAMPLED_CASES, ZERO_CASE, SCALAR_CASE]
+    for name in ["certify.out", "bundle.json"]
+    if (FIXTURES / case / name).exists()
+]
+
+
+@pytest.mark.parametrize(
+    "path", CERTIFICATES, ids=[f"{c.parent.name}-{c.name}" for c in CERTIFICATES]
+)
+def test_golden_certificates_hold_against_the_oracle(path):
+    # every certificate that certify prints or a bundle holds passes the
+    # oracle's A S = S D and rank check at the least precision of its parts,
+    # and one changed digit of A or of an eigenvalue, lowest or highest,
+    # fails it; so does one of S where each eigenvalue owns one column (with
+    # a lone eigenvalue, A = lam I and every invertible S is an eigenbasis)
+    cert = json.loads(path.read_text())["certificate"]
+    p = cert["matrix"]["p"]
+    prec = min(x["prec"] for x in [cert["matrix"], cert["basis"], *cert["eigenvalues"]])
+    a, s, lams = _grid(cert["matrix"]), _grid(cert["basis"]), _residues(cert["eigenvalues"])
+
+    def holds(a, s, lams):
+        return oracle_certificate_holds(a, s, lams * (len(a) // len(lams)), p, prec)
+
+    assert holds(a, s, lams)
+    for k in (0, prec - 1):
+        assert not holds(_first_entry_changed(a, k, p), s, lams)
+        assert not holds(a, s, [_change_digit(lams[0], k, p), *lams[1:]])
+        assert len(lams) == 1 or not holds(a, _first_entry_changed(s, k, p), lams)
 
 
 def _certificate_files(case):

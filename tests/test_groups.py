@@ -1,5 +1,6 @@
 """Unitary operators, group evaluation, Stone recovery, additive form."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -29,7 +30,12 @@ from padicspectral.errors import (
     NotPrincipal,
     NotPrincipalSpectrum,
 )
-from oracle import oracle_series
+from oracle import (
+    oracle_certificate_holds,
+    oracle_group_value_holds,
+    oracle_series,
+    oracle_stone_holds,
+)
 from padicspectral.sampling import (
     sample_certifiable_matrix,
     sample_group,
@@ -61,12 +67,21 @@ def test_make_unitary_examples():
     u2.verify()
 
 
+def test_make_unitary_scalar():
+    # V = p * 2I: U = 11 I is its own certificate, a lone eigenvalue 11 on S = I
+    u = make_unitary(PadicMatrix.diagonal([10, 10], 5, 32))
+    assert u.eigenvalues == (PadicInt(11, 5, 32),)
+    assert u.basis == PadicMatrix.identity(2, 5, 32)
+    u.verify()
+
+
 def test_make_unitary_refusals():
     with pytest.raises(NormTooLarge):
         make_unitary(PadicMatrix([[1, 0], [0, 5]], 5, 32))
     with pytest.raises(CertificationFailed):
-        # scaled part is scalar: p * 2I
-        make_unitary(PadicMatrix.diagonal([10, 10], 5, 32))
+        # the scaled part V/p = [[2, 5], [0, 2]] has a scalar reduction, not
+        # being scalar itself
+        make_unitary(PadicMatrix([[10, 25], [0, 10]], 5, 32))
     with pytest.raises(CertificationFailed):
         # scaled part has an irreducible residue characteristic polynomial
         make_unitary(PadicMatrix([[0, -5], [5, -5]], 5, 32))
@@ -202,6 +217,19 @@ def test_stone_identity():
     assert u.matrix == PadicMatrix.identity(2, 5, u.matrix.prec)
 
 
+def test_stone_scalar():
+    # U(1+p) = 11 I is its own certificate, so A = zeta(11) I on S = I, and
+    # U(1+p) comes back at all of its 8 digits
+    b = SeriesBudget(8)
+    u1p = PadicMatrix([[11, 0], [0, 11]], 5, 8)
+    g = stone_recover(u1p, b)
+    zeta = zeta_of(PadicInt(11, 5, 8), b)
+    assert g.cert.eigenvalues == (zeta,)
+    assert g.cert.basis == PadicMatrix.identity(2, 5, 8)
+    assert g.generator == zeta * PadicMatrix.identity(2, 5, zeta.prec)
+    assert g.evaluate(6).matrix == u1p
+
+
 def test_stone_one_digit_eigenvalue():
     # V = diag(5, 10) at 2 digits fixes its eigenvalues p^w lam' mod 25,
     # though lam' = 1, 2 has 1 digit, and so A = diag(1, 2) mod 5 on both paths
@@ -256,6 +284,88 @@ def test_stone_roundtrip(p):
         # and the recovered group reproduces U(1+p)
         again = rec.evaluate(1 + p).matrix
         assert again.congruent(u1p.truncate_to(again.prec), min(tol, again.prec))
+
+
+def _residues(values):
+    return [x.residue for x in values]
+
+
+def _stone_holds(g, u1p):
+    """The oracle's verdict on a group stone recovered from U(1+p), at the
+    precision of its certificate."""
+    cert = g.cert
+    lams = _residues(cert.eigenvalues)
+    return oracle_stone_holds(
+        cert.matrix.rows(), cert.basis.rows(), lams, u1p.rows(), u1p.p, cert.precision
+    )
+
+
+def test_stone_on_every_unitary_of_a_small_ring():
+    # every U = I + 3V, V over Z/9, n = 2, at 3 digits: stone refuses U as
+    # CertificationFailed (V/p^w with a scalar or non-split reduction, or a
+    # repeated residue eigenvalue) or recovers a group that passes the
+    # oracle's A S = S D and U S = S diag((1+p)^lam), and whose U(1+p)
+    # gives U back at every digit it claims, at least the group's precision;
+    # a lone eigenvalue marks the nine scalar U = (1 + 3c) I, c = 0 ... 8,
+    # which come back at all 3 digits
+    p, prec, n = 3, 3, 2
+    budget = SeriesBudget(prec)
+    ident = PadicMatrix.identity(n, p, prec)
+    counts = {"recovered": 0, "lone": 0, "refused": 0}
+    for entries in product(range(p * p), repeat=n * n):
+        u = ident + p * PadicMatrix([entries[:n], entries[n:]], p, prec)
+        try:
+            g = stone_recover(u, budget)
+        except CertificationFailed:
+            counts["refused"] += 1
+            continue
+        counts["recovered"] += 1
+        counts["lone"] += len(g.cert.eigenvalues) == 1
+        assert _stone_holds(g, u)
+        back = g.evaluate(1 + p).matrix
+        assert back.prec >= g.cert.precision and back == u.truncate_to(back.prec), u
+        assert len(g.cert.eigenvalues) > 1 or back == u
+    assert counts == {"recovered": 2961, "lone": 9, "refused": 3600}
+
+
+@st.composite
+def _oracle_shapes(draw):
+    """(p, n, prec, seed, scalar): p in {3, 5, 7, 31}, n <= min(p, 5)."""
+    p = draw(st.sampled_from([3, 5, 7, 31]))
+    n = draw(st.integers(1, min(p, 5)))
+    return p, n, draw(st.integers(2, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_shapes())
+def test_results_hold_against_the_oracle_at_sampled_sizes(shape):
+    # a certified generator passes A S = S D, or for a scalar U = mu I the
+    # group stone recovers from U passes the oracle on S = I and gives U back
+    # at all of its digits; then U(s) passes U S = S diag((1+z)^lam), and
+    # stone on U(1+p) gives a generator that passes A S = S D and
+    # U(1+p) S = S diag((1+p)^lam)
+    p, n, prec, seed, scalar = shape
+    rng = Random(seed)
+    budget = SeriesBudget(prec)
+    if scalar:
+        u = sample_principal_unit(rng, p, prec) * PadicMatrix.identity(n, p, prec)
+        g = stone_recover(u, budget)
+        assert g.cert.basis == PadicMatrix.identity(n, p, prec)
+        assert _stone_holds(g, u)
+        assert g.evaluate(1 + p).matrix == u
+    else:
+        cert = certify_strongly_normal(sample_certifiable_matrix(rng, p, prec, n))
+        a, basis, lams = cert.matrix.rows(), cert.basis.rows(), _residues(cert.eigenvalues)
+        assert oracle_certificate_holds(a, basis, lams, p, cert.precision)
+        g = OneParamGroup(cert, budget)
+    s = sample_principal_unit(rng, p, prec)
+    us = g.evaluate(s)
+    mu, lams = _residues(us.eigenvalues), _residues(g.cert.eigenvalues)
+    d = min(us.precision, g.cert.precision, s.prec)
+    basis, z = g.cert.basis.rows(), s.residue - 1
+    assert oracle_group_value_holds(us.matrix.rows(), mu, basis, lams, z, p, d)
+    u1p = g.evaluate(1 + p).matrix
+    assert _stone_holds(stone_recover(u1p, budget), u1p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -438,9 +548,10 @@ def test_one_by_one_stone(p):
     g = stone_recover(u1p, b)
     zeta = zeta_of(PadicInt(1 + p * 43, p, 8), b)
     assert g.generator == PadicMatrix([[zeta]], p, 7) == generator_log_series(u1p, b)
-    # the basis I is kept at 7 digits, and the unit spectrum at all 8
+    # a 1 x 1 U(1+p) is a scalar, its own certificate on S = I at all 8
+    # digits, so U(1+p) and its unit spectrum come back at all 8
     u = g.evaluate(1 + p)
-    assert u.matrix == u1p.truncate_to(7)
+    assert u.matrix == u1p
     assert u.eigenvalues == (PadicInt(1 + p * 43, p, 8),)
 
 
