@@ -171,6 +171,7 @@ class SeriesBudget(Frozen):
 
 def is_principal_unit(x: PadicInt) -> bool:
     """True iff x = 1 + z with |z| < 1, i.e. x is congruent to 1 mod p."""
+    require_type(x, PadicInt, "is_principal_unit")
     return x.reduce_mod_p() == 1
 
 
@@ -200,6 +201,7 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
     result carries exactly that precision and InsufficientPrecision is
     raised when no digit is left.
     """
+    require_type(lam, PadicInt, "mahler_coeff")
     if check_int(n, 0, "n") == 0:
         return PadicInt.one(lam.p, lam.prec)
     out_prec = lam.prec - (_ceil_log(lam.p, n + 1) - 1)
@@ -213,6 +215,7 @@ def mahler_coeff(n: int, lam: PadicInt) -> PadicInt:
 def principal_power(z: PadicInt, lam, budget: SeriesBudget) -> PadicInt:
     """(1 + z)^lam for |z| < 1 and lam in Z_p (a PadicInt or an int >= 0):
     the one power of a :class:`PowerPlan` of lam built for this call."""
+    require_type(z, PadicInt, "principal_power")
     require_type(budget, SeriesBudget, "principal_power")
     return PowerPlan(z.p, [lam], budget).powers(z)[0]
 
@@ -235,7 +238,7 @@ class PowerPlan:
     def __init__(self, p: int, lams, budget: SeriesBudget):
         require_type(budget, SeriesBudget, "PowerPlan")
         target = budget.target
-        self.p, self.target, self.exponents = p, target, []
+        self.p, self.target, self.exponents = validate_prime(p), target, []
         for lam in lams:
             lam = lam if isinstance(lam, PadicInt) else check_int(lam, 0, "exponent")
             self.exponents.append(as_padic(lam, p, target))
@@ -267,6 +270,7 @@ class PowerPlan:
         valuation(z).  The residues come from :func:`_power_residues`, which
         computes the same residues as those pows with far fewer products.
         """
+        require_type(z, PadicInt, "PowerPlan.powers")
         if z.p != self.p:
             raise PrimeMismatch(f"p={z.p} vs p={self.p}")
         if z.is_unit():
@@ -417,6 +421,7 @@ def plog(u: PadicInt, budget: SeriesBudget) -> PadicInt:
     Everything runs on plain residues, each term t^j / j divided by
     :func:`_divide_index`, so the result is the true log u mod p^W.
     """
+    require_type(u, PadicInt, "plog")
     require_type(budget, SeriesBudget, "plog")
     require_principal(u, "plog argument")
     p, working = u.p, budget.target
@@ -454,6 +459,7 @@ def pexp(x: PadicInt, budget: SeriesBudget) -> PadicInt:
     m = min(prec x, W), and an exponent error of p^(m-1) moves the power
     by p^m at most.  The extra digit keeps log(1+p) nonzero at target 1.
     """
+    require_type(x, PadicInt, "pexp")
     require_type(budget, SeriesBudget, "pexp")
     p = x.p
     out_prec = min(budget.target, x.prec)
@@ -473,6 +479,7 @@ def zeta_of(s: PadicInt, budget: SeriesBudget) -> PadicInt:
     one digit, so the result carries min(target, prec(s) - 1) digits, and
     InsufficientPrecision is raised for a one-digit s.
     """
+    require_type(s, PadicInt, "zeta_of")
     require_type(budget, SeriesBudget, "zeta_of")
     require_principal(s, "zeta_of argument")
     if s.prec < 2:

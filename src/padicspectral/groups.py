@@ -24,11 +24,11 @@ module sums them but fixes no truncation itself, and adds to the target
 only the one digit that the division by log(1+p) costs.  The group checks
 are PadicMatrix's own @, - and op_norm: no grid of residues is formed here.
 
-Certification of U = I + V with |V| < 1: U's reduction is the identity,
-so the distinct-residue criterion cannot apply directly.  A scalar U = mu I
-is its own certificate, one eigenvalue mu owning every column of S = I;
-any other V = p^w V', w the minimal entry valuation, has V' certified the
-usual way and U's eigenvalues 1 + p^w lambda' on V''s eigenbasis S.
+Certification of U = I + V, |V| < 1, reads U's scalar part, since U's
+reduction is the identity: U = mu I + p^m W, c = U_00, m = v(U - c I) and
+mu = c mod p^m.  A scalar U (m = prec U) is a lone eigenvalue c on S = I;
+any other has W, whose reduction is never scalar, certified the usual
+way, and U's eigenvalues mu + p^m lambda' on W's eigenbasis S.
 """
 
 from __future__ import annotations
@@ -79,30 +79,29 @@ def _small_norm(v: PadicMatrix, err) -> int:
 
 
 def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
-    """Certify U = I + V, |V| < 1: U = mu I as a lone eigenvalue mu on S = I,
-    any other U through V = p^w V', as 1 + p^w lam' on the eigenbasis of V'."""
+    """Certify U = I + V, |V| < 1, by its scalar part U = mu I + p^m W, c = U_00,
+    m = v(U - c I), mu = c mod p^m: a scalar U (m = prec U) is a lone
+    eigenvalue c on S = I, any other U is mu + p^m lam' on W's eigenbasis."""
     ident = PadicMatrix.identity(u.n, u.p, u.prec)
-    v = u - ident
-    w = _small_norm(v, err)
-    mu = PadicInt(u.rows()[0][0], u.p, u.prec)
-    if u == mu * ident:
-        return StrongNormalCertificate(u, [mu], ident)
-    pw = u.p**w
+    _small_norm(u - ident, err)
+    c = PadicInt(u.rows()[0][0], u.p, u.prec)
+    m = (u - c * ident).op_norm().value
+    if m == u.prec:
+        return StrongNormalCertificate(u, [c], ident)
+    pm, mu = u.p**m, c.residue % u.p**m
     try:
-        cert1 = certify_strongly_normal(v.divide_exact(pw))
+        cert1 = certify_strongly_normal((u - mu * ident).divide_exact(pm))
     except Refusal as e:
-        raise CertificationFailed(f"scaled part V/p^{w} is not certifiable: {e}") from e
-    # V = p^w V' holds exactly at prec U - w, so U S = S (I + p^w D') there;
-    # an eigenvalue lam' of V' known to m digits fixes 1 + p^w lam' to m + w
-    return cert1.reuse_basis(
-        u, [PadicInt(1 + pw * lam.residue, u.p, lam.prec + w) for lam in cert1.eigenvalues]
-    )
+        raise CertificationFailed(f"scaled part (U - {mu} I)/p^{m} is not certifiable: {e}") from e
+    # W = (U - mu I)/p^m is exact, so lam' known to k digits fixes mu + p^m lam' to k + m
+    mus = [PadicInt(mu + pm * lam.residue, u.p, lam.prec + m) for lam in cert1.eigenvalues]
+    return cert1.reuse_basis(u, mus)
 
 
 def make_unitary(v: PadicMatrix) -> StrongNormalCertificate:
     """The unitary operator U = I + V as its certificate: U, its spectrum
     1 + sigma(V) of principal units, and V's eigenbasis.  Requires |V| < 1
-    (else NormTooLarge), and V scalar or V/p^v(V) certifiable."""
+    (else NormTooLarge), and U scalar or W of U = mu I + p^m W certifiable."""
     require_type(v, PadicMatrix, "make_unitary")
     return _unitary_certificate(PadicMatrix.identity(v.n, v.p, v.prec) + v, NormTooLarge)
 
@@ -274,6 +273,7 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 
     p z is fixed to one digit more than z, and pexp keeps every digit of it.
     """
+    require_type(z, PadicInt, "additive_reparam")
     require_type(budget, SeriesBudget, "additive_reparam")
     return pexp(PadicInt(z.p * z.residue, z.p, z.prec + 1), budget)
 
@@ -281,9 +281,9 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """Recover the generator A from the single group value U(1+p).
 
-    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum, so its
-    spectrum lies in 1 + pZ_p; a scalar U(1+p) = mu I gives A = zeta(mu) I
-    on S = I, and any other needs V/p^v(V) certifiable.  The generator is
+    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum, and
+    U(1+p) = mu I, which gives A = zeta(mu) I on S = I, or U(1+p) = mu I +
+    p^m W with W certifiable, by the rule of make_unitary.  The generator is
 
         A = log U(1+p) / log(1+p) = S diag(log(mu_i)/log(1+p)) S^-1,
 

@@ -26,6 +26,7 @@ from .core import (
     check_int,
     from_decimal,
     is_int,
+    require_type,
     to_decimal,
     validate_prec,
 )
@@ -124,6 +125,8 @@ class PadicMatrix(PadicValue):
         return min(self.prec, other.prec)
 
     def _entrywise(self, op, other: "PadicMatrix") -> "PadicMatrix":
+        if not isinstance(other, PadicMatrix):
+            return NotImplemented
         prec = self._check(other)
         mod = self.p**prec
         grid = [[op(x, y) % mod for x, y in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)]
@@ -140,6 +143,8 @@ class PadicMatrix(PadicValue):
         return _matrix([[-a % mod for a in row] for row in self._e], self.p, self.prec)
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
+        if not isinstance(other, PadicMatrix):
+            return NotImplemented
         prec = self._check(other)
         return _matrix(kernels.grid_matmul(self._e, other._e, self.p**prec), self.p, prec)
 
@@ -208,6 +213,7 @@ class PadicMatrix(PadicValue):
     # -- comparisons and io ------------------------------------------------
 
     def congruent(self, other: "PadicMatrix", digits: int) -> bool:
+        require_type(other, PadicMatrix, "congruent")
         mod = self._congruence_modulus(self._check(other), digits)
         return all(
             (a - b) % mod == 0
@@ -241,5 +247,8 @@ class PadicMatrix(PadicValue):
 
 def vector_norm(vec) -> Valuation:
     """Max-norm valuation of a vector of PadicInt: min entry valuation."""
-    vals = [x.valuation() for x in vec]
+    vals = []
+    for x in vec:
+        require_type(x, PadicInt, "vector_norm")
+        vals.append(x.valuation())
     return min(vals)

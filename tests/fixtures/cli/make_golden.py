@@ -13,7 +13,9 @@ three-field certificate wrote it, with ``"multiplicities": [n]``, so that
 ``group-eval`` and ``check-law`` read an older file.  The scalar case runs
 ``stone`` on (1 + 7p) I, another scalar U that is its own certificate,
 and ``group-eval`` and ``check-law`` on the bundle ``stone`` prints for
-it.  The ``refusals``
+it.  The peeled case does the same for U = (1 + p) I + p^2 W, W with the
+residue eigenvalues 0, 1, 2, which ``stone`` certifies by W's eigenbasis
+although (U - I)/p has the scalar reduction I.  The ``refusals``
 case holds one small matrix for each refusal that residue eigenanalysis
 decides: a scalar reduction, a residue characteristic polynomial that
 does not split over F_p, and a repeated residue eigenvalue.  ``manifest.json``
@@ -47,14 +49,16 @@ HERE = Path(__file__).resolve().parent
 # (p, prec, n, seed)
 CASES = [(5, 32, 3, 11), (13, 64, 6, 12), (7, 24, 2, 13)]
 
-# (p, prec, n) of the zero case: stone on I_n, and of the scalar case:
-# stone on (1 + 7p) I_n
+# (p, prec, n) of the zero case: stone on I_n, of the scalar case: stone
+# on (1 + 7p) I_n, and of the peeled case: stone on (1 + p) I + p^2 W
 ZERO = (5, 32, 3)
 SCALAR = (5, 32, 3)
+PEELED = (5, 32, 3)
 
 SAMPLED_CASES = [f"p{p}_prec{prec}_n{n}" for p, prec, n, _ in CASES]
 ZERO_CASE = "zero_p{}_prec{}_n{}".format(*ZERO)
 SCALAR_CASE = "scalar_p{}_prec{}_n{}".format(*SCALAR)
+PEELED_CASE = "peeled_p{}_prec{}_n{}".format(*PEELED)
 
 # (name, entries, p): certify must refuse each one with exit 2
 REFUSALS = [
@@ -105,8 +109,8 @@ def _record(manifest: list, case: str, commands: dict) -> None:
 def input_files() -> dict[str, str]:
     """The text of every input file, by its path under this directory:
     each sampled case's matrix, bundle and U(1+p), the zero case's identity
-    and older-schema bundle, the scalar case's U and the bundle stone
-    recovers from it, and the refusal inputs."""
+    and older-schema bundle, the scalar and peeled cases' U and the bundle
+    stone recovers from each, and the refusal inputs."""
     files = {}
     for name, (p, prec, n, seed) in zip(SAMPLED_CASES, CASES):
         a = sample_certifiable_matrix(Random(seed), p, prec, n)
@@ -122,9 +126,14 @@ def input_files() -> dict[str, str]:
     files[f"{ZERO_CASE}/bundle.json"] = _text(bundle)
     p, prec, n = SCALAR
     scalar = PadicMatrix.diagonal([1 + 7 * p] * n, p, prec)
-    bundle = stone_recover(scalar, SeriesBudget(prec)).to_dict()
-    files[f"{SCALAR_CASE}/unitary.json"] = _text(scalar.to_dict())
-    files[f"{SCALAR_CASE}/bundle.json"] = _text(bundle)
+    p, prec, n = PEELED
+    s = PadicMatrix([[1, 0, 0], [2, 1, 0], [3, 4, 1]], p, prec)
+    w = s.scale_columns([0, 1, 2]) @ s.inverse()
+    peeled = PadicMatrix.diagonal([1 + p] * n, p, prec) + p**2 * w
+    for case, u in ((SCALAR_CASE, scalar), (PEELED_CASE, peeled)):
+        bundle = stone_recover(u, SeriesBudget(u.prec)).to_dict()
+        files[f"{case}/unitary.json"] = _text(u.to_dict())
+        files[f"{case}/bundle.json"] = _text(bundle)
     for name, entries, p in REFUSALS:
         files[f"refusals/{name}.json"] = _text(PadicMatrix(entries, p, REFUSAL_PREC).to_dict())
     return files
@@ -137,7 +146,7 @@ def main_generate() -> None:
     manifest = []
     for name, (p, prec, _, _) in zip(SAMPLED_CASES, CASES):
         _record(manifest, name, _commands(p, prec))
-    for case, (_, prec, _) in ((ZERO_CASE, ZERO), (SCALAR_CASE, SCALAR)):
+    for case, (_, prec, _) in ((ZERO_CASE, ZERO), (SCALAR_CASE, SCALAR), (PEELED_CASE, PEELED)):
         flags = ["--prec", str(prec)]
         stone_commands = {
             "stone": flags + ["stone", "unitary.json"],

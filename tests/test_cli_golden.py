@@ -115,11 +115,11 @@ def test_golden_group_values_hold_against_the_oracle(entry):
 
 def test_input_files_regenerate_byte_for_byte():
     # make_golden.py still writes every committed input file: three per
-    # sampled case, two each for the zero and scalar cases and the three
-    # refusal inputs; the sampling inverts at n = 2, 3 and 6, and U(1+p)
-    # reads S^-1
+    # sampled case, two each for the zero, scalar and peeled cases and the
+    # three refusal inputs; the sampling inverts at n = 2, 3 and 6, and
+    # U(1+p) reads S^-1
     files = input_files()
-    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 2 + 3
+    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 2 + 2 + 3
     for name, text in files.items():
         assert (FIXTURES / name).read_text() == text, name
 

@@ -21,6 +21,7 @@ from padicspectral import (
     certify_strongly_normal,
     digit_truncation_error,
     generator_log_series,
+    is_principal_unit,
     mahler_coeff,
     make_unitary,
     pexp,
@@ -28,6 +29,7 @@ from padicspectral import (
     principal_power,
     stone_recover,
     truncation_length,
+    vector_norm,
     zeta_of,
 )
 from padicspectral.core import MAX_WORKING_PREC, from_decimal, to_decimal, validate_prime
@@ -317,6 +319,22 @@ _REFUSALS = {
             ("truncation_length", lambda: truncation_length(1, 4)),
         ]
     },
+    # an int where a PadicInt belongs: one TypeError naming the function
+    **{
+        f"{name}-int-scalar": (call, TypeError, f"^{name} takes a PadicInt$")
+        for name, call in [
+            ("principal_power", lambda: principal_power(5, 3, _B4)),
+            ("PowerPlan.powers", lambda: PowerPlan(5, [1], _B4).powers(5)),
+            ("plog", lambda: plog(6, _B4)),
+            ("pexp", lambda: pexp(5, _B4)),
+            ("zeta_of", lambda: zeta_of(6, _B4)),
+            ("mahler_coeff", lambda: mahler_coeff(3, 7)),
+            ("additive_reparam", lambda: additive_reparam(3, _B4)),
+            ("is_principal_unit", lambda: is_principal_unit(6)),
+        ]
+    },
+    # p is checked as a prime whether or not there is an exponent to carry it
+    "power-plan-composite": (lambda: PowerPlan(4, [], _B4), ValueError, "^4 is not an odd prime$"),
     "certificate-prime": (
         lambda: StrongNormalCertificate(_M5, [_CERT5.eigenvalues[0], _X7], _CERT5.basis),
         PrimeMismatch,
@@ -376,12 +394,18 @@ def test_certificate_lists_are_refused_as_such(field):
 
 
 def test_foreign_operands_are_left_to_python():
-    # a comparison or a product with a value of no supported type returns
-    # NotImplemented, and a Valuation has no sum, so Python raises TypeError
-    v = Valuation(3)
+    # a comparison, a sum, a difference or a product with a value of no
+    # supported type returns NotImplemented, and a Valuation has no sum, so
+    # Python raises TypeError; a congruence or a norm of such values raises
+    # it directly
+    v, x, ident = Valuation(3), PadicInt(2, 5, 4), [[1, 0], [0, 1]]
     assert v.__lt__(3) is NotImplemented
     assert _M5.__mul__(2.5) is NotImplemented
-    for call in (lambda: v < 3, lambda: v + 1, lambda: _M5 * 2.5):
+    assert _M5.__matmul__(3) is _M5.__add__(1) is _M5.__sub__(x) is NotImplemented
+    calls = [lambda: v < 3, lambda: v + 1, lambda: _M5 * 2.5, lambda: _M5 @ 3]
+    calls += [lambda: _M5 + 1, lambda: _M5 - x, lambda: _M5 @ ident]
+    calls += [lambda: _M5.congruent(3, 1), lambda: vector_norm([1, 2])]
+    for call in calls:
         with pytest.raises(TypeError):
             call()
 

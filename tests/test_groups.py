@@ -4,7 +4,7 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicspectral import (
@@ -32,6 +32,7 @@ from padicspectral.errors import (
 )
 from oracle import (
     oracle_certificate_holds,
+    oracle_char_poly,
     oracle_group_value_holds,
     oracle_series,
     oracle_stone_holds,
@@ -75,12 +76,20 @@ def test_make_unitary_scalar():
     u.verify()
 
 
+def test_make_unitary_peeled():
+    # U = diag(11, 36) = 11 I + 25 diag(0, 1): V/p = diag(2, 7) has a scalar
+    # reduction, and the scaled part diag(0, 1) of U does not
+    u = make_unitary(PadicMatrix.diagonal([10, 35], 5, 32))
+    assert u.eigenvalues == (PadicInt(11, 5, 32), PadicInt(36, 5, 32))
+    u.verify()
+
+
 def test_make_unitary_refusals():
     with pytest.raises(NormTooLarge):
         make_unitary(PadicMatrix([[1, 0], [0, 5]], 5, 32))
-    with pytest.raises(CertificationFailed):
-        # the scaled part V/p = [[2, 5], [0, 2]] has a scalar reduction, not
-        # being scalar itself
+    # U = 11 I + 25 [[0, 1], [0, 0]]: the scaled part has the double root 0
+    match = r"^scaled part \(U - 11 I\)/p\^2 is not certifiable: residue eigenvalues \[0\]"
+    with pytest.raises(CertificationFailed, match=match):
         make_unitary(PadicMatrix([[10, 25], [0, 10]], 5, 32))
     with pytest.raises(CertificationFailed):
         # scaled part has an irreducible residue characteristic polynomial
@@ -230,6 +239,19 @@ def test_stone_scalar():
     assert g.evaluate(6).matrix == u1p
 
 
+def test_stone_peeled():
+    # U(1+p) = diag(11, 36) = 11 I + 25 diag(0, 1) is certified on the basis
+    # of diag(0, 1), known to 6 digits, so A = diag(zeta(11), 2) comes back
+    # at 6 digits, and U(1+p) at those 6
+    b = SeriesBudget(8)
+    u1p = PadicMatrix([[11, 0], [0, 36]], 5, 8)
+    g = stone_recover(u1p, b)
+    zeta = zeta_of(PadicInt(11, 5, 8), b)
+    assert g.generator == PadicMatrix.diagonal([zeta, 2], 5, 6)
+    assert g.cert.precision == 6
+    assert g.evaluate(6).matrix == u1p.truncate_to(6)
+
+
 def test_stone_one_digit_eigenvalue():
     # V = diag(5, 10) at 2 digits fixes its eigenvalues p^w lam' mod 25,
     # though lam' = 1, 2 has 1 digit, and so A = diag(1, 2) mod 5 on both paths
@@ -300,64 +322,123 @@ def _stone_holds(g, u1p):
     )
 
 
+def _valuation(x, p, prec):
+    """v(x) for x mod p^prec, prec for x = 0 there."""
+    x %= p**prec
+    return next(k for k in range(prec + 1) if k == prec or x % p ** (k + 1))
+
+
+def _shifted(grid, c):
+    """grid - c I over Z."""
+    return [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+
+
+def _is_scalar(grid):
+    return all(x == grid[0][0] * (i == j) for i, row in enumerate(grid) for j, x in enumerate(row))
+
+
+def _peeled(grid, p, prec):
+    """(m, W mod p) for U = mu I + p^m W, worked out over Z apart from the
+    library: c = U_00, m = v(U - c I), mu = c mod p^m; (prec, None) for a
+    scalar U."""
+    c = grid[0][0]
+    m = min(_valuation(x, p, prec) for row in _shifted(grid, c) for x in row)
+    if m == prec:
+        return m, None
+    return m, [[x // p**m % p for x in row] for row in _shifted(grid, c % p**m)]
+
+
+def _residue_roots(w, p):
+    """The distinct roots in F_p of W's characteristic polynomial."""
+    f = oracle_char_poly(w)
+    return [r for r in range(p) if sum(a * r**k for k, a in enumerate(f)) % p == 0]
+
+
 def test_stone_on_every_unitary_of_a_small_ring():
-    # every U = I + 3V, V over Z/9, n = 2, at 3 digits: stone refuses U as
-    # CertificationFailed (V/p^w with a scalar or non-split reduction, or a
-    # repeated residue eigenvalue) or recovers a group that passes the
-    # oracle's A S = S D and U S = S diag((1+p)^lam), and whose U(1+p)
-    # gives U back at every digit it claims, at least the group's precision;
-    # a lone eigenvalue marks the nine scalar U = (1 + 3c) I, c = 0 ... 8,
-    # which come back at all 3 digits
+    # every U = I + 3V, V over Z/9, n = 2, at 3 digits, classified apart
+    # from the library by its scalar part U = mu I + p^m W: stone recovers
+    # U exactly when U is scalar or W mod p has two distinct roots, and
+    # refuses it as CertificationFailed when W mod p has a repeated root or
+    # none in F_3.  A recovered group passes the oracle's A S = S D and
+    # U S = S diag((1+p)^lam), agrees with the log series at the digits
+    # both claim, and its U(1+p) gives U back at every digit it claims, at
+    # least the group's precision; a lone eigenvalue marks the nine scalar
+    # U = (1 + 3c) I, c = 0 ... 8, which come back at all 3 digits.  Where
+    # V/p^w (V = U - I, w = v(V)) has no scalar reduction, W = V/p^w, and
+    # the basis is the one V/p^w's own certificate gives
     p, prec, n = 3, 3, 2
     budget = SeriesBudget(prec)
     ident = PadicMatrix.identity(n, p, prec)
     counts = {"recovered": 0, "lone": 0, "refused": 0}
     for entries in product(range(p * p), repeat=n * n):
         u = ident + p * PadicMatrix([entries[:n], entries[n:]], p, prec)
+        m, w = _peeled(u.rows(), p, prec)
         try:
             g = stone_recover(u, budget)
         except CertificationFailed:
+            assert w is not None and len(_residue_roots(w, p)) < n, u
             counts["refused"] += 1
             continue
+        assert w is None or len(_residue_roots(w, p)) == n, u
         counts["recovered"] += 1
         counts["lone"] += len(g.cert.eigenvalues) == 1
         assert _stone_holds(g, u)
+        series = generator_log_series(u, budget)
+        assert g.generator.congruent(series, min(g.generator.prec, series.prec)), u
         back = g.evaluate(1 + p).matrix
         assert back.prec >= g.cert.precision and back == u.truncate_to(back.prec), u
         assert len(g.cert.eigenvalues) > 1 or back == u
-    assert counts == {"recovered": 2961, "lone": 9, "refused": 3600}
+        v = _shifted(u.rows(), 1)
+        k = min(_valuation(x, p, prec) for row in v for x in row)
+        if not _is_scalar([[x // p**k % p for x in row] for row in v]):
+            scaled = certify_strongly_normal((u - ident).divide_exact(p**k))
+            assert m == k and g.cert.basis == scaled.basis, u
+    assert counts == {"recovered": 3033, "lone": 9, "refused": 3528}
 
 
 @st.composite
 def _oracle_shapes(draw):
-    """(p, n, prec, seed, scalar): p in {3, 5, 7, 31}, n <= min(p, 5)."""
+    """(p, n, prec, seed, kind, m): p in {3, 5, 7, 31}, n <= min(p, 5), kind
+    a certified generator, a scalar U = mu I or a peeled U = mu I + p^m W,
+    1 <= m < prec."""
     p = draw(st.sampled_from([3, 5, 7, 31]))
     n = draw(st.integers(1, min(p, 5)))
-    return p, n, draw(st.integers(2, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
+    prec = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["certified", "scalar", "peeled"]))
+    return p, n, prec, draw(st.integers(0, 2**32)), kind, draw(st.integers(1, prec - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_oracle_shapes())
+@example((5, 3, 8, 0, "peeled", 3))
 def test_results_hold_against_the_oracle_at_sampled_sizes(shape):
-    # a certified generator passes A S = S D, or for a scalar U = mu I the
-    # group stone recovers from U passes the oracle on S = I and gives U back
-    # at all of its digits; then U(s) passes U S = S diag((1+z)^lam), and
-    # stone on U(1+p) gives a generator that passes A S = S D and
-    # U(1+p) S = S diag((1+p)^lam)
-    p, n, prec, seed, scalar = shape
+    # a certified generator passes A S = S D; for a scalar U = mu I or a
+    # peeled U = mu I + p^m W, W certifiable and mu a principal unit (m above
+    # v(mu - 1) included), the group stone recovers from U passes the oracle
+    # and its U(1+p) gives U back at the group's digits, at all of them for
+    # a scalar U on S = I, and make_unitary(U - I) verifies.  Then U(s)
+    # passes U S = S diag((1+z)^lam), and stone on U(1+p) gives a generator
+    # that passes A S = S D and U(1+p) S = S diag((1+p)^lam), where U(1+p)
+    # has the two digits that stone needs
+    p, n, prec, seed, kind, m = shape
     rng = Random(seed)
     budget = SeriesBudget(prec)
-    if scalar:
-        u = sample_principal_unit(rng, p, prec) * PadicMatrix.identity(n, p, prec)
-        g = stone_recover(u, budget)
-        assert g.cert.basis == PadicMatrix.identity(n, p, prec)
-        assert _stone_holds(g, u)
-        assert g.evaluate(1 + p).matrix == u
-    else:
+    ident = PadicMatrix.identity(n, p, prec)
+    if kind == "certified":
         cert = certify_strongly_normal(sample_certifiable_matrix(rng, p, prec, n))
         a, basis, lams = cert.matrix.rows(), cert.basis.rows(), _residues(cert.eigenvalues)
         assert oracle_certificate_holds(a, basis, lams, p, cert.precision)
         g = OneParamGroup(cert, budget)
+    else:
+        u = sample_principal_unit(rng, p, prec) * ident
+        if kind == "peeled":
+            u = u + p**m * sample_certifiable_matrix(rng, p, prec, n)
+        g = stone_recover(u, budget)
+        assert _stone_holds(g, u)
+        back = g.evaluate(1 + p).matrix
+        assert back.prec >= g.cert.precision and back == u.truncate_to(back.prec)
+        assert kind == "peeled" or (g.cert.basis == ident and back == u)
+        make_unitary(u - ident).verify()
     s = sample_principal_unit(rng, p, prec)
     us = g.evaluate(s)
     mu, lams = _residues(us.eigenvalues), _residues(g.cert.eigenvalues)
@@ -365,7 +446,8 @@ def test_results_hold_against_the_oracle_at_sampled_sizes(shape):
     basis, z = g.cert.basis.rows(), s.residue - 1
     assert oracle_group_value_holds(us.matrix.rows(), mu, basis, lams, z, p, d)
     u1p = g.evaluate(1 + p).matrix
-    assert _stone_holds(stone_recover(u1p, budget), u1p)
+    if u1p.prec > 1:
+        assert _stone_holds(stone_recover(u1p, budget), u1p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
