@@ -6,7 +6,8 @@ Three families matter to callers:
   dimensions, asking for more digits than a value carries);
 * ``Refusal`` subclasses signal that a mathematical hypothesis does not
   hold for the given input, so the requested object does not exist in
-  the supported class (these map to CLI exit code 2);
+  the supported class (these map to CLI exit code 2), one class per
+  hypothesis: |V| < 1 of a unitary U = I + V is NormTooLarge on every route;
 * ``PrecisionFailure`` subclasses signal that the requested computation
   would exhaust the tracked digits (CLI exit code 3).
 """
@@ -65,12 +66,8 @@ class RepeatedResidueEigenvalue(Refusal):
 
 
 class NormTooLarge(Refusal):
-    """An operator expected to satisfy a strict norm bound has norm 1."""
+    """V of a unitary U = I + V has norm 1 (the one refusal of |V| < 1)."""
 
 
 class CertificationFailed(Refusal):
     """No spectral certificate could be produced for the input."""
-
-
-class NotPrincipalSpectrum(Refusal):
-    """The spectrum is expected to consist of principal units and does not."""

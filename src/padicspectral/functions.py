@@ -103,13 +103,14 @@ def _log_terms(p: int, v: int, working: int) -> tuple[int, int]:
 
 
 def log_series(x, v: int, working: int, product):
-    """log(1 + x) = sum (-1)^(k-1) x^k / k to exactly ``working`` digits.
+    """log(1 + x) = sum (-1)^(k-1) x^k / k to min(working, prec x) digits.
 
     x is a PadicInt or PadicMatrix of valuation (sup norm) v >= 1, lifted
     by zero digits, and ``product`` its ring product.  The terms and their
-    digits come from :func:`_log_terms`.  The scalar logarithm runs the
-    same rule on plain residues (:func:`plog`); this one is its
-    reference and the operator log of :func:`generator_log_series`.
+    digits come from :func:`_log_terms`; the lift fixes no digit beyond
+    x's own, since |X^k - Y^k| / |k| <= |X - Y| on |X|, |Y| < 1 for odd p.
+    The scalar logarithm runs the same rule on plain residues (:func:`plog`);
+    this one is its reference and the operator log of generator_log_series.
     """
     terms, w0 = _log_terms(x.p, v, working)
     x_w = x.at_prec(w0)
@@ -118,7 +119,7 @@ def log_series(x, v: int, working: int, product):
         xpow = product(xpow, x_w)
         term = xpow.divide_exact(k)
         acc = acc + term if k % 2 == 1 else acc - term
-    return acc.truncate_to(working)
+    return acc.truncate_to(min(working, x.prec))
 
 
 def binomials(x, digits: int, terms: int, product):
@@ -273,8 +274,8 @@ class PowerPlan:
         require_type(z, PadicInt, "PowerPlan.powers")
         if z.p != self.p:
             raise PrimeMismatch(f"p={z.p} vs p={self.p}")
-        if z.is_unit():
-            raise NotPrincipal("argument must have valuation >= 1 (got a unit)")
+        if z.is_unit():  # z + 1 is formed only to be refused
+            require_principal(z + 1, "1 + z")
         v, cap = z.valuation().value, min(self.target, z.prec)
         precisions = [min(cap, e.prec + v) for e in self.exponents]
         residues = _power_residues(z.residue, self, precisions)

@@ -24,11 +24,11 @@ module sums them but fixes no truncation itself, and adds to the target
 only the one digit that the division by log(1+p) costs.  The group checks
 are PadicMatrix's own @, - and op_norm: no grid of residues is formed here.
 
-Certification of U = I + V, |V| < 1, reads U's scalar part, since U's
-reduction is the identity: U = mu I + p^m W, c = U_00, m = v(U - c I) and
-mu = c mod p^m.  A scalar U (m = prec U) is a lone eigenvalue c on S = I;
-any other has W, whose reduction is never scalar, certified the usual
-way, and U's eigenvalues mu + p^m lambda' on W's eigenbasis S.
+One rule, make_unitary(V), certifies every unitary, U(1+p) of Stone too:
+|V| < 1, else NormTooLarge, and then U = mu I + p^m W by its scalar part.
+A scalar U is a lone eigenvalue on S = I; any other has W, whose reduction
+is never scalar, certified the usual way, and U's eigenvalues mu + p^m
+lambda' on W's eigenbasis S.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from __future__ import annotations
 from operator import matmul
 
 from .core import Frozen, PadicInt, Valuation, as_padic, check_int, require_type
-from .errors import (
-    CertificationFailed,
-    InsufficientPrecision,
-    NormTooLarge,
-    NotPrincipalSpectrum,
-    Refusal,
-)
+from .errors import CertificationFailed, InsufficientPrecision, NormTooLarge, Refusal
 from .functions import (
     PowerPlan,
     SeriesBudget,
@@ -67,23 +61,28 @@ __all__ = [
 ]
 
 
-def _small_norm(v: PadicMatrix, err) -> int:
-    """The one |V| < 1 rule: w = v(V) >= 1 (prec V for V = 0), or ``err``
-    naming the first unit entry of V."""
+def _small_norm(v: PadicMatrix) -> int:
+    """The one |V| < 1 rule: w = v(V) >= 1 (prec V for V = 0), or
+    NormTooLarge naming the first unit entry of V."""
     w = v.op_norm().value
     if w < 1:
         rows = enumerate(v.rows())
         unit = next((i, j) for i, r in rows for j, x in enumerate(r) if x % v.p)
-        raise err(f"|V| = 1: entry {unit} is a unit")
+        raise NormTooLarge(f"|V| = 1: entry {unit} is a unit")
     return w
 
 
-def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
-    """Certify U = I + V, |V| < 1, by its scalar part U = mu I + p^m W, c = U_00,
-    m = v(U - c I), mu = c mod p^m: a scalar U (m = prec U) is a lone
-    eigenvalue c on S = I, any other U is mu + p^m lam' on W's eigenbasis."""
-    ident = PadicMatrix.identity(u.n, u.p, u.prec)
-    _small_norm(u - ident, err)
+def make_unitary(v: PadicMatrix) -> StrongNormalCertificate:
+    """The unitary operator U = I + V as its certificate: U, its spectrum
+    1 + sigma(V) of principal units, and V's eigenbasis.  The one unitary
+    rule: |V| < 1, else NormTooLarge, and then U's scalar part U = mu I +
+    p^m W, c = U_00, m = v(U - c I), mu = c mod p^m.  A scalar U (m = prec
+    U) is a lone eigenvalue c on S = I; any other U is mu + p^m lam' on
+    W's eigenbasis, else CertificationFailed."""
+    require_type(v, PadicMatrix, "make_unitary")
+    _small_norm(v)
+    ident = PadicMatrix.identity(v.n, v.p, v.prec)
+    u = ident + v
     c = PadicInt(u.rows()[0][0], u.p, u.prec)
     m = (u - c * ident).op_norm().value
     if m == u.prec:
@@ -96,14 +95,6 @@ def _unitary_certificate(u: PadicMatrix, err) -> StrongNormalCertificate:
     # W = (U - mu I)/p^m is exact, so lam' known to k digits fixes mu + p^m lam' to k + m
     mus = [PadicInt(mu + pm * lam.residue, u.p, lam.prec + m) for lam in cert1.eigenvalues]
     return cert1.reuse_basis(u, mus)
-
-
-def make_unitary(v: PadicMatrix) -> StrongNormalCertificate:
-    """The unitary operator U = I + V as its certificate: U, its spectrum
-    1 + sigma(V) of principal units, and V's eigenbasis.  Requires |V| < 1
-    (else NormTooLarge), and U scalar or W of U = mu I + p^m W certifiable."""
-    require_type(v, PadicMatrix, "make_unitary")
-    return _unitary_certificate(PadicMatrix.identity(v.n, v.p, v.prec) + v, NormTooLarge)
 
 
 class GroupCheck(Frozen):
@@ -141,8 +132,8 @@ class OneParamGroup(Frozen):
     __slots__ = ("cert", "budget", "_memo")  # _memo: the eigenvalues' PowerPlan
 
     def __init__(self, cert: StrongNormalCertificate, budget: SeriesBudget):
-        if not (isinstance(cert, StrongNormalCertificate) and isinstance(budget, SeriesBudget)):
-            raise TypeError("OneParamGroup takes a StrongNormalCertificate and a SeriesBudget")
+        require_type(cert, StrongNormalCertificate, "OneParamGroup")
+        require_type(budget, SeriesBudget, "OneParamGroup")
         self._set(cert=cert, budget=budget, _memo=None)
 
     @property
@@ -281,9 +272,9 @@ def additive_reparam(z: PadicInt, budget: SeriesBudget) -> PadicInt:
 def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """Recover the generator A from the single group value U(1+p).
 
-    Requires U(1+p) = I + V with |V| < 1, else NotPrincipalSpectrum, and
-    U(1+p) = mu I, which gives A = zeta(mu) I on S = I, or U(1+p) = mu I +
-    p^m W with W certifiable, by the rule of make_unitary.  The generator is
+    U(1+p) is certified by the one unitary rule, make_unitary(U(1+p) - I),
+    with its refusals: NormTooLarge for |U(1+p) - I| = 1, CertificationFailed
+    for a scaled part W with no eigenbasis.  The generator is
 
         A = log U(1+p) / log(1+p) = S diag(log(mu_i)/log(1+p)) S^-1,
 
@@ -295,7 +286,7 @@ def stone_recover(u1p: PadicMatrix, budget: SeriesBudget) -> OneParamGroup:
     """
     require_type(u1p, PadicMatrix, "stone_recover")
     require_type(budget, SeriesBudget, "stone_recover")
-    cert_u = _unitary_certificate(u1p, NotPrincipalSpectrum)
+    cert_u = make_unitary(u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec))
     a_eigen = [zeta_of(mu, budget) for mu in cert_u.eigenvalues]
     # A = S diag(a) S^-1 and S^-1 S = I give A S = S D at A's precision
     a = cert_u.spectral_operator(a_eigen)
@@ -307,19 +298,16 @@ def generator_log_series(u1p: PadicMatrix, budget: SeriesBudget) -> PadicMatrix:
 
     Sums (1/log(1+p)) sum_k (-1)^(k-1) V^k / k directly in matrices,
     by :func:`log_series` with matmul, sharing with the eigenvalue route
-    in stone_recover only the scalar log(1+p).
+    in stone_recover only the scalar log(1+p).  |V| = 1 is NormTooLarge;
+    A keeps the min(target + 1, prec V) digits of log_series less the one
+    that the division costs, so a one-digit U(1+p) fixes none.
     """
     require_type(u1p, PadicMatrix, "generator_log_series")
     require_type(budget, SeriesBudget, "generator_log_series")
-    p = u1p.p
-    n = u1p.n
-    v = u1p - PadicMatrix.identity(n, p, u1p.prec)
-    norm = _small_norm(v, NotPrincipalSpectrum)
-    out_prec = min(budget.target, u1p.prec - 1)
-    if out_prec < 1:
+    v = u1p - PadicMatrix.identity(u1p.n, u1p.p, u1p.prec)
+    norm = _small_norm(v)
+    if u1p.prec < 2:
         raise InsufficientPrecision("one digit of U(1+p) fixes no digit of A")
     # one digit above the target pays for the division by log(1+p)
     w = budget.target + 1
-    log_v = log_series(v, norm, w, matmul)
-    a = log_v.divide_exact(log_one_plus_p(p, w))
-    return a.truncate_to(out_prec)
+    return log_series(v, norm, w, matmul).divide_exact(log_one_plus_p(u1p.p, w))

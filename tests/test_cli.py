@@ -191,7 +191,10 @@ def test_stone_refusal(tmp_path, capsys):
     path = _write(tmp_path / "bad.json", PadicMatrix([[1, 1], [0, 6]], 5, 32).to_dict())
     code, out = _run(capsys, ["stone", path])
     assert code == 2
-    assert json.loads(out)["refusal"]["type"] == "NotPrincipalSpectrum"
+    assert json.loads(out)["refusal"] == {
+        "type": "NormTooLarge",
+        "message": "|V| = 1: entry (0, 1) is a unit",
+    }
     # V = diag(5, 10) at 2 digits fixes its eigenvalues mod 25, so A mod 5
     path = _write(tmp_path / "short.json", _matrix_doc([["6", "0"], ["0", "11"]], prec=2))
     code, out = _run(capsys, ["stone", path])

@@ -113,13 +113,20 @@ def test_golden_group_values_hold_against_the_oracle(entry):
     assert not _oracle_check(entry, corrupt=True)
 
 
+def _committed_inputs() -> set[str]:
+    """Every file under the fixtures but the stdout files, the manifest and
+    make_golden.py (and its bytecode), by its path there."""
+    skip = {"manifest.json", "make_golden.py"}
+    paths = (f for f in FIXTURES.rglob("*") if f.is_file() and f.suffix not in (".out", ".pyc"))
+    return {f.relative_to(FIXTURES).as_posix() for f in paths if f.name not in skip}
+
+
 def test_input_files_regenerate_byte_for_byte():
-    # make_golden.py still writes every committed input file: three per
-    # sampled case, two each for the zero, scalar and peeled cases and the
-    # three refusal inputs; the sampling inverts at n = 2, 3 and 6, and
-    # U(1+p) reads S^-1
+    # make_golden.py writes every committed input file and no other, with the
+    # committed bytes; the sampling inverts at n = 2, 3 and 6, and U(1+p)
+    # reads S^-1
     files = input_files()
-    assert len(files) == 3 * len(SAMPLED_CASES) + 2 + 2 + 2 + 3
+    assert set(files) == _committed_inputs()
     for name, text in files.items():
         assert (FIXTURES / name).read_text() == text, name
 

@@ -37,8 +37,8 @@ from padicspectral.errors import (
     DimensionMismatch,
     DivisionByHigherValuation,
     InsufficientPrecision,
+    NormTooLarge,
     NotPrincipal,
-    NotPrincipalSpectrum,
     OutOfConvergenceDomain,
     PrecisionExceeded,
     PrimeMismatch,
@@ -233,9 +233,14 @@ _REFUSALS = {
         PrimeMismatch,
         "^p=5 vs p=7$",
     ),
+    "power-plan-unit": (
+        lambda: PowerPlan(5, [_LAM5], _B4).powers(PadicInt(2, 5, 4)),
+        NotPrincipal,
+        r"^1 \+ z must be congruent to 1 mod p, got PadicInt\(3, p=5, prec=4\)$",
+    ),
     "log-series-unit-entry": (
         lambda: generator_log_series(PadicMatrix([[1, 1], [0, 1]], 5, 4), _B4),
-        NotPrincipalSpectrum,
+        NormTooLarge,
         r"^\|V\| = 1: entry \(0, 1\) is a unit$",
     ),
     "empty-matrix": (lambda: PadicMatrix([], 5, 4), ValueError, "at least 1 x 1"),
@@ -274,12 +279,12 @@ _REFUSALS = {
     "group-int-budget": (
         lambda: OneParamGroup(_CERT5, 16),
         TypeError,
-        "^OneParamGroup takes a StrongNormalCertificate and a SeriesBudget$",
+        "^OneParamGroup takes a SeriesBudget$",
     ),
     "group-matrix-certificate": (
         lambda: OneParamGroup(_M5, SeriesBudget(16)),
         TypeError,
-        "^OneParamGroup takes a StrongNormalCertificate and a SeriesBudget$",
+        "^OneParamGroup takes a StrongNormalCertificate$",
     ),
     "certify-list": (
         lambda: certify_strongly_normal([[1, 2], [3, 4]]),

@@ -575,6 +575,8 @@ def _perturb(x, t):
 # fixes (1+27)^lam to 13
 @example((SeriesBudget(32), *(PadicInt(r, 5, m) for r, m in ((5, 32), (7**30, 31), (6, 32), (5, 32))), 2))
 @example((SeriesBudget(40), *(PadicInt(r, 3, m) for r, m in ((27, 40), (2**15, 10), (4, 40), (3, 40))), 1))
+# x = 5 tracked to 6 digits, 14 fewer than the log series works to
+@example((SeriesBudget(20), *(PadicInt(r, 5, 6) for r in (5, 1, 6, 5)), 1))
 def test_precision_lemma_scalar_functions(case):
     # moving any input beyond its tracked digits moves no returned digit;
     # p z, and with it e^(pz), is fixed to one digit more than z
@@ -592,6 +594,11 @@ def test_precision_lemma_scalar_functions(case):
             continue
         got = f(arg, b)
         assert f(_perturb(arg, t), b).congruent(got, got.prec)
+    # log(1 + x) keeps x's digits and no more, also below the working digits
+    got = log_series(x, x.valuation().value, b.target, mul)
+    assert got.prec == min(b.target, x.prec)
+    moved = _perturb(x, t)
+    assert log_series(moved, moved.valuation().value, b.target, mul).congruent(got, got.prec)
 
 
 @pytest.mark.parametrize("p", PRIMES)

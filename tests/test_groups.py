@@ -28,7 +28,6 @@ from padicspectral.errors import (
     InsufficientPrecision,
     NormTooLarge,
     NotPrincipal,
-    NotPrincipalSpectrum,
 )
 from oracle import (
     oracle_certificate_holds,
@@ -266,19 +265,19 @@ def test_stone_one_digit_eigenvalue():
 
 
 def test_stone_refuses_norm_one():
-    with pytest.raises(NotPrincipalSpectrum):
+    with pytest.raises(NormTooLarge):
         stone_recover(PadicMatrix([[1, 1], [0, 6]], 5, 32), BUDGETS[5])
 
 
 def test_norm_one_has_one_refusal():
-    # |V| = 1 names the same unit entry of V = U(1+p) - I on every route
-    v = PadicMatrix([[0, 1], [0, 5]], 5, 32)
-    u = PadicMatrix.identity(2, 5, 32) + v
+    # |V| = 1 is one refusal naming the same unit entry of V = U(1+p) - I on
+    # every route, though U = [[1, 1], [0, 6]] has the principal spectrum {1, 6}
+    u = PadicMatrix([[1, 1], [0, 6]], 5, 32)
     match = r"^\|V\| = 1: entry \(0, 1\) is a unit$"
     with pytest.raises(NormTooLarge, match=match):
-        make_unitary(v)
+        make_unitary(u - PadicMatrix.identity(2, 5, 32))
     for route in (stone_recover, generator_log_series):
-        with pytest.raises(NotPrincipalSpectrum, match=match):
+        with pytest.raises(NormTooLarge, match=match):
             route(u, BUDGETS[5])
 
 

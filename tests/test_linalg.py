@@ -9,6 +9,7 @@ import sys
 import tokenize
 from collections import Counter
 from itertools import accumulate
+from operator import matmul
 from pathlib import Path
 from random import Random
 
@@ -34,6 +35,7 @@ from padicspectral.errors import (
     PrimeMismatch,
     RepeatedResidueEigenvalue,
 )
+from padicspectral.functions import log_series
 from oracle import oracle_char_poly
 from padicspectral.sampling import (
     sample_certifiable_matrix,
@@ -872,3 +874,9 @@ def test_precision_lemma_linalg(p, seed, prec, data):
         assert moved.congruent(got, got.prec)
     for got, moved in zip(a.matvec(vec), a2.matvec(vec2)):
         assert moved.congruent(got, got.prec)
+    # log(1 + x) on x = p b, worked to more digits than x tracks, keeps x's
+    x = p * b
+    x2 = _moved(x, data.draw(square))
+    got = log_series(x, x.op_norm().value, prec + 2, matmul)
+    assert got.prec == x.prec
+    assert log_series(x2, x2.op_norm().value, prec + 2, matmul).congruent(got, got.prec)
